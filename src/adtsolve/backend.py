@@ -1,11 +1,13 @@
 """Deciding quantifier-free EUF+LIA reducts.
 
-The built-in solver does recursive case-splitting over the preserved Boolean
-structure; each branch (a conjunction of literals) goes through congruence
-closure, then linear integer feasibility over the congruence classes, with
-disequalities split lazily into strict inequalities and functional
-consistency restored by model-guided case splits.  Every sat verdict is
-re-checked by an independent evaluator before being returned.
+The built-in solver searches the preserved Boolean structure depth-first
+with one backtrackable congruence closure per solve: the literals of a branch
+are asserted into it in place and retracted on backtrack.  Each conjunction
+is decided by linear integer feasibility over the congruence classes, with
+disequalities split lazily into strict inequalities (one more row over the
+same classes) and functional consistency restored by model-guided case
+splits.  Every sat verdict is re-checked by an independent evaluator before
+being returned.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import lia
@@ -93,83 +96,116 @@ def eval_reduced(f: RFormula, model: IntModel) -> bool:
 # -- congruence closure -------------------------------------------------------------
 
 class _CC:
+    """Backtrackable congruence closure (Nieuwenhuis-Oliveras).
+
+    Union by size without path compression, so every change is undone by
+    popping an explicit trail back to the mark of the matching push().  A
+    signature table keyed by (function, child representatives) finds the
+    congruences a merge creates by re-signing the apps over the smaller class.
+    """
+
     def __init__(self):
         self.ids: dict[RTerm, int] = {}
         self.terms: list[RTerm] = []
+        self.args: list[tuple[int, ...]] = []
         self.parent: list[int] = []
-        self.uses: dict[int, list[int]] = {}
+        self.size: list[int] = []
+        self.uses: list[list[int]] = []  # per class root: apps over the class
         self.const_of: dict[int, int] = {}
+        self.sigs: dict[tuple, int] = {}
+        self.trail: list[tuple] = []
+        self.marks: list[int] = []
+
+    def push(self):
+        self.marks.append(len(self.trail))
+
+    def pop(self):
+        mark = self.marks.pop()
+        trail = self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            kind = entry[0]
+            if kind == "use":
+                self.uses[entry[1]].pop()
+            elif kind == "sig":
+                del self.sigs[entry[1]]
+            elif kind == "union":
+                _, ra, rb, moved_const = entry
+                self.parent[ra] = ra
+                self.size[rb] -= self.size[ra]
+                if moved_const:
+                    del self.const_of[rb]
+            else:  # "term"
+                del self.ids[self.terms.pop()]
+                self.args.pop()
+                self.parent.pop()
+                self.size.pop()
+                self.uses.pop()
+                self.const_of.pop(len(self.terms), None)
 
     def add(self, t: RTerm) -> int:
-        if t in self.ids:
-            return self.ids[t]
-        for_args = []
-        if isinstance(t, RApp):
-            for_args = [self.add(a) for a in t.args]
+        i = self.ids.get(t)
+        if i is not None:
+            return i
+        args = tuple(self.add(a) for a in t.args) if isinstance(t, RApp) else ()
         i = len(self.terms)
         self.ids[t] = i
         self.terms.append(t)
+        self.args.append(args)
         self.parent.append(i)
+        self.size.append(1)
+        self.uses.append([])
+        self.trail.append(("term",))
         if isinstance(t, RConst):
             self.const_of[i] = t.value
-        for a in for_args:
-            self.uses.setdefault(self.find(a), []).append(i)
+        elif isinstance(t, RApp):
+            sig = (t.fn, tuple(self.find(a) for a in args))
+            other = self.sigs.get(sig)
+            if other is not None:
+                self.merge(i, other)  # a fresh singleton: no uses, no constant
+            else:
+                self.sigs[sig] = i
+                self.trail.append(("sig", sig))
+                for r in sig[1]:
+                    self.uses[r].append(i)
+                    self.trail.append(("use", r))
         return i
 
     def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
+        parent = self.parent
+        while parent[i] != i:
+            i = parent[i]
         return i
 
-    def _sig(self, i: int):
-        t = self.terms[i]
-        assert isinstance(t, RApp)
-        return (t.fn, tuple(self.find(self.ids[a]) for a in t.args))
-
     def merge(self, i: int, j: int) -> bool:
-        """Union two classes and propagate congruences; False on constant clash."""
-        queue = [(i, j)]
-        while queue:
-            a, b = queue.pop()
+        """Union two classes and propagate congruences; False on a constant
+        clash, which leaves partial work for the enclosing pop()."""
+        pending = [(i, j)]
+        while pending:
+            a, b = pending.pop()
             ra, rb = self.find(a), self.find(b)
             if ra == rb:
                 continue
+            if self.size[ra] > self.size[rb]:
+                ra, rb = rb, ra
             ca, cb = self.const_of.get(ra), self.const_of.get(rb)
-            if ca is not None and cb is not None and ca != cb:
-                return False
+            if ca is not None and cb is not None:
+                return False  # one term per constant: distinct classes clash
             self.parent[ra] = rb
+            self.size[rb] += self.size[ra]
             if ca is not None:
                 self.const_of[rb] = ca
-            self.uses.setdefault(rb, []).extend(self.uses.pop(ra, []))
-            # congruence: any two parent apps with equal signatures must merge
-            table: dict = {}
-            for u in self.uses.get(rb, []):
-                s = self._sig(u)
-                other = table.get(s)
+            self.trail.append(("union", ra, rb, ca is not None))
+            for u in self.uses[ra]:
+                sig = (self.terms[u].fn, tuple(self.find(x) for x in self.args[u]))
+                other = self.sigs.get(sig)
                 if other is None:
-                    table[s] = u
+                    self.sigs[sig] = u
+                    self.uses[rb].append(u)
+                    self.trail.append(("sig", sig))
+                    self.trail.append(("use", rb))
                 elif self.find(other) != self.find(u):
-                    queue.append((other, u))
-        return True
-
-    def full_congruence(self) -> bool:
-        """Global fixpoint pass (covers apps not sharing a merged child class)."""
-        changed = True
-        while changed:
-            changed = False
-            table: dict = {}
-            for i, t in enumerate(self.terms):
-                if not isinstance(t, RApp):
-                    continue
-                s = self._sig(i)
-                other = table.get(s)
-                if other is None:
-                    table[s] = i
-                elif self.find(other) != self.find(i):
-                    if not self.merge(other, i):
-                        return False
-                    changed = True
+                    pending.append((u, other))
         return True
 
 
@@ -191,209 +227,200 @@ class _Budget:
             raise ResourceLimitError("split cap exhausted")
 
 
-def _decide_conjunction(lits: list[RFormula], budget: _Budget) -> IntModel | None:
-    """Decide a conjunction of literals: congruence closure, then integer
-    feasibility over the classes; violated disequalities and functional
-    inconsistencies are repaired by recursive case splits on fresh literals."""
-    budget.spend_split()
-    cc = _CC()
-    eqs: list[tuple[RTerm, RTerm]] = []
-    diseqs: list[tuple[RTerm, RTerm]] = []
-    lin_atoms: list[RLin] = []
-    for lit in lits:
+def _row(op: str, coeffs: dict[int, int], const: int) -> lia.LinCon:
+    """A linear constraint over the class variables #t<root>."""
+    return lia.con(op, {f"#t{r}": a for r, a in coeffs.items()}, const)
+
+
+class _Search:
+    """DFS over the Boolean structure with one congruence closure: literals
+    are asserted along the current path and retracted on backtrack."""
+
+    def __init__(self, budget: _Budget):
+        self.budget = budget
+        self.cc = _CC()
+        self.diseqs: list[tuple[int, int]] = []
+        self.lins: list[tuple[str, tuple[tuple[int, int], ...], int]] = []
+        self.marks: list[tuple[int, int]] = []
+
+    def push(self):
+        self.cc.push()
+        self.marks.append((len(self.diseqs), len(self.lins)))
+
+    def pop(self):
+        self.cc.pop()
+        n_diseqs, n_lins = self.marks.pop()
+        del self.diseqs[n_diseqs:]
+        del self.lins[n_lins:]
+
+    def assert_lit(self, lit: RFormula) -> bool:
+        """Add one literal to the current scope; False when it contradicts
+        the congruence classes outright."""
+        cc = self.cc
         if isinstance(lit, REq):
-            cc.add(lit.lhs)
-            cc.add(lit.rhs)
-            eqs.append((lit.lhs, lit.rhs))
-        elif isinstance(lit, RNot):
-            cc.add(lit.arg.lhs)
-            cc.add(lit.arg.rhs)
-            diseqs.append((lit.arg.lhs, lit.arg.rhs))
+            return cc.merge(cc.add(lit.lhs), cc.add(lit.rhs))
+        if isinstance(lit, RNot):
+            self.diseqs.append((cc.add(lit.arg.lhs), cc.add(lit.arg.rhs)))
         elif isinstance(lit, RLin):
-            for _, t in lit.terms:
-                cc.add(t)
-            lin_atoms.append(lit)
-        elif isinstance(lit, RTrueF):
-            continue
-        elif isinstance(lit, RFalseF):
-            return None
-        else:
+            self.lins.append((lit.op, tuple((c, cc.add(t)) for c, t in lit.terms),
+                              lit.const))
+        elif not isinstance(lit, RTrueF):
             raise InternalError(f"unexpected literal {lit}")
-    for a, b in eqs:
-        if not cc.merge(cc.ids[a], cc.ids[b]):
-            return None
-    if not cc.full_congruence():
-        return None
-    for a, b in diseqs:
-        if cc.find(cc.ids[a]) == cc.find(cc.ids[b]):
-            return None
+        return True
 
-    def class_var(i: int) -> tuple[str, int | None]:
-        r = cc.find(i)
-        if r in cc.const_of:
-            return f"#c{r}", cc.const_of[r]
-        return f"#t{r}", None
-
-    cons: list[lia.LinCon] = []
-    pending_ne: list[tuple[dict[str, int], int, tuple[RTerm, RTerm] | None]] = []
-
-    def translate(pairs, const: int) -> tuple[dict[str, int], int]:
-        coeffs: dict[str, int] = {}
-        c = const
-        for coef, t in pairs:
-            name, val = class_var(cc.ids[t])
-            if val is not None:
-                c += coef * val
-            else:
-                coeffs[name] = coeffs.get(name, 0) + coef
-        return coeffs, c
-
-    for atom in lin_atoms:
-        coeffs, c = translate(atom.terms, atom.const)
-        if atom.op == "ne":
-            if not coeffs:
-                if c == 0:
-                    return None
+    def search(self, pending: list[RFormula]) -> IntModel | None:
+        """All definite conjuncts are asserted before branching, and a branch
+        is pruned as soon as its definite part is already inconsistent."""
+        queue = deque(pending)
+        lits: list[RFormula] = []
+        ors: list[ROr] = []
+        while queue:
+            f = queue.popleft()
+            if isinstance(f, RTrueF):
                 continue
-            pending_ne.append((coeffs, c, _ne_witness(atom)))
-        else:
-            cons.append(lia.con(atom.op, coeffs, c))
-    for a, b in diseqs:
-        coeffs, c = translate([(1, a), (-1, b)], 0)
-        if not coeffs:
-            if c == 0:
-                return None  # cannot happen: classes differ, but both constant
-            continue
-        pending_ne.append((coeffs, c, (a, b)))
-
-    model_map = lia.solve(cons)
-    if model_map is None:
-        return None
-
-    # unconstrained classes take distinct values clear of the solved ones, so
-    # that they neither collide in function tables nor violate disequalities
-    spread_base = 1 + max((abs(v) for v in model_map.values()), default=0)
-    class_values: dict[str, int] = {}
-    for i in range(len(cc.terms)):
-        r = cc.find(i)
-        name, v = class_var(r)
-        if name in class_values:
-            continue
-        if v is not None:
-            class_values[name] = v
-        elif name in model_map:
-            class_values[name] = model_map[name]
-        else:
-            class_values[name] = spread_base
-            spread_base += 1
-
-    def val_of_class(i: int) -> int:
-        name, _ = class_var(i)
-        return class_values[name]
-
-    # lazily split the first disequality the candidate model violates
-    for coeffs, c, witness in pending_ne:
-        total = c + sum(a * class_values[v] for v, a in coeffs.items())
-        if total != 0:
-            continue
-        budget.spend_split()
-        if witness is not None:
-            a, b = witness
-            split = [RLin("le", ((1, a), (-1, b)), 1), RLin("le", ((-1, a), (1, b)), 1)]
-        else:
-            split = []  # general ne atom: strengthen both ways on its terms
-        if not split:
-            # rebuild the two strict sides of the original linear atom
-            return _split_general_ne(lits, coeffs, c, cc, budget)
-        for extra in split:
-            out = _decide_conjunction(lits + [extra], budget)
+            if isinstance(f, RFalseF):
+                return None
+            if isinstance(f, RAnd):
+                queue.extendleft(reversed(f.args))
+            elif isinstance(f, ROr):
+                ors.append(f)
+            else:
+                lits.append(f)
+        self.budget.spend_split()
+        if not all(self.assert_lit(lit) for lit in lits):
+            return None
+        model = self.decide()
+        if model is None or not ors:
+            return model
+        first, rest = ors[0], ors[1:]
+        self.budget.spend_branch()
+        for arm in first.args:
+            self.push()
+            out = self.search([arm] + rest)
+            self.pop()
             if out is not None:
                 return out
         return None
 
-    # functional consistency under the candidate model
-    conflict = _functional_conflict(cc, val_of_class)
-    if conflict is None:
-        return _extract_model(cc, val_of_class)
-    budget.spend_split()
-    t1, t2 = conflict
-    out = _decide_conjunction(lits + [REq(t1, t2)], budget)
-    if out is not None:
+    def decide_with(self, lit: RFormula) -> IntModel | None:
+        """Decide the asserted conjunction plus one literal, then retract it."""
+        self.budget.spend_split()
+        self.push()
+        out = self.decide() if self.assert_lit(lit) else None
+        self.pop()
         return out
-    assert isinstance(t1, RApp) and isinstance(t2, RApp)
-    for a1, a2 in zip(t1.args, t2.args):
-        if cc.find(cc.ids[a1]) == cc.find(cc.ids[a2]):
-            continue
-        out = _decide_conjunction(lits + [RNot(REq(a1, a2))], budget)
+
+    def translate(self, pairs, const: int) -> tuple[dict[int, int], int]:
+        """sum(coef * term) + const over class roots, constants folded in."""
+        find, const_of = self.cc.find, self.cc.const_of
+        coeffs: dict[int, int] = {}
+        c = const
+        for coef, i in pairs:
+            r = find(i)
+            val = const_of.get(r)
+            if val is not None:
+                c += coef * val
+            else:
+                coeffs[r] = coeffs.get(r, 0) + coef
+        return coeffs, c
+
+    def decide(self) -> IntModel | None:
+        """Decide the asserted conjunction: disequalities against the classes,
+        then integer feasibility of the linear atoms over the classes."""
+        find = self.cc.find
+        if any(find(a) == find(b) for a, b in self.diseqs):
+            return None
+        cons: list[lia.LinCon] = []
+        pending_ne: list[tuple[dict[int, int], int]] = []
+        for op, pairs, const in self.lins:
+            coeffs, c = self.translate(pairs, const)
+            if op != "ne":
+                cons.append(_row(op, coeffs, c))
+            elif coeffs:
+                pending_ne.append((coeffs, c))
+            elif c == 0:
+                return None
+        for a, b in self.diseqs:
+            coeffs, c = self.translate(((1, a), (-1, b)), 0)
+            if coeffs:  # else both classes are distinct constants
+                pending_ne.append((coeffs, c))
+        return self.decide_lia(cons, pending_ne)
+
+    def decide_lia(self, cons: list[lia.LinCon],
+                   pending_ne: list[tuple[dict[int, int], int]]) -> IntModel | None:
+        """Integer feasibility over fixed classes; violated disequalities and
+        functional inconsistencies are repaired by recursive case splits."""
+        model_map = lia.solve(cons)
+        if model_map is None:
+            return None
+        cc = self.cc
+        # unconstrained classes take distinct values clear of the solved ones,
+        # so that they neither collide in function tables nor violate
+        # disequalities
+        spread = 1 + max((abs(v) for v in model_map.values()), default=0)
+        root_value: dict[int, int] = {}
+        values: list[int] = []
+        for i in range(len(cc.terms)):
+            r = cc.find(i)
+            if r not in root_value:
+                v = model_map.get(f"#t{r}", cc.const_of.get(r))
+                if v is None:
+                    v, spread = spread, spread + 1
+                root_value[r] = v
+            values.append(root_value[r])
+
+        # lazily split the first disequality the candidate model violates into
+        # its two strict sides: one more row over the unchanged classes, kept
+        # asserted for the functional-consistency splits below it
+        for coeffs, c in pending_ne:
+            if c + sum(a * root_value[r] for r, a in coeffs.items()) != 0:
+                continue
+            self.budget.spend_split()
+            for sign in (1, -1):
+                side = {r: sign * a for r, a in coeffs.items()}
+                self.budget.spend_split()
+                self.lins.append(("le", tuple((a, r) for r, a in side.items()), sign * c + 1))
+                out = self.decide_lia(cons + [_row("le", side, sign * c + 1)], pending_ne)
+                self.lins.pop()
+                if out is not None:
+                    return out
+            return None
+
+        # functional consistency under the candidate model: two apps of one
+        # function that agree on their arguments must agree on their values
+        model = IntModel()
+        first: dict[tuple, int] = {}
+        for i, t in enumerate(cc.terms):
+            if isinstance(t, RVar):
+                model.values[t.name] = values[i]
+            elif isinstance(t, RApp):
+                args = tuple(values[a] for a in cc.args[i])
+                j = first.setdefault((t.fn, args), i)
+                if values[j] != values[i]:
+                    break
+                model.funcs.setdefault(t.fn, {})[args] = values[i]
+        else:
+            return model
+        self.budget.spend_split()
+        t1, t2 = cc.terms[j], t
+        out = self.decide_with(REq(t1, t2))
         if out is not None:
             return out
-    return None
-
-
-def _ne_witness(atom: RLin) -> tuple[RTerm, RTerm] | None:
-    """For a two-sided unit ne atom, the pair of terms it separates."""
-    if len(atom.terms) == 2 and atom.const == 0:
-        (c1, t1), (c2, t2) = atom.terms
-        if c1 == 1 and c2 == -1:
-            return t1, t2
-        if c1 == -1 and c2 == 1:
-            return t2, t1
-    return None
-
-
-def _split_general_ne(lits, coeffs, c, cc, budget) -> IntModel | None:
-    """Split sum(coeffs) + c != 0 into < and > over the original literal set by
-    re-expressing the class variables through representative terms."""
-    rep_term: dict[str, RTerm] = {}
-    for i, t in enumerate(cc.terms):
-        name, val = (f"#t{cc.find(i)}", None) if cc.find(i) not in cc.const_of \
-            else (None, None)
-        if name and name not in rep_term:
-            rep_term[name] = t
-    for sign in (1, -1):
-        pairs = tuple((sign * a, rep_term[v]) for v, a in coeffs.items())
-        extra = RLin("le", pairs, sign * c + 1)
-        out = _decide_conjunction(lits + [extra], budget)
-        if out is not None:
-            return out
-    return None
-
-
-def _functional_conflict(cc: _CC, val_of_class) -> tuple[RTerm, RTerm] | None:
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
-    reps: dict[tuple[str, tuple[int, ...]], RTerm] = {}
-    for i, t in enumerate(cc.terms):
-        if not isinstance(t, RApp):
-            continue
-        key = tuple(val_of_class(cc.ids[a]) for a in t.args)
-        table = tables.setdefault(t.fn, {})
-        existing = table.get(key)
-        if existing is None:
-            table[key] = val_of_class(i)
-            reps[(t.fn, key)] = t
-        elif existing != val_of_class(i):
-            return reps[(t.fn, key)], t
-    return None
-
-
-def _extract_model(cc: _CC, val_of_class) -> IntModel:
-    model = IntModel()
-    for i, t in enumerate(cc.terms):
-        if isinstance(t, RVar):
-            model.values[t.name] = val_of_class(i)
-        elif isinstance(t, RApp):
-            args = tuple(val_of_class(cc.ids[a]) for a in t.args)
-            model.funcs.setdefault(t.fn, {})[args] = val_of_class(i)
-    return model
+        for a1, a2 in zip(t1.args, t2.args):
+            if cc.find(cc.ids[a1]) == cc.find(cc.ids[a2]):
+                continue
+            out = self.decide_with(RNot(REq(a1, a2)))
+            if out is not None:
+                return out
+        return None
 
 
 # -- public solve ------------------------------------------------------------------------
 
 def solve(reduct: ReducedFormula, *, branch_cap: int = DEFAULT_BRANCH_CAP,
           split_cap: int = DEFAULT_SPLIT_CAP) -> SolverResult:
-    budget = _Budget(branch_cap, split_cap)
     try:
-        model = _search([reduct.formula], [], budget)
+        model = _Search(_Budget(branch_cap, split_cap)).search([reduct.formula])
     except ResourceLimitError as e:
         return SolverResult.unknown(str(e))
     if model is None:
@@ -404,40 +431,6 @@ def solve(reduct: ReducedFormula, *, branch_cap: int = DEFAULT_BRANCH_CAP,
     if not eval_reduced(reduct.formula, model):
         raise InternalError("solver produced a model that fails re-evaluation")
     return SolverResult.sat(model)
-
-
-def _search(pending: list[RFormula], lits: list[RFormula], budget: _Budget):
-    """DFS over the Boolean structure.  All definite conjuncts are absorbed
-    before branching, and a branch is pruned as soon as its definite part is
-    already inconsistent."""
-    from collections import deque
-
-    queue = deque(pending)
-    lits = list(lits)
-    ors: list[ROr] = []
-    while queue:
-        f = queue.popleft()
-        if isinstance(f, RTrueF):
-            continue
-        if isinstance(f, RFalseF):
-            return None
-        if isinstance(f, RAnd):
-            queue.extendleft(reversed(f.args))
-        elif isinstance(f, ROr):
-            ors.append(f)
-        else:
-            lits.append(f)
-    if not ors:
-        return _decide_conjunction(lits, budget)
-    if _decide_conjunction(lits, budget) is None:
-        return None
-    first, rest = ors[0], ors[1:]
-    budget.spend_branch()
-    for arm in first.args:
-        out = _search([arm] + rest, lits, budget)
-        if out is not None:
-            return out
-    return None
 
 
 # -- SMT-LIB emission ----------------------------------------------------------------------

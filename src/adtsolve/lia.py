@@ -81,12 +81,11 @@ def _eliminate_equalities(cons: list[LinCon]):
     (var, expr, const) meaning var = expr . x + const, to be replayed last-first."""
     subs: list[tuple[str, dict[str, int], int]] = []
     fresh = 0
-    work = list(cons)
+    # every row is kept tight: once here, then each row a substitution changes
+    work: list[LinCon] = []
+    for c in cons:
+        _add_row(work, c)
     for _ in range(10000):
-        eqs = [c for c in work if c.op == "eq" and c.coeffs]
-        if not eqs:
-            break
-        work = [_tighten(c) if c.coeffs else c for c in work]
         eqs = [c for c in work if c.op == "eq" and c.coeffs]
         if not eqs:
             break
@@ -105,11 +104,10 @@ def _eliminate_equalities(cons: list[LinCon]):
                 if c is eq:
                     continue
                 c2 = _substitute(c, v, expr, const)
-                if not c2.coeffs:
-                    if not _check_ground(c2):
-                        raise _Infeasible()
-                    continue
-                new_work.append(c2)
+                if c2 is c:
+                    new_work.append(c)
+                else:
+                    _add_row(new_work, c2)
             work = new_work
             continue
         # symmetric-modulus change of variable (no unit coefficient)
@@ -120,18 +118,18 @@ def _eliminate_equalities(cons: list[LinCon]):
         hat = {u: _smod(b, m) for u, b in eq.coeffs}
         hat_c = _smod(eq.const, m)
         # sum hat_b_i x_i + hat_c = m * s, and hat coefficient of v is -sign(a)
-        new_eq = con("eq", {**hat, s: -m}, hat_c)
-        work.append(new_eq)
+        _add_row(work, con("eq", {**hat, s: -m}, hat_c))
     else:
         raise InternalError("equality elimination did not terminate")
-    out = []
-    for c in work:
-        if not c.coeffs:
-            if not _check_ground(c):
-                raise _Infeasible()
-            continue
-        out.append(_tighten(c))
-    return out, subs
+    return work, subs
+
+
+def _add_row(rows: list[LinCon], c: LinCon):
+    """Append c tightened; a ground row is checked and dropped instead."""
+    if c.coeffs:
+        rows.append(_tighten(c))
+    elif not _check_ground(c):
+        raise _Infeasible()
 
 
 def _check_ground(c: LinCon) -> bool:

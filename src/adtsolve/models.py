@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import IntModel, complete_model, eval_reduced
+from .backend import IntModel, complete_model, eval_reduced, eval_rterm
 from .errors import InternalError, UnboundVariableError
-from .reduce import ReducedFormula, _guard_vars
+from .reduce import (
+    RApp, REq, RFormula, RNot, RTerm, ReducedFormula, _guard_vars, iter_literals,
+)
 from .semantics import evaluate, print_formula
 from .signature import Signature, cardinality, ctor_at, fresh_terms
 from .terms import (
@@ -95,6 +97,9 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
         model = complete_model(reduct, int_model)
     if not eval_reduced(base.formula, model):
         raise InternalError("completed model does not satisfy the unsimplified reduct")
+    # selector values are read off the graphs below, so the graphs must hold
+    # every application the evaluation above took at a default value
+    model = _with_default_apps(base.formula, model)
     sig = reduct.sig
     table = base.table
     flat = base.flat
@@ -222,6 +227,27 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
             if isinstance(src, Ctor) and src.ctor != ctor_name:
                 overrides[(ctor_name, j, src)] = gamma_term(tgt_pair)
     return AdtModel(adt, ints, overrides)
+
+
+def _with_default_apps(f: RFormula, model: IntModel) -> IntModel:
+    """A copy of the model whose function graphs also list every application
+    in f that the model evaluates through a default value."""
+    out = IntModel(model.values, {fn: dict(g) for fn, g in model.funcs.items()},
+                   model.defaults)
+    for lit in iter_literals(f):
+        core = lit.arg if isinstance(lit, RNot) else lit
+        terms = [core.lhs, core.rhs] if isinstance(core, REq) else [t for _, t in core.terms]
+        for t in terms:
+            _list_apps(t, out)
+    return out
+
+
+def _list_apps(t: RTerm, model: IntModel):
+    if isinstance(t, RApp):
+        for a in t.args:
+            _list_apps(a, model)
+        args = tuple(eval_rterm(a, model) for a in t.args)
+        model.funcs.setdefault(t.fn, {}).setdefault(args, model.app(t.fn, args))
 
 
 def _next_fresh(sig: Signature, sort: str, used: dict[str, set[Term]]) -> Term:

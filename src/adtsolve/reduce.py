@@ -670,22 +670,17 @@ def _top_conjuncts(f: RFormula) -> list[RFormula]:
 
 
 def _dedup(f: RFormula) -> RFormula:
-    if isinstance(f, RAnd):
+    if isinstance(f, (RAnd, ROr)):
         seen, out = set(), []
         for a in f.args:
             a = _dedup(a)
-            if a not in seen:
-                seen.add(a)
-                out.append(a)
-        return rand(out)
-    if isinstance(f, ROr):
-        seen, out = set(), []
-        for a in f.args:
-            a = _dedup(a)
-            if a not in seen:
-                seen.add(a)
-                out.append(a)
-        return ror(out)
+            # a child that collapsed to the parent's connective is spliced in
+            # (as rand/ror would), so its duplicates are caught here too
+            for b in a.args if type(a) is type(f) else (a,):
+                if b not in seen:
+                    seen.add(b)
+                    out.append(b)
+        return rand(out) if isinstance(f, RAnd) else ror(out)
     return f
 
 

@@ -22,7 +22,7 @@ from .reduce import (
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
-    AdtModel, Ctor, Eq, Formula, SizeAtom, SizeOf, Var, conj, disj,
+    AdtModel, Ctor, Eq, Formula, SizeAtom, Var, conj, disj,
 )
 
 DEFAULT_FUEL = 100
@@ -269,26 +269,14 @@ def decide(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
                            int_model=result.model, recon_stats=stats)
 
 
-def _has_size_atoms(phi: Formula) -> bool:
-    def in_expr(e) -> bool:
-        if isinstance(e, SizeOf):
-            return True
-        if hasattr(e, "args"):
-            return any(in_expr(a) for a in e.args)
-        if hasattr(e, "arg") and not isinstance(e, SizeOf):
-            return in_expr(e.arg)
-        return False
-
-    def walk(f: Formula) -> bool:
-        if isinstance(f, SizeAtom):
-            return in_expr(f.lhs) or in_expr(f.rhs) or True
-        if hasattr(f, "args"):
-            return any(walk(a) for a in f.args)
-        if hasattr(f, "arg"):
-            return walk(f.arg)
-        return False
-
-    return walk(phi)
+def _has_size_atoms(f: Formula) -> bool:
+    if isinstance(f, SizeAtom):
+        return True
+    if hasattr(f, "args"):
+        return any(_has_size_atoms(a) for a in f.args)
+    if hasattr(f, "arg"):
+        return _has_size_atoms(f.arg)
+    return False
 
 
 def completeness_report(sig: Signature) -> str:

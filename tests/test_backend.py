@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 
 import pytest
@@ -9,7 +10,7 @@ from adtsolve.errors import ProtocolError, SpawnError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import (
-    RApp, REq, RLin, RNot, RVar, ReduceOptions, rand, reduce,
+    RApp, RConst, REq, RLin, RNot, RVar, ReduceOptions, rand, reduce, simplify,
 )
 from tests.test_semantics import formulas
 
@@ -190,3 +191,145 @@ def test_pure_integer_formula_through_pipeline(lists_sig):
     res = decide(script2.formula(), script2.sig)
     assert res.status == "sat"
     assert res.model.ints["n"] == 4
+
+
+# -- backtrackable congruence closure ---------------------------------------------
+
+def _cc_state(cc):
+    return ([cc.find(i) for i in range(len(cc.terms))], dict(cc.const_of),
+            [list(u) for u in cc.uses], dict(cc.ids), dict(cc.sigs))
+
+
+def test_cc_pop_restores_pre_push_state():
+    cc = backend._CC()
+    a, b, c = RVar("a"), RVar("b"), RVar("c")
+    fa = cc.add(RApp("f", (a,)))
+    assert cc.merge(cc.add(b), cc.add(RConst(1)))
+    before = _cc_state(cc)
+    cc.push()
+    assert cc.merge(cc.ids[a], cc.ids[b])
+    assert cc.merge(cc.add(RApp("g", (a, c))), fa)
+    assert cc.merge(cc.ids[c], cc.add(RApp("f", (b,))))
+    assert cc.find(cc.ids[c]) == cc.find(fa)
+    assert cc.const_of[cc.find(cc.ids[a])] == 1
+    cc.pop()
+    assert _cc_state(cc) == before
+    assert len(cc.terms) == 4
+
+
+def test_cc_congruence_through_nested_applications():
+    cc = backend._CC()
+    a, b = RVar("a"), RVar("b")
+    fga = cc.add(RApp("f", (RApp("g", (a,)),)))
+    fgb = cc.add(RApp("f", (RApp("g", (b,)),)))
+    assert cc.find(fga) != cc.find(fgb)
+    cc.push()
+    assert cc.merge(cc.ids[a], cc.ids[b])
+    assert cc.find(fga) == cc.find(fgb)
+    cc.pop()
+    assert cc.find(fga) != cc.find(fgb)
+    # an application added after the merge joins its congruent class at once
+    assert cc.merge(cc.ids[a], cc.ids[b])
+    h = cc.add(RApp("h", (b,)))
+    assert cc.find(cc.add(RApp("h", (a,)))) == cc.find(h)
+
+
+def test_cc_constant_clash_undone_by_pop():
+    cc = backend._CC()
+    x, y = RVar("x"), RVar("y")
+    assert cc.merge(cc.add(x), cc.add(RConst(1)))
+    assert cc.merge(cc.add(y), cc.add(RConst(2)))
+    before = _cc_state(cc)
+    cc.push()
+    fx, fy = cc.add(RApp("f", (x,))), cc.add(RApp("f", (y,)))
+    assert cc.merge(cc.add(RVar("z")), fx)
+    # f(x) = f(y) is fine; x = y clashes 1 against 2
+    assert cc.merge(fx, fy)
+    assert not cc.merge(cc.ids[x], cc.ids[y])
+    cc.pop()
+    assert _cc_state(cc) == before
+
+
+def test_cc_matches_naive_closure():
+    """Random equalities, some under push/pop, against a fixpoint closure."""
+    rng = random.Random(7)
+
+    def term(d):
+        if d == 0 or rng.random() < 0.3:
+            return RVar(rng.choice("abcd"))
+        fn = rng.choice("fg")
+        return RApp(fn, tuple(term(d - 1) for _ in range(1 if fn == "f" else 2)))
+
+    def naive(terms, eqs):
+        cls = {t: t for t in terms}
+
+        def find(t):
+            while cls[t] != t:
+                t = cls[t]
+            return t
+        for s, t in eqs:
+            cls[find(s)] = find(t)
+        changed = True
+        while changed:
+            changed = False
+            for s in terms:
+                for t in terms:
+                    if (isinstance(s, RApp) and isinstance(t, RApp) and s.fn == t.fn
+                            and find(s) != find(t)
+                            and all(find(x) == find(y) for x, y in zip(s.args, t.args))):
+                        cls[find(s)] = find(t)
+                        changed = True
+        return find
+
+    for _ in range(150):
+        cc = backend._CC()
+        kept = [(term(3), term(3)) for _ in range(rng.randint(0, 3))]
+        for s, t in kept:
+            assert cc.merge(cc.add(s), cc.add(t))
+        before = _cc_state(cc)
+        cc.push()
+        scoped = [(term(3), term(3)) for _ in range(rng.randint(1, 3))]
+        for s, t in scoped:
+            assert cc.merge(cc.add(s), cc.add(t))
+        cc.add(term(3))
+        find = naive(cc.terms, kept + scoped)
+        for i, s in enumerate(cc.terms):
+            for j, t in enumerate(cc.terms):
+                assert (cc.find(i) == cc.find(j)) == (find(s) == find(t))
+        cc.pop()
+        assert _cc_state(cc) == before
+
+
+# -- resource caps ----------------------------------------------------------------
+
+def two_colour_chain(n):
+    """x_{i+1} = tail x_i, adjacent heads differ, heads in {red, green} and
+    head x_0 != head x_2: unsat, and the search must be exhausted to say so."""
+    x = [f"x{i}" for i in range(n + 1)]
+    lines = ["(declare-datatypes ((Colour 0) (CList 0)) (((red) (green) (blue)) "
+             "((nil) (cons (head Colour) (tail CList)))))"]
+    lines += [f"(declare-const {v} CList)" for v in x]
+    for i in range(n):
+        lines.append(f"(assert ((_ is cons) {x[i]}))")
+        lines.append(f"(assert (= {x[i + 1]} (tail {x[i]})))")
+        lines.append(f"(assert (not (= (head {x[i]}) (head {x[i + 1]}))))")
+    for v in x:
+        lines.append(f"(assert (or (= (head {v}) red) (= (head {v}) green)))")
+    lines.append(f"(assert (not (= (head {x[0]}) (head {x[2]}))))")
+    script = parse_script("\n".join(lines))
+    return simplify(reduce(flatten(to_nnf(script.formula()), script.sig), script.sig,
+                           "depth"))
+
+
+def test_two_colour_chain_unsat_within_default_caps():
+    assert backend.solve(two_colour_chain(4)).status == "unsat"
+
+
+@pytest.mark.parametrize("caps, reason", [
+    ({"split_cap": 20}, "split cap exhausted"),
+    ({"branch_cap": 3}, "branch cap exhausted"),
+])
+def test_caps_give_unknown(caps, reason):
+    res = backend.solve(two_colour_chain(6), **caps)
+    assert res.status == "unknown"
+    assert res.reason == reason

@@ -179,7 +179,10 @@ def test_simplify_removes_dead_fresh_definitions(lists_sig, fml):
 
 
 def test_simplify_idempotent(lists_sig, fml):
-    for text in [EX1, "(= x z)", "(or (= y red) (= y green))"]:
+    # the last: both arms of the or dedup to the conjunction already present
+    for text in [EX1, "(= x z)", "(or (= y red) (= y green))",
+                 "(and (and ((_ is nil) nil) ((_ is nil) nil)) "
+                 "(or ((_ is nil) nil) ((_ is nil) nil)))"]:
         s = simplify(_reduce(lists_sig, fml, text))
         assert simplify(s).formula == s.formula
 

@@ -2,7 +2,7 @@ import pytest
 
 from adtsolve.models import check_model
 from adtsolve.normalize import flatten, to_nnf
-from adtsolve.parser import parse_formula
+from adtsolve.parser import parse_formula, parse_script
 from adtsolve.sizesolve import (
     AlreadyUnfoldedError, UnknownVariableError, completeness_report, decide,
     make_state, solve_with_size, unfold_step,
@@ -246,3 +246,30 @@ def test_tree_size_corpus_decides(lists_sig):
         else:
             assert oracle_sat_within_bound(tree, phi, bound=5) is None
     assert decided["sat"]
+
+
+# Instance 329 of the seeded random corpus.  Its loop repoints v1's flattening
+# variable at an unfolded value in the acceptance test; the repointed integer
+# model then satisfies the reduct only through a selector application the
+# solver never saw (s2 of nl), evaluated at the graph's default value.
+CORPUS_329 = """
+(declare-datatypes ((E9052_0 0) (P9052_1 0) (L9052_2 0) (T9052_3 0))
+  (((e9052_0) (e9052_1)) ((mk9052_0 (sl9052_0 E9052_0) (sl9052_1 E9052_0)))
+   ((nl9052_1) (cs9052_1 (sl9052_2 P9052_1) (sl9052_3 L9052_2)))
+   ((lf9052_2 (sl9052_4 L9052_2)) (nd9052_2 (sl9052_5 T9052_3) (sl9052_6 T9052_3)))))
+(declare-const v0 L9052_2)
+(declare-const v1 P9052_1)
+(assert (and (or (not (= v1 (mk9052_0 e9052_0 e9052_1))) (>= (adt.size v0) 7)
+                 (= (sl9052_2 (sl9052_3 v0)) v1))
+             (and (= (sl9052_3 v0) v0) (= (sl9052_1 v1) e9052_1) (>= (adt.size v0) 1))))
+(check-sat)
+"""
+
+
+@pytest.mark.parametrize("use_simplify", [True, False])
+def test_repointed_model_reconstructs(use_simplify):
+    script = parse_script(CORPUS_329)
+    phi = script.formula()
+    res = decide(phi, script.sig, use_simplify=use_simplify)
+    assert res.status == "sat"
+    assert check_model(script.sig, res.model, phi) == (True, None)
