@@ -5,9 +5,10 @@ with one backtrackable congruence closure per solve: the literals of a branch
 are asserted into it in place and retracted on backtrack.  Each conjunction
 is decided by linear integer feasibility over the congruence classes, with
 disequalities split lazily into strict inequalities (one more row over the
-same classes) and functional consistency restored by model-guided case
-splits.  Every sat verdict is re-checked by an independent evaluator before
-being returned.
+same classes, which extends the parent's solved LIA system in place and is
+retracted after the split) and functional consistency restored by
+model-guided case splits.  Every sat verdict is re-checked by an independent
+evaluator before being returned.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -344,13 +345,13 @@ class _Search:
             coeffs, c = self.translate(((1, a), (-1, b)), 0)
             if coeffs:  # else both classes are distinct constants
                 pending_ne.append((coeffs, c))
-        return self.decide_lia(cons, pending_ne)
+        return self.decide_lia(lia.System(cons), pending_ne)
 
-    def decide_lia(self, cons: list[lia.LinCon],
+    def decide_lia(self, system: lia.System,
                    pending_ne: list[tuple[dict[int, int], int]]) -> IntModel | None:
         """Integer feasibility over fixed classes; violated disequalities and
         functional inconsistencies are repaired by recursive case splits."""
-        model_map = lia.solve(cons)
+        model_map = system.model()
         if model_map is None:
             return None
         cc = self.cc
@@ -370,8 +371,9 @@ class _Search:
             values.append(root_value[r])
 
         # lazily split the first disequality the candidate model violates into
-        # its two strict sides: one more row over the unchanged classes, kept
-        # asserted for the functional-consistency splits below it
+        # its two strict sides: one more row over the unchanged classes that
+        # extends the solved system in place, kept asserted for the
+        # functional-consistency splits below it
         for coeffs, c in pending_ne:
             if c + sum(a * root_value[r] for r, a in coeffs.items()) != 0:
                 continue
@@ -380,11 +382,17 @@ class _Search:
                 side = {r: sign * a for r, a in coeffs.items()}
                 self.budget.spend_split()
                 self.lins.append(("le", tuple((a, r) for r, a in side.items()), sign * c + 1))
-                out = self.decide_lia(cons + [_row("le", side, sign * c + 1)], pending_ne)
+                system.extend(_row("le", side, sign * c + 1))
+                out = self.decide_lia(system, pending_ne)
+                system.retract()
                 self.lins.pop()
                 if out is not None:
                     return out
             return None
+
+        # this level is done with the system; unless a split above still
+        # holds it, it is freed before the nested decides below build theirs
+        del system
 
         # functional consistency under the candidate model: two apps of one
         # function that agree on their arguments must agree on their values

@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-opt", action="store_true",
                         help="disable the guarded-selector and enumeration optimizations")
         sp.add_argument("--stats", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("solve", help="decide a script")
     sp.add_argument("file")
@@ -64,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("corpus", help="run the seeded random agreement suite")
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--sigs", type=int, default=5)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     return p
 

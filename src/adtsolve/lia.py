@@ -1,22 +1,29 @@
 """Feasibility of conjunctions of linear integer constraints.
 
 Constraints are normalized to `sum(coeff*var) + const <= 0` or `= 0`.
-Equalities are eliminated first (unit-coefficient substitution, with the
+Equalities are eliminated first (unit-coefficient substitution, with Pugh's
 symmetric-modulus variable change when no unit coefficient exists), each
 inequality is GCD-tightened, and the rest is decided either on the
 difference-constraint graph (when every constraint has that shape) or by an
 exact rational simplex with branch-and-bound.
+
+A `System` holds this state for one conjunction and can be extended by one
+inequality and retracted again: the new row goes through the recorded
+substitutions, and the difference graph is solved incrementally, one edge at
+a time, both when the system is built and when it is extended.  `solve` is
+a system built and read once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 from .errors import InternalError, ResourceLimitError
 
-DEFAULT_NODE_CAP = 20000
+NODE_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,9 @@ def _tighten(c: LinCon) -> LinCon:
     return LinCon("le", coeffs, -new_bound)
 
 
-def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon:
+def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon | None:
+    """c with var = expr . x + const, re-tightened (see _tightened); c itself
+    when var does not occur in it."""
     coeffs = dict(c.coeffs)
     a = coeffs.pop(var, 0)
     if a == 0:
@@ -73,122 +82,78 @@ def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon
     out_const = c.const + a * const
     for v, b in expr.items():
         coeffs[v] = coeffs.get(v, 0) + a * b
-    return con(c.op, coeffs, out_const)
+    return _tightened(con(c.op, coeffs, out_const))
 
 
 def _eliminate_equalities(cons: list[LinCon]):
     """Returns (inequalities, substitutions) where substitutions is a list of
-    (var, expr, const) meaning var = expr . x + const, to be replayed last-first."""
+    (var, expr, const) meaning var = expr . x + const, in the order applied."""
     subs: list[tuple[str, dict[str, int], int]] = []
     fresh = 0
     # every row is kept tight: once here, then each row a substitution changes
-    work: list[LinCon] = []
-    for c in cons:
-        _add_row(work, c)
+    work = [t for t in map(_tightened, cons) if t is not None]
     for _ in range(10000):
         eqs = [c for c in work if c.op == "eq" and c.coeffs]
         if not eqs:
             break
         # prefer an equality that already has a unit coefficient
-        eq = next((e for e in eqs
-                   if any(abs(a) == 1 for _, a in e.coeffs)), eqs[0])
-        unit = next(((v, a) for v, a in eq.coeffs if abs(a) == 1), None)
-        if unit is not None:
-            v, a = unit
-            # a*v + rest + const = 0  =>  v = -(rest + const)/a
-            expr = {u: -b * a for u, b in eq.coeffs if u != v}
-            const = -eq.const * a
-            subs.append((v, expr, const))
-            new_work = []
-            for c in work:
-                if c is eq:
-                    continue
-                c2 = _substitute(c, v, expr, const)
-                if c2 is c:
+        eq = next((e for e in eqs if any(abs(a) == 1 for _, a in e.coeffs)), None)
+        if eq is not None:
+            v, a = next((v, a) for v, a in eq.coeffs if abs(a) == 1)
+        else:
+            # symmetric-modulus change of variable: sum hat_b_i x_i + hat_c =
+            # m * s has coefficient -sign(a) on v, and v is substituted
+            # through it, which shrinks the coefficients of the equality
+            eq = eqs[0]
+            v, a = min(eq.coeffs, key=lambda p: (abs(p[1]), p[0]))
+            m = abs(a) + 1
+            fresh += 1
+            hat = {u: _smod(b, m) for u, b in eq.coeffs}
+            eq = con("eq", {**hat, f"$omega{fresh}": -m}, _smod(eq.const, m))
+            a = -1 if a > 0 else 1
+        # a*v + rest + const = 0  =>  v = -(rest + const)/a
+        expr = {u: -b * a for u, b in eq.coeffs if u != v}
+        const = -eq.const * a
+        subs.append((v, expr, const))
+        new_work = []
+        for c in work:
+            if c is not eq:
+                c = _substitute(c, v, expr, const)
+                if c is not None:
                     new_work.append(c)
-                else:
-                    _add_row(new_work, c2)
-            work = new_work
-            continue
-        # symmetric-modulus change of variable (no unit coefficient)
-        v, a = min(eq.coeffs, key=lambda p: (abs(p[1]), p[0]))
-        m = abs(a) + 1
-        fresh += 1
-        s = f"$omega{fresh}"
-        hat = {u: _smod(b, m) for u, b in eq.coeffs}
-        hat_c = _smod(eq.const, m)
-        # sum hat_b_i x_i + hat_c = m * s, and hat coefficient of v is -sign(a)
-        _add_row(work, con("eq", {**hat, s: -m}, hat_c))
+        work = new_work
     else:
         raise InternalError("equality elimination did not terminate")
     return work, subs
 
 
-def _add_row(rows: list[LinCon], c: LinCon):
-    """Append c tightened; a ground row is checked and dropped instead."""
+def _tightened(c: LinCon) -> LinCon | None:
+    """c tightened; None for a ground row that holds, _Infeasible for one
+    that fails."""
     if c.coeffs:
-        rows.append(_tighten(c))
-    elif not _check_ground(c):
-        raise _Infeasible()
+        return _tighten(c)
+    if _check_ground(c):
+        return None
+    raise _Infeasible()
 
 
 def _check_ground(c: LinCon) -> bool:
     return c.const <= 0 if c.op == "le" else c.const == 0
 
 
-def _as_difference_system(cons: list[LinCon]):
-    """Edge list if every constraint is a difference constraint, else None."""
-    edges = []  # (u, v, w) meaning  x_v - x_u <= w
-    for c in cons:
-        if c.op != "le":
-            return None
-        if len(c.coeffs) == 0:
-            if c.const > 0:
-                raise _Infeasible()
-        elif len(c.coeffs) == 1:
-            (v, a), = c.coeffs
-            if a == 1:
-                edges.append(("$zero", v, -c.const))  # v - 0 <= -const
-            elif a == -1:
-                edges.append((v, "$zero", -c.const))  # 0 - v <= -const
-            else:
-                return None
-        elif len(c.coeffs) == 2:
-            (v1, a1), (v2, a2) = c.coeffs
-            if a1 == 1 and a2 == -1:
-                edges.append((v2, v1, -c.const))  # v1 - v2 <= -const
-            elif a1 == -1 and a2 == 1:
-                edges.append((v1, v2, -c.const))  # v2 - v1 <= -const
-            else:
-                return None
-        else:
-            return None
-    return edges
-
-
-def _solve_difference(cons: list[LinCon]) -> dict[str, int] | None:
-    edges = _as_difference_system(cons)
-    if edges is None:
-        return None
-    nodes = {"$zero"}
-    for u, v, _ in edges:
-        nodes.update((u, v))
-    # Bellman-Ford from a virtual source with 0-weight edges to every node
-    dist = {n: 0 for n in nodes}
-    for _ in range(len(nodes)):
-        changed = False
-        for u, v, w in edges:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                changed = True
-        if not changed:
-            break
-    else:
-        for u, v, w in edges:
-            if dist[u] + w < dist[v]:
-                raise _Infeasible()
-    base = dist["$zero"]
-    return {n: dist[n] - base for n in nodes if n != "$zero"}
+def _edge(c: LinCon) -> tuple[str, str, int] | None:
+    """(u, v, w) meaning x_v - x_u <= w when the tight inequality c is a
+    difference constraint, else None."""
+    if len(c.coeffs) == 1:  # tight, so the coefficient is 1 or -1
+        (v, a), = c.coeffs
+        return ("$zero", v, -c.const) if a == 1 else (v, "$zero", -c.const)
+    if len(c.coeffs) == 2:
+        (v1, a1), (v2, a2) = c.coeffs
+        if a1 == 1 and a2 == -1:
+            return v2, v1, -c.const
+        if a1 == -1 and a2 == 1:
+            return v1, v2, -c.const
+    return None
 
 
 # -- exact rational simplex (phase 1 only) --------------------------------------------
@@ -260,12 +225,13 @@ def _simplex_feasible(cons: list[LinCon], extra: list[LinCon]):
     return {v: values[vidx[v]] - values[nv + vidx[v]] for v in vars_}
 
 
-def _branch_and_bound(cons: list[LinCon], budget: list[int]) -> dict[str, int] | None:
+def _branch_and_bound(cons: list[LinCon]) -> dict[str, int] | None:
     stack: list[list[LinCon]] = [[]]
+    budget = NODE_CAP
     while stack:
         extra = stack.pop()
-        budget[0] -= 1
-        if budget[0] <= 0:
+        budget -= 1
+        if budget <= 0:
             raise ResourceLimitError("branch-and-bound node cap")
         sol = _simplex_feasible(cons, extra)
         if sol is None:
@@ -280,19 +246,133 @@ def _branch_and_bound(cons: list[LinCon], budget: list[int]) -> dict[str, int] |
     return None
 
 
-def solve(cons: list[LinCon], *, node_cap: int = DEFAULT_NODE_CAP) -> dict[str, int] | None:
-    """Integer model of the conjunction, or None when infeasible."""
-    try:
-        ineqs, subs = _eliminate_equalities(list(cons))
-        model = _solve_difference(ineqs)
-        if model is None:
-            budget = [node_cap]
-            model = _branch_and_bound(ineqs, budget)
+class System:
+    """Integer feasibility of one conjunction, extendable by one inequality
+    at a time.
+
+    It holds the eliminated inequalities and the substitutions.  While every
+    inequality is a difference constraint it also holds the difference graph
+    (out-edges) and the shortest distances `dist` from a virtual source with
+    0-weight edges to every node; these are unique, so they do not depend on
+    the order in which the edges came.  Each edge is inserted by relaxing from
+    its head only, Dijkstra over the reduced costs (Cotton-Maler); the
+    insertion closes a negative cycle exactly when it would lower the edge's
+    tail.  Once some inequality is not a difference constraint, the model is
+    found by branch-and-bound over all the inequalities.  `retract` undoes
+    the last `extend` from an explicit trail.
+    """
+
+    def __init__(self, cons: list[LinCon]):
+        self.rows: list[LinCon] = []
+        self.subs: list[tuple[str, dict[str, int], int]] = []
+        self.dist: dict[str, int] = {"$zero": 0}
+        self.out: dict[str, list[tuple[str, int]]] = {"$zero": []}
+        # no integer model, whatever rows join: an equality or ground row
+        # failed, or the graph has a negative cycle, which is infeasible over
+        # the rationals too, so branch-and-bound would find nothing either
+        self.infeasible = False
+        self.general = False  # some inequality is not a difference constraint
+        self.trail: list[tuple] = []
+        self.marks: list[tuple[int, int, bool, bool]] = []
+        try:
+            self.rows, self.subs = _eliminate_equalities(list(cons))
+        except _Infeasible:
+            self.infeasible = True
+            return
+        edges = [_edge(c) for c in self.rows]
+        self.general = None in edges
+        if not self.general:
+            self.infeasible = not all(self._insert(*e) for e in edges)
+            self.trail.clear()  # nothing retracts below the conjunction itself
+
+    def extend(self, row: LinCon) -> None:
+        self.marks.append((len(self.trail), len(self.rows), self.infeasible,
+                           self.general))
+        if self.infeasible:
+            return
+        # the row as the elimination would have left it: the same
+        # substitutions in the same order, re-tightened after each
+        try:
+            c = _tightened(row)
+            for v, expr, const in self.subs:
+                if c is None:
+                    break
+                c = _substitute(c, v, expr, const)
+        except _Infeasible:
+            self.infeasible = True
+            return
+        if c is None:
+            return
+        self.rows.append(c)
+        edge = _edge(c)
+        if edge is None:
+            self.general = True
+        elif not self.general:
+            self.infeasible = not self._insert(*edge)
+
+    def retract(self) -> None:
+        mark, n_rows, self.infeasible, self.general = self.marks.pop()
+        del self.rows[n_rows:]
+        trail, dist = self.trail, self.dist
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry[0] == "dist":
+                dist[entry[1]] = entry[2]
+            elif entry[0] == "edge":
+                self.out[entry[1]].pop()
+            else:  # "node"
+                del dist[entry[1]]
+                del self.out[entry[1]]
+
+    def _insert(self, u: str, v: str, w: int) -> bool:
+        """Add the edge x_v - x_u <= w and restore the shortest distances;
+        False when the edge closes a negative cycle."""
+        dist, out, trail = self.dist, self.out, self.trail
+        for n in (u, v):
+            if n not in dist:
+                dist[n] = 0
+                out[n] = []
+                trail.append(("node", n))
+        out[u].append((v, w))
+        trail.append(("edge", u))
+        # gap[x] < 0 is how far x's distance falls; reduced costs are >= 0,
+        # so each node is settled once, in order of its final gap
+        gap = {v: dist[u] + w - dist[v]}
+        if gap[v] >= 0:
+            return True
+        heap = [(gap[v], v)]
+        while heap:
+            g, x = heappop(heap)
+            if g > gap[x]:
+                continue  # superseded by a larger fall
+            trail.append(("dist", x, dist[x]))
+            dist[x] += g
+            for y, c in out[x]:
+                gy = dist[x] + c - dist[y]
+                if gy < gap.get(y, 0):
+                    if y == u:
+                        return False
+                    gap[y] = gy
+                    heappush(heap, (gy, y))
+        return True
+
+    def model(self) -> dict[str, int] | None:
+        """Integer model of the current conjunction, or None when infeasible."""
+        if self.infeasible:
+            return None
+        if self.general:
+            model = _branch_and_bound(self.rows)
             if model is None:
                 return None
-    except _Infeasible:
-        return None
-    # replay eliminated equalities, newest first
-    for v, expr, const in reversed(subs):
-        model[v] = const + sum(b * model.get(u, 0) for u, b in expr.items())
-    return {v: x for v, x in model.items() if not v.startswith("$")}
+        else:
+            base = self.dist["$zero"]
+            model = {n: d - base for n, d in self.dist.items() if n != "$zero"}
+        # replay eliminated equalities, newest first
+        for v, expr, const in reversed(self.subs):
+            model[v] = const + sum(b * model.get(u, 0) for u, b in expr.items())
+        return {v: x for v, x in model.items() if not v.startswith("$")}
+
+
+def solve(cons: list[LinCon]) -> dict[str, int] | None:
+    """Integer model of the conjunction, or None when infeasible."""
+    return System(cons).model()

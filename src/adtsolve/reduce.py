@@ -793,7 +793,9 @@ def simplify(reduct: ReducedFormula) -> ReducedFormula:
 
             f2 = drop(f)
             if f2 != f:
-                f = f2
+                # a conjunction that lost its definitions may collapse into
+                # its parent's connective and duplicate a sibling there
+                f = _dedup(f2)
                 changed = True
         if not changed:
             break

@@ -144,6 +144,17 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
+def test_seed_only_on_corpus(ex1_file, tmp_path):
+    # --seed drives the corpus generator (test_corpus_subcommand); the other
+    # subcommands have no use for it and reject it as a usage error
+    other = tmp_path / "b.smt2"
+    other.write_text(EX1)
+    assert main(["solve", ex1_file, "--seed", "1"]) == 1
+    assert main(["analyze", ex1_file, "--seed", "1"]) == 1
+    assert main(["emit", ex1_file, "--seed", "1"]) == 1
+    assert main(["interpolate", ex1_file, str(other), "--seed", "1"]) == 1
+
+
 def test_input_error_exit_code(tmp_path):
     p = tmp_path / "bad.smt2"
     p.write_text("(assert (= x")

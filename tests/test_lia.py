@@ -1,6 +1,6 @@
 import itertools
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adtsolve import lia
 
@@ -78,6 +78,10 @@ def systems(draw):
 
 
 @given(systems())
+# the Omega step must substitute the variable its row was built for, or the
+# coefficients need not shrink (a = 2, b = 4, c = -25 is a solution)
+@example([lia.con("eq", {"a": 2, "b": -3}, 8),
+          lia.con("eq", {"a": 1, "b": 4, "c": 1}, 7)])
 def test_against_brute_force(cons):
     got = lia.solve(cons)
     reference = brute(cons)
@@ -85,3 +89,79 @@ def test_against_brute_force(cons):
         assert got is not None, (cons, reference)
     if got is not None:
         assert all(_holds(c, got) for c in cons), (cons, got)
+
+
+# -- extending a solved system by one row ------------------------------------------
+
+def test_extend_leaves_difference_logic():
+    # a = b + c is eliminated by substituting a, so a - d <= 0 becomes
+    # b + c - d <= 0 and branch-and-bound decides the extended system
+    base = [lia.con("eq", {"a": 1, "b": -1, "c": -1}, 0),
+            lia.con("le", {"b": 1, "c": -1}, 1)]
+    s = lia.System(base)
+    parent = s.model()
+    assert not s.general
+    row = lia.con("le", {"a": 1, "d": -1}, 0)
+    s.extend(row)
+    assert s.general
+    model = s.model()
+    assert model == lia.solve(base + [row])
+    assert all(_holds(c, model) for c in base + [row])
+    s.retract()
+    assert not s.general
+    assert s.model() == parent
+
+
+EXT_VARS = ["v0", "v1", "v2", "v3"]
+
+
+@st.composite
+def ext_rows(draw, op="le", names=EXT_VARS + ["w"]):
+    """Mostly difference rows; w never occurs in a base system."""
+    vs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        signs = [1, -1] if len(vs) > 1 else [draw(st.sampled_from([1, -1]))]
+        coeffs = dict(zip(vs, signs))
+    else:
+        coeffs = {v: draw(st.integers(-3, 3)) for v in vs}
+    return lia.con(op, coeffs, draw(st.integers(-6, 6)))
+
+
+@st.composite
+def ext_bases(draw):
+    rows = draw(st.lists(ext_rows(names=EXT_VARS), max_size=5))
+    eqs = draw(st.lists(ext_rows(op="eq", names=EXT_VARS), max_size=2))
+    return rows + eqs
+
+
+@given(ext_bases(), st.lists(st.one_of(st.none(), ext_rows()), max_size=8))
+# an infeasible extension: x < y, then y <= x
+@example([lia.con("le", {"x": 1, "y": -1}, 1)],
+         [lia.con("le", {"y": 1, "x": -1}, 0), None])
+# substitution turns a < b into a false ground row when a = b
+@example([lia.con("eq", {"a": 1, "b": -1}, 0)],
+         [lia.con("le", {"a": 1, "b": -1}, 1), None])
+# a row over a variable new to the system, then a cycle through it
+@example([lia.con("le", {"x": 1, "y": -1}, 0), lia.con("le", {"x": -1}, 2)],
+         [lia.con("le", {"w": 1, "x": -1}, 3), lia.con("le", {"x": 1, "w": -1}, -2),
+          None, None])
+def test_extend_retract_match_from_scratch(base, steps):
+    """After every extend or retract (None) the model equals a from-scratch
+    solve of the current rows, and a retract restores the parent's model."""
+    s = lia.System(base)
+    applied, before = [], []
+    for step in steps:
+        if step is None:
+            if not applied:
+                continue
+            s.retract()
+            applied.pop()
+            assert s.model() == before.pop()
+        else:
+            before.append(s.model())
+            s.extend(step)
+            applied.append(step)
+        model = s.model()
+        assert model == lia.solve(base + applied), (base, applied)
+        if model is not None:
+            assert all(_holds(c, model) for c in base + applied)

@@ -179,10 +179,14 @@ def test_simplify_removes_dead_fresh_definitions(lists_sig, fml):
 
 
 def test_simplify_idempotent(lists_sig, fml):
-    # the last: both arms of the or dedup to the conjunction already present
+    # the fourth: both arms of the or dedup to the conjunction already
+    # present; the last: dropping the definition of (tail x) collapses a
+    # conjunction into an or that repeats a sibling disjunct
     for text in [EX1, "(= x z)", "(or (= y red) (= y green))",
                  "(and (and ((_ is nil) nil) ((_ is nil) nil)) "
-                 "(or ((_ is nil) nil) ((_ is nil) nil)))"]:
+                 "(or ((_ is nil) nil) ((_ is nil) nil)))",
+                 "(not (and (not (= (tail x) (tail x))) (not (= nil x)) "
+                 "((_ is nil) nil)))"]:
         s = simplify(_reduce(lists_sig, fml, text))
         assert simplify(s).formula == s.formula
 
