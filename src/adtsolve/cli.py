@@ -18,10 +18,10 @@ from .errors import (
 from .interp import InterpolatingBackend, InterpolationProblem, interpolate
 from .normalize import flatten, to_nnf
 from .parser import parse_script
-from .reduce import DEPTH_MODE, SIZE_MODE, ReduceOptions, reduce, rformula_nodes, simplify
+from .reduce import ReduceOptions, reduce, rformula_nodes, simplify
 from .semantics import print_model
 from .signature import cardinality, check_expanding, size_image
-from .sizesolve import completeness_report, decide
+from .sizesolve import completeness_report, decide, reduction_mode
 from .terms import formula_nodes
 
 
@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="decide a script")
     sp.add_argument("file")
-    sp.add_argument("--check-model", action="store_true",
-                    help="print the result of the post-sat model validation")
     common(sp)
 
     sp = sub.add_parser("analyze", help="print signature analyses")
@@ -96,27 +94,17 @@ def cmd_solve(args, out) -> int:
                     external_cmd=ext)
     print(result.status, file=out)
     if result.status == "sat":
-        if args.check_model:
-            print("model check: ok", file=out)
         source = set(script.var_sorts)
         print(print_model(script.sig, result.model, script.var_sorts, only=source),
               file=out)
     elif result.status == "unknown" and result.diagnosis:
         print(result.diagnosis.text, file=out)
     if args.stats:
-        flat = flatten(to_nnf(phi), script.sig)
-        mode = SIZE_MODE if _has_size(script) else DEPTH_MODE
-        reduct = reduce(flat, script.sig, mode, _opts(args))
-        simplified = simplify(reduct)
+        query = result.reduct
         print(f"nodes: input={formula_nodes(phi)} "
-              f"reduced={rformula_nodes(reduct.formula)} "
-              f"simplified={rformula_nodes(simplified.formula)}", file=out)
+              f"reduced={rformula_nodes(query.base.formula)} "
+              f"simplified={rformula_nodes(query.formula)}", file=out)
     return 0
-
-
-def _has_size(script) -> bool:
-    from .sizesolve import _has_size_atoms
-    return _has_size_atoms(script.formula())
 
 
 def cmd_analyze(args, out) -> int:
@@ -141,8 +129,7 @@ def cmd_emit(args, out) -> int:
     script = _load(args.file)
     phi = script.formula()
     flat = flatten(to_nnf(phi), script.sig)
-    mode = SIZE_MODE if _has_size(script) else DEPTH_MODE
-    reduct = reduce(flat, script.sig, mode, _opts(args))
+    reduct = reduce(flat, script.sig, reduction_mode(phi), _opts(args))
     if not args.no_simplify:
         reduct = simplify(reduct)
     print(backend_mod.emit_smtlib(reduct), end="", file=out)

@@ -13,16 +13,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import backend
-from .models import check_model, reconstruct
-from .normalize import flatten, to_nnf
-from .reduce import (
-    DEPTH_MODE, ReduceOptions, is_utvpi, reduce, rformula_nodes, simplify,
-)
+from .models import check_model
+from .reduce import ReduceOptions, is_utvpi, rformula_nodes
 from .semantics import evaluate
 from .signature import (
     CtorDecl, Signature, enumerate_terms, ensure_valid, minimal_term, validate,
 )
+from .sizesolve import decide
 from .terms import (
     AdtModel, And, Ctor, Eq, Formula, IntConst, Not, Or, Sel, SizeAtom, SizeOf,
     Term, Tester, Var, formula_nodes, free_vars,
@@ -263,31 +260,28 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5,
         prefix = f"[{i}] "
         started = time.perf_counter()
         try:
-            flat = flatten(to_nnf(phi), sig)
-            reduct = reduce(flat, sig, DEPTH_MODE, ReduceOptions())
-            plain = reduce(flat, sig, DEPTH_MODE, ReduceOptions.none())
-            simplified = simplify(reduct)
+            res = decide(phi, sig)
+            plain = decide(phi, sig, opts=ReduceOptions.none(), use_simplify=False)
+            reduct = res.reduct.base
             stats.nodes_input.append(formula_nodes(phi))
             stats.nodes_reduced.append(rformula_nodes(reduct.formula))
-            stats.nodes_simplified.append(rformula_nodes(simplified.formula))
+            stats.nodes_simplified.append(rformula_nodes(res.reduct.formula))
             stats.blowup_ratios.append(
                 rformula_nodes(reduct.formula)
-                / (signature_size(sig) * max(1, formula_nodes(flat.formula))))
-            if not is_utvpi(reduct) or not is_utvpi(plain):
+                / (signature_size(sig) * max(1, formula_nodes(reduct.flat.formula))))
+            if not is_utvpi(reduct) or not is_utvpi(plain.reduct):
                 stats.failures.append(prefix + "depth-mode reduct is not UTVPI")
                 continue
-            res_opt = backend.solve(simplified)
-            res_plain = backend.solve(plain)
-            if res_opt.status != res_plain.status:
+            if res.status != plain.status:
                 stats.failures.append(
                     prefix + f"optimization changed the verdict: "
-                    f"{res_opt.status} vs {res_plain.status}")
+                    f"{res.status} vs {plain.status}")
                 continue
             oracle_model = oracle_sat_within_bound(sig, phi, oracle_bound)
-            if res_opt.status == "sat":
+            if res.status == "sat":
                 stats.sat += 1
-                adt_model = reconstruct(simplified, res_opt.model)
-                ok, diag = check_model(sig, adt_model, phi)
+                # decide checked the model against the flattened formula
+                ok, diag = check_model(sig, res.model, phi)
                 if not ok:
                     stats.failures.append(prefix + f"model check failed: {diag}")
                     continue
@@ -297,9 +291,6 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5,
                 if oracle_model is not None:
                     stats.failures.append(prefix + "solver unsat but oracle found "
                                                    "a model within bound")
-                    continue
-            if oracle_model is not None and res_opt.status != "sat":
-                stats.failures.append(prefix + "oracle sat, solver did not agree")
         except Exception as e:  # noqa: BLE001 - harness reports, does not crash
             stats.failures.append(prefix + f"exception: {type(e).__name__}: {e}")
         finally:

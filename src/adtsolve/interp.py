@@ -81,7 +81,7 @@ def interpolate(prob: InterpolationProblem, backend: InterpolatingBackend,
             state.creation_order.append(name)
     state.int_vars.update(flat_b.int_vars)
     state.registry.update(flat_b.registry)
-    joint = run_loop(state, opts=opts)
+    joint = run_loop(state, SIZE_MODE, opts=opts)
     if joint.status == "sat":
         return InterpolationOutcome("not-unsat", model=joint.model)
     if joint.status == "unknown":

@@ -87,14 +87,11 @@ def satisfied_branch_literals(reduct: ReducedFormula, model: IntModel) -> list[F
 
 
 def reconstruct(reduct: ReducedFormula, int_model: IntModel,
-                stats: ReconstructionStats | None = None, *,
-                precompleted: bool = False) -> AdtModel:
-    """Build an ADT model from a satisfying integer model of the reduct."""
+                stats: ReconstructionStats | None = None) -> AdtModel:
+    """Build an ADT model from a satisfying integer model of the reduct; a
+    model of a simplified reduct is completed first."""
     base = reduct.base or reduct
-    if precompleted or not reduct.trace:
-        model = int_model
-    else:
-        model = complete_model(reduct, int_model)
+    model = complete_model(reduct, int_model) if reduct.trace else int_model
     if not eval_reduced(base.formula, model):
         raise InternalError("completed model does not satisfy the unsimplified reduct")
     # selector values are read off the graphs below, so the graphs must hold

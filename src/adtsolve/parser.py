@@ -308,6 +308,8 @@ class _FormulaParser:
             return IntAdd(tuple(self.parse_int(a) for a in args)), INT_SORT
         if op == "-":
             nodes = [self.parse_int(a) for a in args]
+            if not nodes:
+                raise InputError("- takes at least one argument", e.line, e.col)
             if len(nodes) == 1:
                 return IntMul(-1, nodes[0]), INT_SORT
             rest = [IntMul(-1, n) for n in nodes[1:]]

@@ -1,11 +1,14 @@
-"""End-to-end decision loop for formulas with size constraints.
+"""The decision loop: one solve pipeline for every formula.
 
-Reduce in size mode, solve, and test the termination conditions: an unsat
-reduct settles the input, and a sat reduct is accepted once every ADT
-variable's integer value coincides with the value of some unfolded variable
-of the same sort.  Otherwise one more variable is unfolded into its
-constructor cases and the loop repeats, up to a fuel bound; running out of
-fuel yields an unknown verdict carrying the expandingness diagnosis.
+`run_loop` reduces, simplifies, solves, completes the integer model, and then
+either reconstructs and checks an ADT model or unfolds one more variable and
+repeats.  Depth mode, used for size-free formulas, accepts the first model.
+Size mode tests the termination conditions: an unsat reduct settles the
+input, and a sat reduct is accepted once every ADT variable's integer value
+coincides with the value of some unfolded variable of the same sort.
+Otherwise one more variable is unfolded into its constructor cases and the
+loop repeats, up to a fuel bound; running out of fuel yields an unknown
+verdict carrying the expandingness diagnosis.
 """
 
 from __future__ import annotations
@@ -129,9 +132,7 @@ class SizeSolveResult:
     diagnosis: Diagnosis | None = None
     rounds: int = 0
     state: UnfoldState | None = None
-    reduct: ReducedFormula | None = None
-    int_model: backend.IntModel | None = None
-    recon_stats: ReconstructionStats | None = None
+    reduct: ReducedFormula | None = None  # the query of the last round solved
 
 
 def _select_variable(state: UnfoldState, mismatched: list[str],
@@ -158,71 +159,98 @@ def _select_variable(state: UnfoldState, mismatched: list[str],
     return min(mismatched, key=lambda v: (size_of(v), order[v]))
 
 
+def _mismatched(state: UnfoldState, model: backend.IntModel,
+                base: ReducedFormula) -> list[str]:
+    """Acceptance test: the ADT variables whose value matches no unfolded
+    variable of the same sort.  Unconstrained variables are repointed at
+    unfolded values first when the formula stays satisfied."""
+    values_of_unfolded: dict[str, set[int]] = {}
+    for u in state.unfolded:
+        values_of_unfolded.setdefault(state.var_sorts[u], set()).add(model.value(u))
+    for v, sort in state.var_sorts.items():
+        candidates = values_of_unfolded.get(sort, set())
+        if not candidates or model.value(v) in candidates:
+            continue
+        old = model.value(v)
+        for w in sorted(candidates):
+            model.values[v] = w
+            if eval_reduced(base.formula, model):
+                break
+            model.values[v] = old
+    return [v for v, sort in state.var_sorts.items()
+            if model.value(v) not in values_of_unfolded.get(sort, set())]
+
+
+def reduction_mode(phi: Formula) -> str:
+    """Size mode for formulas with size atoms, depth mode for the rest."""
+    return SIZE_MODE if _has_size_atoms(phi) else DEPTH_MODE
+
+
+def decide(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
+           opts: ReduceOptions = ReduceOptions(), use_simplify: bool = True,
+           external_cmd: str | None = None) -> SizeSolveResult:
+    """Decide a well-typed formula: size-free formulas in depth mode, where
+    the first model is accepted, formulas with size atoms in size mode."""
+    return _solve(phi, sig, reduction_mode(phi), fuel, opts, use_simplify,
+                  external_cmd)
+
+
 def solve_with_size(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
                     opts: ReduceOptions = ReduceOptions(),
                     use_simplify: bool = True,
                     external_cmd: str | None = None) -> SizeSolveResult:
     """Decide a well-typed formula that may contain size constraints."""
+    return _solve(phi, sig, SIZE_MODE, fuel, opts, use_simplify, external_cmd)
+
+
+def _solve(phi: Formula, sig: Signature, mode: str, fuel: int,
+           opts: ReduceOptions, use_simplify: bool,
+           external_cmd: str | None) -> SizeSolveResult:
     ensure_valid(sig)
-    flat = flatten(to_nnf(phi), sig)
-    state = make_state(flat, sig, fuel=fuel)
-    return run_loop(state, opts=opts, use_simplify=use_simplify,
+    state = make_state(flatten(to_nnf(phi), sig), sig, fuel=fuel)
+    return run_loop(state, mode, opts=opts, use_simplify=use_simplify,
                     external_cmd=external_cmd)
 
 
-def run_loop(state: UnfoldState, opts: ReduceOptions = ReduceOptions(),
+def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(),
              use_simplify: bool = True,
              external_cmd: str | None = None) -> SizeSolveResult:
+    """The one solve pipeline: reduce, simplify, solve, complete, and either
+    reconstruct and check a model or unfold one more variable and repeat.
+    Depth mode accepts the first model; size mode accepts a model once it
+    passes the acceptance test."""
     sig = state.sig
     rounds = 0
     while True:
-        reduct = reduce(state.flat(), sig, SIZE_MODE, opts)
+        reduct = reduce(state.flat(), sig, mode, opts)
         query = simplify(reduct) if use_simplify else reduct
         if external_cmd:
             result = backend.solve_external(query, external_cmd)
         else:
             result = backend.solve(query)
         if result.status == "unsat":
-            return SizeSolveResult("unsat", rounds=rounds, state=state)
+            return SizeSolveResult("unsat", rounds=rounds, state=state, reduct=query)
         if result.status == "unknown":
             return SizeSolveResult(
-                "unknown", rounds=rounds, state=state,
+                "unknown", rounds=rounds, state=state, reduct=query,
                 diagnosis=Diagnosis(f"backend gave up: {result.reason}"))
         model = backend.complete_model(query, result.model) if query.trace \
             else result.model
-        # acceptance test: every ADT variable's value matches an unfolded
-        # variable of the same sort; unconstrained variables are repointed at
-        # unfolded values first when the formula stays satisfied
-        values_of_unfolded: dict[str, set[int]] = {}
-        for u in state.unfolded:
-            values_of_unfolded.setdefault(state.var_sorts[u], set()).add(model.value(u))
         base = query.base or query
-        for v, sort in state.var_sorts.items():
-            candidates = values_of_unfolded.get(sort, set())
-            if not candidates or model.value(v) in candidates:
-                continue
-            old = model.value(v)
-            for w in sorted(candidates):
-                model.values[v] = w
-                if eval_reduced(base.formula, model):
-                    break
-                model.values[v] = old
-        mismatched = [v for v, sort in state.var_sorts.items()
-                      if model.value(v) not in values_of_unfolded.get(sort, set())]
+        mismatched = _mismatched(state, model, base) if mode == SIZE_MODE else []
         if not mismatched:
             stats = ReconstructionStats()
-            adt_model = reconstruct(query, model, stats, precompleted=True)
+            adt_model = reconstruct(base, model, stats)
             ok, diag = check_model(sig, adt_model, state.flat().formula)
             if not ok:
                 raise InternalError(f"reconstructed model failed validation: {diag}")
-            if stats.case3_pairs:
+            if mode == SIZE_MODE and stats.case3_pairs:
                 var_pairs = {(model.value(v), s) for v, s in state.var_sorts.items()}
                 if var_pairs & set(stats.case3_pairs):
                     raise InternalError("fresh term drawn for a constrained variable "
                                         "after the acceptance test fired")
             return SizeSolveResult("sat", model=adt_model, rounds=rounds,
-                                   state=state, reduct=query,
-                                   int_model=result.model, recon_stats=stats)
+                                   state=state, reduct=query)
         if rounds >= state.fuel:
             report = check_expanding(sig)
             lines = ["fuel exhausted before the unfolding loop converged"]
@@ -232,41 +260,12 @@ def run_loop(state: UnfoldState, opts: ReduceOptions = ReduceOptions(),
             if report.all_expanding:
                 lines.append("all sorts expanding: raise the fuel limit to decide")
             return SizeSolveResult(
-                "unknown", rounds=rounds, state=state,
+                "unknown", rounds=rounds, state=state, reduct=query,
                 diagnosis=Diagnosis("\n".join(lines), report,
                                     [(v, model.value(v)) for v in mismatched]))
         target = _select_variable(state, mismatched, model, query)
         unfold_step(state, target)
         rounds += 1
-
-
-def decide(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
-           opts: ReduceOptions = ReduceOptions(), use_simplify: bool = True,
-           external_cmd: str | None = None) -> SizeSolveResult:
-    """Dispatch: size-free formulas go through the one-shot depth-mode
-    reduction, formulas with size atoms through the unfolding loop."""
-    if _has_size_atoms(phi):
-        return solve_with_size(phi, sig, fuel=fuel, opts=opts,
-                               use_simplify=use_simplify, external_cmd=external_cmd)
-    flat = flatten(to_nnf(phi), sig)
-    reduct = reduce(flat, sig, DEPTH_MODE, opts)
-    query = simplify(reduct) if use_simplify else reduct
-    if external_cmd:
-        result = backend.solve_external(query, external_cmd)
-    else:
-        result = backend.solve(query)
-    if result.status == "unsat":
-        return SizeSolveResult("unsat")
-    if result.status == "unknown":
-        return SizeSolveResult("unknown",
-                               diagnosis=Diagnosis(f"backend gave up: {result.reason}"))
-    stats = ReconstructionStats()
-    adt_model = reconstruct(query, result.model, stats)
-    ok, diag = check_model(sig, adt_model, flat.formula)
-    if not ok:
-        raise InternalError(f"reconstructed model failed validation: {diag}")
-    return SizeSolveResult("sat", model=adt_model, reduct=query,
-                           int_model=result.model, recon_stats=stats)
 
 
 def _has_size_atoms(f: Formula) -> bool:

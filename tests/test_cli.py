@@ -3,8 +3,13 @@ import os
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adtsolve.cli import main
+from adtsolve.errors import AdtSolveError
+from adtsolve.parser import parse_script
+from adtsolve.reduce import rformula_nodes
+from adtsolve.sizesolve import decide
 
 LISTS = """
 (declare-datatypes ((Colour 0) (CList 0))
@@ -30,6 +35,7 @@ NAT = """
 """
 
 FAKES = os.path.join(os.path.dirname(__file__), "fakes")
+INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "inputs")
 
 
 def run(args):
@@ -59,13 +65,6 @@ def test_solve_sat_with_model(ex1_file):
     assert lines[0] == "sat"
     assert any(l.startswith("(define-fun x () CList (cons") for l in lines)
     assert any(l.startswith("(define-fun y () Colour") for l in lines)
-
-
-def test_solve_check_model_flag(ex1_file):
-    code, out = run(["solve", ex1_file, "--check-model"])
-    assert code == 0
-    assert out.splitlines()[0] == "sat"
-    assert "model check: ok" in out
 
 
 def test_solve_unsat(tmp_path):
@@ -130,6 +129,19 @@ def test_stats_line(ex1_file):
     assert "nodes: input=" in out
 
 
+def test_stats_report_the_solved_round():
+    # list_size.smt2 is decided after unfolding, so round 0's reduct is not it
+    path = os.path.join(INPUTS, "list_size.smt2")
+    code, out = run(["solve", path, "--stats"])
+    assert code == 0
+    with open(path) as f:
+        script = parse_script(f.read())
+    res = decide(script.formula(), script.sig)
+    assert res.rounds > 0
+    assert (f"reduced={rformula_nodes(res.reduct.base.formula)} "
+            f"simplified={rformula_nodes(res.reduct.formula)}") in out
+
+
 def test_deterministic_output(ex1_file):
     a = run(["solve", ex1_file, "--stats"])
     b = run(["solve", ex1_file, "--stats"])
@@ -159,8 +171,46 @@ def test_input_error_exit_code(tmp_path):
     p = tmp_path / "bad.smt2"
     p.write_text("(assert (= x")
     assert main(["solve", str(p)]) == 2
+    p.write_text(LISTS + "(assert (= (-) 1))")
+    assert main(["solve", str(p)]) == 2
     missing = tmp_path / "missing.smt2"
     assert main(["solve", str(missing)]) == 2
+
+
+NAT_INT = """
+(declare-datatypes ((Nat 0)) (((zero) (succ (pred Nat)))))
+(declare-const x Nat)
+(declare-const y Nat)
+(declare-const n Int)
+"""
+LEAVES = ["x", "y", "n", "zero", "0", "1", "2", "-1", "true", "false"]
+HEADS = ["and", "or", "not", "=>", "=", "distinct", "+", "-", "*", "<=", "<",
+         ">=", ">", "(_ is succ)", "(_ is zero)", "pred", "succ", "adt.size"]
+
+
+def _app(head, args):
+    return "(" + " ".join([head, *args]) + ")"
+
+
+sexprs = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda inner: st.builds(_app, st.sampled_from(HEADS), st.lists(inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(sexprs)
+@example("(-)")
+def test_fuzz_solve_exits_0_or_2(tmp_path, body):
+    # a verdict, or an input error for text the parser rejects; never a traceback
+    text = NAT_INT + f"(assert {body})\n"
+    p = tmp_path / "fuzz.smt2"
+    p.write_text(text)
+    code, _ = run(["solve", str(p), "--fuel", "5"])
+    assert code in (0, 2)
+    if code == 2:
+        with pytest.raises(AdtSolveError):
+            parse_script(text)
 
 
 def test_backend_error_exit_code(ex1_file):

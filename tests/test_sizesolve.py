@@ -273,3 +273,19 @@ def test_repointed_model_reconstructs(use_simplify):
     res = decide(phi, script.sig, use_simplify=use_simplify)
     assert res.status == "sat"
     assert check_model(script.sig, res.model, phi) == (True, None)
+
+
+def test_depth_and_size_mode_agree():
+    # on size-free formulas the unfolding loop must reach the depth-mode
+    # verdict, unsat included, or give up with unknown
+    import random
+    from adtsolve.corpus import GenConfig, random_formula, random_signature
+    rng = random.Random(7)
+    sigs = [random_signature(rng) for _ in range(5)]
+    for i in range(300):
+        sig = sigs[i % len(sigs)]
+        phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3)))
+        depth = decide(phi, sig)
+        size = solve_with_size(phi, sig, fuel=30)
+        assert depth.status in ("sat", "unsat"), i
+        assert size.status in (depth.status, "unknown"), i
