@@ -26,7 +26,7 @@ from .errors import InternalError, ProtocolError, ResourceLimitError, SpawnError
 from .parser import SExpr, read_sexprs
 from .reduce import (
     RAnd, RApp, RConst, REq, RFalseF, RFormula, RLin, RNot, ROr, RTerm, RTrueF,
-    RVar, ReducedFormula,
+    RVar, ReducedFormula, SymbolTable,
 )
 
 DEFAULT_BRANCH_CAP = 200000
@@ -485,14 +485,18 @@ def rformula_text(f: RFormula) -> str:
     return f"({op} " + " ".join(rformula_text(a) for a in f.args) + ")"
 
 
-def emit_smtlib(reduct: ReducedFormula, *, get_model: bool = True,
-                logic: str = "QF_UFLIA") -> str:
-    lines = [f"(set-logic {logic})"]
-    for name in reduct.table.int_vars:
-        lines.append(f"(declare-fun {name} () Int)")
-    for name, (arity, _) in reduct.table.funs.items():
+def smtlib_declarations(table: SymbolTable) -> list[str]:
+    """One `declare-fun` line per integer constant and function of a table."""
+    lines = [f"(declare-fun {name} () Int)" for name in table.int_vars]
+    for name, (arity, _) in table.funs.items():
         args = " ".join(["Int"] * arity)
         lines.append(f"(declare-fun {name} ({args}) Int)")
+    return lines
+
+
+def emit_smtlib(reduct: ReducedFormula, *, get_model: bool = True,
+                logic: str = "QF_UFLIA") -> str:
+    lines = [f"(set-logic {logic})", *smtlib_declarations(reduct.table)]
     lines.append(f"(assert {rformula_text(reduct.formula)})")
     lines.append("(check-sat)")
     if get_model:
@@ -502,19 +506,30 @@ def emit_smtlib(reduct: ReducedFormula, *, get_model: bool = True,
 
 # -- external backend ------------------------------------------------------------------------
 
-def solve_external(reduct: ReducedFormula, cmd: str, *,
-                   timeout: float = 30.0) -> SolverResult:
-    script = emit_smtlib(reduct)
+def run_solver(cmd: str, script: str, timeout: float, name: str) -> str | None:
+    """Feed a script to an external solver process and return its stripped
+    standard output, or None when it times out.  A command that cannot be
+    started (unbalanced quotes, a missing or non-executable binary) raises
+    SpawnError and empty output ProtocolError; `name` labels the solver in
+    both messages."""
     try:
         proc = subprocess.run(shlex.split(cmd), input=script, text=True,
                               capture_output=True, timeout=timeout)
-    except FileNotFoundError as e:
-        raise SpawnError(f"cannot launch external solver: {e}") from e
+    except (OSError, ValueError) as e:
+        raise SpawnError(f"cannot launch {name}: {e}") from e
     except subprocess.TimeoutExpired:
-        return SolverResult.unknown("external solver timeout")
+        return None
     out = proc.stdout.strip()
     if not out:
-        raise ProtocolError("external solver produced no output", raw=proc.stderr)
+        raise ProtocolError(f"{name} produced no output", raw=proc.stderr)
+    return out
+
+
+def solve_external(reduct: ReducedFormula, cmd: str, *,
+                   timeout: float = 30.0) -> SolverResult:
+    out = run_solver(cmd, emit_smtlib(reduct), timeout, "external solver")
+    if out is None:
+        return SolverResult.unknown("external solver timeout")
     lines = out.splitlines()
     verdict = lines[0].strip()
     if verdict == "unsat":

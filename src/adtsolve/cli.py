@@ -2,24 +2,28 @@
 
 Subcommands: solve, analyze, emit, interpolate, corpus.  Exit codes: 0 the
 command ran to a verdict, 1 usage error, 2 input error, 3 backend or
-resource error.
+resource error (including an interpolant that fails verification), 4
+internal error (a bug in this package, such as a model that fails
+validation).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import corpus as corpus_mod
 from . import backend as backend_mod
 from .errors import (
-    AdtSolveError, InputError, ProtocolError, ResourceLimitError, SpawnError,
+    AdtSolveError, InputError, InternalError, ProtocolError, ResourceLimitError,
+    SpawnError,
 )
 from .interp import InterpolatingBackend, InterpolationProblem, interpolate
 from .normalize import flatten, to_nnf
 from .parser import parse_script
 from .reduce import ReduceOptions, reduce, rformula_nodes, simplify
-from .semantics import print_model
+from .semantics import print_formula, print_model
 from .signature import cardinality, check_expanding, size_image
 from .sizesolve import completeness_report, decide, reduction_mode
 from .terms import formula_nodes
@@ -29,40 +33,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="adtsolve", add_help=True)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--backend", choices=["builtin", "external"], default="builtin")
-        sp.add_argument("--external-cmd", default=None,
-                        help="command line of an SMT-LIB solver on stdio")
-        sp.add_argument("--fuel", type=int, default=100)
-        sp.add_argument("--no-opt", action="store_true",
-                        help="disable the guarded-selector and enumeration optimizations")
-        sp.add_argument("--stats", action="store_true")
+    # shared flags; each subcommand takes only the ones it reads
+    flags = {
+        "--backend": dict(choices=["builtin", "external"], default="builtin"),
+        "--external-cmd": dict(default=None,
+                               help="command line of an SMT-LIB solver on stdio"),
+        "--fuel": dict(type=int, default=100),
+        "--no-opt": dict(action="store_true",
+                         help="disable the guarded-selector and enumeration optimizations"),
+        "--stats": dict(action="store_true"),
+    }
+
+    def add(sp, *names):
+        for name in names:
+            sp.add_argument(name, **flags[name])
 
     sp = sub.add_parser("solve", help="decide a script")
     sp.add_argument("file")
-    common(sp)
+    add(sp, "--backend", "--external-cmd", "--fuel", "--no-opt", "--stats")
 
     sp = sub.add_parser("analyze", help="print signature analyses")
     sp.add_argument("file")
-    common(sp)
 
     sp = sub.add_parser("emit", help="print the EUF+LIA reduct as SMT-LIB")
     sp.add_argument("file")
     sp.add_argument("--no-simplify", action="store_true")
-    common(sp)
+    add(sp, "--no-opt", "--stats")
 
     sp = sub.add_parser("interpolate", help="interpolate two scripts")
     sp.add_argument("file_a")
     sp.add_argument("file_b")
     sp.add_argument("--dialect", choices=["smtinterpol", "cvc5"],
                     default="smtinterpol")
-    common(sp)
+    add(sp, "--backend", "--external-cmd", "--fuel", "--no-opt")
 
     sp = sub.add_parser("corpus", help="run the seeded random agreement suite")
     sp.add_argument("--count", type=int, default=100)
     sp.add_argument("--sigs", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
     return p
 
 
@@ -71,7 +79,6 @@ def _opts(args) -> ReduceOptions:
 
 
 def _external(args) -> str | None:
-    import os
     if args.backend == "external" or args.external_cmd:
         cmd = args.external_cmd or os.environ.get("ADTSOLVE_EXTERNAL_CMD")
         if not cmd:
@@ -155,7 +162,6 @@ def cmd_interpolate(args, out) -> int:
     backend = InterpolatingBackend(ext, dialect=args.dialect)
     outcome = interpolate(prob, backend, fuel=args.fuel, opts=_opts(args))
     if outcome.kind == "interpolant":
-        from .semantics import print_formula
         print(print_formula(sig, outcome.interpolant), file=out)
         return 0
     if outcome.kind == "not-unsat":
@@ -206,6 +212,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (SpawnError, ProtocolError, ResourceLimitError) as e:
         print(f"backend error: {e}", file=sys.stderr)
         return 3
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     except AdtSolveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

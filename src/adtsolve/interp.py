@@ -1,37 +1,41 @@
 """Craig interpolation for ADT formulas via reduction.
 
-Both sides of an interpolation problem are reduced in size mode against a
-shared symbol table (size mode keeps the reduced vocabulary back-translatable:
-the size functions map to the term-size operator, where depth functions would
-have no ADT counterpart).  An EUF+LIA interpolant obtained from an external
-solver is translated back to the ADT vocabulary and verified against both
-implications before being returned.
+Interpolation runs on the shared solve pipeline.  `sizesolve.make_state`
+builds one unfolding state from the two partitions (a variable shared by A
+and B belongs to A), and `sizesolve.run_loop` checks the conjunction in size
+mode, unfolding as needed.  When it is unsat, `reduce.reduce_partitions`
+reduces each partition of the final state against one shared symbol table
+(size mode keeps the reduced vocabulary back-translatable: the size
+functions map to the term-size operator, where depth functions would have no
+ADT counterpart).  The two reducts go to an external interpolating solver
+through `backend.run_solver`, with the declarations of `emit_smtlib`.  The
+EUF+LIA interpolant it returns is translated back to the ADT vocabulary and
+verified against both implications before being returned; a backend
+interpolant that fails verification is a protocol error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import shlex
-import subprocess
+from typing import Callable, NamedTuple
 
-from .backend import rformula_text
+from .backend import rformula_text, run_solver, smtlib_declarations
 from .errors import (
-    BackendUnsupportedError, InternalError, ProtocolError, SpawnError,
-    UntranslatableError,
+    BackendUnsupportedError, InternalError, ProtocolError, UntranslatableError,
 )
 from .normalize import flatten, to_nnf
 from .parser import SExpr, read_sexprs
 from .reduce import (
     RAnd, RApp, RConst, REq, RFormula, RLin, RNot, ROr, RTRUE, RFALSE, RTerm,
     RTrueF, RFalseF, RVar, ReduceOptions, ReducedFormula, SymbolTable, SIZE_MODE,
-    rand, reduce_partitions, ror,
+    lin, rand, reduce_partitions, ror,
 )
 from .signature import Signature, ensure_valid
-from .sizesolve import DEFAULT_FUEL, make_state, run_loop
+from .sizesolve import DEFAULT_FUEL, decide, make_state, run_loop
 from .terms import (
-    AdtModel, And, Ctor, Eq, Formula, IntAdd, IntConst, IntExpr, IntMul, IntVar,
-    Not, Sel, SizeAtom, SizeOf, Term, TRUE, FALSE, Tester, Var, conj, disj,
-    free_vars,
+    AdtModel, And, Ctor, Eq, Formula, IntAdd, IntApp, IntConst, IntExpr, IntMul,
+    IntVar, Not, Sel, SizeAtom, SizeOf, Term, TRUE, FALSE, Tester, Var, conj,
+    disj, free_vars,
 )
 
 
@@ -69,25 +73,18 @@ def interpolate(prob: InterpolationProblem, backend: InterpolatingBackend,
     external interpolant, back-translation, self-verification."""
     sig = prob.sig
     ensure_valid(sig)
-    flat_a = flatten(to_nnf(prob.a), sig, prefix="_ta")
-    flat_b = flatten(to_nnf(prob.b), sig, prefix="_tb")
-    state = make_state(flat_a, sig, fuel=fuel, partition="A")
-    state.conjuncts.append(("B", flat_b.formula))
-    for name, sort in flat_b.var_sorts.items():
-        # shared variables stay attributed to partition A
-        if name not in state.var_sorts:
-            state.var_sorts[name] = sort
-            state.var_partition[name] = "B"
-            state.creation_order.append(name)
-    state.int_vars.update(flat_b.int_vars)
-    state.registry.update(flat_b.registry)
+    state = make_state([("A", flatten(to_nnf(prob.a), sig, prefix="_ta")),
+                        ("B", flatten(to_nnf(prob.b), sig, prefix="_tb"))],
+                       sig, fuel=fuel)
     joint = run_loop(state, SIZE_MODE, opts=opts)
     if joint.status == "sat":
         return InterpolationOutcome("not-unsat", model=joint.model)
     if joint.status == "unknown":
         return InterpolationOutcome("unknown", diagnosis=joint.diagnosis.text)
 
-    part_a, part_b = _partition_reducts(state, sig, opts)
+    part_a, part_b = reduce_partitions([("A", state.part("A")),
+                                        ("B", state.part("B"))],
+                                       sig, SIZE_MODE, opts)
     raw = _query_interpolant(part_a, part_b, backend)
     try:
         reduced_i = parse_reduced(raw, part_a.table)
@@ -96,44 +93,16 @@ def interpolate(prob: InterpolationProblem, backend: InterpolatingBackend,
         return InterpolationOutcome("untranslatable", raw=e.raw or raw,
                                     diagnosis=str(e))
     if not validate_interpolant(interpolant, prob, fuel=fuel):
-        raise InternalError("backend interpolant failed verification: "
-                            f"{raw}")
+        raise ProtocolError(f"backend interpolant failed verification: {raw}",
+                            raw=raw)
     return InterpolationOutcome("interpolant", interpolant=interpolant, raw=raw)
-
-
-def _partition_reducts(state, sig, opts) -> tuple[ReducedFormula, ReducedFormula]:
-    from .normalize import FlatFormula
-
-    def part(tag: str) -> FlatFormula:
-        formula = conj([f for t, f in state.conjuncts if t == tag])
-        fv = free_vars(formula)
-        var_sorts = {n: state.var_sorts[n]
-                     for n in state.var_sorts
-                     if any(v.name == n for v in fv.adt)}
-        return FlatFormula(formula=formula, registry=state.registry,
-                           var_sorts=var_sorts,
-                           int_vars={n for n in fv.ints})
-
-    ra, rb = reduce_partitions([("A", part("A")), ("B", part("B"))], sig,
-                               SIZE_MODE, opts)
-    return ra, rb
 
 
 # -- external interpolating backends -----------------------------------------------------
 
-def _declarations(table: SymbolTable) -> list[str]:
-    lines = []
-    for name in table.int_vars:
-        lines.append(f"(declare-fun {name} () Int)")
-    for name, (arity, _) in table.funs.items():
-        args = " ".join(["Int"] * arity)
-        lines.append(f"(declare-fun {name} ({args}) Int)")
-    return lines
-
-
 def interpolation_script(part_a: ReducedFormula, part_b: ReducedFormula,
                          dialect: str) -> str:
-    decls = _declarations(part_a.table)
+    decls = smtlib_declarations(part_a.table)
     a_text = rformula_text(part_a.formula)
     b_text = rformula_text(part_b.formula)
     if dialect == "smtinterpol":
@@ -156,17 +125,9 @@ def interpolation_script(part_a: ReducedFormula, part_b: ReducedFormula,
 def _query_interpolant(part_a: ReducedFormula, part_b: ReducedFormula,
                        backend: InterpolatingBackend) -> str:
     script = interpolation_script(part_a, part_b, backend.dialect)
-    try:
-        proc = subprocess.run(shlex.split(backend.cmd), input=script, text=True,
-                              capture_output=True, timeout=backend.timeout)
-    except FileNotFoundError as e:
-        raise SpawnError(f"cannot launch interpolating solver: {e}") from e
-    except subprocess.TimeoutExpired as e:
-        raise ProtocolError("interpolating solver timeout") from e
-    out = proc.stdout.strip()
-    if not out:
-        raise ProtocolError("interpolating solver produced no output",
-                            raw=proc.stderr)
+    out = run_solver(backend.cmd, script, backend.timeout, "interpolating solver")
+    if out is None:
+        raise ProtocolError("interpolating solver timeout")
     if backend.dialect == "smtinterpol":
         lines = out.splitlines()
         if lines[0].strip() != "unsat":
@@ -217,8 +178,7 @@ def _parse_rformula(e: SExpr, table: SymbolTable, lets: dict[str, SExpr]) -> RFo
     if head == "or":
         return ror([_parse_rformula(x, table, lets) for x in e.items[1:]])
     if head == "not":
-        inner = _parse_rformula(e.items[1], table, lets)
-        return _negate_r(inner)
+        return _negate_r(_parse_rformula(e.items[1], table, lets))
     if head == "=>":
         parts = [_parse_rformula(x, table, lets) for x in e.items[1:]]
         out = parts[-1]
@@ -232,17 +192,14 @@ def _parse_rformula(e: SExpr, table: SymbolTable, lets: dict[str, SExpr]) -> RFo
         out = []
         for a, b in pairs:
             if isinstance(a, tuple) or isinstance(b, tuple):
-                la, ca = a if isinstance(a, tuple) else (((1, a),), 0)
-                lb, cb = b if isinstance(b, tuple) else (((1, b),), 0)
+                (la, ca), (lb, cb) = _as_linear(a), _as_linear(b)
                 terms = list(la) + [(-c, t) for c, t in lb]
-                from .reduce import lin
                 out.append(lin("eq" if head == "=" else "ne", terms, ca - cb))
             else:
                 out.append(REq(a, b) if head == "=" else RNot(REq(a, b)))
         return rand(out)
     if head in _CMP_OPS:
         sides = [_as_linear(_parse_rterm_or_linear(x, table, lets)) for x in e.items[1:]]
-        from .reduce import lin
         atoms = []
         for (la, ca), (lb, cb) in zip(sides, sides[1:]):
             terms = list(la) + [(-c, t) for c, t in lb]
@@ -352,6 +309,12 @@ def back_translate(phi: RFormula, table: SymbolTable) -> Formula:
     return bt.formula(phi)
 
 
+class _Index(NamedTuple):
+    term: Term
+    sort: str
+    head_index: bool  # ctorId_S(term); otherwise an enumeration variable
+
+
 class _BackTranslator:
     def __init__(self, table: SymbolTable):
         self.table = table
@@ -405,14 +368,7 @@ class _BackTranslator:
             return IntConst(t.value)
         if isinstance(t, RVar):
             origin = self.table.origin_of_var(t.name)
-            if origin[0] == "int":
-                return IntVar(origin[1])
-            if origin[0] == "var":
-                sort = origin[2]
-                if sort in self.table.enum_sorts:
-                    return None  # handled by the enum-comparison path
-                return None
-            return None
+            return IntVar(origin[1]) if origin[0] == "int" else None
         if isinstance(t, RApp):
             origin = self.table.origin_of_fun(t.fn)
             if origin is None:
@@ -426,51 +382,48 @@ class _BackTranslator:
                 args = [self.int_expr(a) for a in t.args]
                 if any(a is None for a in args):
                     return None
-                from .terms import IntApp
                 return IntApp(origin[1], tuple(args))
             return None
         return None
 
-    def ctorid_pattern(self, t: RTerm) -> tuple[Term, str] | None:
-        """The ADT term under a head-index application."""
+    def index_term(self, t: RTerm) -> _Index | None:
+        """A head-index application ctorId_S(s) or an enumeration variable,
+        whose integer value is a constructor index of its sort."""
         if isinstance(t, RApp):
             origin = self.table.origin_of_fun(t.fn)
             if origin is not None and origin[0] == "ctorid":
                 got = self.adt_term(t.args[0])
                 if got is not None and got[1] == origin[1]:
-                    return got
-        return None
-
-    def enum_var(self, t: RTerm) -> tuple[Term, str] | None:
-        if isinstance(t, RVar):
+                    return _Index(*got, True)
+        elif isinstance(t, RVar):
             origin = self.table.origin_of_var(t.name)
             if origin[0] == "var" and origin[2] in self.table.enum_sorts:
-                return Var(origin[1], origin[2]), origin[2]
+                return _Index(Var(origin[1], origin[2]), origin[2], False)
         return None
 
-    def tester_disjunction(self, term: Term, sort: str, allowed) -> Formula:
-        ctors = self.sig.ctors_of(sort)
-        names = [c.name for i, c in enumerate(ctors) if allowed(i)]
-        if not names:
-            return FALSE
-        if len(names) == len(ctors):
-            return TRUE
-        if len(names) == len(ctors) - 1:
-            missing = next(c.name for i, c in enumerate(ctors) if not allowed(i))
-            return Not(Tester(missing, term))
-        return disj([Tester(n, term) for n in names])
+    def has_index(self, idx: _Index, i: int) -> Formula:
+        """The term is the i-th constructor: a tester for head indices, an
+        equation with the constant for enumeration variables."""
+        name = self.sig.ctors_of(idx.sort)[i].name
+        return Tester(name, idx.term) if idx.head_index else Eq(idx.term, Ctor(name, ()))
 
-    def enum_comparison(self, term: Term, sort: str, allowed) -> Formula:
-        ctors = self.sig.ctors_of(sort)
-        names = [c.name for i, c in enumerate(ctors) if allowed(i)]
-        if not names:
+    def check_range(self, idx: _Index, value: int, node: RTerm):
+        if not 0 <= value < len(self.sig.ctors_of(idx.sort)):
+            raise self.fail("head index compared to a value outside the "
+                            "constructor range" if idx.head_index else
+                            "enumeration value outside the constructor range", node)
+
+    def index_set(self, idx: _Index, allowed: Callable[[int], bool]) -> Formula:
+        """The term is one of the constructors whose index is allowed."""
+        n = len(self.sig.ctors_of(idx.sort))
+        indices = [i for i in range(n) if allowed(i)]
+        if not indices:
             return FALSE
-        if len(names) == len(ctors):
+        if len(indices) == n:
             return TRUE
-        if len(names) == len(ctors) - 1:
-            missing = next(c.name for i, c in enumerate(ctors) if not allowed(i))
-            return Not(Eq(term, Ctor(missing, ())))
-        return disj([Eq(term, Ctor(n, ())) for n in names])
+        if len(indices) == n - 1:
+            return Not(self.has_index(idx, next(i for i in range(n) if not allowed(i))))
+        return disj([self.has_index(idx, i) for i in indices])
 
     # formulas
     def formula(self, f: RFormula) -> Formula:
@@ -483,8 +436,7 @@ class _BackTranslator:
         if isinstance(f, ROr):
             return disj([self.formula(a) for a in f.args])
         if isinstance(f, RNot):
-            inner = self.atom(f.arg.lhs, f.arg.rhs, negate=True)
-            return inner
+            return self.atom(f.arg.lhs, f.arg.rhs, negate=True)
         if isinstance(f, REq):
             return self.atom(f.lhs, f.rhs, negate=False)
         if isinstance(f, RLin):
@@ -492,30 +444,15 @@ class _BackTranslator:
         raise InternalError(f"unexpected reduced formula {f}")
 
     def atom(self, lhs: RTerm, rhs: RTerm, negate: bool) -> Formula:
-        # head-index comparisons translate to testers
+        # head indices and enumeration variables compared with constants
         for a, b in ((lhs, rhs), (rhs, lhs)):
-            pat = self.ctorid_pattern(a)
-            if pat is not None and isinstance(b, RConst):
-                term, sort = pat
-                n = len(self.sig.ctors_of(sort))
-                if not (0 <= b.value < n):
-                    raise self.fail("head index compared to a value outside the "
-                                    "constructor range", a)
-                if negate:
-                    return self.tester_disjunction(term, sort,
-                                                   lambda i: i != b.value)
-                return Tester(self.sig.ctors_of(sort)[b.value].name, term)
-        # enumeration variables compared with constants use the fixed mapping
-        for a, b in ((lhs, rhs), (rhs, lhs)):
-            ev = self.enum_var(a)
-            if ev is not None and isinstance(b, RConst):
-                term, sort = ev
-                n = len(self.sig.ctors_of(sort))
-                if not (0 <= b.value < n):
-                    raise self.fail("enumeration value outside the constructor "
-                                    "range", a)
-                target = Eq(term, Ctor(self.sig.ctors_of(sort)[b.value].name, ()))
-                return Not(target) if negate else target
+            idx = self.index_term(a)
+            if idx is not None and isinstance(b, RConst):
+                self.check_range(idx, b.value, a)
+                if negate and idx.head_index:
+                    return self.index_set(idx, lambda i: i != b.value)
+                out = self.has_index(idx, b.value)
+                return Not(out) if negate else out
         # ADT term equality
         ta, tb = self.adt_term(lhs), self.adt_term(rhs)
         if ta is not None and tb is not None and ta[1] == tb[1]:
@@ -528,42 +465,24 @@ class _BackTranslator:
         raise self.fail("equality mixes untranslatable operands", REq(lhs, rhs))
 
     def linear(self, f: RLin) -> Formula:
-        # pattern: single head-index application against a constant
-        if len(f.terms) == 1 and f.op in ("eq", "ne"):
+        # a head index or enumeration variable against a constant: c*i + const
+        # OP 0 with c = +-1 allows a set of constructor indices; only head
+        # indices reject out-of-range values of eq and ne atoms
+        if len(f.terms) == 1 and abs(f.terms[0][0]) == 1:
             c, t = f.terms[0]
-            pat = self.ctorid_pattern(t)
-            if pat is not None and abs(c) == 1:
+            idx = self.index_term(t)
+            if idx is not None:
                 value = -f.const * c
-                term, sort = pat
-                n = len(self.sig.ctors_of(sort))
-                if not (0 <= value < n):
-                    raise self.fail("head index compared to a value outside the "
-                                    "constructor range", t)
+                if f.op != "le" and idx.head_index:
+                    self.check_range(idx, value, t)
+                    if f.op == "eq":
+                        return self.has_index(idx, value)
                 if f.op == "eq":
-                    return Tester(self.sig.ctors_of(sort)[value].name, term)
-                return self.tester_disjunction(term, sort, lambda i: i != value)
-            ev = self.enum_var(t)
-            if ev is not None and abs(c) == 1:
-                value = -f.const * c
-                term, sort = ev
-                return self.enum_comparison(
-                    term, sort,
-                    (lambda i: i == value) if f.op == "eq" else (lambda i: i != value))
-        # range atoms over head indices / enum variables translate to tester sets
-        if len(f.terms) == 1 and f.op == "le":
-            c, t = f.terms[0]
-            pat = self.ctorid_pattern(t) or self.enum_var(t)
-            if pat is not None and abs(c) == 1:
-                term, sort = pat
-                n = len(self.sig.ctors_of(sort))
-                # c*id + const <= 0
-                if c == 1:
-                    allowed = lambda i: i <= -f.const
-                else:
-                    allowed = lambda i: i >= f.const
-                if self.ctorid_pattern(t) is not None:
-                    return self.tester_disjunction(term, sort, allowed)
-                return self.enum_comparison(term, sort, allowed)
+                    return self.index_set(idx, lambda i: i == value)
+                if f.op == "ne":
+                    return self.index_set(idx, lambda i: i != value)
+                return self.index_set(idx, (lambda i: i <= value) if c == 1
+                                      else (lambda i: i >= value))
         # otherwise every operand must be an integer expression
         exprs: list[IntExpr] = []
         for c, t in f.terms:
@@ -579,8 +498,7 @@ class _BackTranslator:
             lhs = exprs[0]
         else:
             lhs = IntAdd(tuple(exprs))
-        op = {"le": "le", "eq": "eq", "ne": "ne"}[f.op]
-        return SizeAtom(op, lhs, IntConst(-f.const))
+        return SizeAtom(f.op, lhs, IntConst(-f.const))
 
 
 # -- verification ----------------------------------------------------------------------------
@@ -588,8 +506,6 @@ class _BackTranslator:
 def validate_interpolant(interpolant: Formula, prob: InterpolationProblem,
                          fuel: int = DEFAULT_FUEL) -> bool:
     """Vocabulary containment plus both implications, decided by our own solver."""
-    from .sizesolve import decide
-
     shared_adt, shared_int = prob.shared_vars()
     fv = free_vars(interpolant)
     if not fv.adt <= shared_adt or not fv.ints <= shared_int:

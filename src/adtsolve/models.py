@@ -97,8 +97,8 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
     # selector values are read off the graphs below, so the graphs must hold
     # every application the evaluation above took at a default value
     model = _with_default_apps(base.formula, model)
-    sig = reduct.sig
     table = base.table
+    sig = table.sig
     flat = base.flat
     stats = stats if stats is not None else ReconstructionStats()
     enum_sorts = table.enum_sorts

@@ -75,8 +75,6 @@ class FlatFormula:
     registry: dict[str, object] = field(default_factory=dict)  # fresh -> Term | SizeOf
     var_sorts: dict[str, str] = field(default_factory=dict)    # every ADT var -> sort
     int_vars: set[str] = field(default_factory=set)            # every integer var
-    source_adt_vars: tuple[str, ...] = ()
-    source_int_vars: tuple[str, ...] = ()
 
 
 class _Flattener:
@@ -216,8 +214,6 @@ def flatten(phi: Formula, sig: Signature, prefix: str = "_t") -> FlatFormula:
         registry=fl.registry,
         var_sorts=fl.var_sorts,
         int_vars=fl.int_vars,
-        source_adt_vars=tuple(sorted(v.name for v in fv.adt)),
-        source_int_vars=tuple(sorted(fv.ints)),
     )
 
 

@@ -16,7 +16,7 @@ of the original reduct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import InternalError, ModeMismatchError
@@ -289,10 +289,8 @@ class ReduceOptions:
 class ReducedFormula:
     formula: RFormula
     table: SymbolTable
-    mode: str
     flat: FlatFormula
     opts: ReduceOptions
-    sig: Signature
     literal_map: dict = field(default_factory=dict)  # (literal, guarded) -> RFormula
     trace: tuple = ()
     base: "ReducedFormula | None" = None
@@ -302,7 +300,7 @@ class ReducedFormula:
 
 class Reducer:
     def __init__(self, sig: Signature, mode: str, opts: ReduceOptions,
-                 table: SymbolTable, fresh_prefix: str = "_s"):
+                 table: SymbolTable, fresh_prefix: str):
         self.sig = sig
         self.mode = mode
         self.opts = opts
@@ -549,30 +547,19 @@ def reduce(flat: FlatFormula, sig: Signature, mode: str = DEPTH_MODE,
            opts: ReduceOptions = ReduceOptions()) -> ReducedFormula:
     """Rewrite a flat NNF formula to an equisatisfiable EUF+LIA formula and
     close it under the per-variable range constraints."""
-    ensure_valid(sig)
-    if mode not in (DEPTH_MODE, SIZE_MODE):
-        raise InternalError(f"unknown mode {mode!r}")
-    enum_sorts = frozenset(s for s in sig.sorts if sig.is_enum(s)) if opts.enum_opt \
-        else frozenset()
-    table = SymbolTable(sig, mode, enum_sorts=enum_sorts)
-    red = Reducer(sig, mode, opts, table)
-    red.used.update(flat.var_sorts)
-    red.used.update(flat.int_vars)
-    body = red.reduce_formula(flat.formula)
-    ranges = [red.in_range(table.adt_var(name, sort), sort)
-              for name, sort in flat.var_sorts.items()]
-    for name in sorted(flat.int_vars):
-        table.int_var(name)
-    return ReducedFormula(rand([body] + ranges), table, mode, flat, opts, sig,
-                          literal_map=dict(red.memo))
+    (out,) = reduce_partitions([("", flat)], sig, mode, opts)
+    return out
 
 
 def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
                       mode: str = SIZE_MODE,
                       opts: ReduceOptions = ReduceOptions()) -> list[ReducedFormula]:
-    """Reduce several formulas against one shared symbol table, with
-    partition-local fresh and Skolem symbols (used by interpolation)."""
+    """Reduce tagged formulas against one shared symbol table; the fresh and
+    Skolem symbols of part `tag` are named `_s<tag>N`, so they stay local to
+    it (interpolation reduces its two partitions this way)."""
     ensure_valid(sig)
+    if mode not in (DEPTH_MODE, SIZE_MODE):
+        raise InternalError(f"unknown mode {mode!r}")
     enum_sorts = frozenset(s for s in sig.sorts if sig.is_enum(s)) if opts.enum_opt \
         else frozenset()
     table = SymbolTable(sig, mode, enum_sorts=enum_sorts)
@@ -582,27 +569,16 @@ def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
         all_names.update(flat.int_vars)
     out = []
     for tag, flat in parts:
-        red = Reducer(sig, mode, opts, table, fresh_prefix=f"_s{tag.lower()}")
+        red = Reducer(sig, mode, opts, table, f"_s{tag.lower()}")
         red.used.update(all_names)
         body = red.reduce_formula(flat.formula)
         ranges = [red.in_range(table.adt_var(name, sort), sort)
                   for name, sort in flat.var_sorts.items()]
         for name in sorted(flat.int_vars):
             table.int_var(name)
-        out.append(ReducedFormula(rand([body] + ranges), table, mode, flat, opts,
-                                  sig, literal_map=dict(red.memo)))
+        out.append(ReducedFormula(rand([body] + ranges), table, flat, opts,
+                                  literal_map=dict(red.memo)))
     return out
-
-
-def apply_opt_guarded(reduct: ReducedFormula, flat: FlatFormula) -> ReducedFormula:
-    """Re-derive the reduct with rule (2') enabled for guarded selector literals."""
-    return reduce(flat, reduct.sig, reduct.mode,
-                  replace(reduct.opts, guarded_opt=True))
-
-
-def apply_opt_enum(reduct: ReducedFormula, sig: Signature) -> ReducedFormula:
-    """Re-derive the reduct with the enumeration-sort index mapping enabled."""
-    return reduce(reduct.flat, sig, reduct.mode, replace(reduct.opts, enum_opt=True))
 
 
 # -- UTVPI shape check -----------------------------------------------------------------
@@ -799,6 +775,6 @@ def simplify(reduct: ReducedFormula) -> ReducedFormula:
                 changed = True
         if not changed:
             break
-    return ReducedFormula(f, reduct.table, reduct.mode, reduct.flat, reduct.opts,
-                          reduct.sig, literal_map=reduct.literal_map,
-                          trace=tuple(trace), base=reduct.base or reduct)
+    return ReducedFormula(f, reduct.table, reduct.flat, reduct.opts,
+                          literal_map=reduct.literal_map, trace=tuple(trace),
+                          base=reduct.base or reduct)

@@ -25,7 +25,7 @@ from .reduce import (
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
-    AdtModel, Ctor, Eq, Formula, SizeAtom, Var, conj, disj,
+    AdtModel, Ctor, Eq, Formula, SizeAtom, Var, conj, disj, free_vars,
 )
 
 DEFAULT_FUEL = 100
@@ -45,11 +45,11 @@ class UnfoldState:
     """Formula under unfolding: tagged conjuncts plus unfolding bookkeeping."""
 
     sig: Signature
-    conjuncts: list[tuple[str, Formula]]
-    var_sorts: dict[str, str]
-    int_vars: set[str]
-    registry: dict[str, object]
-    var_partition: dict[str, str]
+    conjuncts: list[tuple[str, Formula]] = field(default_factory=list)
+    var_sorts: dict[str, str] = field(default_factory=dict)
+    int_vars: set[str] = field(default_factory=set)
+    registry: dict[str, object] = field(default_factory=dict)
+    var_partition: dict[str, str] = field(default_factory=dict)
     unfolded: set[str] = field(default_factory=set)
     rounds: int = 0
     fuel: int = DEFAULT_FUEL
@@ -66,24 +66,40 @@ class UnfoldState:
             int_vars=self.int_vars,
         )
 
+    def part(self, tag: str) -> FlatFormula:
+        """The conjuncts of one part, with the variables they mention."""
+        formula = conj([f for t, f in self.conjuncts if t == tag])
+        fv = free_vars(formula)
+        names = {v.name for v in fv.adt}
+        return FlatFormula(
+            formula=formula,
+            registry=self.registry,
+            var_sorts={n: s for n, s in self.var_sorts.items() if n in names},
+            int_vars=set(fv.ints),
+        )
+
     def root_of(self, name: str) -> str:
         while name in self.sites:
             name = self.sites[name][0]
         return name
 
 
-def make_state(flat: FlatFormula, sig: Signature, fuel: int = DEFAULT_FUEL,
-               partition: str = "A") -> UnfoldState:
-    state = UnfoldState(
-        sig=sig,
-        conjuncts=[(partition, flat.formula)],
-        var_sorts=dict(flat.var_sorts),
-        int_vars=set(flat.int_vars),
-        registry=dict(flat.registry),
-        var_partition={v: partition for v in flat.var_sorts},
-        fuel=fuel,
-    )
-    state.creation_order = list(flat.var_sorts)
+def make_state(parts: list[tuple[str, FlatFormula]], sig: Signature,
+               fuel: int = DEFAULT_FUEL) -> UnfoldState:
+    """The unfolding state of one or more tagged flat formulas: one part when
+    deciding, partitions A and B when interpolating.  Each variable belongs
+    to the first part that mentions it, so a variable shared by A and B stays
+    with A; unfolding a variable conjoins its cases to the variable's part."""
+    state = UnfoldState(sig=sig, fuel=fuel)
+    for tag, flat in parts:
+        state.conjuncts.append((tag, flat.formula))
+        for name, sort in flat.var_sorts.items():
+            if name not in state.var_sorts:
+                state.var_sorts[name] = sort
+                state.var_partition[name] = tag
+                state.creation_order.append(name)
+        state.int_vars.update(flat.int_vars)
+        state.registry.update(flat.registry)
     return state
 
 
@@ -94,7 +110,7 @@ def unfold_step(state: UnfoldState, name: str) -> UnfoldState:
     if name in state.unfolded:
         raise AlreadyUnfoldedError(name)
     sort = state.var_sorts[name]
-    partition = state.var_partition.get(name, "A")
+    partition = state.var_partition[name]
     x = Var(name, sort)
     cases = []
     state.rounds += 1
@@ -207,7 +223,7 @@ def _solve(phi: Formula, sig: Signature, mode: str, fuel: int,
            opts: ReduceOptions, use_simplify: bool,
            external_cmd: str | None) -> SizeSolveResult:
     ensure_valid(sig)
-    state = make_state(flatten(to_nnf(phi), sig), sig, fuel=fuel)
+    state = make_state([("A", flatten(to_nnf(phi), sig))], sig, fuel=fuel)
     return run_loop(state, mode, opts=opts, use_simplify=use_simplify,
                     external_cmd=external_cmd)
 

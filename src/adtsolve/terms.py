@@ -174,14 +174,6 @@ class AdtModel:
 
 # -- structural helpers ----------------------------------------------------------
 
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Sel):
-        return False
-    return all(is_ground(a) for a in t.args)
-
-
 def ground_size(t: Term) -> int:
     """Number of constructor occurrences in a ground constructor term."""
     assert isinstance(t, Ctor)

@@ -23,7 +23,7 @@ def wrap(formula, lists_sig):
                    lists_sig)
     from adtsolve.reduce import SymbolTable, ReducedFormula
     table = SymbolTable(lists_sig, "depth")
-    return ReducedFormula(formula, table, "depth", flat, ReduceOptions(), lists_sig)
+    return ReducedFormula(formula, table, flat, ReduceOptions())
 
 
 def ex1_reduct(lists_sig, fml):

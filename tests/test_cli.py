@@ -167,6 +167,17 @@ def test_seed_only_on_corpus(ex1_file, tmp_path):
     assert main(["interpolate", ex1_file, str(other), "--seed", "1"]) == 1
 
 
+def test_flags_only_where_read(ex1_file, tmp_path):
+    # solve reads --backend --external-cmd --fuel --no-opt --stats, emit
+    # --no-opt --stats, interpolate all but --stats; the rest read none
+    other = tmp_path / "b.smt2"
+    other.write_text(EX1)
+    assert main(["analyze", ex1_file, "--fuel", "5"]) == 1
+    assert main(["corpus", "--no-opt"]) == 1
+    assert main(["emit", ex1_file, "--fuel", "5"]) == 1
+    assert main(["interpolate", ex1_file, str(other), "--stats"]) == 1
+
+
 def test_input_error_exit_code(tmp_path):
     p = tmp_path / "bad.smt2"
     p.write_text("(assert (= x")
@@ -216,12 +227,36 @@ def test_fuzz_solve_exits_0_or_2(tmp_path, body):
 def test_backend_error_exit_code(ex1_file):
     assert main(["solve", ex1_file, "--backend", "external",
                  "--external-cmd", "/nonexistent/solver-xyz"]) == 3
+    # commands that cannot be started: unbalanced quotes, a non-executable file
+    assert main(["solve", ex1_file, "--external-cmd", '"unterminated']) == 3
+    assert main(["solve", ex1_file, "--external-cmd", ex1_file]) == 3
+    assert main(["interpolate", os.path.join(INPUTS, "itp_a.smt2"),
+                 os.path.join(INPUTS, "itp_b.smt2"), "--external-cmd", ex1_file]) == 3
 
 
 def test_interpolate_without_backend_exit_code(ex1_file, tmp_path):
     other = tmp_path / "b.smt2"
     other.write_text(EX1)
     assert main(["interpolate", ex1_file, str(other)]) == 3
+
+
+def test_interpolate_failed_verification_exit_code(capsys):
+    # the fake's interpolant (= x (cons 2 nil)) is not implied by A: a
+    # backend fault, reported with the backend's raw text
+    cmd = f"{sys.executable} {os.path.join(FAKES, 'itp_term.py')}"
+    code = main(["interpolate", os.path.join(INPUTS, "itp_a.smt2"),
+                 os.path.join(INPUTS, "itp_b.smt2"), "--external-cmd", cmd])
+    assert code == 3
+    assert capsys.readouterr().err == ("backend error: backend interpolant failed "
+                                       "verification: (= x (cons 2 nil))\n")
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import adtsolve.sizesolve as sizesolve
+    monkeypatch.setattr(sizesolve, "check_model", lambda *args: (False, "injected"))
+    assert main(["solve", os.path.join(INPUTS, "lists.smt2")]) == 4
+    assert capsys.readouterr().err == ("internal error: reconstructed model failed "
+                                       "validation: injected\n")
 
 
 def test_interpolate_with_fake_backend(tmp_path):

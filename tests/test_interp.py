@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from adtsolve.errors import UntranslatableError
+from adtsolve.errors import ProtocolError, UntranslatableError
 from adtsolve.interp import (
     InterpolatingBackend, InterpolationProblem, back_translate, interpolate,
     interpolation_script, parse_reduced, validate_interpolant,
@@ -14,7 +14,8 @@ from adtsolve.reduce import (
     RApp, RConst, REq, RLin, RNot, RVar, SymbolTable, reduce_partitions,
 )
 from adtsolve.semantics import print_formula
-from adtsolve.sizesolve import decide
+from adtsolve.signature import CtorDecl, Signature
+from adtsolve.sizesolve import decide, run_loop
 from adtsolve.terms import And, Ctor, Eq, FALSE, Not, Sel, Tester, Var
 
 FAKES = os.path.join(os.path.dirname(__file__), "fakes")
@@ -173,6 +174,14 @@ def test_pipeline_untranslatable(lists_sig):
     assert out.raw
 
 
+def test_pipeline_failed_verification_is_a_protocol_error(lists_sig):
+    # the fake answers (= x (cons 2 nil)), which A does not imply
+    backend = InterpolatingBackend(_fake("itp_term.py"))
+    with pytest.raises(ProtocolError) as info:
+        interpolate(section_five_problem(lists_sig), backend)
+    assert info.value.raw == "(= x (cons 2 nil))"
+
+
 def test_partition_locality_of_skolems(lists_sig):
     prob = section_five_problem(lists_sig)
     fa = flatten(to_nnf(prob.a), lists_sig, prefix="_ta")
@@ -224,3 +233,200 @@ def test_pipeline_with_unfolding_and_term_interpolant(lists_sig):
     assert out.kind == "interpolant"
     assert out.interpolant == Eq(Var("x", "CList"),
                                  Ctor("cons", (Ctor("blue"), Ctor("nil"))))
+
+
+# -- pinned outputs ---------------------------------------------------------------
+
+# the reduced partitions of section_five_problem as sent to the backend: one
+# declaration block over the shared table, partition-local `_sa`/`_sb` symbols
+SECTION_FIVE_DECLS = "\n".join(
+    f"(declare-fun {name} () Int)" for name in (
+        "z", "x", "_sa1", "_sa2", "_sak1", "_sa3", "_sa4", "_sak2", "_ta1",
+        "_sa5", "_sa6", "_sak3", "_ta2", "_tb1", "c", "y", "_sbk1", "_sbk2")
+) + "\n" + "\n".join((
+    "(declare-fun tail (Int) Int)",
+    "(declare-fun nil () Int)",
+    "(declare-fun ctorId_CList (Int) Int)",
+    "(declare-fun size_CList (Int) Int)",
+    "(declare-fun cons (Int Int) Int)",
+    "(declare-fun head (Int) Int)",
+    "(declare-fun size_Colour (Int) Int)"))
+SECTION_FIVE_A = (
+    '(and (= (tail x) z) (or (and (= nil x) (= (ctorId_CList x) 0) (= (+ '
+    '(size_CList x) (- 1)) 0)) (and (<= (* -1 _sa1) 0) (<= (+ _sa1 (- 2)) '
+    '0) (= (cons _sa1 _sa2) x) (= (ctorId_CList x) 1) (= (head x) _sa1) (= '
+    '(+ (size_Colour _sa1) (- 1)) 0) (= (tail x) _sa2) (<= (* -1 '
+    '(size_CList _sa2)) 0) (= (+ (size_CList _sa2) (* -2 _sak1) (- 1)) 0) '
+    '(<= (* -1 _sak1) 0) (= (+ (size_CList x) (* -1 (size_Colour _sa1)) (* '
+    '-1 (size_CList _sa2)) (- 1)) 0))) (<= (* -1 _sa3) 0) (<= (+ _sa3 (- '
+    '2)) 0) (= (cons _sa3 _sa4) z) (= (ctorId_CList z) 1) (= (head z) _sa3)'
+    ' (= (+ (size_Colour _sa3) (- 1)) 0) (= (tail z) _sa4) (<= (* -1 '
+    '(size_CList _sa4)) 0) (= (+ (size_CList _sa4) (* -2 _sak2) (- 1)) 0) '
+    '(<= (* -1 _sak2) 0) (= (+ (size_CList z) (* -1 (size_Colour _sa3)) (* '
+    '-1 (size_CList _sa4)) (- 1)) 0) (= (head x) _ta1) (or (and (= nil x) '
+    '(= (ctorId_CList x) 0) (= (+ (size_CList x) (- 1)) 0)) (and (<= (* -1 '
+    '_sa5) 0) (<= (+ _sa5 (- 2)) 0) (= (cons _sa5 _sa6) x) (= (ctorId_CList'
+    ' x) 1) (= (head x) _sa5) (= (+ (size_Colour _sa5) (- 1)) 0) (= (tail '
+    'x) _sa6) (<= (* -1 (size_CList _sa6)) 0) (= (+ (size_CList _sa6) (* -2'
+    ' _sak3) (- 1)) 0) (<= (* -1 _sak3) 0) (= (+ (size_CList x) (* -1 '
+    '(size_Colour _sa5)) (* -1 (size_CList _sa6)) (- 1)) 0))) (= (head z) '
+    '_ta2) (not (= _ta1 _ta2)) (<= (* -1 _ta1) 0) (<= (+ _ta1 (- 2)) 0) (<='
+    ' (* -1 _ta2) 0) (<= (+ _ta2 (- 2)) 0))')
+SECTION_FIVE_B = (
+    '(and (= (cons c y) _tb1) (= (ctorId_CList _tb1) 1) (= (head _tb1) c) '
+    '(= (+ (size_Colour c) (- 1)) 0) (= (tail _tb1) y) (<= (* -1 '
+    '(size_CList y)) 0) (= (+ (size_CList y) (* -2 _sbk1) (- 1)) 0) (<= (* '
+    '-1 _sbk1) 0) (= (+ (size_CList _tb1) (* -1 (size_Colour c)) (* -1 '
+    '(size_CList y)) (- 1)) 0) (= (cons c _tb1) x) (= (ctorId_CList x) 1) '
+    '(= (head x) c) (= (+ (size_Colour c) (- 1)) 0) (= (tail x) _tb1) (<= '
+    '(* -1 (size_CList _tb1)) 0) (= (+ (size_CList _tb1) (* -2 _sbk2) (- '
+    '1)) 0) (<= (* -1 _sbk2) 0) (= (+ (size_CList x) (* -1 (size_Colour c))'
+    ' (* -1 (size_CList _tb1)) (- 1)) 0) (<= (* -1 c) 0) (<= (+ c (- 2)) '
+    '0))')
+SECTION_FIVE_SCRIPTS = {
+    "smtinterpol": (
+        "(set-option :produce-interpolants true)\n(set-logic QF_UFLIA)\n"
+        f"{SECTION_FIVE_DECLS}\n"
+        f"(assert (! {SECTION_FIVE_A} :named partA))\n"
+        f"(assert (! {SECTION_FIVE_B} :named partB))\n"
+        "(check-sat)\n(get-interpolants partA partB)\n"),
+    "cvc5": (
+        "(set-logic QF_UFLIA)\n(set-option :produce-interpolants true)\n"
+        f"{SECTION_FIVE_DECLS}\n"
+        f"(assert {SECTION_FIVE_A})\n"
+        f"(get-interpolant itp (not {SECTION_FIVE_B}))\n"),
+}
+
+
+@pytest.mark.parametrize("dialect,fake", [("smtinterpol", "itp_smtinterpol.py"),
+                                          ("cvc5", "itp_cvc5.py")])
+def test_interpolation_script_text(lists_sig, monkeypatch, dialect, fake):
+    import adtsolve.interp as interp_mod
+    sent = []
+
+    def recording(part_a, part_b, d):
+        sent.append(interpolation_script(part_a, part_b, d))
+        return sent[-1]
+
+    monkeypatch.setattr(interp_mod, "interpolation_script", recording)
+    out = interpolate(section_five_problem(lists_sig),
+                      InterpolatingBackend(_fake(fake), dialect=dialect))
+    assert out.kind == "interpolant"
+    assert sent == [SECTION_FIVE_SCRIPTS[dialect]]
+
+
+def test_joint_state_attributes_shared_variables_to_a(lists_sig, monkeypatch):
+    import adtsolve.interp as interp_mod
+    states = []
+
+    def recording(state, *args, **kwargs):
+        states.append(state)
+        return run_loop(state, *args, **kwargs)
+
+    monkeypatch.setattr(interp_mod, "run_loop", recording)
+    interpolate(section_five_problem(lists_sig),
+                InterpolatingBackend(_fake("itp_smtinterpol.py")))
+    (state,) = states
+    # x occurs in both partitions and stays with A; B's own names follow
+    assert state.var_partition == {"x": "A", "z": "A", "_ta1": "A", "_ta2": "A",
+                                   "c": "B", "y": "B", "_tb1": "B"}
+    assert state.creation_order == ["x", "z", "_ta1", "_ta2", "c", "y", "_tb1"]
+    assert [tag for tag, _ in state.conjuncts] == ["A", "B"]
+    assert set(state.registry) == {"_ta1", "_ta2", "_tb1"}
+
+
+BIT_SIG_CTORS = (CtorDecl("lo", "Bit"), CtorDecl("hi", "Bit"))
+RANGE_ERR = "! head index compared to a value outside the constructor range"
+ENUM_ERR = "! enumeration value outside the constructor range"
+# one reduced atom per form, over a subject s and a constant k
+INDEX_FORMS = {
+    "REq": lambda s, k: REq(s, RConst(k)),
+    "REq swapped": lambda s, k: REq(RConst(k), s),
+    "RNot": lambda s, k: RNot(REq(s, RConst(k))),
+    "RLin eq": lambda s, k: RLin("eq", ((1, s),), -k),
+    "RLin eq -1": lambda s, k: RLin("eq", ((-1, s),), k),
+    "RLin ne": lambda s, k: RLin("ne", ((1, s),), -k),
+    "RLin le": lambda s, k: RLin("le", ((1, s),), -k),
+    "RLin ge": lambda s, k: RLin("le", ((-1, s),), k),
+}
+# printed back-translation for k = -1 .. n (n constructors), "! message" for
+# an UntranslatableError; head indices ctorId_S(x) and enumeration variables
+# differ in their out-of-range rules and in the forms used for n - 1 indices
+INDEX_TABLE = {
+    ("ctorId_CList", "REq"): [RANGE_ERR, "((_ is nil) x)", "((_ is cons) x)", RANGE_ERR],
+    ("ctorId_CList", "REq swapped"): [RANGE_ERR, "((_ is nil) x)", "((_ is cons) x)",
+                                      RANGE_ERR],
+    ("ctorId_CList", "RNot"): [RANGE_ERR, "(not ((_ is nil) x))",
+                               "(not ((_ is cons) x))", RANGE_ERR],
+    ("ctorId_CList", "RLin eq"): [RANGE_ERR, "((_ is nil) x)", "((_ is cons) x)",
+                                  RANGE_ERR],
+    ("ctorId_CList", "RLin eq -1"): [RANGE_ERR, "((_ is nil) x)", "((_ is cons) x)",
+                                     RANGE_ERR],
+    ("ctorId_CList", "RLin ne"): [RANGE_ERR, "(not ((_ is nil) x))",
+                                  "(not ((_ is cons) x))", RANGE_ERR],
+    ("ctorId_CList", "RLin le"): ["false", "(not ((_ is cons) x))", "true", "true"],
+    ("ctorId_CList", "RLin ge"): ["true", "true", "(not ((_ is nil) x))", "false"],
+    ("ctorId_Colour", "REq"): [RANGE_ERR, "((_ is red) y)", "((_ is green) y)",
+                               "((_ is blue) y)", RANGE_ERR],
+    ("ctorId_Colour", "REq swapped"): [RANGE_ERR, "((_ is red) y)", "((_ is green) y)",
+                                       "((_ is blue) y)", RANGE_ERR],
+    ("ctorId_Colour", "RNot"): [RANGE_ERR, "(not ((_ is red) y))",
+                                "(not ((_ is green) y))", "(not ((_ is blue) y))",
+                                RANGE_ERR],
+    ("ctorId_Colour", "RLin eq"): [RANGE_ERR, "((_ is red) y)", "((_ is green) y)",
+                                   "((_ is blue) y)", RANGE_ERR],
+    ("ctorId_Colour", "RLin eq -1"): [RANGE_ERR, "((_ is red) y)", "((_ is green) y)",
+                                      "((_ is blue) y)", RANGE_ERR],
+    ("ctorId_Colour", "RLin ne"): [RANGE_ERR, "(not ((_ is red) y))",
+                                   "(not ((_ is green) y))", "(not ((_ is blue) y))",
+                                   RANGE_ERR],
+    ("ctorId_Colour", "RLin le"): ["false", "((_ is red) y)", "(not ((_ is blue) y))",
+                                   "true", "true"],
+    ("ctorId_Colour", "RLin ge"): ["true", "true", "(not ((_ is red) y))",
+                                   "((_ is blue) y)", "false"],
+    ("y", "REq"): [ENUM_ERR, "(= y red)", "(= y green)", "(= y blue)", ENUM_ERR],
+    ("y", "REq swapped"): [ENUM_ERR, "(= y red)", "(= y green)", "(= y blue)", ENUM_ERR],
+    ("y", "RNot"): [ENUM_ERR, "(not (= y red))", "(not (= y green))",
+                    "(not (= y blue))", ENUM_ERR],
+    ("y", "RLin eq"): ["false", "(= y red)", "(= y green)", "(= y blue)", "false"],
+    ("y", "RLin eq -1"): ["false", "(= y red)", "(= y green)", "(= y blue)", "false"],
+    ("y", "RLin ne"): ["true", "(not (= y red))", "(not (= y green))",
+                       "(not (= y blue))", "true"],
+    ("y", "RLin le"): ["false", "(= y red)", "(not (= y blue))", "true", "true"],
+    ("y", "RLin ge"): ["true", "true", "(not (= y red))", "(= y blue)", "false"],
+    ("b", "REq"): [ENUM_ERR, "(= b lo)", "(= b hi)", ENUM_ERR],
+    ("b", "REq swapped"): [ENUM_ERR, "(= b lo)", "(= b hi)", ENUM_ERR],
+    ("b", "RNot"): [ENUM_ERR, "(not (= b lo))", "(not (= b hi))", ENUM_ERR],
+    ("b", "RLin eq"): ["false", "(not (= b hi))", "(not (= b lo))", "false"],
+    ("b", "RLin eq -1"): ["false", "(not (= b hi))", "(not (= b lo))", "false"],
+    ("b", "RLin ne"): ["true", "(not (= b lo))", "(not (= b hi))", "true"],
+    ("b", "RLin le"): ["false", "(not (= b hi))", "true", "true"],
+    ("b", "RLin ge"): ["true", "true", "(not (= b lo))", "false"],
+}
+
+
+@pytest.mark.parametrize("subject,form", list(INDEX_TABLE))
+def test_back_translate_index_atoms(subject, form):
+    from tests.conftest import CLIST_CTORS, COLOUR_CTORS
+    sig = Signature(("Colour", "CList", "Bit"),
+                    COLOUR_CTORS + CLIST_CTORS + BIT_SIG_CTORS)
+    head_index = subject.startswith("ctorId_")
+    # enumeration sorts map to indices only when the table says so
+    table = SymbolTable(sig, "size", enum_sorts=frozenset()
+                        if head_index else frozenset({"Colour", "Bit"}))
+    names = {"CList": "x", "Colour": "y", "Bit": "b"}
+    for sort, name in names.items():
+        table.adt_var(name, sort)
+    if head_index:
+        sort = subject[len("ctorId_"):]
+        s = RApp(table.ctorid_fun(sort), (RVar(names[sort]),))
+    else:
+        s = RVar(subject)
+    got = []
+    for k in range(-1, len(INDEX_TABLE[subject, form]) - 1):
+        try:
+            got.append(print_formula(sig, back_translate(INDEX_FORMS[form](s, k),
+                                                         table)))
+        except UntranslatableError as e:
+            got.append(f"! {e}")
+    assert got == INDEX_TABLE[subject, form]

@@ -5,8 +5,7 @@ from adtsolve.errors import ModeMismatchError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.reduce import (
     RAnd, RApp, RConst, REq, RFALSE, RLin, RNot, ROr, RVar, ReduceOptions,
-    apply_opt_enum, apply_opt_guarded, is_utvpi, iter_literals, reduce,
-    rformula_nodes, simplify,
+    is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
 )
 from adtsolve import backend
 from adtsolve.corpus import signature_size
@@ -150,16 +149,6 @@ def test_enum_opt_off_uses_ctorid(lists_sig, fml):
 def test_non_enum_sort_unchanged(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(= x nil)")
     assert apps(r, "ctorId_CList")
-
-
-def test_apply_opt_wrappers(lists_sig, fml):
-    plain = _reduce(lists_sig, fml, EX1, opts=ReduceOptions.none())
-    guarded = apply_opt_guarded(plain, plain.flat)
-    assert guarded.opts.guarded_opt and not guarded.opts.enum_opt
-    both = apply_opt_enum(guarded, lists_sig)
-    assert both.opts.enum_opt
-    with_opts = _reduce(lists_sig, fml, EX1)
-    assert both.formula == with_opts.formula
 
 
 # -- simplify ---------------------------------------------------------------------------

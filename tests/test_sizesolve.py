@@ -20,7 +20,7 @@ def nat_formula(nat_sig, text):
 
 def test_unfold_nat_schema(nat_sig, fml):
     phi = nat_formula(nat_sig, "(= x y)")
-    state = make_state(flatten(to_nnf(phi), nat_sig), nat_sig)
+    state = make_state([("A", flatten(to_nnf(phi), nat_sig))], nat_sig)
     unfold_step(state, "x")
     tag, disj = state.conjuncts[-1]
     assert isinstance(disj, Or)
@@ -33,7 +33,7 @@ def test_unfold_nat_schema(nat_sig, fml):
 
 def test_unfold_clist_schema(lists_sig, fml):
     phi = fml("(= x z)")
-    state = make_state(flatten(to_nnf(phi), lists_sig), lists_sig)
+    state = make_state([("A", flatten(to_nnf(phi), lists_sig))], lists_sig)
     unfold_step(state, "x")
     _, disj = state.conjuncts[-1]
     nil_arm, cons_arm = disj.args
@@ -44,7 +44,7 @@ def test_unfold_clist_schema(lists_sig, fml):
 
 def test_unfold_twice_rejected(nat_sig):
     phi = nat_formula(nat_sig, "(= x y)")
-    state = make_state(flatten(to_nnf(phi), nat_sig), nat_sig)
+    state = make_state([("A", flatten(to_nnf(phi), nat_sig))], nat_sig)
     unfold_step(state, "x")
     with pytest.raises(AlreadyUnfoldedError):
         unfold_step(state, "x")
@@ -185,7 +185,7 @@ def test_selection_serves_starved_variables(nat_sig):
     from adtsolve.sizesolve import _STARVATION_AGE, _select_variable
 
     phi = nat_formula(nat_sig, "(= x y)")
-    state = make_state(flatten(to_nnf(phi), nat_sig), nat_sig)
+    state = make_state([("A", flatten(to_nnf(phi), nat_sig))], nat_sig)
     reduct = do_reduce(state.flat(), nat_sig, "size")
     sz = reduct.table.size_fun("Nat")
     # y always reports a smaller size, so the plain heuristic would pick it
