@@ -1,14 +1,16 @@
 """Deciding quantifier-free EUF+LIA reducts.
 
 The built-in solver searches the preserved Boolean structure depth-first
-with one backtrackable congruence closure per solve: the literals of a branch
-are asserted into it in place and retracted on backtrack.  Each conjunction
-is decided by linear integer feasibility over the congruence classes, with
-disequalities split lazily into strict inequalities (one more row over the
-same classes, which extends the parent's solved LIA system in place and is
-retracted after the split) and functional consistency restored by
-model-guided case splits.  Every sat verdict is re-checked by an independent
-evaluator before being returned.
+with one backtrackable congruence closure and one push/pop LIA system per
+solve, driven together: the literals of a branch are asserted into both in
+place and retracted on backtrack.  A linear literal becomes a row over the
+congruence classes when it is asserted, and each union of a class the LIA
+system mentions adds the equality of the two class variables.  Each
+conjunction is decided by linear integer feasibility over the classes, with
+disequalities split lazily into strict inequalities (one more row pushed on
+the same system and popped after the split) and functional consistency
+restored by model-guided case splits.  Every sat verdict is re-checked by an
+independent evaluator before being returned.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -234,37 +236,78 @@ def _row(op: str, coeffs: dict[int, int], const: int) -> lia.LinCon:
 
 
 class _Search:
-    """DFS over the Boolean structure with one congruence closure: literals
-    are asserted along the current path and retracted on backtrack."""
+    """DFS over the Boolean structure with one congruence closure and one
+    LIA system: literals are asserted along the current path and retracted
+    on backtrack.  A linear literal is translated over the class roots once,
+    when it is asserted; a later union of a class the system mentions adds
+    the equality of the two class variables (or of the variable and the
+    class's constant), which eliminates one of the two."""
 
     def __init__(self, budget: _Budget):
         self.budget = budget
         self.cc = _CC()
+        self.lia = lia.System()
+        self.mentioned: dict[int, None] = {}  # roots the system has seen, in order
         self.diseqs: list[tuple[int, int]] = []
-        self.lins: list[tuple[str, tuple[tuple[int, int], ...], int]] = []
-        self.marks: list[tuple[int, int]] = []
+        self.lins: list[tuple[tuple[tuple[int, int], ...], int]] = []  # `ne` rows
+        self.marks: list[tuple[int, int, int]] = []
 
     def push(self):
         self.cc.push()
-        self.marks.append((len(self.diseqs), len(self.lins)))
+        self.lia.push()
+        self.marks.append((len(self.diseqs), len(self.lins), len(self.mentioned)))
 
     def pop(self):
         self.cc.pop()
-        n_diseqs, n_lins = self.marks.pop()
+        self.lia.pop()
+        n_diseqs, n_lins, n_mentioned = self.marks.pop()
         del self.diseqs[n_diseqs:]
         del self.lins[n_lins:]
+        while len(self.mentioned) > n_mentioned:
+            self.mentioned.popitem()
+
+    def add_row(self, op: str, coeffs: dict[int, int], const: int) -> None:
+        for r, a in coeffs.items():
+            if a:
+                self.mentioned.setdefault(r)
+        self.lia.add(_row(op, coeffs, const))
+
+    def merge(self, i: int, j: int) -> bool:
+        """Union two classes in the CC and carry every union it makes over to
+        the LIA system; False on a constant clash."""
+        cc = self.cc
+        start = len(cc.trail)
+        if not cc.merge(i, j):
+            return False
+        for entry in cc.trail[start:]:
+            if entry[0] != "union":
+                continue
+            _, ra, rb, moved_const = entry
+            k = cc.const_of.get(rb)
+            if moved_const:  # ra brought the constant: pin rb's variable
+                if rb in self.mentioned:
+                    self.add_row("eq", {rb: 1}, -k)
+            elif ra in self.mentioned:
+                if k is None:
+                    self.add_row("eq", {ra: 1, rb: -1}, 0)
+                else:
+                    self.add_row("eq", {ra: 1}, -k)
+        return True
 
     def assert_lit(self, lit: RFormula) -> bool:
         """Add one literal to the current scope; False when it contradicts
         the congruence classes outright."""
         cc = self.cc
         if isinstance(lit, REq):
-            return cc.merge(cc.add(lit.lhs), cc.add(lit.rhs))
+            return self.merge(cc.add(lit.lhs), cc.add(lit.rhs))
         if isinstance(lit, RNot):
             self.diseqs.append((cc.add(lit.arg.lhs), cc.add(lit.arg.rhs)))
         elif isinstance(lit, RLin):
-            self.lins.append((lit.op, tuple((c, cc.add(t)) for c, t in lit.terms),
-                              lit.const))
+            pairs = tuple((c, cc.add(t)) for c, t in lit.terms)
+            if lit.op == "ne":
+                self.lins.append((pairs, lit.const))
+            else:
+                self.add_row(lit.op, *self.translate(pairs, lit.const))
         elif not isinstance(lit, RTrueF):
             raise InternalError(f"unexpected literal {lit}")
         return True
@@ -331,13 +374,10 @@ class _Search:
         find = self.cc.find
         if any(find(a) == find(b) for a, b in self.diseqs):
             return None
-        cons: list[lia.LinCon] = []
         pending_ne: list[tuple[dict[int, int], int]] = []
-        for op, pairs, const in self.lins:
+        for pairs, const in self.lins:
             coeffs, c = self.translate(pairs, const)
-            if op != "ne":
-                cons.append(_row(op, coeffs, c))
-            elif coeffs:
+            if coeffs:
                 pending_ne.append((coeffs, c))
             elif c == 0:
                 return None
@@ -345,19 +385,14 @@ class _Search:
             coeffs, c = self.translate(((1, a), (-1, b)), 0)
             if coeffs:  # else both classes are distinct constants
                 pending_ne.append((coeffs, c))
-        return self.decide_lia(lia.System(cons), pending_ne)
+        return self.decide_lia(pending_ne)
 
-    def decide_lia(self, system: lia.System,
-                   pending_ne: list[tuple[dict[int, int], int]]) -> IntModel | None:
-        """Integer feasibility over fixed classes; violated disequalities and
-        functional inconsistencies are repaired by recursive case splits."""
-        model_map = system.model()
-        if model_map is None:
-            return None
+    def class_values(self, model_map: dict[str, int]) -> tuple[dict[int, int], list[int]]:
+        """The value of every class root and of every term: solved, constant,
+        or, for a class no row constrains, a distinct value clear of the
+        solved ones, so that such classes neither collide in function tables
+        nor violate disequalities."""
         cc = self.cc
-        # unconstrained classes take distinct values clear of the solved ones,
-        # so that they neither collide in function tables nor violate
-        # disequalities
         spread = 1 + max((abs(v) for v in model_map.values()), default=0)
         root_value: dict[int, int] = {}
         values: list[int] = []
@@ -369,33 +404,45 @@ class _Search:
                     v, spread = spread, spread + 1
                 root_value[r] = v
             values.append(root_value[r])
+        return root_value, values
 
+    def decide_lia(self, pending_ne: list[tuple[dict[int, int], int]]) -> IntModel | None:
+        """Integer feasibility over fixed classes; violated disequalities and
+        functional inconsistencies are repaired by recursive case splits."""
+        model_map = self.lia.model()
+        if model_map is None:
+            return None
         # lazily split the first disequality the candidate model violates into
-        # its two strict sides: one more row over the unchanged classes that
-        # extends the solved system in place, kept asserted for the
-        # functional-consistency splits below it
+        # its two strict sides: one more row over the unchanged classes, kept
+        # asserted for the functional-consistency splits below it.  A row over
+        # solved classes reads the model; only one over a class no row
+        # constrains needs the value of every class
+        root_value = values = None
         for coeffs, c in pending_ne:
-            if c + sum(a * root_value[r] for r, a in coeffs.items()) != 0:
+            if root_value is None and any(f"#t{r}" not in model_map for r in coeffs):
+                root_value, values = self.class_values(model_map)
+            if root_value is None:
+                total = c + sum(a * model_map[f"#t{r}"] for r, a in coeffs.items())
+            else:
+                total = c + sum(a * root_value[r] for r, a in coeffs.items())
+            if total != 0:
                 continue
             self.budget.spend_split()
             for sign in (1, -1):
-                side = {r: sign * a for r, a in coeffs.items()}
                 self.budget.spend_split()
-                self.lins.append(("le", tuple((a, r) for r, a in side.items()), sign * c + 1))
-                system.extend(_row("le", side, sign * c + 1))
-                out = self.decide_lia(system, pending_ne)
-                system.retract()
-                self.lins.pop()
+                self.push()
+                self.add_row("le", {r: sign * a for r, a in coeffs.items()}, sign * c + 1)
+                out = self.decide_lia(pending_ne)
+                self.pop()
                 if out is not None:
                     return out
             return None
-
-        # this level is done with the system; unless a split above still
-        # holds it, it is freed before the nested decides below build theirs
-        del system
+        if values is None:
+            root_value, values = self.class_values(model_map)
 
         # functional consistency under the candidate model: two apps of one
         # function that agree on their arguments must agree on their values
+        cc = self.cc
         model = IntModel()
         first: dict[tuple, int] = {}
         for i, t in enumerate(cc.terms):

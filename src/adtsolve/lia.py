@@ -1,17 +1,17 @@
 """Feasibility of conjunctions of linear integer constraints.
 
 Constraints are normalized to `sum(coeff*var) + const <= 0` or `= 0`.
-Equalities are eliminated first (unit-coefficient substitution, with Pugh's
+Equalities are eliminated (unit-coefficient substitution, with Pugh's
 symmetric-modulus variable change when no unit coefficient exists), each
 inequality is GCD-tightened, and the rest is decided either on the
 difference-constraint graph (when every constraint has that shape) or by an
 exact rational simplex with branch-and-bound.
 
-A `System` holds this state for one conjunction and can be extended by one
-inequality and retracted again: the new row goes through the recorded
-substitutions, and the difference graph is solved incrementally, one edge at
-a time, both when the system is built and when it is extended.  `solve` is
-a system built and read once.
+A `System` is this state as a push/pop theory solver: rows join one at a time
+through `add`, each rewritten by the substitutions so far, an equality is
+eliminated as it arrives, and the difference graph is solved incrementally,
+one edge at a time; `pop` restores the system of the matching `push`.
+`solve` is a system built and read once.
 """
 
 from __future__ import annotations
@@ -83,48 +83,6 @@ def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon
     for v, b in expr.items():
         coeffs[v] = coeffs.get(v, 0) + a * b
     return _tightened(con(c.op, coeffs, out_const))
-
-
-def _eliminate_equalities(cons: list[LinCon]):
-    """Returns (inequalities, substitutions) where substitutions is a list of
-    (var, expr, const) meaning var = expr . x + const, in the order applied."""
-    subs: list[tuple[str, dict[str, int], int]] = []
-    fresh = 0
-    # every row is kept tight: once here, then each row a substitution changes
-    work = [t for t in map(_tightened, cons) if t is not None]
-    for _ in range(10000):
-        eqs = [c for c in work if c.op == "eq" and c.coeffs]
-        if not eqs:
-            break
-        # prefer an equality that already has a unit coefficient
-        eq = next((e for e in eqs if any(abs(a) == 1 for _, a in e.coeffs)), None)
-        if eq is not None:
-            v, a = next((v, a) for v, a in eq.coeffs if abs(a) == 1)
-        else:
-            # symmetric-modulus change of variable: sum hat_b_i x_i + hat_c =
-            # m * s has coefficient -sign(a) on v, and v is substituted
-            # through it, which shrinks the coefficients of the equality
-            eq = eqs[0]
-            v, a = min(eq.coeffs, key=lambda p: (abs(p[1]), p[0]))
-            m = abs(a) + 1
-            fresh += 1
-            hat = {u: _smod(b, m) for u, b in eq.coeffs}
-            eq = con("eq", {**hat, f"$omega{fresh}": -m}, _smod(eq.const, m))
-            a = -1 if a > 0 else 1
-        # a*v + rest + const = 0  =>  v = -(rest + const)/a
-        expr = {u: -b * a for u, b in eq.coeffs if u != v}
-        const = -eq.const * a
-        subs.append((v, expr, const))
-        new_work = []
-        for c in work:
-            if c is not eq:
-                c = _substitute(c, v, expr, const)
-                if c is not None:
-                    new_work.append(c)
-        work = new_work
-    else:
-        raise InternalError("equality elimination did not terminate")
-    return work, subs
 
 
 def _tightened(c: LinCon) -> LinCon | None:
@@ -247,23 +205,31 @@ def _branch_and_bound(cons: list[LinCon]) -> dict[str, int] | None:
 
 
 class System:
-    """Integer feasibility of one conjunction, extendable by one inequality
-    at a time.
+    """Integer feasibility of a conjunction that grows one row at a time and
+    shrinks again under push/pop.
 
-    It holds the eliminated inequalities and the substitutions.  While every
-    inequality is a difference constraint it also holds the difference graph
-    (out-edges) and the shortest distances `dist` from a virtual source with
-    0-weight edges to every node; these are unique, so they do not depend on
+    A row added by `add` is first rewritten by the recorded substitutions and
+    tightened.  An equality is then eliminated at once: a variable with a
+    unit coefficient is substituted (Pugh's symmetric-modulus change of
+    variable makes one when there is none), and every live inequality that
+    mentions it is replaced by its substituted copy.  A replaced row leaves
+    the live set; the live inequalities are what the model is found over.
+
+    Every live difference constraint is also an edge of the difference graph,
+    which holds the shortest distances `dist` from a virtual source with
+    0-weight edges to every node; they are unique, so they do not depend on
     the order in which the edges came.  Each edge is inserted by relaxing from
     its head only, Dijkstra over the reduced costs (Cotton-Maler); the
     insertion closes a negative cycle exactly when it would lower the edge's
-    tail.  Once some inequality is not a difference constraint, the model is
-    found by branch-and-bound over all the inequalities.  `retract` undoes
-    the last `extend` from an explicit trail.
+    tail.  The edge of a replaced row stays, because its substituted copy and
+    the substitution imply it.  While every live inequality is a difference
+    constraint the distances are the model; otherwise branch-and-bound
+    searches over the live inequalities.  `pop` undoes everything since the
+    matching `push` from an explicit trail.
     """
 
-    def __init__(self, cons: list[LinCon]):
-        self.rows: list[LinCon] = []
+    def __init__(self, cons: list[LinCon] = ()):
+        self.rows: list[LinCon | None] = []  # inequalities; None once replaced
         self.subs: list[tuple[str, dict[str, int], int]] = []
         self.dist: dict[str, int] = {"$zero": 0}
         self.out: dict[str, list[tuple[str, int]]] = {"$zero": []}
@@ -271,58 +237,102 @@ class System:
         # failed, or the graph has a negative cycle, which is infeasible over
         # the rationals too, so branch-and-bound would find nothing either
         self.infeasible = False
-        self.general = False  # some inequality is not a difference constraint
+        self.n_general = 0  # live inequalities that are not difference constraints
         self.trail: list[tuple] = []
-        self.marks: list[tuple[int, int, bool, bool]] = []
-        try:
-            self.rows, self.subs = _eliminate_equalities(list(cons))
-        except _Infeasible:
-            self.infeasible = True
-            return
-        edges = [_edge(c) for c in self.rows]
-        self.general = None in edges
-        if not self.general:
-            self.infeasible = not all(self._insert(*e) for e in edges)
-            self.trail.clear()  # nothing retracts below the conjunction itself
+        self.marks: list[tuple[int, int, int, bool, int]] = []
+        for c in cons:
+            self.add(c)
 
-    def extend(self, row: LinCon) -> None:
-        self.marks.append((len(self.trail), len(self.rows), self.infeasible,
-                           self.general))
+    @property
+    def general(self) -> bool:
+        return self.n_general > 0
+
+    def push(self) -> None:
+        self.marks.append((len(self.trail), len(self.rows), len(self.subs),
+                           self.infeasible, self.n_general))
+
+    def pop(self) -> None:
+        mark, n_rows, n_subs, self.infeasible, self.n_general = self.marks.pop()
+        trail, dist = self.trail, self.dist
+        while len(trail) > mark:
+            entry = trail.pop()
+            kind = entry[0]
+            if kind == "dist":
+                dist[entry[1]] = entry[2]
+            elif kind == "edge":
+                self.out[entry[1]].pop()
+            elif kind == "row":
+                self.rows[entry[1]] = entry[2]
+            else:  # "node"
+                del dist[entry[1]]
+                del self.out[entry[1]]
+        del self.rows[n_rows:]
+        del self.subs[n_subs:]
+
+    def add(self, row: LinCon) -> None:
+        """Conjoin one row."""
         if self.infeasible:
             return
-        # the row as the elimination would have left it: the same
-        # substitutions in the same order, re-tightened after each
         try:
+            # the row over live variables: the substitutions in the order
+            # they were made, re-tightened after each
             c = _tightened(row)
             for v, expr, const in self.subs:
                 if c is None:
                     break
                 c = _substitute(c, v, expr, const)
+            if c is not None and c.op == "le":
+                self._add_row(c)
+            elif c is not None:
+                self._eliminate(c)
         except _Infeasible:
             self.infeasible = True
-            return
-        if c is None:
-            return
+        if not self.marks:
+            self.trail.clear()  # nothing pops below the first push
+
+    def _add_row(self, c: LinCon) -> None:
         self.rows.append(c)
         edge = _edge(c)
         if edge is None:
-            self.general = True
-        elif not self.general:
-            self.infeasible = not self._insert(*edge)
+            self.n_general += 1
+        elif not self._insert(*edge):
+            raise _Infeasible()
 
-    def retract(self) -> None:
-        mark, n_rows, self.infeasible, self.general = self.marks.pop()
-        del self.rows[n_rows:]
-        trail, dist = self.trail, self.dist
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry[0] == "dist":
-                dist[entry[1]] = entry[2]
-            elif entry[0] == "edge":
-                self.out[entry[1]].pop()
-            else:  # "node"
-                del dist[entry[1]]
-                del self.out[entry[1]]
+    def _eliminate(self, eq: LinCon) -> None:
+        for _ in range(10000):  # a guard: each Omega step shrinks the coefficients
+            v, a = next(((u, b) for u, b in eq.coeffs if abs(b) == 1), (None, 0))
+            pivot = eq
+            if v is None:
+                # symmetric-modulus change of variable: sum hat_b_i x_i + hat_c =
+                # m * s has coefficient -sign(a) on v, and v is substituted
+                # through it, which shrinks the coefficients of the equality
+                v, a = min(eq.coeffs, key=lambda p: (abs(p[1]), p[0]))
+                m = abs(a) + 1
+                hat = {u: _smod(b, m) for u, b in eq.coeffs}
+                pivot = con("eq", {**hat, f"$omega{len(self.subs)}": -m},
+                            _smod(eq.const, m))
+                a = -1 if a > 0 else 1
+            # a*v + rest + const = 0  =>  v = -(rest + const)/a
+            expr = {u: -b * a for u, b in pivot.coeffs if u != v}
+            const = -pivot.const * a
+            self.subs.append((v, expr, const))
+            rows = self.rows
+            for i in range(len(rows)):
+                r = rows[i]
+                if r is not None and any(u == v for u, _ in r.coeffs):
+                    rows[i] = None
+                    self.trail.append(("row", i, r))
+                    if _edge(r) is None:
+                        self.n_general -= 1
+                    r = _substitute(r, v, expr, const)
+                    if r is not None:
+                        self._add_row(r)
+            if pivot is eq:
+                return
+            eq = _substitute(eq, v, expr, const)
+            if eq is None:
+                return
+        raise InternalError("equality elimination did not terminate")
 
     def _insert(self, u: str, v: str, w: int) -> bool:
         """Add the edge x_v - x_u <= w and restore the shortest distances;
@@ -361,7 +371,7 @@ class System:
         if self.infeasible:
             return None
         if self.general:
-            model = _branch_and_bound(self.rows)
+            model = _branch_and_bound([r for r in self.rows if r is not None])
             if model is None:
                 return None
         else:

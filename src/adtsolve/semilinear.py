@@ -105,11 +105,6 @@ class EventuallyPeriodicSet:
             if n in self:
                 yield n
 
-    def as_finite_set(self) -> frozenset[int]:
-        if not self.is_finite:
-            raise InternalError("set is infinite")
-        return self.exceptions
-
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "EventuallyPeriodicSet") -> "EventuallyPeriodicSet":

@@ -21,7 +21,8 @@ from .errors import AdtSolveError, InternalError
 from .models import ReconstructionStats, check_model, reconstruct
 from .normalize import FlatFormula, flatten, to_nnf
 from .reduce import (
-    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, reduce, simplify,
+    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, RFormula, _top_conjuncts,
+    _var_occurrences, reduce, simplify,
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
@@ -183,14 +184,25 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
     values_of_unfolded: dict[str, set[int]] = {}
     for u in state.unfolded:
         values_of_unfolded.setdefault(state.var_sorts[u], set()).add(model.value(u))
+    mentions: dict[str, list[RFormula]] | None = None
     for v, sort in state.var_sorts.items():
         candidates = values_of_unfolded.get(sort, set())
         if not candidates or model.value(v) in candidates:
             continue
+        if mentions is None:
+            if not eval_reduced(base.formula, model):
+                break  # repoint nothing under a model that fails the formula
+            # repointing a variable can only falsify the conjuncts that mention it
+            mentions = {}
+            for f in _top_conjuncts(base.formula):
+                names: dict[str, int] = {}
+                _var_occurrences(f, names)
+                for name in names:
+                    mentions.setdefault(name, []).append(f)
         old = model.value(v)
         for w in sorted(candidates):
             model.values[v] = w
-            if eval_reduced(base.formula, model):
+            if all(eval_reduced(f, model) for f in mentions.get(v, ())):
                 break
             model.values[v] = old
     return [v for v, sort in state.var_sorts.items()

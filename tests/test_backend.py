@@ -10,7 +10,8 @@ from adtsolve.errors import ProtocolError, SpawnError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import (
-    RApp, RConst, REq, RLin, RNot, RVar, ReduceOptions, rand, reduce, simplify,
+    RApp, RConst, REq, RLin, RNot, RVar, ReduceOptions, rand, reduce, ror,
+    simplify,
 )
 from tests.test_semantics import formulas
 
@@ -191,6 +192,67 @@ def test_pure_integer_formula_through_pipeline(lists_sig):
     res = decide(script2.formula(), script2.sig)
     assert res.status == "sat"
     assert res.model.ints["n"] == 4
+
+
+# -- one LIA system along the search ------------------------------------------------
+
+def _le(const, *pairs):
+    """sum(c * var) + const <= 0 over integer variables."""
+    return RLin("le", tuple((c, RVar(v)) for c, v in pairs), const)
+
+
+A_LE_5 = _le(-5, (1, "a"))          # a <= 5
+B_GE_7 = _le(7, (-1, "b"))          # b >= 7
+B_GE_3 = _le(3, (-1, "b"))          # b >= 3
+
+
+@pytest.mark.parametrize("lits, status", [
+    # a row over a's class, then a's class merged into b's: the union must
+    # carry a <= 5 over to the rows over b
+    ([A_LE_5, REq(RVar("a"), RVar("b")), B_GE_7], "unsat"),
+    ([A_LE_5, REq(RVar("a"), RVar("b")), B_GE_3], "sat"),
+    ([REq(RVar("a"), RVar("b")), A_LE_5, B_GE_7], "unsat"),
+    ([REq(RVar("a"), RVar("b")), A_LE_5, B_GE_3], "sat"),
+    # a's class merged with a constant's class
+    ([A_LE_5, REq(RVar("a"), RConst(7))], "unsat"),
+    ([A_LE_5, REq(RVar("a"), RConst(3))], "sat"),
+    ([REq(RVar("a"), RConst(7)), A_LE_5], "unsat"),
+    ([REq(RVar("a"), RConst(3)), A_LE_5], "sat"),
+    # a's class is the larger one, so the constant's class is merged into it
+    ([REq(RVar("a"), RVar("c")), A_LE_5, REq(RVar("c"), RConst(7))], "unsat"),
+    ([REq(RVar("a"), RVar("c")), A_LE_5, REq(RVar("c"), RConst(3))], "sat"),
+    # the merge happens in a disjunction's arm and is popped for the next arm
+    ([A_LE_5, B_GE_3, ror([REq(RVar("a"), RConst(7)), REq(RVar("a"), RVar("b"))])],
+     "sat"),
+    ([A_LE_5, B_GE_7, ror([REq(RVar("a"), RConst(7)), REq(RVar("a"), RVar("b"))])],
+     "unsat"),
+])
+def test_class_merges_reach_the_lia_rows(lists_sig, lits, status):
+    f = rand(lits)
+    res = backend.solve(wrap(f, lists_sig))
+    assert res.status == status
+    if status == "sat":
+        assert backend.eval_reduced(f, res.model)
+
+
+def test_one_lia_system_per_solve(lists_sig, monkeypatch):
+    built = []
+
+    class Counted(backend.lia.System):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(backend.lia, "System", Counted)
+    # functional-consistency and disequality splits, and exhausted arms
+    assert backend.solve(two_colour_chain(4)).status == "unsat"
+    assert len(built) == 1
+    f = rand([
+        RLin("ne", ((1, RVar("x")), (1, RVar("y"))), -3),
+        _le(1, (-1, "x")), _le(-2, (1, "x")), _le(1, (-1, "y")), _le(-2, (1, "y")),
+    ])
+    assert backend.solve(wrap(f, lists_sig)).status == "sat"
+    assert len(built) == 2
 
 
 # -- backtrackable congruence closure ---------------------------------------------

@@ -91,23 +91,24 @@ def test_against_brute_force(cons):
         assert all(_holds(c, got) for c in cons), (cons, got)
 
 
-# -- extending a solved system by one row ------------------------------------------
+# -- a push/pop system ------------------------------------------------------------
 
-def test_extend_leaves_difference_logic():
+def test_added_row_leaves_difference_logic():
     # a = b + c is eliminated by substituting a, so a - d <= 0 becomes
-    # b + c - d <= 0 and branch-and-bound decides the extended system
+    # b + c - d <= 0 and branch-and-bound decides the larger system
     base = [lia.con("eq", {"a": 1, "b": -1, "c": -1}, 0),
             lia.con("le", {"b": 1, "c": -1}, 1)]
     s = lia.System(base)
     parent = s.model()
     assert not s.general
     row = lia.con("le", {"a": 1, "d": -1}, 0)
-    s.extend(row)
+    s.push()
+    s.add(row)
     assert s.general
     model = s.model()
     assert model == lia.solve(base + [row])
     assert all(_holds(c, model) for c in base + [row])
-    s.retract()
+    s.pop()
     assert not s.general
     assert s.model() == parent
 
@@ -116,8 +117,9 @@ EXT_VARS = ["v0", "v1", "v2", "v3"]
 
 
 @st.composite
-def ext_rows(draw, op="le", names=EXT_VARS + ["w"]):
+def ext_rows(draw, op=None, names=EXT_VARS + ["w"]):
     """Mostly difference rows; w never occurs in a base system."""
+    op = op or draw(st.sampled_from(["le", "le", "eq"]))
     vs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
     if draw(st.booleans()):
         signs = [1, -1] if len(vs) > 1 else [draw(st.sampled_from([1, -1]))]
@@ -129,7 +131,7 @@ def ext_rows(draw, op="le", names=EXT_VARS + ["w"]):
 
 @st.composite
 def ext_bases(draw):
-    rows = draw(st.lists(ext_rows(names=EXT_VARS), max_size=5))
+    rows = draw(st.lists(ext_rows(op="le", names=EXT_VARS), max_size=5))
     eqs = draw(st.lists(ext_rows(op="eq", names=EXT_VARS), max_size=2))
     return rows + eqs
 
@@ -145,23 +147,114 @@ def ext_bases(draw):
 @example([lia.con("le", {"x": 1, "y": -1}, 0), lia.con("le", {"x": -1}, 2)],
          [lia.con("le", {"w": 1, "x": -1}, 3), lia.con("le", {"x": 1, "w": -1}, -2),
           None, None])
-def test_extend_retract_match_from_scratch(base, steps):
-    """After every extend or retract (None) the model equals a from-scratch
-    solve of the current rows, and a retract restores the parent's model."""
+def test_push_add_pop_match_from_scratch(base, steps):
+    """After every push-and-add or pop (None) the model equals a from-scratch
+    solve of the current rows, and a pop restores the parent's model."""
     s = lia.System(base)
     applied, before = [], []
     for step in steps:
         if step is None:
             if not applied:
                 continue
-            s.retract()
+            s.pop()
             applied.pop()
             assert s.model() == before.pop()
         else:
             before.append(s.model())
-            s.extend(step)
+            s.push()
+            s.add(step)
             applied.append(step)
         model = s.model()
         assert model == lia.solve(base + applied), (base, applied)
         if model is not None:
             assert all(_holds(c, model) for c in base + applied)
+
+
+def feasible_in_box(cons, bound):
+    """Brute force: some integer point with every coordinate in
+    [-bound, bound] satisfies every row.  Each row is checked as soon as its
+    last variable has a value."""
+    vars_ = sorted({v for c in cons for v, _ in c.coeffs})
+    due = [[] for _ in vars_]
+    for c in cons:
+        if not c.coeffs:
+            if not _holds(c, {}):
+                return False
+            continue
+        due[max(vars_.index(v) for v, _ in c.coeffs)].append(c)
+
+    def extend(i, env):
+        if i == len(vars_):
+            return True
+        for x in range(-bound, bound + 1):
+            env[vars_[i]] = x
+            if all(_holds(c, env) for c in due[i]) and extend(i + 1, env):
+                return True
+        del env[vars_[i]]
+        return False
+
+    return extend(0, {})
+
+
+BOX = 6
+# the rows of corpus-1909 in the order the backend adds them
+CORPUS_1909 = [
+    lia.con("le", {"t7": -1}, 0),
+    lia.con("eq", {"t7": 1, "t8": -3}, -2),
+    lia.con("le", {"t8": -1}, 0),
+    lia.con("le", {"t10": -1}, 0),
+    lia.con("eq", {"t10": 1, "t11": -3}, -2),
+    lia.con("le", {"t11": -1}, 0),
+    lia.con("eq", {"t12": 1, "t10": -1, "t7": -1}, -1),
+    lia.con("le", {"t12": -1}, 3),
+    lia.con("eq", {"t12": 1, "t18": -3}, -2),
+    lia.con("le", {"t18": -1}, 0),
+]
+
+
+@given(st.lists(st.one_of(st.none(), ext_rows(names=EXT_VARS[:3])), max_size=10))
+@example(CORPUS_1909 + [None] * 4)
+# no unit coefficient: the Omega step eliminates through a fresh variable
+@example([lia.con("eq", {"v0": 3, "v1": 5}, -7), lia.con("le", {"v0": 1}, -2),
+          None, lia.con("eq", {"v1": 2, "v2": -3}, 1), None, None])
+def test_push_add_pop_against_brute_force(steps):
+    """Every variable is boxed at the bottom of the stack, so feasibility
+    must equal brute force over the box; every model satisfies every row in
+    scope, and every pop restores the model from before its push."""
+    names = sorted({v for step in steps if step is not None for v, _ in step.coeffs})
+    box = [lia.con("le", {v: sign}, -BOX) for v in names for sign in (1, -1)]
+    s = lia.System(box)
+    applied, before = [], []
+    for step in steps:
+        if step is None:
+            if not applied:
+                continue
+            s.pop()
+            applied.pop()
+            assert s.model() == before.pop()
+        else:
+            before.append(s.model())
+            s.push()
+            s.add(step)
+            applied.append(step)
+        model = s.model()
+        assert (model is not None) == feasible_in_box(applied, BOX), applied
+        if model is not None:
+            assert all(_holds(c, model) for c in box + applied), (applied, model)
+
+
+def test_replaced_row_leaves_the_live_set():
+    """In corpus-1909 the eighth row leaves `-t11 - t8 <= 0` over live
+    variables, which is no difference constraint; the ninth eliminates t11,
+    and the replaced row's copy `-t18 + 1 <= 0` is one, so branch-and-bound
+    is no longer needed."""
+    s = lia.System(CORPUS_1909[:8])
+    assert s.general
+    assert lia.con("le", {"t11": -1, "t8": -1}, 0) in s.rows
+    s.add(CORPUS_1909[8])
+    assert lia.con("le", {"t18": -1}, 1) in s.rows
+    assert lia.con("le", {"t11": -1, "t8": -1}, 0) not in s.rows
+    s.add(CORPUS_1909[9])
+    assert not s.general
+    model = s.model()
+    assert all(_holds(c, model) for c in CORPUS_1909)
