@@ -541,13 +541,9 @@ def smtlib_declarations(table: SymbolTable) -> list[str]:
     return lines
 
 
-def emit_smtlib(reduct: ReducedFormula, *, get_model: bool = True,
-                logic: str = "QF_UFLIA") -> str:
-    lines = [f"(set-logic {logic})", *smtlib_declarations(reduct.table)]
-    lines.append(f"(assert {rformula_text(reduct.formula)})")
-    lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
+def emit_smtlib(reduct: ReducedFormula) -> str:
+    lines = ["(set-logic QF_UFLIA)", *smtlib_declarations(reduct.table),
+             f"(assert {rformula_text(reduct.formula)})", "(check-sat)", "(get-model)"]
     return "\n".join(lines) + "\n"
 
 

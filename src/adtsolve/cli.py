@@ -35,9 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # shared flags; each subcommand takes only the ones it reads
     flags = {
-        "--backend": dict(choices=["builtin", "external"], default="builtin"),
         "--external-cmd": dict(default=None,
-                               help="command line of an SMT-LIB solver on stdio"),
+                               help="command line of an SMT-LIB solver on stdio "
+                                    "(default: $ADTSOLVE_EXTERNAL_CMD)"),
         "--fuel": dict(type=int, default=100),
         "--no-opt": dict(action="store_true",
                          help="disable the guarded-selector and enumeration optimizations"),
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="decide a script")
     sp.add_argument("file")
-    add(sp, "--backend", "--external-cmd", "--fuel", "--no-opt", "--stats")
+    add(sp, "--external-cmd", "--fuel", "--no-opt", "--stats")
 
     sp = sub.add_parser("analyze", help="print signature analyses")
     sp.add_argument("file")
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file_b")
     sp.add_argument("--dialect", choices=["smtinterpol", "cvc5"],
                     default="smtinterpol")
-    add(sp, "--backend", "--external-cmd", "--fuel", "--no-opt")
+    add(sp, "--external-cmd", "--fuel", "--no-opt")
 
     sp = sub.add_parser("corpus", help="run the seeded random agreement suite")
     sp.add_argument("--count", type=int, default=100)
@@ -79,13 +79,9 @@ def _opts(args) -> ReduceOptions:
 
 
 def _external(args) -> str | None:
-    if args.backend == "external" or args.external_cmd:
-        cmd = args.external_cmd or os.environ.get("ADTSOLVE_EXTERNAL_CMD")
-        if not cmd:
-            raise SpawnError("--backend external requires --external-cmd or "
-                             "ADTSOLVE_EXTERNAL_CMD")
-        return cmd
-    return None
+    """The external solver's command line: --external-cmd, else the
+    environment variable; None selects the built-in backend."""
+    return args.external_cmd or os.environ.get("ADTSOLVE_EXTERNAL_CMD") or None
 
 
 def _load(path: str):
@@ -123,11 +119,8 @@ def cmd_analyze(args, out) -> int:
         image = size_image(sig, sort)
         print(f"{sort}: cardinality {card}", file=out)
         print(f"{sort}: size image {image.describe()}", file=out)
-        witness = report.witness(sort)
-        if witness is None:
-            print(f"{sort}: expanding", file=out)
-        else:
-            print(f"{sort}: non-expanding (cycle: {' -> '.join(witness)})", file=out)
+        print(f"{sort}: expanding" if report.is_expanding(sort)
+              else report.cycle_line(sort), file=out)
     print(completeness_report(sig), file=out)
     return 0
 

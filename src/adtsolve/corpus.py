@@ -138,7 +138,7 @@ def random_formula(rng: random.Random, sig: Signature,
             eq = Eq(v, ground_term(v.sort, 3))
             return eq if rng.random() < 0.6 else Not(eq)
         t = term_over(v, rng.randint(1, cfg.depth))
-        sort = _term_sort(sig, t)
+        sort = sig.term_sort(t)
         other = rng.choice([w for w in vars_ if w.sort == sort] or [None])
         if other is None:
             return Eq(t, ground_term(sort, 2))
@@ -155,14 +155,6 @@ def random_formula(rng: random.Random, sig: Signature,
         return Not(tree(d - 1))
 
     return tree(rng.randint(1, 2))
-
-
-def _term_sort(sig: Signature, t: Term) -> str:
-    if isinstance(t, Var):
-        return t.sort
-    if isinstance(t, Ctor):
-        return sig.ctor(t.ctor).sort
-    return sig.ctor(t.ctor).args[t.index][1]
 
 
 # -- bounded enumeration oracle ----------------------------------------------------------

@@ -9,7 +9,8 @@ reduces each partition of the final state against one shared symbol table
 functions map to the term-size operator, where depth functions would have no
 ADT counterpart).  The two reducts go to an external interpolating solver
 through `backend.run_solver`, with the declarations of `emit_smtlib`.  The
-EUF+LIA interpolant it returns is translated back to the ADT vocabulary and
+EUF+LIA interpolant it returns is read by the script parser over the
+reduct's integer vocabulary, translated back to the ADT vocabulary and
 verified against both implications before being returned; a backend
 interpolant that fails verification is a protocol error.
 """
@@ -21,21 +22,22 @@ from typing import Callable, NamedTuple
 
 from .backend import rformula_text, run_solver, smtlib_declarations
 from .errors import (
-    BackendUnsupportedError, InternalError, ProtocolError, UntranslatableError,
+    BackendUnsupportedError, InputError, InternalError, ProtocolError,
+    UnknownSymbolError, UntranslatableError,
 )
 from .normalize import flatten, to_nnf
-from .parser import SExpr, read_sexprs
+from .parser import INT_SORT, parse_formula, read_sexprs
 from .reduce import (
     RAnd, RApp, RConst, REq, RFormula, RLin, RNot, ROr, RTRUE, RFALSE, RTerm,
     RTrueF, RFalseF, RVar, ReduceOptions, ReducedFormula, SymbolTable, SIZE_MODE,
-    lin, rand, reduce_partitions, ror,
+    linear_atom, reduce_partitions, req, rne, rand, ror,
 )
 from .signature import Signature, ensure_valid
 from .sizesolve import DEFAULT_FUEL, decide, make_state, run_loop
 from .terms import (
-    AdtModel, And, Ctor, Eq, Formula, IntAdd, IntApp, IntConst, IntExpr, IntMul,
-    IntVar, Not, Sel, SizeAtom, SizeOf, Term, TRUE, FALSE, Tester, Var, conj,
-    disj, free_vars,
+    AdtModel, And, Ctor, Eq, FalseF, Formula, IntAdd, IntApp, IntConst, IntExpr,
+    IntMul, IntVar, Not, Or, Sel, SizeAtom, SizeOf, Term, TRUE, FALSE, Tester,
+    TrueF, Var, conj, disj, free_vars,
 )
 
 
@@ -147,156 +149,48 @@ def _query_interpolant(part_a: ReducedFormula, part_b: ReducedFormula,
 
 # -- parsing reduced-vocabulary formulas ---------------------------------------------------
 
-_CMP_OPS = {"<=", "<", ">=", ">"}
-
-
 def parse_reduced(text: str, table: SymbolTable) -> RFormula:
-    """Parse an SMT-LIB Boolean term over the reduced vocabulary."""
-    exprs = read_sexprs(text)
-    if len(exprs) != 1:
-        raise ProtocolError("expected a single interpolant term", raw=text)
-    return _parse_rformula(exprs[0], table, {})
+    """Parse an SMT-LIB Boolean term over the reduced vocabulary, in which
+    every table constant is an Int constant and every table function an
+    Int-valued uninterpreted function.  Reader errors are untranslatable."""
+    int_vars = dict.fromkeys(table.int_vars, INT_SORT)
+    ufuns = {name: ((INT_SORT,) * arity, INT_SORT)
+             for name, (arity, _) in table.funs.items()}
+    try:
+        phi = parse_formula(text, Signature((), ()), int_vars, ufuns)
+    except (InputError, UnknownSymbolError) as e:
+        raise UntranslatableError(str(e), raw=text) from e
+    return _reduced(to_nnf(phi))
 
 
-def _parse_rformula(e: SExpr, table: SymbolTable, lets: dict[str, SExpr]) -> RFormula:
-    if e.is_atom:
-        if e.value in lets:
-            return _parse_rformula(lets[e.value], table, lets)
-        if e.value == "true":
-            return RTRUE
-        if e.value == "false":
-            return RFALSE
-        raise UntranslatableError(f"unexpected atom {e.value!r}", raw=str(e))
-    head = e.items[0].value if e.items and e.items[0].is_atom else None
-    if head == "let":
-        new_lets = dict(lets)
-        for binding in e.items[1].items:
-            new_lets[binding.items[0].value] = _substitute_lets(binding.items[1], lets)
-        return _parse_rformula(e.items[2], table, new_lets)
-    if head == "and":
-        return rand([_parse_rformula(x, table, lets) for x in e.items[1:]])
-    if head == "or":
-        return ror([_parse_rformula(x, table, lets) for x in e.items[1:]])
-    if head == "not":
-        return _negate_r(_parse_rformula(e.items[1], table, lets))
-    if head == "=>":
-        parts = [_parse_rformula(x, table, lets) for x in e.items[1:]]
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = ror([_negate_r(p), out])
-        return out
-    if head in ("=", "distinct"):
-        sides = [_parse_rterm_or_linear(x, table, lets) for x in e.items[1:]]
-        pairs = list(zip(sides, sides[1:])) if head == "=" else [
-            (a, b) for i, a in enumerate(sides) for b in sides[i + 1:]]
-        out = []
-        for a, b in pairs:
-            if isinstance(a, tuple) or isinstance(b, tuple):
-                (la, ca), (lb, cb) = _as_linear(a), _as_linear(b)
-                terms = list(la) + [(-c, t) for c, t in lb]
-                out.append(lin("eq" if head == "=" else "ne", terms, ca - cb))
-            else:
-                out.append(REq(a, b) if head == "=" else RNot(REq(a, b)))
-        return rand(out)
-    if head in _CMP_OPS:
-        sides = [_as_linear(_parse_rterm_or_linear(x, table, lets)) for x in e.items[1:]]
-        atoms = []
-        for (la, ca), (lb, cb) in zip(sides, sides[1:]):
-            terms = list(la) + [(-c, t) for c, t in lb]
-            const = ca - cb
-            if head == "<=":
-                atoms.append(lin("le", terms, const))
-            elif head == "<":
-                atoms.append(lin("le", terms, const + 1))
-            elif head == ">=":
-                atoms.append(lin("le", [(-c, t) for c, t in terms], -const))
-            else:
-                atoms.append(lin("le", [(-c, t) for c, t in terms], -const + 1))
-        return rand(atoms)
-    raise UntranslatableError(f"unsupported interpolant construct {head!r}", raw=str(e))
+_PLAIN = (IntConst, IntVar, IntApp)
 
 
-def _negate_r(f: RFormula) -> RFormula:
-    if isinstance(f, RTrueF):
-        return RFALSE
-    if isinstance(f, RFalseF):
+def _reduced(f: Formula) -> RFormula:
+    """An NNF formula over the reduced vocabulary as a reduced formula; an
+    equation between plain terms stays an equation, for `back_translate`."""
+    if isinstance(f, And):
+        return rand([_reduced(a) for a in f.args])
+    if isinstance(f, Or):
+        return ror([_reduced(a) for a in f.args])
+    if isinstance(f, TrueF):
         return RTRUE
-    if isinstance(f, REq):
-        return RNot(f)
-    if isinstance(f, RNot):
-        return f.arg
-    if isinstance(f, RLin):
-        if f.op == "eq":
-            return RLin("ne", f.terms, f.const)
-        if f.op == "ne":
-            return RLin("eq", f.terms, f.const)
-        # not(sum + c <= 0)  ==  -sum - c + 1 <= 0
-        return RLin("le", tuple((-c, t) for c, t in f.terms), -f.const + 1)
-    if isinstance(f, RAnd):
-        return ror([_negate_r(a) for a in f.args])
-    if isinstance(f, ROr):
-        return rand([_negate_r(a) for a in f.args])
-    raise InternalError(f"cannot negate {f}")
+    if isinstance(f, FalseF):
+        return RFALSE
+    # over an empty signature every literal is an integer comparison
+    if f.op in ("eq", "ne") and isinstance(f.lhs, _PLAIN) and isinstance(f.rhs, _PLAIN):
+        return (req if f.op == "eq" else rne)(_rterm(f.lhs), _rterm(f.rhs))
+    return linear_atom(f, _rterm)
 
 
-def _substitute_lets(e: SExpr, lets: dict[str, SExpr]) -> SExpr:
-    if e.is_atom:
-        return lets.get(e.value, e)
-    return SExpr(e.line, e.col,
-                 items=tuple(_substitute_lets(x, lets) for x in e.items))
-
-
-def _parse_rterm_or_linear(e: SExpr, table: SymbolTable, lets: dict[str, SExpr]):
-    """Returns an RTerm, or (terms, const) for compound linear expressions."""
-    if e.is_atom:
-        if e.value in lets:
-            return _parse_rterm_or_linear(lets[e.value], table, lets)
-        v = e.value
-        if v.isdigit() or (v.startswith("-") and v[1:].isdigit()):
-            return RConst(int(v))
-        if v in table.funs and table.funs[v][0] == 0:
-            return RApp(v, ())  # nullary constructor function
-        return RVar(v)
-    head = e.items[0].value if e.items[0].is_atom else None
-    if head == "-" and len(e.items) == 2:
-        inner = _as_linear(_parse_rterm_or_linear(e.items[1], table, lets))
-        return tuple([tuple((-c, t) for c, t in inner[0]), -inner[1]])
-    if head in ("+", "-"):
-        sides = [_as_linear(_parse_rterm_or_linear(x, table, lets)) for x in e.items[1:]]
-        terms: list[tuple[int, RTerm]] = list(sides[0][0])
-        const = sides[0][1]
-        for lt, lc in sides[1:]:
-            sign = 1 if head == "+" else -1
-            terms.extend((sign * c, t) for c, t in lt)
-            const += sign * lc
-        return tuple([tuple(terms), const])
-    if head == "*":
-        sides = [_parse_rterm_or_linear(x, table, lets) for x in e.items[1:]]
-        consts = [s for s in sides if isinstance(s, RConst)]
-        if len(consts) != 1 or len(sides) != 2:
-            raise UntranslatableError("nonlinear interpolant term", raw=str(e))
-        other = sides[0] if sides[1] is consts[0] else sides[1]
-        lt, lc = _as_linear(other)
-        k = consts[0].value
-        return tuple([tuple((k * c, t) for c, t in lt), k * lc])
-    if head is not None and head in table.funs:
-        args = []
-        for x in e.items[1:]:
-            sub = _parse_rterm_or_linear(x, table, lets)
-            if isinstance(sub, tuple):
-                raise UntranslatableError("compound argument to uninterpreted "
-                                          "function", raw=str(e))
-            args.append(sub)
-        return RApp(head, tuple(args))
-    raise UntranslatableError(f"unsupported term {e}", raw=str(e))
-
-
-def _as_linear(x) -> tuple[tuple[tuple[int, RTerm], ...], int]:
-    if isinstance(x, tuple):
-        return x
-    if isinstance(x, RConst):
-        return ((), x.value)
-    return (((1, x),), 0)
+def _rterm(e: IntExpr) -> RTerm:
+    if isinstance(e, IntConst):
+        return RConst(e.value)
+    if isinstance(e, IntVar):
+        return RVar(e.name)
+    if isinstance(e, IntApp):
+        return RApp(e.fn, tuple(_rterm(a) for a in e.args))
+    raise UntranslatableError("compound argument to uninterpreted function")
 
 
 # -- back-translation -------------------------------------------------------------------------

@@ -36,14 +36,10 @@ def satisfied_branch_literals(reduct: ReducedFormula, model: IntModel) -> list[F
     """Flat literals of the disjunctive branch the model satisfies, resolved
     through the literal map the reducer recorded."""
     out: list[Formula] = []
-    opts = reduct.opts
 
     def lookup(lit: Formula, guards: frozenset[str]) -> object:
-        guarded = (opts.guarded_opt and isinstance(lit, Eq)
-                   and isinstance(lit.lhs, Sel) and isinstance(lit.lhs.arg, Var)
-                   and lit.lhs.arg.name in guards)
         try:
-            return reduct.literal_map[(lit, guarded)]
+            return reduct.literal_map[(lit, reduct.opts.guarded(lit, guards))]
         except KeyError as e:
             raise InternalError(f"literal missing from reduction map: {lit}") from e
 

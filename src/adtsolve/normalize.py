@@ -97,13 +97,6 @@ class _Flattener:
                 self.used_names.add(name)
                 return name
 
-    def term_sort(self, t: Term) -> str:
-        if isinstance(t, Var):
-            return t.sort
-        if isinstance(t, Ctor):
-            return self.sig.ctor(t.ctor).sort
-        return self.sig.ctor(t.ctor).args[t.index][1]
-
     def name_term(self, t: Term, defs: list[Formula]) -> Var:
         """Reduce an arbitrary term to a variable.  Names are hash-consed
         across the whole formula, but the defining equation is attached to
@@ -117,9 +110,9 @@ class _Flattener:
         else:
             app = Sel(t.ctor, t.index, self.name_term(t.arg, defs))
         if t in self.named:
-            v = Var(self.named[t], self.term_sort(t))
+            v = Var(self.named[t], self.sig.term_sort(t))
         else:
-            v = Var(self.fresh(), self.term_sort(t))
+            v = Var(self.fresh(), self.sig.term_sort(t))
             self.named[t] = v.name
             self.registry[v.name] = t
             self.var_sorts[v.name] = v.sort

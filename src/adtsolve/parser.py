@@ -2,9 +2,11 @@
 
 Supported commands: declare-datatypes (non-parametric), declare-const,
 declare-fun, assert, check-sat, get-model, set-logic / set-info / set-option
-(ignored), exit.  Testers are written `(_ is f)`, the term-size operator is
-the reserved unary symbol `adt.size`.  Uninterpreted integer functions are
-accepted so that emitted reducts re-parse.
+(ignored), exit.  Terms may use `let` (parallel binding).  Testers are
+written `(_ is f)`, the term-size operator is the reserved unary symbol
+`adt.size`.  Uninterpreted integer functions are accepted so that emitted
+reducts re-parse, and interpolants over a reduct's vocabulary are read with
+the same parser (`interp.parse_reduced`).
 """
 
 from __future__ import annotations
@@ -196,6 +198,7 @@ class _FormulaParser:
         self.sig = sig
         self.var_sorts = var_sorts
         self.ufuns = ufuns
+        self.lets: dict[str, tuple] = {}  # let-bound name -> (node, sort)
 
     # every parse method returns (node, sort) where sort is a sort name,
     # 'Int', or 'Bool'
@@ -226,6 +229,8 @@ class _FormulaParser:
 
     def parse_atom(self, e: SExpr):
         v = e.value
+        if v in self.lets:
+            return self.lets[v]
         if v == "true":
             return TRUE, "Bool"
         if v == "false":
@@ -258,8 +263,31 @@ class _FormulaParser:
             raise TypeCheckError(str(e), "Bool", sort, e.line, e.col)
         return node
 
+    def parse_let(self, e: SExpr):
+        """(let ((n1 t1) ... (nk tk)) body): a parallel binding, so every ti
+        is parsed in the enclosing scope; the names shadow declared symbols."""
+        if len(e.items) != 3 or not e.items[1].items:
+            raise InputError("let takes a non-empty binding list and a body",
+                             e.line, e.col)
+        bound: dict[str, tuple] = {}
+        for b in e.items[1].items:
+            if b.items is None or len(b.items) != 2 or not b.items[0].is_atom:
+                raise InputError("expected (name term) let binding", b.line, b.col)
+            name = b.items[0].value
+            if name in bound:
+                raise InputError(f"duplicate let binding {name!r}", b.line, b.col)
+            bound[name] = self.parse_expr(b.items[1])
+        outer = self.lets
+        self.lets = {**outer, **bound}
+        try:
+            return self.parse_expr(e.items[2])
+        finally:
+            self.lets = outer
+
     def parse_app(self, op: str, e: SExpr):
         args = e.items[1:]
+        if op == "let":
+            return self.parse_let(e)
         if op in ("and", "or"):
             parts = tuple(self.parse_bool(a) for a in args)
             return (And(parts) if op == "and" else Or(parts)), "Bool"
@@ -395,9 +423,12 @@ def parse_script(text: str) -> Script:
     return Script(sig, builder.var_sorts, builder.ufuns, asserts, builder.commands)
 
 
-def parse_formula(text: str, sig: Signature, var_sorts: dict[str, str]) -> Formula:
-    """Parse a single formula against an existing signature (used by tests)."""
+def parse_formula(text: str, sig: Signature, var_sorts: dict[str, str],
+                  ufuns: dict[str, tuple[tuple[str, ...], str]] | None = None) -> Formula:
+    """Parse a single formula over a signature, declared constants
+    (`var_sorts`) and uninterpreted integer functions (`ufuns`, shaped like
+    `Script.ufuns`)."""
     exprs = read_sexprs(text)
     if len(exprs) != 1:
         raise InputError("expected exactly one expression")
-    return _FormulaParser(sig, var_sorts, {}).parse_bool(exprs[0])
+    return _FormulaParser(sig, var_sorts, ufuns or {}).parse_bool(exprs[0])

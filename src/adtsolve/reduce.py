@@ -17,7 +17,7 @@ of the original reduct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import InternalError, ModeMismatchError
 from .normalize import FlatFormula
@@ -200,6 +200,39 @@ def iter_literals(f: RFormula) -> Iterator[RFormula]:
         yield f
 
 
+# (reduced op, constant shift) of each comparison; ge and gt also negate
+_LINEAR_OPS = {"eq": ("eq", 0), "ne": ("ne", 0), "le": ("le", 0), "lt": ("le", 1),
+               "ge": ("le", 0), "gt": ("le", 1)}
+
+
+def linear_atom(atom: SizeAtom, leaf: Callable[[IntExpr], RTerm]) -> RFormula:
+    """A comparison of two integer expressions as a normalized linear atom:
+    constants, sums and constant multiples are folded, and `leaf` maps every
+    other operand (a variable or an application) to its reduced term."""
+    pairs: list[tuple[int, RTerm]] = []
+    const = 0
+
+    def walk(e: IntExpr, mult: int):
+        nonlocal const
+        if isinstance(e, IntConst):
+            const += mult * e.value
+        elif isinstance(e, IntAdd):
+            for a in e.args:
+                walk(a, mult)
+        elif isinstance(e, IntMul):
+            walk(e.arg, mult * e.coeff)
+        else:
+            pairs.append((mult, leaf(e)))
+
+    walk(atom.lhs, 1)
+    walk(atom.rhs, -1)
+    op, shift = _LINEAR_OPS[atom.op]
+    if atom.op in ("ge", "gt"):
+        pairs = [(-c, t) for c, t in pairs]
+        const = -const
+    return lin(op, pairs, const + shift)
+
+
 # -- symbol table ----------------------------------------------------------------
 
 @dataclass
@@ -283,6 +316,13 @@ class ReduceOptions:
     @staticmethod
     def none() -> "ReduceOptions":
         return ReduceOptions(False, False)
+
+    def guarded(self, lit: Formula, guards: frozenset[str]) -> bool:
+        """Whether rule (2') applies to this literal in this context: a
+        selector equation over a variable in `guards`."""
+        return (self.guarded_opt and isinstance(lit, Eq)
+                and isinstance(lit.lhs, Sel) and isinstance(lit.lhs.arg, Var)
+                and lit.lhs.arg.name in guards)
 
 
 @dataclass
@@ -404,20 +444,15 @@ class Reducer:
     # -- literal reduction ----------------------------------------------------------
 
     def reduce_literal(self, lit: Formula, guards: frozenset[str]) -> RFormula:
-        key = (lit, self._effective_guarded(lit, guards))
+        guarded = self.opts.guarded(lit, guards)
+        key = (lit, guarded)
         if key in self.memo:
             return self.memo[key]
-        out = self._reduce_literal(lit, guards)
+        out = self._reduce_literal(lit, guarded)
         self.memo[key] = out
         return out
 
-    def _effective_guarded(self, lit: Formula, guards: frozenset[str]) -> bool:
-        """Whether rule (2') applies to this literal in this context."""
-        return (self.opts.guarded_opt and isinstance(lit, Eq)
-                and isinstance(lit.lhs, Sel) and isinstance(lit.lhs.arg, Var)
-                and lit.lhs.arg.name in guards)
-
-    def _reduce_literal(self, lit: Formula, guards: frozenset[str]) -> RFormula:
+    def _reduce_literal(self, lit: Formula, guarded: bool) -> RFormula:
         if isinstance(lit, Eq):
             lhs, rhs = lit.lhs, lit.rhs
             assert isinstance(rhs, Var), "flat form violated"
@@ -430,7 +465,7 @@ class Reducer:
             assert isinstance(lhs, Sel)
             x = self.xvar(lhs.arg)
             sel_eq = req(RApp(self.table.sel_fun(lhs.ctor, lhs.index), (x,)), x0)
-            if self.opts.guarded_opt and lhs.arg.name in guards:
+            if guarded:
                 return sel_eq  # rule (2')
             sort0 = self.sig.ctor(lhs.ctor).sort
             cases = [self.ex_ctor_spec(g.name, x) for g in self.sig.ctors_of(sort0)]
@@ -469,38 +504,19 @@ class Reducer:
                 req(sz, y),
                 self.member_of(y, size_image(self.sig, x.sort)),  # rule (7)
             ])
-        # pure arithmetic atom
-        pairs: list[tuple[int, RTerm]] = []
-        const = [0]
+        return linear_atom(atom, self._int_leaf)
 
-        def walk(e: IntExpr, mult: int):
-            if isinstance(e, IntConst):
-                const[0] += mult * e.value
-            elif isinstance(e, IntVar):
-                pairs.append((mult, self.table.int_var(e.name)))
-            elif isinstance(e, IntAdd):
-                for a in e.args:
-                    walk(a, mult)
-            elif isinstance(e, IntMul):
-                walk(e.arg, mult * e.coeff)
-            elif isinstance(e, IntApp):
-                args = tuple(self._int_term(a) for a in e.args)
-                pairs.append((mult, RApp(self.table.uf(e.fn, len(args)), args)))
-            elif isinstance(e, SizeOf):
-                if self.mode != SIZE_MODE:
-                    raise ModeMismatchError("size atom in depth-mode reduction")
-                raise InternalError("size-of outside a definition literal; flatten first")
-            else:
-                raise InternalError(f"unexpected int expr {e}")
-
-        walk(atom.lhs, 1)
-        walk(atom.rhs, -1)
-        op = {"eq": ("eq", 0), "ne": ("ne", 0), "le": ("le", 0), "lt": ("le", 1),
-              "ge": ("le", 0), "gt": ("le", 1)}[atom.op]
-        if atom.op in ("ge", "gt"):
-            pairs = [(-c, t) for c, t in pairs]
-            const[0] = -const[0]
-        return lin(op[0], pairs, const[0] + op[1])
+    def _int_leaf(self, e: IntExpr) -> RTerm:
+        if isinstance(e, IntVar):
+            return self.table.int_var(e.name)
+        if isinstance(e, IntApp):
+            args = tuple(self._int_term(a) for a in e.args)
+            return RApp(self.table.uf(e.fn, len(args)), args)
+        if isinstance(e, SizeOf):
+            if self.mode != SIZE_MODE:
+                raise ModeMismatchError("size atom in depth-mode reduction")
+            raise InternalError("size-of outside a definition literal; flatten first")
+        raise InternalError(f"unexpected int expr {e}")
 
     def _int_term(self, e: IntExpr) -> RTerm:
         if isinstance(e, IntConst):

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
 from .semilinear import EventuallyPeriodicSet
-from .terms import Ctor, Term
+from .terms import Ctor, Term, Var
 
 DEFAULT_COUNT_CAP = 2000
 DEFAULT_ENUM_CAP = 2_000_000
@@ -85,6 +85,13 @@ class Signature:
     def selector_name(self, ctor: str, index: int) -> str:
         c = self.ctor(ctor)
         return c.args[index][0]
+
+    def term_sort(self, t: Term) -> str:
+        if isinstance(t, Var):
+            return t.sort
+        if isinstance(t, Ctor):
+            return self.ctor(t.ctor).sort
+        return self.ctor(t.ctor).args[t.index][1]
 
     def is_enum(self, sort: str) -> bool:
         cs = self.ctors_of(sort)
@@ -531,6 +538,10 @@ class ExpandingReport:
 
     def is_expanding(self, sort: str) -> bool:
         return self.witness(sort) is None
+
+    def cycle_line(self, sort: str) -> str:
+        """The report line of a non-expanding sort, naming its cycle."""
+        return f"{sort}: non-expanding (cycle: {' -> '.join(self.witness(sort))})"
 
     @property
     def all_expanding(self) -> bool:

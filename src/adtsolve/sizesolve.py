@@ -282,9 +282,7 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
         if rounds >= state.fuel:
             report = check_expanding(sig)
             lines = ["fuel exhausted before the unfolding loop converged"]
-            for s in report.non_expanding_sorts:
-                cycle = " -> ".join(report.witness(s))
-                lines.append(f"{s}: non-expanding (cycle: {cycle})")
+            lines += [report.cycle_line(s) for s in report.non_expanding_sorts]
             if report.all_expanding:
                 lines.append("all sorts expanding: raise the fuel limit to decide")
             return SizeSolveResult(
@@ -313,7 +311,5 @@ def completeness_report(sig: Signature) -> str:
         return ("decision procedure complete: all sorts expanding; "
                 "systematic unfolding terminates on every formula")
     lines = ["decision procedure incomplete: unknown verdicts are possible"]
-    for s in report.non_expanding_sorts:
-        cycle = " -> ".join(report.witness(s))
-        lines.append(f"{s}: non-expanding (cycle: {cycle})")
+    lines += [report.cycle_line(s) for s in report.non_expanding_sorts]
     return "\n".join(lines)

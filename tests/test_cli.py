@@ -44,6 +44,13 @@ def run(args):
     return code, out.getvalue()
 
 
+@pytest.fixture(autouse=True)
+def builtin_backend(monkeypatch):
+    # solve and interpolate run the solver ADTSOLVE_EXTERNAL_CMD names when
+    # no --external-cmd is given; tests that want one set it themselves
+    monkeypatch.delenv("ADTSOLVE_EXTERNAL_CMD", raising=False)
+
+
 @pytest.fixture
 def ex1_file(tmp_path):
     p = tmp_path / "ex1.smt2"
@@ -168,7 +175,7 @@ def test_seed_only_on_corpus(ex1_file, tmp_path):
 
 
 def test_flags_only_where_read(ex1_file, tmp_path):
-    # solve reads --backend --external-cmd --fuel --no-opt --stats, emit
+    # solve reads --external-cmd --fuel --no-opt --stats, emit
     # --no-opt --stats, interpolate all but --stats; the rest read none
     other = tmp_path / "b.smt2"
     other.write_text(EX1)
@@ -188,6 +195,23 @@ def test_input_error_exit_code(tmp_path):
     assert main(["solve", str(missing)]) == 2
 
 
+def test_let_script_is_decided():
+    code, out = run(["solve", os.path.join(INPUTS, "let.smt2")])
+    # the model is re-checked before it is printed; sequential bindings
+    # would make the script unsat
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "sat"
+    assert lines[1].startswith("(define-fun x () CList (cons")
+
+
+def test_malformed_let_exit_code(tmp_path, capsys):
+    p = tmp_path / "let.smt2"
+    p.write_text(LISTS + "(assert (let ((c red) c) (= y c)))")
+    assert main(["solve", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 NAT_INT = """
 (declare-datatypes ((Nat 0)) (((zero) (succ (pred Nat)))))
 (declare-const x Nat)
@@ -196,7 +220,7 @@ NAT_INT = """
 """
 LEAVES = ["x", "y", "n", "zero", "0", "1", "2", "-1", "true", "false"]
 HEADS = ["and", "or", "not", "=>", "=", "distinct", "+", "-", "*", "<=", "<",
-         ">=", ">", "(_ is succ)", "(_ is zero)", "pred", "succ", "adt.size"]
+         ">=", ">", "(_ is succ)", "(_ is zero)", "pred", "succ", "adt.size", "let"]
 
 
 def _app(head, args):
@@ -212,6 +236,7 @@ sexprs = st.recursive(
 @settings(max_examples=300)
 @given(sexprs)
 @example("(-)")
+@example("(let ((x zero) (n x)) (= x y))")
 def test_fuzz_solve_exits_0_or_2(tmp_path, body):
     # a verdict, or an input error for text the parser rejects; never a traceback
     text = NAT_INT + f"(assert {body})\n"
@@ -225,8 +250,7 @@ def test_fuzz_solve_exits_0_or_2(tmp_path, body):
 
 
 def test_backend_error_exit_code(ex1_file):
-    assert main(["solve", ex1_file, "--backend", "external",
-                 "--external-cmd", "/nonexistent/solver-xyz"]) == 3
+    assert main(["solve", ex1_file, "--external-cmd", "/nonexistent/solver-xyz"]) == 3
     # commands that cannot be started: unbalanced quotes, a non-executable file
     assert main(["solve", ex1_file, "--external-cmd", '"unterminated']) == 3
     assert main(["solve", ex1_file, "--external-cmd", ex1_file]) == 3
@@ -294,12 +318,27 @@ def test_corpus_deterministic():
 
 def test_external_backend_with_fake(ex1_file):
     cmd = f"{sys.executable} {os.path.join(FAKES, 'smt_unsat.py')}"
-    code, out = run(["solve", ex1_file, "--backend", "external",
-                     "--external-cmd", cmd])
+    code, out = run(["solve", ex1_file, "--external-cmd", cmd])
     assert code == 0
     assert out.strip() == "unsat"
 
 
-def test_external_backend_without_command_is_a_backend_error(ex1_file, monkeypatch):
-    monkeypatch.delenv("ADTSOLVE_EXTERNAL_CMD", raising=False)
-    assert main(["solve", ex1_file, "--backend", "external"]) == 3
+def test_external_command_from_environment(ex1_file, monkeypatch):
+    # the variable selects the external solver; --external-cmd overrides it
+    unsat = f"{sys.executable} {os.path.join(FAKES, 'smt_unsat.py')}"
+    monkeypatch.setenv("ADTSOLVE_EXTERNAL_CMD", unsat)
+    assert run(["solve", ex1_file]) == (0, "unsat\n")
+    code, out = run(["solve", ex1_file, "--external-cmd",
+                     f"{sys.executable} {os.path.join(FAKES, 'smt_unknown.py')}"])
+    assert (code, out.splitlines()[0]) == (0, "unknown")
+    # a set but empty variable selects nothing
+    monkeypatch.setenv("ADTSOLVE_EXTERNAL_CMD", "")
+    assert run(["solve", ex1_file])[1].splitlines()[0] == "sat"
+
+
+def test_interpolate_with_command_from_environment(monkeypatch):
+    monkeypatch.setenv("ADTSOLVE_EXTERNAL_CMD",
+                       f"{sys.executable} {os.path.join(FAKES, 'itp_smtinterpol.py')}")
+    code, out = run(["interpolate", os.path.join(INPUTS, "itp_a.smt2"),
+                     os.path.join(INPUTS, "itp_b.smt2")])
+    assert (code, out) == (0, "(not (= (head x) (head (tail x))))\n")

@@ -1,7 +1,9 @@
 import os
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adtsolve.errors import ProtocolError, UntranslatableError
 from adtsolve.interp import (
@@ -10,8 +12,11 @@ from adtsolve.interp import (
 )
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_formula
+from adtsolve.backend import IntModel, eval_reduced, rformula_text
+from adtsolve.corpus import GenConfig, random_formula, random_signature
 from adtsolve.reduce import (
-    RApp, RConst, REq, RLin, RNot, RVar, SymbolTable, reduce_partitions,
+    DEPTH_MODE, SIZE_MODE, RAnd, RApp, RConst, REq, RLin, RNot, ROr, RVar,
+    SymbolTable, reduce, reduce_partitions,
 )
 from adtsolve.semantics import print_formula
 from adtsolve.signature import CtorDecl, Signature
@@ -204,6 +209,74 @@ def test_parse_reduced_with_let(lists_sig):
     text = f"(let ((a ({hd} x))) (not (= a 0)))"
     out = parse_reduced(text, table)
     assert isinstance(out, (RLin, RNot))
+
+
+def test_parse_reduced_plain_equations_stay_equations(lists_sig):
+    # back_translate reads equations between plain terms as ADT equations
+    table = make_table(lists_sig)
+    hd, tl = table.sel_fun("cons", 0), table.sel_fun("cons", 1)
+    x = RVar("x")
+    assert parse_reduced(f"(not (= ({hd} x) ({hd} ({tl} x))))", table) == \
+        RNot(REq(RApp(hd, (x,)), RApp(hd, (RApp(tl, (x,)),))))
+    assert parse_reduced("(distinct x 1 y)", table) == RAnd((
+        RNot(REq(x, RConst(1))), RNot(REq(x, RVar("y"))), RNot(REq(RConst(1), RVar("y")))))
+    # anything else is linear
+    assert parse_reduced(f"(=> (< x 3) (= ({hd} x) (+ y 1)))", table) == ROr((
+        RLin("le", ((-1, x),), 3), RLin("eq", ((1, RApp(hd, (x,))), (-1, RVar("y"))), -1)))
+
+
+@pytest.mark.parametrize("text,symbol", [
+    ("(= x w)", "w"), ("w", "w"), ("(<= (depth_CList x) 4)", "depth_CList"),
+])
+def test_parse_reduced_symbol_outside_table(lists_sig, text, symbol):
+    with pytest.raises(UntranslatableError) as info:
+        parse_reduced(text, make_table(lists_sig))
+    assert repr(symbol) in str(info.value)
+    assert info.value.raw == text
+
+
+@pytest.mark.parametrize("text", [
+    "(and", "(let ((a x) a) true)", "(= (head (+ x 1)) y)", "(* x y)", "x y",
+])
+def test_parse_reduced_malformed_is_untranslatable(lists_sig, text):
+    with pytest.raises(UntranslatableError):
+        parse_reduced(text, make_table(lists_sig))
+
+
+def test_pipeline_interpolant_outside_table(lists_sig, monkeypatch):
+    import adtsolve.interp as interp_mod
+    monkeypatch.setattr(interp_mod, "_query_interpolant", lambda *args: "(= x w)")
+    out = interpolate(section_five_problem(lists_sig),
+                      InterpolatingBackend(_fake("itp_smtinterpol.py")))
+    assert out.kind == "untranslatable"
+    assert out.raw == "(= x w)"
+    assert "unknown symbol 'w'" in out.diagnosis
+
+
+class _RandomFunctions(IntModel):
+    """An integer model whose functions take a random value at each new
+    argument tuple, remembered for later applications."""
+
+    def __init__(self, rng, values):
+        super().__init__(values=values)
+        self.rng = rng
+
+    def app(self, fn, args):
+        return self.funcs.setdefault(fn, {}).setdefault(args, self.rng.randint(-2, 2))
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32), mode=st.sampled_from([DEPTH_MODE, SIZE_MODE]))
+def test_parse_reduced_round_trip(seed, mode):
+    # the printed reduct, read back, holds in exactly the same integer models
+    rng = random.Random(seed)
+    sig = random_signature(rng)
+    phi = random_formula(rng, sig, GenConfig(size_atoms=mode == SIZE_MODE))
+    r = reduce(flatten(to_nnf(phi), sig), sig, mode)
+    back = parse_reduced(rformula_text(r.formula), r.table)
+    for _ in range(8):
+        model = _RandomFunctions(rng, {v: rng.randint(-2, 2) for v in r.table.int_vars})
+        assert eval_reduced(back, model) == eval_reduced(r.formula, model)
 
 
 EXTERNAL_ITP = os.environ.get("ADTSOLVE_INTERPOLATOR_CMD")

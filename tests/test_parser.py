@@ -2,7 +2,9 @@ import pytest
 
 from adtsolve.errors import InputError, TypeCheckError, UnknownSymbolError
 from adtsolve.parser import parse_script
-from adtsolve.terms import Ctor, Eq, IntConst, Not, SizeAtom, SizeOf, Tester, Var
+from adtsolve.terms import (
+    And, Ctor, Eq, IntConst, Not, Sel, SizeAtom, SizeOf, Tester, Var,
+)
 
 LISTS = """
 (declare-datatypes ((Colour 0) (CList 0))
@@ -103,3 +105,33 @@ def test_declare_fun_roundtrip():
 def test_parametric_rejected():
     with pytest.raises(InputError):
         parse_script("(declare-datatypes ((L 1)) (((nil))))")
+
+
+def test_let_binds_in_parallel():
+    # x in the second binding is the declared x, not the first binding's value
+    script = parse_script(LISTS + "(assert (let ((x (head x)) (z x)) "
+                          "(and (= x red) ((_ is cons) z))))")
+    x = Var("x", "CList")
+    assert script.asserts == [And((Eq(Sel("cons", 0, x), Ctor("red")),
+                                   Tester("cons", x)))]
+
+
+def test_let_shadows_and_nests():
+    # the inner binding shadows the outer one; bodies may be Boolean
+    script = parse_script(LISTS + "(assert (let ((p (= y red))) "
+                          "(let ((y green) (q p)) (and q (= y y)))))")
+    assert script.asserts == [And((Eq(Var("y", "Colour"), Ctor("red")),
+                                   Eq(Ctor("green"), Ctor("green"))))]
+    # a binding is not visible outside its body
+    with pytest.raises(UnknownSymbolError):
+        parse_script(LISTS + "(assert (and (let ((c red)) (= y c)) (= y c)))")
+
+
+@pytest.mark.parametrize("body", [
+    "(let)", "(let ((c red)))", "(let c (= y c))", "(let () true)",
+    "(let ((c)) true)", "(let (((c) red)) true)", "(let ((c red) (c blue)) true)",
+    "(let ((c red)) (= y c) true)",
+])
+def test_malformed_let_is_an_input_error(body):
+    with pytest.raises(InputError):
+        parse_script(LISTS + f"(assert {body})")
