@@ -163,8 +163,7 @@ ORACLE_BOUND = 6
 ORACLE_PRODUCT_CAP = 60000
 
 
-def oracle_models(sig: Signature, phi: Formula, bound: int = ORACLE_BOUND,
-                  product_cap: int = ORACLE_PRODUCT_CAP):
+def oracle_models(sig: Signature, phi: Formula, bound: int = ORACLE_BOUND):
     """Yield all models with terms of size <= bound (bound shrinks adaptively
     to respect the assignment-product cap); formulas must be closed over
     integer variables."""
@@ -178,7 +177,7 @@ def oracle_models(sig: Signature, phi: Formula, bound: int = ORACLE_BOUND,
         product = 1
         for p in pools:
             product *= max(1, len(p))
-        if product <= product_cap:
+        if product <= ORACLE_PRODUCT_CAP:
             break
         b -= 1
     else:
@@ -236,8 +235,7 @@ def signature_size(sig: Signature) -> int:
     return len(sig.sorts) + sum(1 + c.arity for c in sig.ctors)
 
 
-def run_agreement(seed: int, count: int = 500, n_sigs: int = 5,
-                  oracle_bound: int = ORACLE_BOUND) -> CorpusStats:
+def run_agreement(seed: int, count: int = 500, n_sigs: int = 5) -> CorpusStats:
     """Depth-mode corpus: verdict agreement with the oracle, optimization
     on/off agreement, UTVPI shape, blow-up accounting, model round-trips."""
     import time
@@ -269,7 +267,7 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5,
                     prefix + f"optimization changed the verdict: "
                     f"{res.status} vs {plain.status}")
                 continue
-            oracle_model = oracle_sat_within_bound(sig, phi, oracle_bound)
+            oracle_model = oracle_sat_within_bound(sig, phi)
             if res.status == "sat":
                 stats.sat += 1
                 # decide checked the model against the flattened formula

@@ -379,7 +379,7 @@ class System:
             model = {n: d - base for n, d in self.dist.items() if n != "$zero"}
         # replay eliminated equalities, newest first
         for v, expr, const in reversed(self.subs):
-            model[v] = const + sum(b * model.get(u, 0) for u, b in expr.items())
+            model[v] = const + sum(b * model.setdefault(u, 0) for u, b in expr.items())
         return {v: x for v, x in model.items() if not v.startswith("$")}
 
 

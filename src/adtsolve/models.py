@@ -201,8 +201,11 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
         adt[name] = gamma_term((beta(name), sort))
     ints = {name: model.value(name) for name in sorted(flat.int_vars)}
 
-    # selector interpretation choices for wrong-headed applications
+    # selector interpretation choices for wrong-headed applications, and the
+    # graphs of the uninterpreted functions under their source names
     overrides: dict[tuple[str, int, Term], Term] = {}
+    funcs = {origin[1]: dict(model.funcs.get(fname, {}))
+             for fname, (_, origin) in table.funs.items() if origin[0] == "uf"}
     for fname, (_, origin) in table.funs.items():
         if origin[0] != "sel":
             continue
@@ -219,7 +222,7 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
             src = gamma[src_pair]
             if isinstance(src, Ctor) and src.ctor != ctor_name:
                 overrides[(ctor_name, j, src)] = gamma_term(tgt_pair)
-    return AdtModel(adt, ints, overrides)
+    return AdtModel(adt, ints, overrides, funcs)
 
 
 def _with_default_apps(f: RFormula, model: IntModel) -> IntModel:

@@ -4,7 +4,9 @@ A flat formula has constructors and selectors only in positive equations
 between variables, `g(x1,...,xn) = x0`, and term sizes only in definition
 literals `|x| = y` with `y` an integer variable.  Each distinct non-variable
 subterm is named by one fresh variable `_tN` (hash-consed), with the defining
-equation attached at the literal where the subterm occurs.
+equation attached at the literal where the subterm occurs.  Arguments of
+uninterpreted functions are constants, variables or applications; a compound
+one is named by a fresh integer variable in the same way.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _splice(kind, parts, unit, absorber):
 @dataclass
 class FlatFormula:
     formula: Formula
-    registry: dict[str, object] = field(default_factory=dict)  # fresh -> Term | SizeOf
+    registry: dict[str, object] = field(default_factory=dict)  # fresh -> Term | SizeOf | IntExpr
     var_sorts: dict[str, str] = field(default_factory=dict)    # every ADT var -> sort
     int_vars: set[str] = field(default_factory=set)            # every integer var
 
@@ -159,8 +161,20 @@ class _Flattener:
         if isinstance(e, IntMul):
             return IntMul(e.coeff, self.flat_int(e.arg, defs))
         if isinstance(e, IntApp):
-            return IntApp(e.fn, tuple(self.flat_int(a, defs) for a in e.args))
+            return IntApp(e.fn, tuple(self.flat_arg(a, defs) for a in e.args))
         raise AssertionError(e)
+
+    def flat_arg(self, e: IntExpr, defs: list[Formula]) -> IntExpr:
+        """A function argument: a compound one is named by a fresh integer
+        variable `y` with the definition `y = e`."""
+        e = self.flat_int(e, defs)
+        if isinstance(e, (IntConst, IntVar, IntApp)):
+            return e
+        y = self.fresh()
+        self.int_vars.add(y)
+        self.registry[y] = e
+        defs.append(SizeAtom("eq", IntVar(y), e))
+        return IntVar(y)
 
     def flat_literal(self, lit: Formula) -> Formula:
         defs: list[Formula] = []
@@ -223,8 +237,11 @@ def is_flat(phi: Formula) -> bool:
             return False  # sizes allowed only in definition literals
         if isinstance(e, IntMul):
             return ok_int(e.arg)
-        if isinstance(e, (IntAdd, IntApp)):
+        if isinstance(e, IntAdd):
             return all(ok_int(a) for a in e.args)
+        if isinstance(e, IntApp):
+            return all(isinstance(a, (IntConst, IntVar, IntApp)) and ok_int(a)
+                       for a in e.args)
         return False
 
     def walk(f: Formula) -> bool:

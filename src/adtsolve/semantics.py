@@ -48,7 +48,9 @@ def eval_int(sig: Signature, model: AdtModel, e: IntExpr) -> int:
         return sum(eval_int(sig, model, a) for a in e.args)
     if isinstance(e, IntMul):
         return e.coeff * eval_int(sig, model, e.arg)
-    raise UnboundVariableError(f"uninterpreted function {e.fn} has no model")
+    if e.fn not in model.funcs:
+        raise UnboundVariableError(f"uninterpreted function {e.fn} has no model")
+    return model.funcs[e.fn].get(tuple(eval_int(sig, model, a) for a in e.args), 0)
 
 
 _CMP = {

@@ -7,6 +7,12 @@ cardinalities, the bipartite sort/constructor dependency graph, size images
 (as eventually periodic sets), exact term counts and term enumeration used
 as test oracles, and the expandingness verdict that governs completeness of
 the size-constraint decision loop.
+
+The size analyses read one grammar, `sort -> [(constructor, weight,
+argument sorts)]`: `_grammar` gives every constructor weight 1, and
+`_eliminate_singletons` drops singleton-domain sorts and folds their sizes
+into the weights.  Size images, relativized images and the expandingness
+cycles are all computed on that shape.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
 from .semilinear import EventuallyPeriodicSet
-from .terms import Ctor, Term, Var
+from .terms import Ctor, Term, Var, ground_size
 
 DEFAULT_COUNT_CAP = 2000
 DEFAULT_ENUM_CAP = 2_000_000
@@ -201,73 +207,30 @@ class Cardinality:
         return "infinite" if self.count is None else str(self.count)
 
 
-def _sort_graph(sig: Signature) -> dict[str, set[str]]:
-    succ: dict[str, set[str]] = {s: set() for s in sig.sorts}
-    for c in sig.ctors:
-        for _, a in c.args:
-            succ[c.sort].add(a)
-    return succ
-
-
-def _sorts_on_cycles(sig: Signature) -> set[str]:
-    succ = _sort_graph(sig)
-    on_cycle = set()
-    for s in sig.sorts:
-        # s is on a cycle iff s is reachable from one of its successors
-        stack = list(succ[s])
-        seen = set()
-        while stack:
-            t = stack.pop()
-            if t == s:
-                on_cycle.add(s)
-                break
-            if t in seen:
-                continue
-            seen.add(t)
-            stack.extend(succ[t])
-    return on_cycle
-
-
 def cardinality(sig: Signature, sort: str) -> Cardinality:
     ensure_valid(sig)
-    key = ("card", sort)
-    if key in sig._cache:
-        return sig._cache[key]
     if sort not in sig.sorts:
         raise UnknownSymbolError(sort, "not a declared sort")
-    succ = _sort_graph(sig)
-    cyclic = _sorts_on_cycles(sig)
-    # infinite iff the sort reaches a sort on a cycle
-    stack, seen = [sort], set()
-    infinite = False
-    while stack:
-        t = stack.pop()
-        if t in cyclic:
-            infinite = True
-            break
-        if t in seen:
-            continue
-        seen.add(t)
-        stack.extend(succ[t])
-    if infinite:
-        result = Cardinality.infinite()
-    else:
-        memo: dict[str, int] = {}
+    counts = sig._cache.setdefault("card", {})  # sort -> count, None if infinite
 
-        def count(s: str) -> int:
-            if s not in memo:
-                total = 0
-                for c in sig.ctors_of(s):
-                    prod = 1
-                    for _, a in c.args:
-                        prod *= count(a)
-                    total += prod
-                memo[s] = total
-            return memo[s]
+    def count(s: str) -> int | None:
+        if s not in counts:
+            # reaching s again while this is None puts s on a cycle; sorts
+            # are nonempty, so one infinite argument makes the sort infinite
+            counts[s] = None
+            total = 0
+            for c in sig.ctors_of(s):
+                prod = 1
+                for _, a in c.args:
+                    n = count(a)
+                    if n is None:
+                        return None
+                    prod *= n
+                total += prod
+            counts[s] = total
+        return counts[s]
 
-        result = Cardinality.finite(count(sort))
-    sig._cache[key] = result
-    return result
+    return Cardinality(count(sort))
 
 
 # -- dependency graph ---------------------------------------------------------------
@@ -283,9 +246,6 @@ class DependencyGraph:
     vertices: tuple[tuple[str, str], ...]
     edges: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
 
-    def successors(self, v: tuple[str, str]) -> list[tuple[str, str]]:
-        return [b for a, b in self.edges if a == v]
-
 
 def dependency_graph(sig: Signature) -> DependencyGraph:
     vs = [(SORT_V, s) for s in sig.sorts] + [(CTOR_V, c.name) for c in sig.ctors]
@@ -299,11 +259,12 @@ def dependency_graph(sig: Signature) -> DependencyGraph:
 
 # -- size images ----------------------------------------------------------------------
 
-Grammar = dict[str, list[tuple[int, tuple[str, ...]]]]  # sort -> [(weight, arg sorts)]
+Grammar = dict[str, list[tuple[str, int, tuple[str, ...]]]]  # sort -> [(ctor, weight, arg sorts)]
 
 
 def _grammar(sig: Signature) -> Grammar:
-    return {s: [(1, tuple(a for _, a in c.args)) for c in sig.ctors_of(s)]
+    """The signature as a grammar: every constructor has weight 1."""
+    return {s: [(c.name, 1, tuple(a for _, a in c.args)) for c in sig.ctors_of(s)]
             for s in sig.sorts}
 
 
@@ -333,7 +294,7 @@ def _image_bits(grammar: Grammar, limit: int) -> dict[str, int]:
         changed = False
         for s, prods in grammar.items():
             acc = bits[s]
-            for w, args in prods:
+            for _, w, args in prods:
                 if w >= limit:
                     continue
                 prod = 1  # bitset {0}
@@ -395,23 +356,27 @@ def relativized_size_image(sig: Signature, sort: str, ctor_name: str) -> Eventua
         raise UnknownSymbolError(ctor_name, f"result sort is {c.sort}, not {sort}")
     key = ("rel-image", sort, ctor_name)
     if key not in sig._cache:
-        grammar = _grammar(sig)
-        start = f"{sort}\0without\0{ctor_name}"
-        grammar[start] = [(1, tuple(a for _, a in d.args))
-                          for d in sig.ctors_of(sort) if d.name != ctor_name]
-        sig._cache[key] = _eps_from_bits(grammar, start)
+        sig._cache[key] = _relativized(_grammar(sig), sort, ctor_name)
     return sig._cache[key]
+
+
+def _relativized(grammar: Grammar, sort: str, ctor_name: str) -> EventuallyPeriodicSet:
+    """Weighted sizes of the `sort` words of the grammar not headed by `ctor_name`."""
+    start = f"{sort}\0without\0{ctor_name}"
+    without = [p for p in grammar[sort] if p[0] != ctor_name]
+    return _eps_from_bits({**grammar, start: without}, start)
 
 
 # -- counting and enumeration oracles ---------------------------------------------------
 
-def count_terms_of_size(sig: Signature, sort: str, b: int, *, cap: int = DEFAULT_COUNT_CAP) -> int:
+def count_terms_of_size(sig: Signature, sort: str, b: int) -> int:
     """Exact number of constructor terms of `sort` with exactly `b` symbols."""
     ensure_valid(sig)
     if sort not in sig.sorts:
         raise UnknownSymbolError(sort, "not a declared sort")
-    if b > cap:
-        raise ResourceLimitError(f"count_terms_of_size bound {b} exceeds cap {cap}")
+    if b > DEFAULT_COUNT_CAP:
+        raise ResourceLimitError(
+            f"count_terms_of_size bound {b} exceeds cap {DEFAULT_COUNT_CAP}")
     if b < 0:
         return 0
     counts = sig._cache.setdefault("counts", {})
@@ -500,18 +465,8 @@ def enumerate_terms(sig: Signature, sort: str, max_size: int, *,
 
 
 def fresh_terms(sig: Signature, sort: str) -> Iterator[Term]:
-    """Unbounded enumeration in nondecreasing size order (resource-capped)."""
-    b = 0
-    produced = 0
-    while True:
-        b += 1
-        if b > DEFAULT_COUNT_CAP:
-            raise ResourceLimitError("term enumeration ran away")
-        for t in terms_of_size(sig, sort, b):
-            produced += 1
-            if produced > DEFAULT_ENUM_CAP:
-                raise ResourceLimitError("term enumeration ran away")
-            yield t
+    """Enumeration in nondecreasing size order up to the counting cap."""
+    return enumerate_terms(sig, sort, DEFAULT_COUNT_CAP)
 
 
 def minimal_term(sig: Signature, sort: str) -> Term:
@@ -552,87 +507,42 @@ class ExpandingReport:
         return [s for s, w in self.witnesses if w is not None]
 
 
-def _eliminate_singletons(sig: Signature) -> tuple[list[str], dict[str, list[tuple[str, int, tuple[str, ...]]]]]:
-    """Drop singleton-domain sorts; their constructor arguments fold into a
-    fixed size weight.  Returns kept sorts and, per kept sort, the list of
-    (ctor name, weight, kept argument sorts)."""
-    from .terms import ground_size
-
-    singleton = {s for s in sig.sorts
-                 if cardinality(sig, s).count == 1}
-    kept = [s for s in sig.sorts if s not in singleton]
-    table: dict[str, list[tuple[str, int, tuple[str, ...]]]] = {s: [] for s in kept}
-    for c in sig.ctors:
-        if c.sort in singleton:
-            continue
-        weight = 1
-        args = []
-        for _, a in c.args:
-            if a in singleton:
-                weight += ground_size(minimal_term(sig, a))
-            else:
-                args.append(a)
-        table[c.sort].append((c.name, weight, tuple(args)))
-    return kept, table
+def _eliminate_singletons(sig: Signature) -> Grammar:
+    """The grammar without singleton-domain sorts: each argument of such a
+    sort is dropped and its one term's size folds into the weight."""
+    single = {s: ground_size(minimal_term(sig, s)) for s in sig.sorts
+              if cardinality(sig, s).count == 1}
+    return {s: [(c, 1 + sum(single.get(a, 0) for a in args),
+                 tuple(a for a in args if a not in single)) for c, _, args in prods]
+            for s, prods in _grammar(sig).items() if s not in single}
 
 
-def _cycle_through(sort: str, table: dict[str, list[tuple[str, int, tuple[str, ...]]]]
-                   ) -> tuple[list[tuple[str, str]], bool] | None:
-    """If the strongly connected component of `sort` in the bipartite graph is a
-    single simple cycle through `sort`, return it as [(sort_i, ctor_i)] plus a
-    flag saying whether all cycle constructors are unary; otherwise None."""
-    # successor map over the eliminated bipartite graph
-    succ: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for s, prods in table.items():
-        succ[(SORT_V, s)] = [(CTOR_V, c) for c, _, _ in prods]
-        for c, _, args in prods:
-            succ[(CTOR_V, c)] = [(SORT_V, a) for a in args]
+def _cycle_through(sort: str, grammar: Grammar) -> list[tuple[str, str]] | None:
+    """If the strongly connected component of `sort` is a single simple cycle
+    of unary constructors, return it as [(sort_i, ctor_i)]; otherwise None."""
 
-    def reach(src: tuple[str, str]) -> set[tuple[str, str]]:
-        seen: set[tuple[str, str]] = set()
+    def reach(src: str) -> set[str]:
+        seen: set[str] = set()
         stack = [src]
         while stack:
-            v = stack.pop()
-            for w in succ.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for _, _, args in grammar[stack.pop()]:
+                for a in args:
+                    if a not in seen:
+                        seen.add(a)
+                        stack.append(a)
         return seen
 
-    root = (SORT_V, sort)
-    fwd = reach(root)
-    if root not in fwd:
-        return None  # not on any cycle
-    scc = {v for v in fwd if root in reach(v) or v == root}
-    scc.add(root)
-    scc = {v for v in scc if v in fwd and (root in reach(v))}
-    # the SCC must induce a simple cycle: every vertex has exactly one successor inside
+    scc = {t for t in reach(sort) if sort in reach(t)}
+    # strongly connected with one edge inside out of every sort: a simple cycle
     cycle: list[tuple[str, str]] = []
-    v = root
-    unary = True
-    for _ in range(len(scc)):
-        inside = [w for w in succ.get(v, ()) if w in scc]
-        if len(inside) != 1:
+    t = sort
+    for _ in scc:
+        inside = [(c, args) for c, _, args in grammar[t] if any(a in scc for a in args)]
+        if len(inside) != 1 or len(inside[0][1]) != 1:
             return None
-        if v[0] == SORT_V:
-            ctor_v = inside[0]
-            prods = {c: (w, a) for c, w, a in table[v[1]]}
-            _, args = prods[ctor_v[1]]
-            if len(args) != 1:
-                unary = False
-            cycle.append((v[1], ctor_v[1]))
-        v = inside[0]
-    if v != root or 2 * len(cycle) != len(scc):
-        return None
-    return cycle, unary
-
-
-def _rel_image_weighted(table, start_sort: str, excluded_ctor: str,
-                        full_images_grammar: Grammar) -> EventuallyPeriodicSet:
-    grammar = dict(full_images_grammar)
-    start = f"{start_sort}\0without\0{excluded_ctor}"
-    grammar[start] = [(w, args) for c, w, args in table[start_sort] if c != excluded_ctor]
-    return _eps_from_bits(grammar, start)
+        cycle.append((t, inside[0][0]))
+        t = inside[0][1][0]
+    return cycle or None
 
 
 def check_expanding(sig: Signature) -> ExpandingReport:
@@ -644,39 +554,24 @@ def check_expanding(sig: Signature) -> ExpandingReport:
     key = "expanding"
     if key in sig._cache:
         return sig._cache[key]
-    kept, table = _eliminate_singletons(sig)
-    weighted: Grammar = {s: [(w, args) for _, w, args in table[s]] for s in kept}
+    grammar = _eliminate_singletons(sig)
     verdicts: list[tuple[str, tuple[str, ...] | None]] = []
     for s in sig.sorts:
-        if s not in kept or cardinality(sig, s).is_finite:
-            verdicts.append((s, None))
-            continue
-        found = _cycle_through(s, table)
-        if found is None:
-            verdicts.append((s, None))
-            continue
-        cycle, unary = found
-        if not unary:
-            verdicts.append((s, None))
-            continue
-        n = len(cycle)
-        # R = union over cycle positions of the relativized image shifted by i-1
-        r = EventuallyPeriodicSet.empty()
-        for i, (sort_i, ctor_i) in enumerate(cycle):
-            rel = _rel_image_weighted(table, sort_i, ctor_i, weighted)
-            r = r.union(rel.shifted(i))
-        # condition 3 holds iff N*n + R keeps needing the exceptional members of
-        # R forever, i.e. (N*n + R) \ (N*n + tail(R)) is infinite
-        a_inf = r.plus_multiples(n)
-        c_inf = r.tail_only().plus_multiples(n)
-        if c_inf.eventually_contains(a_inf):
-            verdicts.append((s, None))  # condition 3 fails: cycle contribution bounded
-        else:
-            witness = []
-            for sort_i, ctor_i in cycle:
-                witness.extend((sort_i, ctor_i))
-            witness.append(s)
-            verdicts.append((s, tuple(witness)))
+        cycle = _cycle_through(s, grammar) if s in grammar else None
+        if cycle is not None:
+            n = len(cycle)
+            # R = union over cycle positions of the relativized image shifted by i-1
+            r = EventuallyPeriodicSet.empty()
+            for i, (sort_i, ctor_i) in enumerate(cycle):
+                r = r.union(_relativized(grammar, sort_i, ctor_i).shifted(i))
+            # condition 3 holds iff N*n + R keeps needing the exceptional members
+            # of R forever, i.e. (N*n + R) \ (N*n + tail(R)) is infinite
+            a_inf = r.plus_multiples(n)
+            c_inf = r.tail_only().plus_multiples(n)
+            if c_inf.eventually_contains(a_inf):
+                cycle = None  # condition 3 fails: cycle contribution bounded
+        verdicts.append((s, None if cycle is None
+                         else tuple(x for step in cycle for x in step) + (s,)))
     report = ExpandingReport(tuple(verdicts))
     sig._cache[key] = report
     return report

@@ -66,7 +66,7 @@ class IntMul:
 
 @dataclass(frozen=True)
 class IntApp:
-    """Uninterpreted integer function application (reparsed reducts only)."""
+    """Uninterpreted integer function application."""
 
     fn: str
     args: tuple["IntExpr", ...]
@@ -165,11 +165,14 @@ class AdtModel:
     `selector_overrides` records the model's choice for selectors applied to
     wrong-headed terms, keyed by (ctor, index, ground argument term); absent
     keys fall back to the fixed default-witness policy of `semantics.evaluate`.
+    `funcs` holds the graph of every uninterpreted integer function; an
+    argument tuple outside the graph maps to 0.
     """
 
     adt: dict[str, Term] = field(default_factory=dict)
     ints: dict[str, int] = field(default_factory=dict)
     selector_overrides: dict[tuple[str, int, Term], Term] = field(default_factory=dict)
+    funcs: dict[str, dict[tuple[int, ...], int]] = field(default_factory=dict)
 
 
 # -- structural helpers ----------------------------------------------------------

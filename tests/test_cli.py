@@ -205,6 +205,27 @@ def test_let_script_is_decided():
     assert lines[1].startswith("(define-fun x () CList (cons")
 
 
+INTS = """
+(declare-fun f (Int) Int)
+(declare-const a Int)
+(declare-const b Int)
+"""
+
+
+@pytest.mark.parametrize("body, verdict", [
+    ("(assert (= a b))", "sat"),
+    ("(assert (= a b)) (assert (distinct (f a) (f b)))", "unsat"),
+    # compound arguments, and a model check that evaluates f through its graph
+    ("(assert (= (f (+ a 1)) 2)) (assert (= (f (- 1)) (+ (f (* 2 b)) 1)))", "sat"),
+], ids=["equal-constants", "congruence", "compound-arguments"])
+def test_integer_script_verdicts(tmp_path, body, verdict):
+    p = tmp_path / "ints.smt2"
+    p.write_text(INTS + body)
+    code, out = run(["solve", str(p)])
+    assert code == 0
+    assert out.splitlines()[0] == verdict
+
+
 def test_malformed_let_exit_code(tmp_path, capsys):
     p = tmp_path / "let.smt2"
     p.write_text(LISTS + "(assert (let ((c red) c) (= y c)))")
@@ -217,10 +238,12 @@ NAT_INT = """
 (declare-const x Nat)
 (declare-const y Nat)
 (declare-const n Int)
+(declare-fun f (Int) Int)
 """
 LEAVES = ["x", "y", "n", "zero", "0", "1", "2", "-1", "true", "false"]
 HEADS = ["and", "or", "not", "=>", "=", "distinct", "+", "-", "*", "<=", "<",
-         ">=", ">", "(_ is succ)", "(_ is zero)", "pred", "succ", "adt.size", "let"]
+         ">=", ">", "(_ is succ)", "(_ is zero)", "pred", "succ", "adt.size", "let",
+         "f"]
 
 
 def _app(head, args):
@@ -237,6 +260,7 @@ sexprs = st.recursive(
 @given(sexprs)
 @example("(-)")
 @example("(let ((x zero) (n x)) (= x y))")
+@example("(and (= (f (+ n 1)) (f (- 1))) (= n (f n)))")
 def test_fuzz_solve_exits_0_or_2(tmp_path, body):
     # a verdict, or an input error for text the parser rejects; never a traceback
     text = NAT_INT + f"(assert {body})\n"

@@ -1,5 +1,10 @@
+import itertools
+import math
+import random
+
 import pytest
 
+from adtsolve.corpus import random_signature
 from adtsolve.errors import InvalidSignatureError, ResourceLimitError, UnknownSymbolError
 from adtsolve.semilinear import EventuallyPeriodicSet as EPS
 from adtsolve.signature import (
@@ -8,6 +13,10 @@ from adtsolve.signature import (
     relativized_size_image, size_image, terms_of_size, validate,
 )
 from adtsolve.terms import Ctor, ground_size
+
+# generated signatures (lists, trees, products and Nat-like sorts over enums)
+# are extra inputs to the cross-checks below
+RANDOM_SIGS = [random_signature(random.Random(seed)) for seed in range(12)]
 
 
 # -- validation --------------------------------------------------------------
@@ -91,7 +100,7 @@ def test_cardinality_pair_of_colours():
 
 
 def test_cardinality_agrees_with_enumeration(lists_sig, two_cycle_sig):
-    for sig in (lists_sig, two_cycle_sig):
+    for sig in (lists_sig, two_cycle_sig, *RANDOM_SIGS):
         for sort in sig.sorts:
             card = cardinality(sig, sort)
             if card.is_finite:
@@ -117,7 +126,16 @@ def test_size_image_nat(nat_sig):
     assert image == EPS.make(set(), 1, 1, {0})
 
 
-def test_relativized_size_images(lists_sig, nat_sig):
+def _headed_count(sig, ctor, b):
+    """Terms of size b headed by ctor: argument counts over the ways to
+    split the remaining b - 1 symbols among the arguments."""
+    args = [a for _, a in sig.ctor(ctor).args]
+    return sum(math.prod(count_terms_of_size(sig, a, n) for a, n in zip(args, split))
+               for split in itertools.product(range(1, b), repeat=len(args))
+               if 1 + sum(split) == b)
+
+
+def test_relativized_size_images(lists_sig, nat_sig, two_cycle_sig):
     assert relativized_size_image(nat_sig, "Nat", "succ") == EPS.finite({1})
     assert relativized_size_image(lists_sig, "CList", "cons") == EPS.finite({1})
     # oracle: sizes of cons-headed terms up to 15
@@ -127,6 +145,18 @@ def test_relativized_size_images(lists_sig, nat_sig):
     rel = relativized_size_image(lists_sig, "CList", "nil")
     assert {n for n in range(16) if n in rel} == sizes
     assert rel == EPS.make(set(), 2, 2, {1})
+    # oracle on every sort and constructor: counting terms by head symbol
+    for sig in (lists_sig, nat_sig, two_cycle_sig, *RANDOM_SIGS):
+        for sort in sig.sorts:
+            heads = {c.name: [_headed_count(sig, c.name, b) for b in range(14)]
+                     for c in sig.ctors_of(sort)}
+            for b in range(14):
+                assert sum(h[b] for h in heads.values()) == count_terms_of_size(sig, sort, b)
+            for c in heads:
+                rel = relativized_size_image(sig, sort, c)
+                for b in range(14):
+                    others = any(h[b] for d, h in heads.items() if d != c)
+                    assert (b in rel) == others, (sort, c, b)
 
 
 def test_relativized_errors(lists_sig):
@@ -137,7 +167,7 @@ def test_relativized_errors(lists_sig):
 
 
 def test_image_agrees_with_counting(lists_sig, nat_sig, two_cycle_sig, three_cycle_sig):
-    for sig in (lists_sig, nat_sig, two_cycle_sig, three_cycle_sig):
+    for sig in (lists_sig, nat_sig, two_cycle_sig, three_cycle_sig, *RANDOM_SIGS):
         for sort in sig.sorts:
             image = size_image(sig, sort)
             for b in range(26):
@@ -275,7 +305,7 @@ def _recheck_witness(sig, cycle):
 
 
 def test_witnesses_satisfy_cycle_conditions(nat_sig, two_cycle_sig):
-    for sig in (nat_sig, two_cycle_sig):
+    for sig in (nat_sig, two_cycle_sig, *RANDOM_SIGS):
         report = check_expanding(sig)
         for sort in report.non_expanding_sorts:
             _recheck_witness(sig, report.witness(sort))
