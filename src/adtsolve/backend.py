@@ -5,12 +5,14 @@ with one backtrackable congruence closure and one push/pop LIA system per
 solve, driven together: the literals of a branch are asserted into both in
 place and retracted on backtrack.  A linear literal becomes a row over the
 congruence classes when it is asserted, and each union of a class the LIA
-system mentions adds the equality of the two class variables.  Each
-conjunction is decided by linear integer feasibility over the classes, with
-disequalities split lazily into strict inequalities (one more row pushed on
-the same system and popped after the split) and functional consistency
-restored by model-guided case splits.  Every sat verdict is re-checked by an
-independent evaluator before being returned.
+system mentions adds the equality of the two class variables.  A disequality
+is kept as an `ne` row next to the linear `ne` literals.  Each conjunction is
+decided by linear integer feasibility over the classes; a violated `ne` row
+and a functional inconsistency of the candidate model are repaired by case
+splits, all through one routine whose arms are reduced literals: the two
+strict sides of the row, or the two applications being equal or one of their
+argument pairs differing.  Every sat verdict is re-checked by an independent
+evaluator before being returned.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -22,6 +24,7 @@ import shlex
 import subprocess
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import lia
 from .errors import InternalError, ProtocolError, ResourceLimitError, SpawnError
@@ -248,21 +251,19 @@ class _Search:
         self.cc = _CC()
         self.lia = lia.System()
         self.mentioned: dict[int, None] = {}  # roots the system has seen, in order
-        self.diseqs: list[tuple[int, int]] = []
-        self.lins: list[tuple[tuple[tuple[int, int], ...], int]] = []  # `ne` rows
-        self.marks: list[tuple[int, int, int]] = []
+        self.nes: list[tuple[tuple[tuple[int, int], ...], int]] = []  # `ne` rows
+        self.marks: list[tuple[int, int]] = []
 
     def push(self):
         self.cc.push()
         self.lia.push()
-        self.marks.append((len(self.diseqs), len(self.lins), len(self.mentioned)))
+        self.marks.append((len(self.nes), len(self.mentioned)))
 
     def pop(self):
         self.cc.pop()
         self.lia.pop()
-        n_diseqs, n_lins, n_mentioned = self.marks.pop()
-        del self.diseqs[n_diseqs:]
-        del self.lins[n_lins:]
+        n_nes, n_mentioned = self.marks.pop()
+        del self.nes[n_nes:]
         while len(self.mentioned) > n_mentioned:
             self.mentioned.popitem()
 
@@ -296,16 +297,17 @@ class _Search:
 
     def assert_lit(self, lit: RFormula) -> bool:
         """Add one literal to the current scope; False when it contradicts
-        the congruence classes outright."""
+        the congruence classes outright.  A disequality a != b is kept as the
+        `ne` row 1*a - 1*b != 0."""
         cc = self.cc
         if isinstance(lit, REq):
             return self.merge(cc.add(lit.lhs), cc.add(lit.rhs))
         if isinstance(lit, RNot):
-            self.diseqs.append((cc.add(lit.arg.lhs), cc.add(lit.arg.rhs)))
+            self.nes.append((((1, cc.add(lit.arg.lhs)), (-1, cc.add(lit.arg.rhs))), 0))
         elif isinstance(lit, RLin):
             pairs = tuple((c, cc.add(t)) for c, t in lit.terms)
             if lit.op == "ne":
-                self.lins.append((pairs, lit.const))
+                self.nes.append((pairs, lit.const))
             else:
                 self.add_row(lit.op, *self.translate(pairs, lit.const))
         elif not isinstance(lit, RTrueF):
@@ -346,13 +348,19 @@ class _Search:
                 return out
         return None
 
-    def decide_with(self, lit: RFormula) -> IntModel | None:
-        """Decide the asserted conjunction plus one literal, then retract it."""
+    def split(self, arms: list[RFormula], then: Callable[[], IntModel | None]) -> IntModel | None:
+        """A case split inside the asserted conjunction: each arm literal in
+        turn is asserted in its own scope and `then()` decides it; the first
+        model wins."""
         self.budget.spend_split()
-        self.push()
-        out = self.decide() if self.assert_lit(lit) else None
-        self.pop()
-        return out
+        for arm in arms:
+            self.budget.spend_split()
+            self.push()
+            out = then() if self.assert_lit(arm) else None
+            self.pop()
+            if out is not None:
+                return out
+        return None
 
     def translate(self, pairs, const: int) -> tuple[dict[int, int], int]:
         """sum(coef * term) + const over class roots, constants folded in."""
@@ -369,22 +377,16 @@ class _Search:
         return coeffs, c
 
     def decide(self) -> IntModel | None:
-        """Decide the asserted conjunction: disequalities against the classes,
-        then integer feasibility of the linear atoms over the classes."""
-        find = self.cc.find
-        if any(find(a) == find(b) for a, b in self.diseqs):
-            return None
+        """Decide the asserted conjunction: integer feasibility of the linear
+        atoms over the classes, with the `ne` rows translated over the current
+        roots; a row that translates to 0 != 0 is a conflict."""
         pending_ne: list[tuple[dict[int, int], int]] = []
-        for pairs, const in self.lins:
+        for pairs, const in self.nes:
             coeffs, c = self.translate(pairs, const)
-            if coeffs:
+            if any(coeffs.values()):
                 pending_ne.append((coeffs, c))
             elif c == 0:
                 return None
-        for a, b in self.diseqs:
-            coeffs, c = self.translate(((1, a), (-1, b)), 0)
-            if coeffs:  # else both classes are distinct constants
-                pending_ne.append((coeffs, c))
         return self.decide_lia(pending_ne)
 
     def class_values(self, model_map: dict[str, int]) -> tuple[dict[int, int], list[int]]:
@@ -412,11 +414,12 @@ class _Search:
         model_map = self.lia.model()
         if model_map is None:
             return None
-        # lazily split the first disequality the candidate model violates into
-        # its two strict sides: one more row over the unchanged classes, kept
-        # asserted for the functional-consistency splits below it.  A row over
-        # solved classes reads the model; only one over a class no row
-        # constrains needs the value of every class
+        # lazily split the first `ne` row the candidate model violates into
+        # its two strict sides, `le` literals over the class representatives:
+        # the classes do not change on those arms, so the translated rows stay
+        # valid and the side stays asserted for the functional-consistency
+        # splits below it.  A row over solved classes reads the model; only
+        # one over a class no row constrains needs the value of every class
         root_value = values = None
         for coeffs, c in pending_ne:
             if root_value is None and any(f"#t{r}" not in model_map for r in coeffs):
@@ -427,21 +430,16 @@ class _Search:
                 total = c + sum(a * root_value[r] for r, a in coeffs.items())
             if total != 0:
                 continue
-            self.budget.spend_split()
-            for sign in (1, -1):
-                self.budget.spend_split()
-                self.push()
-                self.add_row("le", {r: sign * a for r, a in coeffs.items()}, sign * c + 1)
-                out = self.decide_lia(pending_ne)
-                self.pop()
-                if out is not None:
-                    return out
-            return None
+            terms = self.cc.terms
+            sides = [RLin("le", tuple((sign * a, terms[r]) for r, a in coeffs.items()),
+                          sign * c + 1) for sign in (1, -1)]
+            return self.split(sides, lambda: self.decide_lia(pending_ne))
         if values is None:
             root_value, values = self.class_values(model_map)
 
         # functional consistency under the candidate model: two apps of one
-        # function that agree on their arguments must agree on their values
+        # function that agree on their arguments must agree on their values,
+        # else split on the apps being equal or one argument pair differing
         cc = self.cc
         model = IntModel()
         first: dict[tuple, int] = {}
@@ -456,18 +454,10 @@ class _Search:
                 model.funcs.setdefault(t.fn, {})[args] = values[i]
         else:
             return model
-        self.budget.spend_split()
         t1, t2 = cc.terms[j], t
-        out = self.decide_with(REq(t1, t2))
-        if out is not None:
-            return out
-        for a1, a2 in zip(t1.args, t2.args):
-            if cc.find(cc.ids[a1]) == cc.find(cc.ids[a2]):
-                continue
-            out = self.decide_with(RNot(REq(a1, a2)))
-            if out is not None:
-                return out
-        return None
+        arms = [REq(t1, t2)] + [RNot(REq(a1, a2)) for a1, a2 in zip(t1.args, t2.args)
+                                if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])]
+        return self.split(arms, self.decide)
 
 
 # -- public solve ------------------------------------------------------------------------

@@ -206,13 +206,12 @@ class CorpusStats:
     nodes_simplified: list[int] = field(default_factory=list)
     blowup_ratios: list[float] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
-    slowest: float = 0.0
     roundtrips: int = 0
 
     def max_blowup(self) -> float:
         return max(self.blowup_ratios) if self.blowup_ratios else 0.0
 
-    def summary(self, include_timing: bool = False) -> str:
+    def summary(self) -> str:
         def avg(xs):
             return sum(xs) / len(xs) if xs else 0.0
 
@@ -223,10 +222,8 @@ class CorpusStats:
             f"simplified {avg(self.nodes_simplified):.1f}",
             f"max blow-up ratio |reduct| / (|signature| * |input|): "
             f"{self.max_blowup():.3f}",
+            f"failures: {len(self.failures)}",
         ]
-        if include_timing:
-            lines.append(f"slowest instance: {self.slowest * 1000:.1f} ms")
-        lines.append(f"failures: {len(self.failures)}")
         lines.extend(self.failures[:10])
         return "\n".join(lines)
 
@@ -238,8 +235,6 @@ def signature_size(sig: Signature) -> int:
 def run_agreement(seed: int, count: int = 500, n_sigs: int = 5) -> CorpusStats:
     """Depth-mode corpus: verdict agreement with the oracle, optimization
     on/off agreement, UTVPI shape, blow-up accounting, model round-trips."""
-    import time
-
     rng = random.Random(seed)
     sigs = [random_signature(rng) for _ in range(n_sigs)]
     stats = CorpusStats()
@@ -248,7 +243,6 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5) -> CorpusStats:
         phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3)))
         stats.instances += 1
         prefix = f"[{i}] "
-        started = time.perf_counter()
         try:
             res = decide(phi, sig)
             plain = decide(phi, sig, opts=ReduceOptions.none(), use_simplify=False)
@@ -283,6 +277,4 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5) -> CorpusStats:
                                                    "a model within bound")
         except Exception as e:  # noqa: BLE001 - harness reports, does not crash
             stats.failures.append(prefix + f"exception: {type(e).__name__}: {e}")
-        finally:
-            stats.slowest = max(stats.slowest, time.perf_counter() - started)
     return stats

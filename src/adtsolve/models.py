@@ -1,27 +1,29 @@
 """Turning EUF+LIA models of reducts into genuine ADT models, and checking them.
 
-Reconstruction follows the constructive argument: collect the (value, sort)
-pairs constrained by constructor/selector/tester literals of the satisfied
-branch, read each pair's head symbol and children off the ctorId and selector
-function graphs, then build terms bottom-up; remaining pairs receive fresh
-terms of minimal size never used before, which keeps the map injective so
-that disequalities stay satisfied.
+Reconstruction follows the constructive argument: read the branch of the
+reduct that the integer model satisfies (every conjunct, and the first
+disjunct that holds), collect the (value, sort) pairs at which its literals
+apply a ctorId or selector function, read each pair's head symbol and children
+off those function graphs, then build terms bottom-up; remaining pairs receive
+fresh terms of minimal size never used before, which keeps the map injective
+so that disequalities stay satisfied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .backend import IntModel, complete_model, eval_reduced, eval_rterm
 from .errors import InternalError, UnboundVariableError
 from .reduce import (
-    RApp, REq, RFormula, RNot, RTerm, ReducedFormula, _guard_vars, iter_literals,
+    RAnd, RApp, REq, RFormula, RNot, ROr, RTerm, RTrueF, ReducedFormula, iter_literals,
 )
 from .semantics import evaluate, print_formula
 from .signature import Signature, cardinality, ctor_at, fresh_terms
 from .terms import (
-    AdtModel, And, Ctor, Eq, FalseF, Formula, Not, Or, Sel, SizeAtom, Term,
-    Tester, TrueF, Var, free_vars, ground_size,
+    AdtModel, And, Ctor, Eq, Formula, Not, Or, SizeAtom, Term, Tester, free_vars,
+    ground_size,
 )
 
 
@@ -30,56 +32,6 @@ class ReconstructionStats:
     case2_pairs: list[tuple[int, str]] = field(default_factory=list)
     case3_pairs: list[tuple[int, str]] = field(default_factory=list)
     injectivity_checks: int = 0
-
-
-def satisfied_branch_literals(reduct: ReducedFormula, model: IntModel) -> list[Formula]:
-    """Flat literals of the disjunctive branch the model satisfies, resolved
-    through the literal map the reducer recorded."""
-    out: list[Formula] = []
-
-    def lookup(lit: Formula, guards: frozenset[str]) -> object:
-        try:
-            return reduct.literal_map[(lit, reduct.opts.guarded(lit, guards))]
-        except KeyError as e:
-            raise InternalError(f"literal missing from reduction map: {lit}") from e
-
-    def satisfied(f: Formula, guards: frozenset[str]) -> bool:
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, FalseF):
-            return False
-        if isinstance(f, And):
-            local = set(guards)
-            for child in f.args:
-                local.update(_guard_vars(child))
-            g = frozenset(local)
-            return all(satisfied(a, g) for a in f.args)
-        if isinstance(f, Or):
-            return any(satisfied(a, guards) for a in f.args)
-        extra = guards | frozenset(_guard_vars(f))
-        return eval_reduced(lookup(f, extra), model)
-
-    def walk(f: Formula, guards: frozenset[str]):
-        if isinstance(f, (TrueF, FalseF)):
-            return
-        if isinstance(f, And):
-            local = set(guards)
-            for child in f.args:
-                local.update(_guard_vars(child))
-            g = frozenset(local)
-            for a in f.args:
-                walk(a, g)
-            return
-        if isinstance(f, Or):
-            for a in f.args:
-                if satisfied(a, guards):
-                    walk(a, guards)
-                    return
-            raise InternalError("no satisfied disjunct in a sat model")
-        out.append(f)
-
-    walk(reduct.flat.formula, frozenset())
-    return out
 
 
 def reconstruct(reduct: ReducedFormula, int_model: IntModel,
@@ -99,28 +51,20 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
     stats = stats if stats is not None else ReconstructionStats()
     enum_sorts = table.enum_sorts
 
-    def beta(name: str) -> int:
-        return model.value(name)
-
-    lits = satisfied_branch_literals(base, model)
-
-    # D: pairs constrained by constructor / selector / tester literals
+    # D: the argument values of the ctorId and selector applications in the
+    # branch of the reduct that the model satisfies
+    arg_sort: dict[str, str] = {}
+    for fname, (_, origin) in table.funs.items():
+        if origin[0] == "ctorid":
+            arg_sort[fname] = origin[1]
+        elif origin[0] == "sel":
+            arg_sort[fname] = sig.ctor(origin[1]).sort
     d_pairs: dict[tuple[int, str], None] = {}
-
-    def note(name: str, sort: str):
-        if sort not in enum_sorts:
-            d_pairs.setdefault((beta(name), sort))
-
-    for lit in lits:
-        core = lit.arg if isinstance(lit, Not) else lit
-        if isinstance(core, Tester) and isinstance(core.arg, Var):
-            note(core.arg.name, core.arg.sort)
-        elif isinstance(core, Eq):
-            lhs, rhs = core.lhs, core.rhs
-            if isinstance(lhs, Ctor) and isinstance(rhs, Var):
-                note(rhs.name, rhs.sort)
-            elif isinstance(lhs, Sel) and isinstance(lhs.arg, Var):
-                note(lhs.arg.name, lhs.arg.sort)
+    for lit in _branch(base.formula, model):
+        for app in _lit_apps(lit):
+            sort = arg_sort.get(app.fn)
+            if sort is not None and sort not in enum_sorts:
+                d_pairs.setdefault((eval_rterm(app.args[0], model), sort))
 
     # dep: head symbol and children read off the totalized function graphs
     dep: dict[tuple[int, str], tuple[str, list[tuple[int, str]]]] = {}
@@ -143,7 +87,7 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
                 pairs.setdefault((c, s))
     for name, sort in flat.var_sorts.items():
         if sort not in enum_sorts:
-            pairs.setdefault((beta(name), sort))
+            pairs.setdefault((model.value(name), sort))
 
     gamma: dict[tuple[int, str], Term] = {}
     used: dict[str, set[Term]] = {}
@@ -198,14 +142,15 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
 
     adt: dict[str, Term] = {}
     for name, sort in flat.var_sorts.items():
-        adt[name] = gamma_term((beta(name), sort))
+        adt[name] = gamma_term((model.value(name), sort))
     ints = {name: model.value(name) for name in sorted(flat.int_vars)}
 
     # selector interpretation choices for wrong-headed applications, and the
-    # graphs of the uninterpreted functions under their source names
+    # graphs of the uninterpreted functions under their source names (one the
+    # reduct never applies lists one point, so its arity stays readable)
     overrides: dict[tuple[str, int, Term], Term] = {}
-    funcs = {origin[1]: dict(model.funcs.get(fname, {}))
-             for fname, (_, origin) in table.funs.items() if origin[0] == "uf"}
+    funcs = {origin[1]: dict(model.funcs.get(fname) or {(0,) * arity: 0})
+             for fname, (arity, origin) in table.funs.items() if origin[0] == "uf"}
     for fname, (_, origin) in table.funs.items():
         if origin[0] != "sel":
             continue
@@ -225,25 +170,46 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
     return AdtModel(adt, ints, overrides, funcs)
 
 
+def _branch(f: RFormula, model: IntModel) -> Iterator[RFormula]:
+    """The literals of the branch of f that the model satisfies: every
+    conjunct, and the first disjunct that holds."""
+    if isinstance(f, RAnd):
+        for a in f.args:
+            yield from _branch(a, model)
+    elif isinstance(f, ROr):
+        arm = next((a for a in f.args if eval_reduced(a, model)), None)
+        if arm is None:
+            raise InternalError("no satisfied disjunct in a sat model")
+        yield from _branch(arm, model)
+    elif not isinstance(f, RTrueF):
+        yield f
+
+
+def _lit_apps(lit: RFormula) -> Iterator[RApp]:
+    """Every application in a literal, arguments before the application."""
+    core = lit.arg if isinstance(lit, RNot) else lit
+    terms = [core.lhs, core.rhs] if isinstance(core, REq) else [t for _, t in core.terms]
+    for t in terms:
+        yield from _apps(t)
+
+
+def _apps(t: RTerm) -> Iterator[RApp]:
+    if isinstance(t, RApp):
+        for a in t.args:
+            yield from _apps(a)
+        yield t
+
+
 def _with_default_apps(f: RFormula, model: IntModel) -> IntModel:
     """A copy of the model whose function graphs also list every application
     in f that the model evaluates through a default value."""
     out = IntModel(model.values, {fn: dict(g) for fn, g in model.funcs.items()},
                    model.defaults)
     for lit in iter_literals(f):
-        core = lit.arg if isinstance(lit, RNot) else lit
-        terms = [core.lhs, core.rhs] if isinstance(core, REq) else [t for _, t in core.terms]
-        for t in terms:
-            _list_apps(t, out)
+        for app in _lit_apps(lit):
+            args = tuple(eval_rterm(a, out) for a in app.args)
+            out.funcs.setdefault(app.fn, {}).setdefault(args, out.app(app.fn, args))
     return out
-
-
-def _list_apps(t: RTerm, model: IntModel):
-    if isinstance(t, RApp):
-        for a in t.args:
-            _list_apps(a, model)
-        args = tuple(eval_rterm(a, model) for a in t.args)
-        model.funcs.setdefault(t.fn, {}).setdefault(args, model.app(t.fn, args))
 
 
 def _next_fresh(sig: Signature, sort: str, used: dict[str, set[Term]]) -> Term:

@@ -179,10 +179,7 @@ class _ScriptBuilder:
             return
         arg_sorts = []
         for a in argl.items:
-            if not a.is_atom or (a.value != INT_SORT and a.value not in self.sorts):
-                raise InputError("uninterpreted functions must range over Int",
-                                 a.line, a.col)
-            if a.value != INT_SORT:
+            if not a.is_atom or a.value != INT_SORT:
                 raise InputError("uninterpreted functions must range over Int",
                                  a.line, a.col)
             arg_sorts.append(a.value)

@@ -330,8 +330,6 @@ class ReducedFormula:
     formula: RFormula
     table: SymbolTable
     flat: FlatFormula
-    opts: ReduceOptions
-    literal_map: dict = field(default_factory=dict)  # (literal, guarded) -> RFormula
     trace: tuple = ()
     base: "ReducedFormula | None" = None
 
@@ -592,8 +590,7 @@ def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
                   for name, sort in flat.var_sorts.items()]
         for name in sorted(flat.int_vars):
             table.int_var(name)
-        out.append(ReducedFormula(rand([body] + ranges), table, flat, opts,
-                                  literal_map=dict(red.memo)))
+        out.append(ReducedFormula(rand([body] + ranges), table, flat))
     return out
 
 
@@ -791,6 +788,5 @@ def simplify(reduct: ReducedFormula) -> ReducedFormula:
                 changed = True
         if not changed:
             break
-    return ReducedFormula(f, reduct.table, reduct.flat, reduct.opts,
-                          literal_map=reduct.literal_map, trace=tuple(trace),
+    return ReducedFormula(f, reduct.table, reduct.flat, trace=tuple(trace),
                           base=reduct.base or reduct)

@@ -97,7 +97,7 @@ def print_term(sig: Signature, t: Term) -> str:
 
 def print_int_expr(sig: Signature, e: IntExpr) -> str:
     if isinstance(e, IntConst):
-        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
+        return _int_text(e.value)
     if isinstance(e, IntVar):
         return e.name
     if isinstance(e, SizeOf):
@@ -109,6 +109,10 @@ def print_int_expr(sig: Signature, e: IntExpr) -> str:
     if not e.args:
         return e.fn
     return "(" + " ".join([e.fn] + [print_int_expr(sig, a) for a in e.args]) + ")"
+
+
+def _int_text(v: int) -> str:
+    return str(v) if v >= 0 else f"(- {-v})"
 
 
 _OP_TEXT = {"eq": "=", "le": "<=", "lt": "<", "ge": ">=", "gt": ">"}
@@ -139,7 +143,8 @@ def print_formula(sig: Signature, phi: Formula) -> str:
 
 def print_model(sig: Signature, model: AdtModel, var_sorts: dict[str, str],
                 only: set[str] | None = None) -> str:
-    """SMT-LIB define-fun lines for the assigned variables."""
+    """SMT-LIB define-fun lines for the assigned variables and for the
+    uninterpreted functions, each a nested ite over its graph (default 0)."""
     lines = []
     for name, term in model.adt.items():
         if only is not None and name not in only:
@@ -148,6 +153,14 @@ def print_model(sig: Signature, model: AdtModel, var_sorts: dict[str, str],
     for name, value in model.ints.items():
         if only is not None and name not in only:
             continue
-        val = str(value) if value >= 0 else f"(- {-value})"
-        lines.append(f"(define-fun {name} () Int {val})")
+        lines.append(f"(define-fun {name} () Int {_int_text(value)})")
+    for name, graph in model.funcs.items():
+        arity = len(next(iter(graph)))
+        body = "0"
+        for args, value in sorted(graph.items(), reverse=True):
+            conds = [f"(= x{i} {_int_text(a)})" for i, a in enumerate(args)]
+            cond = conds[0] if arity == 1 else "(and " + " ".join(conds) + ")"
+            body = f"(ite {cond} {_int_text(value)} {body})"
+        params = " ".join(f"(x{i} Int)" for i in range(arity))
+        lines.append(f"(define-fun {name} ({params}) Int {body})")
     return "\n".join(lines)

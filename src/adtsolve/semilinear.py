@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import InternalError
 
@@ -98,12 +98,6 @@ class EventuallyPeriodicSet:
             cands.update(self.threshold + ((r - self.threshold) % self.period)
                          for r in self.residues)
         return min(cands) if cands else None
-
-    def members(self, limit: int) -> Iterator[int]:
-        """All members strictly below `limit`, ascending."""
-        for n in range(limit):
-            if n in self:
-                yield n
 
     # -- algebra -----------------------------------------------------------
 

@@ -451,12 +451,13 @@ def terms_of_size(sig: Signature, sort: str, b: int) -> list[Term]:
 
 def enumerate_terms(sig: Signature, sort: str, max_size: int, *,
                     cap: int = DEFAULT_ENUM_CAP) -> Iterator[Term]:
-    """All terms of size <= max_size in nondecreasing size order."""
-    ensure_valid(sig)
-    if sort not in sig.sorts:
-        raise UnknownSymbolError(sort, "not a declared sort")
+    """All terms of size <= max_size in nondecreasing size order; a finite
+    sort stops after its last term."""
+    total = cardinality(sig, sort).count  # checks the signature and the sort
     produced = 0
     for b in range(1, max_size + 1):
+        if produced == total:
+            return
         for t in terms_of_size(sig, sort, b):
             produced += 1
             if produced > cap:

@@ -10,8 +10,7 @@ from adtsolve.errors import ProtocolError, SpawnError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import (
-    RApp, RConst, REq, RLin, RNot, RVar, ReduceOptions, rand, reduce, ror,
-    simplify,
+    RApp, RConst, REq, RLin, RNot, RVar, rand, reduce, ror, simplify,
 )
 from tests.test_semantics import formulas
 
@@ -24,7 +23,7 @@ def wrap(formula, lists_sig):
                    lists_sig)
     from adtsolve.reduce import SymbolTable, ReducedFormula
     table = SymbolTable(lists_sig, "depth")
-    return ReducedFormula(formula, table, flat, ReduceOptions())
+    return ReducedFormula(formula, table, flat)
 
 
 def ex1_reduct(lists_sig, fml):
@@ -226,6 +225,12 @@ B_GE_3 = _le(3, (-1, "b"))          # b >= 3
      "sat"),
     ([A_LE_5, B_GE_7, ror([REq(RVar("a"), RConst(7)), REq(RVar("a"), RVar("b"))])],
      "unsat"),
+    # a disequality over one class, whichever literal comes first, and an
+    # `ne` row whose two sides the union puts in one class
+    ([REq(RVar("a"), RVar("b")), RNot(REq(RVar("a"), RVar("b")))], "unsat"),
+    ([RNot(REq(RVar("a"), RVar("b"))), REq(RVar("a"), RVar("b"))], "unsat"),
+    ([REq(RVar("a"), RVar("b")), RLin("ne", ((1, RVar("a")), (-1, RVar("b"))), 0)],
+     "unsat"),
 ])
 def test_class_merges_reach_the_lia_rows(lists_sig, lits, status):
     f = rand(lits)
@@ -253,6 +258,33 @@ def test_one_lia_system_per_solve(lists_sig, monkeypatch):
     ])
     assert backend.solve(wrap(f, lists_sig)).status == "sat"
     assert len(built) == 2
+
+
+def _spent(monkeypatch, reduct):
+    """Solve, and return the verdict with the splits and branches spent."""
+    budgets = []
+
+    class Recorded(backend._Budget):
+        def __init__(self, branches, splits):
+            super().__init__(branches, splits)
+            budgets.append((self, branches, splits))
+
+    monkeypatch.setattr(backend, "_Budget", Recorded)
+    status = backend.solve(reduct).status
+    (budget, branches, splits), = budgets
+    return status, splits - budget.splits, branches - budget.branches
+
+
+def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
+    # the split and branch counts of the plain DFS; a search change that
+    # prunes (or grows) the tree shows up here
+    assert _spent(monkeypatch, two_colour_chain(4)) == ("unsat", 182, 11)
+    # f(x) = 1, f(y) = 2 with x, y in [0, 1]: the candidate x = y = 0 breaks
+    # functional consistency; its split's arm x != y is split into x < y
+    fx, fy = RApp("f", (RVar("x"),)), RApp("f", (RVar("y"),))
+    f = rand([REq(fx, RConst(1)), REq(fy, RConst(2)),
+              _le(0, (-1, "x")), _le(-1, (1, "x")), _le(0, (-1, "y")), _le(-1, (1, "y"))])
+    assert _spent(monkeypatch, wrap(f, lists_sig)) == ("sat", 6, 0)
 
 
 # -- backtrackable congruence closure ---------------------------------------------

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from adtsolve.backend import parse_model_response
 from adtsolve.cli import main
 from adtsolve.errors import AdtSolveError
 from adtsolve.parser import parse_script
@@ -191,6 +192,10 @@ def test_input_error_exit_code(tmp_path):
     assert main(["solve", str(p)]) == 2
     p.write_text(LISTS + "(assert (= (-) 1))")
     assert main(["solve", str(p)]) == 2
+    # functions must range over Int: not over a datatype, nor a list of sorts
+    for decl in ("(declare-fun f (CList) Int)", "(declare-fun f ((Int)) Int)"):
+        p.write_text(LISTS + decl)
+        assert main(["solve", str(p)]) == 2
     missing = tmp_path / "missing.smt2"
     assert main(["solve", str(missing)]) == 2
 
@@ -325,6 +330,61 @@ def test_interpolate_with_fake_backend(tmp_path):
     code, out = run(["interpolate", str(a), str(b), "--external-cmd", cmd])
     assert code == 0
     assert out.strip() == "(not (= (head x) (head (tail x))))"
+
+
+PROBE = """
+(declare-fun f (Int) Int)
+(declare-const a Int)
+(assert (= (f a) 2))
+"""
+
+FUNS = """
+(declare-fun f (Int) Int)
+(declare-fun g (Int Int) Int)
+(declare-const a Int)
+(declare-const b Int)
+"""
+
+
+def _printed_model(out):
+    """The define-fun lines after the verdict line, read as a get-model
+    response."""
+    return parse_model_response("(" + out.split("\n", 1)[1] + ")")
+
+
+@pytest.mark.parametrize("text", [
+    PROBE,
+    FUNS + "(assert (= (g a b) (- 2))) (assert (= (g b a) 5)) (assert (< a b))"
+           "(assert (distinct (f a) (f b)))",
+    # f's only application folds away: its graph still shows its arity
+    FUNS + "(assert (or (= a a) (= (f a) 2)))",
+], ids=["probe", "two-functions", "folded-application"])
+def test_solve_prints_function_graphs(tmp_path, text):
+    p = tmp_path / "funs.smt2"
+    p.write_text(text)
+    script = parse_script(text)
+    model = decide(script.formula(), script.sig).model
+    assert model.funcs
+    code, out = run(["solve", str(p)])
+    assert code == 0 and out.startswith("sat\n")
+    printed = _printed_model(out)
+    assert printed.funcs == model.funcs
+    assert set(printed.defaults.values()) == {0}
+    assert printed.values == model.ints
+
+
+def test_interpolate_not_unsat_prints_function_graphs(tmp_path):
+    a = tmp_path / "a.smt2"
+    a.write_text(FUNS + "(assert (= (f a) 2))")
+    b = tmp_path / "b.smt2"
+    b.write_text(FUNS + "(assert (= (g a b) 3))")
+    cmd = f"{sys.executable} {os.path.join(FAKES, 'itp_smtinterpol.py')}"
+    code, out = run(["interpolate", str(a), str(b), "--external-cmd", cmd])
+    assert code == 0 and out.startswith("not-unsat\n")
+    printed = _printed_model(out)
+    va, vb = printed.value("a"), printed.value("b")
+    assert printed.app("f", (va,)) == 2
+    assert printed.app("g", (va, vb)) == 3
 
 
 def test_corpus_subcommand():

@@ -218,6 +218,15 @@ def test_enumerate_cap(lists_sig):
         list(enumerate_terms(lists_sig, "CList", 25, cap=100))
 
 
+def test_enumerate_finite_sort_stops_after_its_last_term():
+    # P3867_3 is a product sort with 9 terms, the largest of size 3
+    sig = random_signature(random.Random(4))
+    got = list(enumerate_terms(sig, "P3867_3", 2000))
+    assert len(got) == cardinality(sig, "P3867_3").count == 9
+    largest = max(ground_size(t) for t in got)
+    assert max(b for _, b in sig._cache["terms"]) <= largest
+
+
 # -- dependency graph ---------------------------------------------------------------------
 
 def test_dependency_graph_lists(lists_sig):
