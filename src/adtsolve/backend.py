@@ -577,7 +577,8 @@ def solve_external(reduct: ReducedFormula, cmd: str, *,
 
 
 def parse_model_response(text: str) -> IntModel:
-    """Parse a get-model response: a (model ...) or bare (...) list of define-funs."""
+    """Parse a get-model response: a (model ...) or bare (...) list of
+    define-funs, or the define-funs themselves at top level."""
     try:
         exprs = read_sexprs(text)
     except Exception as e:
@@ -585,12 +586,13 @@ def parse_model_response(text: str) -> IntModel:
     model = IntModel()
     items: list[SExpr] = []
     for e in exprs:
-        if e.items is None:
+        if not e.items:
             continue
-        seq = list(e.items)
-        if seq and seq[0].is_atom and seq[0].value == "model":
-            seq = seq[1:]
-        items.extend(seq)
+        head = e.items[0].value
+        if head == "define-fun":
+            items.append(e)
+        else:
+            items.extend(e.items[1:] if head == "model" else e.items)
     for d in items:
         if d.items is None or len(d.items) < 5 or d.items[0].value != "define-fun":
             continue

@@ -97,8 +97,7 @@ def cmd_solve(args, out) -> int:
                     external_cmd=ext)
     print(result.status, file=out)
     if result.status == "sat":
-        source = set(script.var_sorts)
-        print(print_model(script.sig, result.model, script.var_sorts, only=source),
+        print(print_model(script.sig, result.model, script.var_sorts, script.ufuns),
               file=out)
     elif result.status == "unknown" and result.diagnosis:
         print(result.diagnosis.text, file=out)
@@ -159,10 +158,8 @@ def cmd_interpolate(args, out) -> int:
         return 0
     if outcome.kind == "not-unsat":
         print("not-unsat", file=out)
-        var_sorts = dict(script_a.var_sorts)
-        var_sorts.update(script_b.var_sorts)
-        print(print_model(sig, outcome.model, var_sorts,
-                          only=set(var_sorts)), file=out)
+        print(print_model(sig, outcome.model, {**script_a.var_sorts, **script_b.var_sorts},
+                          {**script_a.ufuns, **script_b.ufuns}), file=out)
         return 0
     if outcome.kind == "untranslatable":
         print(f"untranslatable: {outcome.raw}", file=out)

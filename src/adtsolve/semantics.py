@@ -142,22 +142,26 @@ def print_formula(sig: Signature, phi: Formula) -> str:
 
 
 def print_model(sig: Signature, model: AdtModel, var_sorts: dict[str, str],
-                only: set[str] | None = None) -> str:
-    """SMT-LIB define-fun lines for the assigned variables and for the
-    uninterpreted functions, each a nested ite over its graph (default 0)."""
+                ufuns: dict[str, tuple[tuple[str, ...], str]] | None = None) -> str:
+    """SMT-LIB define-fun lines for the declared constants (`var_sorts`), then
+    for the declared functions (`ufuns`) and every function the model holds,
+    each a nested ite over its graph (default 0).  A declared symbol the model
+    does not assign, because no assertion uses it, gets its sort's minimal
+    term, 0, or the function that is 0 everywhere."""
     lines = []
-    for name, term in model.adt.items():
-        if only is not None and name not in only:
-            continue
-        lines.append(f"(define-fun {name} () {var_sorts.get(name, '?')} {print_term(sig, term)})")
-    for name, value in model.ints.items():
-        if only is not None and name not in only:
-            continue
-        lines.append(f"(define-fun {name} () Int {_int_text(value)})")
+    for name, sort in var_sorts.items():
+        if sort == "Int":
+            value = _int_text(model.ints.get(name, 0))
+        else:
+            value = print_term(sig, model.adt[name] if name in model.adt
+                               else minimal_term(sig, sort))
+        lines.append(f"(define-fun {name} () {sort} {value})")
+    arities = {name: len(args) for name, (args, _) in (ufuns or {}).items()}
     for name, graph in model.funcs.items():
-        arity = len(next(iter(graph)))
+        arities.setdefault(name, len(next(iter(graph))))
+    for name, arity in arities.items():
         body = "0"
-        for args, value in sorted(graph.items(), reverse=True):
+        for args, value in sorted(model.funcs.get(name, {}).items(), reverse=True):
             conds = [f"(= x{i} {_int_text(a)})" for i, a in enumerate(args)]
             cond = conds[0] if arity == 1 else "(and " + " ".join(conds) + ")"
             body = f"(ite {cond} {_int_text(value)} {body})"

@@ -12,13 +12,16 @@ The size analyses read one grammar, `sort -> [(constructor, weight,
 argument sorts)]`: `_grammar` gives every constructor weight 1, and
 `_eliminate_singletons` drops singleton-domain sorts and folds their sizes
 into the weights.  Size images, relativized images and the expandingness
-cycles are all computed on that shape.
+cycles are all computed on that shape, and every image is read off exact
+membership bitsets of one grammar start (`_eps_from_bits`): a relativized
+image or a cycle's exits are the start of a `_lap` grammar added to it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
@@ -356,15 +359,22 @@ def relativized_size_image(sig: Signature, sort: str, ctor_name: str) -> Eventua
         raise UnknownSymbolError(ctor_name, f"result sort is {c.sort}, not {sort}")
     key = ("rel-image", sort, ctor_name)
     if key not in sig._cache:
-        sig._cache[key] = _relativized(_grammar(sig), sort, ctor_name)
+        sig._cache[key] = _eps_from_bits(*_lap(_grammar(sig), [(sort, ctor_name)]))
     return sig._cache[key]
 
 
-def _relativized(grammar: Grammar, sort: str, ctor_name: str) -> EventuallyPeriodicSet:
-    """Weighted sizes of the `sort` words of the grammar not headed by `ctor_name`."""
-    start = f"{sort}\0without\0{ctor_name}"
-    without = [p for p in grammar[sort] if p[0] != ctor_name]
-    return _eps_from_bits({**grammar, start: without}, start)
+def _lap(grammar: Grammar, steps: list[tuple[str, str]]) -> tuple[Grammar, str]:
+    """The once-around grammar of `steps` [(sort_i, ctor_i)] and its start:
+    fresh `c_i` has sort_i's productions with ctor_i's argument pointing at
+    `c_{i+1}`, and the last step drops ctor_i, so `c_0` derives the sort_0
+    words that leave the path before completing it."""
+    names = [f"{s}\0lap\0{i}" for i, (s, _) in enumerate(steps)]
+    lap = dict(grammar)
+    for i, (s, c) in enumerate(steps):
+        lap[names[i]] = [(d, w, (names[i + 1],) if d == c else args)
+                         for d, w, args in grammar[s]
+                         if d != c or i + 1 < len(steps)]
+    return lap, names[0]
 
 
 # -- counting and enumeration oracles ---------------------------------------------------
@@ -550,7 +560,9 @@ def check_expanding(sig: Signature) -> ExpandingReport:
     """A sort is non-expanding iff it is the base of a
     simple dependency cycle that (1) is the only path from the sort to itself,
     (2) uses only unary constructors, and (3) unboundedly contributes to the
-    size image.  Singleton-domain sorts are rewritten away first."""
+    size image.  Singleton-domain sorts are rewritten away first, so a
+    cycle step can weigh more than 1; condition 3 is decided in closed form
+    from the lap's weight and the eventually periodic sizes of its exits."""
     ensure_valid(sig)
     key = "expanding"
     if key in sig._cache:
@@ -560,17 +572,17 @@ def check_expanding(sig: Signature) -> ExpandingReport:
     for s in sig.sorts:
         cycle = _cycle_through(s, grammar) if s in grammar else None
         if cycle is not None:
-            n = len(cycle)
-            # R = union over cycle positions of the relativized image shifted by i-1
-            r = EventuallyPeriodicSet.empty()
-            for i, (sort_i, ctor_i) in enumerate(cycle):
-                r = r.union(_relativized(grammar, sort_i, ctor_i).shifted(i))
-            # condition 3 holds iff N*n + R keeps needing the exceptional members
-            # of R forever, i.e. (N*n + R) \ (N*n + tail(R)) is infinite
-            a_inf = r.plus_multiples(n)
-            c_inf = r.tail_only().plus_multiples(n)
-            if c_inf.eventually_contains(a_inf):
-                cycle = None  # condition 3 fails: cycle contribution bounded
+            # a term runs k laps of weight W, then leaves: the sizes are
+            # W*N + R, R the sizes of terms that leave within one lap.  For
+            # large n, W*N + tail(R) holds n iff n mod g is a residue of R
+            # mod g, g = gcd(W, period of R); so the cycle contributes
+            # unboundedly iff R has no tail or an exception outside them
+            r = _eps_from_bits(*_lap(grammar, cycle))
+            lap = sum(w for t, c in cycle for d, w, _ in grammar[t] if d == c)
+            g = gcd(lap, r.period)
+            tail = {x % g for x in r.residues}
+            if tail and all(e % g in tail for e in r.exceptions):
+                cycle = None
         verdicts.append((s, None if cycle is None
                          else tuple(x for step in cycle for x in step) + (s,)))
     report = ExpandingReport(tuple(verdicts))

@@ -116,8 +116,8 @@ def test_criterion_3_horn_model_checks(lists_sig):
 
 
 def test_criterion_4_size_images(lists_sig, nat_sig, two_cycle_sig, three_cycle_sig):
-    assert size_image(lists_sig, "CList") == EPS.make(set(), 0, 2, {1})
-    assert size_image(lists_sig, "Colour") == EPS.finite({1})
+    assert size_image(lists_sig, "CList") == EPS(frozenset(), 0, 2, frozenset({1}))
+    assert size_image(lists_sig, "Colour") == EPS(frozenset({1}), 2, 1, frozenset())
     phi = parse_formula("(= (adt.size x) (* 2 k))", lists_sig, LIST_VARS)
     res = solve_with_size(phi, lists_sig)
     assert res.status == "unsat" and res.rounds == 0

@@ -116,6 +116,13 @@ def test_external_sat_with_model(lists_sig, fml):
     assert res.model.defaults["f"] == 0
 
 
+def test_model_response_of_top_level_define_funs():
+    model = backend.parse_model_response(
+        "(define-fun a () Int 3)\n(define-fun f ((x Int)) Int (ite (= x 1) 2 0))")
+    assert model.values == {"a": 3}
+    assert model.funcs == {"f": {(1,): 2}}
+
+
 def test_external_unsat(lists_sig, fml):
     res = backend.solve_external(ex1_reduct(lists_sig, fml), _fake("smt_unsat.py"))
     assert res.status == "unsat"

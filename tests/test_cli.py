@@ -105,6 +105,15 @@ def test_analyze_nat(nat_file):
     assert "Nat: cardinality infinite" in out
 
 
+def test_analyze_weighted_cycle():
+    # the cycle S -> s -> S weighs 2: S has one term of each even size
+    code, out = run(["analyze", os.path.join(INPUTS, "weighted.smt2")])
+    assert code == 0
+    assert "S: non-expanding (cycle: S -> s -> S)\n" in out
+    assert "P: expanding\n" in out
+    assert "decision procedure incomplete" in out
+
+
 def test_analyze_lists(ex1_file):
     code, out = run(["analyze", ex1_file])
     assert code == 0
@@ -368,9 +377,23 @@ def test_solve_prints_function_graphs(tmp_path, text):
     code, out = run(["solve", str(p)])
     assert code == 0 and out.startswith("sat\n")
     printed = _printed_model(out)
-    assert printed.funcs == model.funcs
+    # a declared symbol that no assertion uses is printed as 0
+    assert printed.funcs == {**{f: {} for f in script.ufuns}, **model.funcs}
     assert set(printed.defaults.values()) == {0}
-    assert printed.values == model.ints
+    assert printed.values == {**dict.fromkeys(script.var_sorts, 0), **model.ints}
+
+
+def test_solve_prints_unused_declarations(tmp_path):
+    p = tmp_path / "unused.smt2"
+    p.write_text(LISTS + FUNS + "(declare-const z CList) (assert (or (= a a) (= (f a) 2)))")
+    code, out = run(["solve", str(p)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "sat"
+    for line in ["(define-fun y () Colour red)", "(define-fun b () Int 0)",
+                 "(define-fun z () CList nil)", "(define-fun g ((x0 Int) (x1 Int)) Int 0)"]:
+        assert line in lines
+    assert [line.split()[1] for line in lines[1:]] == ["x", "y", "a", "b", "z", "f", "g"]
 
 
 def test_interpolate_not_unsat_prints_function_graphs(tmp_path):
@@ -405,6 +428,14 @@ def test_external_backend_with_fake(ex1_file):
     code, out = run(["solve", ex1_file, "--external-cmd", cmd])
     assert code == 0
     assert out.strip() == "unsat"
+
+
+def test_external_model_of_top_level_define_funs(tmp_path):
+    p = tmp_path / "a.smt2"
+    p.write_text("(declare-const a Int) (assert (> a 5))")
+    cmd = f"{sys.executable} {os.path.join(FAKES, 'smt_bare_model.py')}"
+    assert run(["solve", str(p), "--external-cmd", cmd]) == \
+        (0, "sat\n(define-fun a () Int 7)\n")
 
 
 def test_external_command_from_environment(ex1_file, monkeypatch):

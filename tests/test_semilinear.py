@@ -15,96 +15,46 @@ def eps(draw):
     res = set(draw(st.lists(st.integers(0, per - 1), max_size=per)))
     thr = draw(st.integers(0, 12))
     exc = {e for e in draw(st.lists(st.integers(0, 11), max_size=4)) if e < thr}
-    return EPS.make(exc, thr, per, res)
+    return canonical(EPS(frozenset(exc), thr, per, frozenset(res)))
+
+
+def canonical(s):
+    """The normal form of a set given by its (possibly non-canonical) fields."""
+    return EPS.from_window(s.__contains__, s.threshold, s.period)
 
 
 def test_finite_roundtrip():
-    s = EPS.finite({3, 5, 9})
+    s = EPS.from_window({3, 5, 9}.__contains__, 12, 1)
     assert explicit(s, 12) == {3, 5, 9}
     assert s.is_finite
-    assert s.min() == 3
+    assert s == EPS(frozenset({3, 5, 9}), 10, 1, frozenset())
 
 
 def test_empty():
-    s = EPS.empty()
+    s = EPS.from_window(lambda n: False, 5, 3)
     assert s.is_empty
     assert explicit(s) == set()
-    assert s.min() is None
+    assert s == EPS(frozenset(), 0, 1, frozenset())
 
 
 def test_canonical_minimal_period():
     # residues {1, 3} mod 4 are really {1} mod 2
-    s = EPS.make(set(), 0, 4, {1, 3})
+    s = canonical(EPS(frozenset(), 0, 4, frozenset({1, 3})))
     assert s.period == 2
     assert s.residues == frozenset({1})
 
 
 def test_canonical_minimal_threshold():
     # an exception that agrees with the tail folds into it
-    s = EPS.make({1}, 3, 2, {1})
+    s = canonical(EPS(frozenset({1}), 3, 2, frozenset({1})))
     assert s.threshold <= 1
     assert explicit(s, 10) == {1, 3, 5, 7, 9}
 
 
 def test_odds():
-    odds = EPS.make(set(), 0, 2, {1})
+    odds = EPS(frozenset(), 0, 2, frozenset({1}))
     assert explicit(odds, 10) == {1, 3, 5, 7, 9}
     assert not odds.is_finite
-
-
-@given(eps(), eps())
-def test_union_matches_explicit(a, b):
-    u = a.union(b)
-    assert explicit(u) == explicit(a) | explicit(b)
-
-
-@given(eps(), st.integers(0, 10))
-def test_shift_matches_explicit(a, c):
-    s = a.shifted(c)
-    assert explicit(s) == {n + c for n in explicit(a, LIMIT - c)}
-
-
-@given(eps(), st.integers(1, 5), st.integers(0, 4))
-def test_minkowski_steps_matches_explicit(a, step, k):
-    s = a.minkowski_steps(step, k)
-    want = set()
-    for i in range(k + 1):
-        want |= {n + i * step for n in explicit(a, LIMIT - i * step)}
-    assert explicit(s) == want
-
-
-@given(eps(), st.integers(1, 5))
-def test_plus_multiples_matches_explicit(a, step):
-    s = a.plus_multiples(step)
-    base = explicit(a)
-    want = {n + i * step for n in base for i in range((LIMIT - n) // step + 1)}
-    want = {n for n in want if n < LIMIT}
-    assert explicit(s) == want
-
-
-@given(eps(), eps())
-def test_eventually_contains_union(a, b):
-    big = a.union(b)
-    assert big.eventually_contains(a)
-    assert big.eventually_contains(b)
-
-
-def test_eventually_contains_negative():
-    odds = EPS.make(set(), 0, 2, {1})
-    evens = EPS.make(set(), 0, 2, {0})
-    assert not odds.eventually_contains(evens)
-    # finite extras are ignored
-    odds_plus = odds.union(EPS.finite({2, 4}))
-    assert odds.eventually_contains(odds_plus)
-
-
-@given(eps())
-def test_tail_only_removes_exceptions(a):
-    t = a.tail_only()
-    for n in range(a.threshold, LIMIT):
-        assert (n in t) == (n in a)
-    for n in range(a.threshold):
-        assert n not in t or (n % t.period) in t.residues
 
 
 @given(eps(), eps())

@@ -9,7 +9,7 @@ from adtsolve.errors import InvalidSignatureError, ResourceLimitError, UnknownSy
 from adtsolve.semilinear import EventuallyPeriodicSet as EPS
 from adtsolve.signature import (
     Cardinality, CtorDecl, Signature, cardinality, check_expanding, ctor_index,
-    count_terms_of_size, dependency_graph, enumerate_terms, num_ctors,
+    count_terms_of_size, dependency_graph, enumerate_terms, minimal_term, num_ctors,
     relativized_size_image, size_image, terms_of_size, validate,
 )
 from adtsolve.terms import Ctor, ground_size
@@ -111,11 +111,11 @@ def test_cardinality_agrees_with_enumeration(lists_sig, two_cycle_sig):
 # -- size images ---------------------------------------------------------------------
 
 def test_size_image_clist_is_odd(lists_sig):
-    assert size_image(lists_sig, "CList") == EPS.make(set(), 0, 2, {1})
+    assert size_image(lists_sig, "CList") == EPS(frozenset(), 0, 2, frozenset({1}))
 
 
 def test_size_image_colour(lists_sig):
-    assert size_image(lists_sig, "Colour") == EPS.finite({1})
+    assert size_image(lists_sig, "Colour") == EPS(frozenset({1}), 2, 1, frozenset())
 
 
 def test_size_image_nat(nat_sig):
@@ -123,7 +123,7 @@ def test_size_image_nat(nat_sig):
     # oracle: enumerate Nat terms up to size 30
     realized = {b for b in range(31) if terms_of_size(nat_sig, "Nat", b)}
     assert realized == {b for b in range(1, 31)}
-    assert image == EPS.make(set(), 1, 1, {0})
+    assert image == EPS(frozenset(), 1, 1, frozenset({0}))
 
 
 def _headed_count(sig, ctor, b):
@@ -136,15 +136,16 @@ def _headed_count(sig, ctor, b):
 
 
 def test_relativized_size_images(lists_sig, nat_sig, two_cycle_sig):
-    assert relativized_size_image(nat_sig, "Nat", "succ") == EPS.finite({1})
-    assert relativized_size_image(lists_sig, "CList", "cons") == EPS.finite({1})
+    one = EPS(frozenset({1}), 2, 1, frozenset())
+    assert relativized_size_image(nat_sig, "Nat", "succ") == one
+    assert relativized_size_image(lists_sig, "CList", "cons") == one
     # oracle: sizes of cons-headed terms up to 15
     sizes = {ground_size(t) for b in range(16)
              for t in terms_of_size(lists_sig, "CList", b)
              if t.ctor != "nil"}
     rel = relativized_size_image(lists_sig, "CList", "nil")
     assert {n for n in range(16) if n in rel} == sizes
-    assert rel == EPS.make(set(), 2, 2, {1})
+    assert rel == EPS(frozenset(), 2, 2, frozenset({1}))
     # oracle on every sort and constructor: counting terms by head symbol
     for sig in (lists_sig, nat_sig, two_cycle_sig, *RANDOM_SIGS):
         for sort in sig.sorts:
@@ -287,37 +288,104 @@ def test_singleton_elimination():
 
 
 def _recheck_witness(sig, cycle):
-    """Independent re-check of the three conditions on a reported cycle."""
+    """Independent re-check of the three conditions on a reported cycle, on
+    explicit sets of sizes below a limit."""
     sorts = cycle[0::2][:-1]
     ctors = cycle[1::2]
-    n = len(ctors)
-    # condition 2: unary up to singleton-domain arguments
-    for c in ctors:
-        decl = sig.ctor(c)
-        live = [a for _, a in decl.args
-                if cardinality(sig, a) != Cardinality.finite(1)]
-        assert len(live) == 1
-    # condition 1 via counting: within the eliminated graph the only successors
-    # along the cycle stay on the cycle (checked structurally by uniqueness of
-    # the reported cycle start) -- approximate by verifying rotation closure
     assert sorts[0] == cycle[-1]
-    # condition 3 via the definition on a sampled prefix: for every k <= 12 the
-    # size image differs from {0..k}*n + R
-    r = EPS.empty()
-    for i, (s, c) in enumerate(zip(sorts, ctors)):
-        r = r.union(relativized_size_image(sig, s, c).shifted(i))
-    image = size_image(sig, sorts[0])
+    # condition 2: unary up to singleton-domain arguments, which add their
+    # one term's size to the step's weight
+    weights = []
+    for c in ctors:
+        args = [a for _, a in sig.ctor(c).args]
+        single = [a for a in args if cardinality(sig, a) == Cardinality.finite(1)]
+        assert len(args) - len(single) == 1
+        weights.append(1 + sum(ground_size(minimal_term(sig, a)) for a in single))
+    # offsets[i]: the size the cycle adds before step i; offsets[-1] is a lap
+    offsets = list(itertools.accumulate(weights, initial=0))
+    lap = offsets[-1]
+    limit = 40 + 14 * lap
+    # leaving the cycle at step i: a term of sort_i not headed by ctor_i
+    leave = {offsets[i] + m for i, (s, c) in enumerate(zip(sorts, ctors))
+             for m in range(limit) if m in relativized_size_image(sig, s, c)}
+    image = {m for m in range(limit) if m in size_image(sig, sorts[0])}
+
+    def laps(k):
+        return {m + j * lap for m in leave for j in range(k + 1)} & set(range(limit))
+
+    # condition 1: every term of the sort runs around the cycle, then leaves
+    assert laps(limit) == image
+    # condition 3: no bounded number of laps reaches every size
     for k in range(13):
-        approx = r.minkowski_steps(n, k)
-        assert {m for m in range(80) if m in approx} != \
-            {m for m in range(80) if m in image}
+        assert laps(k) != image
 
 
 def test_witnesses_satisfy_cycle_conditions(nat_sig, two_cycle_sig):
-    for sig in (nat_sig, two_cycle_sig, *RANDOM_SIGS):
+    for sig in (nat_sig, two_cycle_sig, *RANDOM_SIGS, *WEIGHTED_SIGS):
         report = check_expanding(sig)
         for sort in report.non_expanding_sorts:
             _recheck_witness(sig, report.witness(sort))
+
+
+# U has one term, so s weighs 2; a term of S leaves the cycle S -> s -> S
+# through a(P) at size 2 or at an odd size
+WEIGHTED = Signature(("U", "T", "T2", "P", "S"), (
+    CtorDecl("one", "U"),
+    CtorDecl("l", "T"), CtorDecl("n", "T", (("n1", "T"), ("n2", "T"))),
+    CtorDecl("m2", "T2", (("m21", "T"), ("m22", "T"))),
+    CtorDecl("pz", "P"), CtorDecl("pc", "P", (("pc1", "T2"),)),
+    CtorDecl("s", "S", (("s1", "U"), ("s2", "S"))), CtorDecl("a", "S", (("a1", "P"),)),
+))
+
+
+def _small(*ctors):
+    """A signature over sorts S0.. from (name, sort, argument sorts) triples."""
+    decls = tuple(CtorDecl(c, s, tuple((f"{c}_{i}", a) for i, a in enumerate(args)))
+                  for c, s, args in ctors)
+    return Signature(tuple(sorted({d.sort for d in decls})), decls)
+
+
+# small signatures with a singleton sort (S1) on which the cycle weights
+# change the verdict
+# S4 -> c8 -> S4 weighs 2: S4 has one term of each size 3 + 2k
+ODD_TAIL = _small(("c0", "S0", ()), ("c1", "S0", ()), ("c2", "S0", ("S3", "S0")),
+                  ("c3", "S1", ()), ("c4", "S2", ("S3",)), ("c5", "S2", ("S0", "S0")),
+                  ("c6", "S3", ()), ("c7", "S4", ("S2",)), ("c8", "S4", ("S3", "S4")))
+# S3 -> c7 -> S3 weighs 2: S3 has one term of each size 1 + 2k
+ODD_ALL = _small(("c0", "S0", ()), ("c1", "S0", ("S0", "S4")), ("c2", "S0", ()),
+                 ("c3", "S1", ()), ("c4", "S1", ("S4",)), ("c5", "S2", ()),
+                 ("c6", "S3", ("S0",)), ("c7", "S3", ("S3", "S2")), ("c8", "S3", ()),
+                 ("c9", "S4", ()), ("c10", "S4", ("S0", "S0")))
+# S0 -> c1 -> S2 -> c4 -> S0 weighs 1 + 2 = 3, and the terms that leave it
+# have sizes 1, 3 and every even size from 4 on: gcd(3, 2) = 1, so every
+# residue class of the sizes keeps growing in count
+GROWING = _small(("c0", "S0", ()), ("c1", "S0", ("S2",)), ("c2", "S0", ("S1", "S1")),
+                 ("c3", "S1", ()), ("c4", "S2", ("S1", "S0")), ("c5", "S2", ("S3", "S3")),
+                 ("c6", "S3", ("S1", "S3")), ("c7", "S3", ()))
+WEIGHTED_SIGS = [WEIGHTED, ODD_TAIL, ODD_ALL, GROWING]
+
+
+@pytest.mark.parametrize("sig, sort, witness, start, lap", [
+    (WEIGHTED, "S", ("S", "s", "S"), 2, 2),
+    (ODD_TAIL, "S4", ("S4", "c8", "S4"), 3, 2),
+    (ODD_ALL, "S3", ("S3", "c7", "S3"), 1, 2),
+], ids=["weighted", "odd-tail", "odd-all"])
+def test_weighted_cycle_is_non_expanding(sig, sort, witness, start, lap):
+    assert check_expanding(sig).witness(sort) == witness
+    assert [count_terms_of_size(sig, sort, start + lap * k) for k in range(12)] == [1] * 12
+
+
+def test_weighted_cycle_can_be_expanding():
+    report = check_expanding(GROWING)
+    assert report.is_expanding("S0") and report.is_expanding("S2")
+    assert report.non_expanding_sorts == ["S3"]
+    image = size_image(GROWING, "S0")
+
+    def min_count(lo):
+        return min(count_terms_of_size(GROWING, "S0", b)
+                   for b in range(lo, lo + 6) if b in image)
+
+    assert min_count(5) < min_count(15) < min_count(25) < min_count(35)
 
 
 def test_counting_characterization(nat_sig, two_cycle_sig, lists_sig, three_cycle_sig):

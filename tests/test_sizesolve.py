@@ -105,6 +105,26 @@ def test_nat_disequal_same_size_unbounded_unknown(nat_sig):
     assert res.diagnosis.mismatches
 
 
+def test_weighted_cycle_unknown_names_the_cycle():
+    # S's cycle weighs 2, so S has one term of each even size: unsat, but the
+    # loop cannot prove it, and the diagnosis must not call S expanding
+    script = parse_script("""
+(declare-datatypes ((U 0) (T 0) (T2 0) (P 0) (S 0))
+  (((one)) ((l) (n (n1 T) (n2 T))) ((m2 (m21 T) (m22 T))) ((pz) (pc (pc1 T2)))
+   ((s (s1 U) (s2 S)) (a (a1 P)))))
+(declare-const x S)
+(declare-const y S)
+(declare-const k Int)
+(assert (distinct x y))
+(assert (= (adt.size x) (adt.size y)))
+(assert (= (adt.size x) (* 2 k)))
+""")
+    res = decide(script.formula(), script.sig, fuel=8)
+    assert res.status == "unknown" and res.rounds == 8
+    assert "S: non-expanding (cycle: S -> s -> S)" in res.diagnosis.text
+    assert "all sorts expanding" not in res.diagnosis.text
+
+
 def test_sat_models_are_validated(lists_sig, fml):
     phi = fml("(and (>= (adt.size x) 5) ((_ is cons) x) (not (= z x)) "
               "(= (adt.size z) (adt.size x)))")
