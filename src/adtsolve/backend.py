@@ -3,16 +3,18 @@
 The built-in solver searches the preserved Boolean structure depth-first
 with one backtrackable congruence closure and one push/pop LIA system per
 solve, driven together: the literals of a branch are asserted into both in
-place and retracted on backtrack.  A linear literal becomes a row over the
-congruence classes when it is asserted, and each union of a class the LIA
-system mentions adds the equality of the two class variables.  A disequality
-is kept as an `ne` row next to the linear `ne` literals.  Each conjunction is
-decided by linear integer feasibility over the classes; a violated `ne` row
-and a functional inconsistency of the candidate model are repaired by case
-splits, all through one routine whose arms are reduced literals: the two
-strict sides of the row, or the two applications being equal or one of their
-argument pairs differing.  Every sat verdict is re-checked by an independent
-evaluator before being returned.
+place and retracted on backtrack.  The congruence closure holds the term
+equalities and the LIA system every integer fact: a linear literal or a
+disequality becomes a row over the congruence classes when it is asserted (a
+disequality as an `ne` row), the class variable of each constant term is
+pinned to its value, and each union of a class the system mentions adds the
+equality of the two class variables.  Each conjunction is decided by linear
+integer feasibility over the classes; a violated `ne` row and a functional
+inconsistency of the candidate model are repaired by case splits, all
+through one routine: the two strict sides of the row, as `le` rows, or the
+two applications being equal or one of their argument pairs differing.
+Every sat verdict is re-checked by an independent evaluator before being
+returned.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -24,7 +26,6 @@ import shlex
 import subprocess
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import lia
 from .errors import InternalError, ProtocolError, ResourceLimitError, SpawnError
@@ -117,7 +118,6 @@ class _CC:
         self.parent: list[int] = []
         self.size: list[int] = []
         self.uses: list[list[int]] = []  # per class root: apps over the class
-        self.const_of: dict[int, int] = {}
         self.sigs: dict[tuple, int] = {}
         self.trail: list[tuple] = []
         self.marks: list[int] = []
@@ -136,18 +136,15 @@ class _CC:
             elif kind == "sig":
                 del self.sigs[entry[1]]
             elif kind == "union":
-                _, ra, rb, moved_const = entry
+                _, ra, rb = entry
                 self.parent[ra] = ra
                 self.size[rb] -= self.size[ra]
-                if moved_const:
-                    del self.const_of[rb]
             else:  # "term"
                 del self.ids[self.terms.pop()]
                 self.args.pop()
                 self.parent.pop()
                 self.size.pop()
                 self.uses.pop()
-                self.const_of.pop(len(self.terms), None)
 
     def add(self, t: RTerm) -> int:
         i = self.ids.get(t)
@@ -162,13 +159,11 @@ class _CC:
         self.size.append(1)
         self.uses.append([])
         self.trail.append(("term",))
-        if isinstance(t, RConst):
-            self.const_of[i] = t.value
-        elif isinstance(t, RApp):
+        if isinstance(t, RApp):
             sig = (t.fn, tuple(self.find(a) for a in args))
             other = self.sigs.get(sig)
             if other is not None:
-                self.merge(i, other)  # a fresh singleton: no uses, no constant
+                self.merge(i, other)  # a fresh singleton without uses
             else:
                 self.sigs[sig] = i
                 self.trail.append(("sig", sig))
@@ -183,9 +178,8 @@ class _CC:
             i = parent[i]
         return i
 
-    def merge(self, i: int, j: int) -> bool:
-        """Union two classes and propagate congruences; False on a constant
-        clash, which leaves partial work for the enclosing pop()."""
+    def merge(self, i: int, j: int) -> None:
+        """Union two classes and propagate congruences."""
         pending = [(i, j)]
         while pending:
             a, b = pending.pop()
@@ -194,14 +188,9 @@ class _CC:
                 continue
             if self.size[ra] > self.size[rb]:
                 ra, rb = rb, ra
-            ca, cb = self.const_of.get(ra), self.const_of.get(rb)
-            if ca is not None and cb is not None:
-                return False  # one term per constant: distinct classes clash
             self.parent[ra] = rb
             self.size[rb] += self.size[ra]
-            if ca is not None:
-                self.const_of[rb] = ca
-            self.trail.append(("union", ra, rb, ca is not None))
+            self.trail.append(("union", ra, rb))
             for u in self.uses[ra]:
                 sig = (self.terms[u].fn, tuple(self.find(x) for x in self.args[u]))
                 other = self.sigs.get(sig)
@@ -212,7 +201,6 @@ class _CC:
                     self.trail.append(("use", rb))
                 elif self.find(other) != self.find(u):
                     pending.append((u, other))
-        return True
 
 
 # -- branch decision ------------------------------------------------------------------
@@ -233,37 +221,32 @@ class _Budget:
             raise ResourceLimitError("split cap exhausted")
 
 
-def _row(op: str, coeffs: dict[int, int], const: int) -> lia.LinCon:
-    """A linear constraint over the class variables #t<root>."""
-    return lia.con(op, {f"#t{r}": a for r, a in coeffs.items()}, const)
-
-
 class _Search:
     """DFS over the Boolean structure with one congruence closure and one
     LIA system: literals are asserted along the current path and retracted
-    on backtrack.  A linear literal is translated over the class roots once,
-    when it is asserted; a later union of a class the system mentions adds
-    the equality of the two class variables (or of the variable and the
-    class's constant), which eliminates one of the two."""
+    on backtrack.  The CC holds the term equalities and the system every
+    integer fact: a linear literal or disequality becomes a row over the
+    class variables #t<root> once, when it is asserted, each new constant
+    term's variable is pinned to its value by an `eq` row, and a later union
+    of a class the system mentions adds the equality of the two class
+    variables, which eliminates one of the two."""
 
     def __init__(self, budget: _Budget):
         self.budget = budget
         self.cc = _CC()
         self.lia = lia.System()
         self.mentioned: dict[int, None] = {}  # roots the system has seen, in order
-        self.nes: list[tuple[tuple[tuple[int, int], ...], int]] = []  # `ne` rows
-        self.marks: list[tuple[int, int]] = []
+        self.marks: list[int] = []
 
     def push(self):
         self.cc.push()
         self.lia.push()
-        self.marks.append((len(self.nes), len(self.mentioned)))
+        self.marks.append(len(self.mentioned))
 
     def pop(self):
         self.cc.pop()
         self.lia.pop()
-        n_nes, n_mentioned = self.marks.pop()
-        del self.nes[n_nes:]
+        n_mentioned = self.marks.pop()
         while len(self.mentioned) > n_mentioned:
             self.mentioned.popitem()
 
@@ -271,48 +254,52 @@ class _Search:
         for r, a in coeffs.items():
             if a:
                 self.mentioned.setdefault(r)
-        self.lia.add(_row(op, coeffs, const))
+        self.lia.add(lia.con(op, {f"#t{r}": a for r, a in coeffs.items()}, const))
 
-    def merge(self, i: int, j: int) -> bool:
+    def add(self, t: RTerm) -> int:
+        """The CC node of a term, with the variable of each constant term
+        this adds pinned to the constant's value."""
+        cc = self.cc
+        start = len(cc.terms)
+        i = cc.add(t)
+        for j in range(start, len(cc.terms)):
+            if isinstance(cc.terms[j], RConst):
+                self.add_row("eq", {j: 1}, -cc.terms[j].value)
+        return i
+
+    def merge(self, i: int, j: int) -> None:
         """Union two classes in the CC and carry every union it makes over to
-        the LIA system; False on a constant clash."""
+        the LIA system."""
         cc = self.cc
         start = len(cc.trail)
-        if not cc.merge(i, j):
-            return False
+        cc.merge(i, j)
         for entry in cc.trail[start:]:
-            if entry[0] != "union":
-                continue
-            _, ra, rb, moved_const = entry
-            k = cc.const_of.get(rb)
-            if moved_const:  # ra brought the constant: pin rb's variable
-                if rb in self.mentioned:
-                    self.add_row("eq", {rb: 1}, -k)
-            elif ra in self.mentioned:
-                if k is None:
-                    self.add_row("eq", {ra: 1, rb: -1}, 0)
-                else:
-                    self.add_row("eq", {ra: 1}, -k)
-        return True
+            if entry[0] == "union" and entry[1] in self.mentioned:
+                self.add_row("eq", {entry[1]: 1, entry[2]: -1}, 0)
 
-    def assert_lit(self, lit: RFormula) -> bool:
-        """Add one literal to the current scope; False when it contradicts
-        the congruence classes outright.  A disequality a != b is kept as the
-        `ne` row 1*a - 1*b != 0."""
-        cc = self.cc
-        if isinstance(lit, REq):
-            return self.merge(cc.add(lit.lhs), cc.add(lit.rhs))
-        if isinstance(lit, RNot):
-            self.nes.append((((1, cc.add(lit.arg.lhs)), (-1, cc.add(lit.arg.rhs))), 0))
+    def translate(self, pairs) -> dict[int, int]:
+        """The coefficient of every class root in sum(coef * term)."""
+        coeffs: dict[int, int] = {}
+        for coef, t in pairs:
+            r = self.cc.find(self.add(t))
+            coeffs[r] = coeffs.get(r, 0) + coef
+        return coeffs
+
+    def assert_lit(self, lit: RFormula | lia.LinCon) -> None:
+        """Add one literal, or a row over the system's variables, to the
+        current scope.  A disequality a != b is the `ne` row 1*a - 1*b != 0.
+        A row, such as a side of a violated `ne` row, mentions only classes
+        the system has seen already."""
+        if isinstance(lit, lia.LinCon):
+            self.lia.add(lit)
+        elif isinstance(lit, REq):
+            self.merge(self.add(lit.lhs), self.add(lit.rhs))
+        elif isinstance(lit, RNot):
+            self.add_row("ne", self.translate(((1, lit.arg.lhs), (-1, lit.arg.rhs))), 0)
         elif isinstance(lit, RLin):
-            pairs = tuple((c, cc.add(t)) for c, t in lit.terms)
-            if lit.op == "ne":
-                self.nes.append((pairs, lit.const))
-            else:
-                self.add_row(lit.op, *self.translate(pairs, lit.const))
+            self.add_row(lit.op, self.translate(lit.terms), lit.const)
         elif not isinstance(lit, RTrueF):
             raise InternalError(f"unexpected literal {lit}")
-        return True
 
     def search(self, pending: list[RFormula]) -> IntModel | None:
         """All definite conjuncts are asserted before branching, and a branch
@@ -333,8 +320,8 @@ class _Search:
             else:
                 lits.append(f)
         self.budget.spend_split()
-        if not all(self.assert_lit(lit) for lit in lits):
-            return None
+        for lit in lits:
+            self.assert_lit(lit)
         model = self.decide()
         if model is None or not ors:
             return model
@@ -348,94 +335,61 @@ class _Search:
                 return out
         return None
 
-    def split(self, arms: list[RFormula], then: Callable[[], IntModel | None]) -> IntModel | None:
-        """A case split inside the asserted conjunction: each arm literal in
-        turn is asserted in its own scope and `then()` decides it; the first
-        model wins."""
+    def split(self, arms: list[RFormula | lia.LinCon]) -> IntModel | None:
+        """A case split inside the asserted conjunction: each arm in turn is
+        asserted in its own scope and decided; the first model wins."""
         self.budget.spend_split()
         for arm in arms:
             self.budget.spend_split()
             self.push()
-            out = then() if self.assert_lit(arm) else None
+            self.assert_lit(arm)
+            out = self.decide()
             self.pop()
             if out is not None:
                 return out
         return None
 
-    def translate(self, pairs, const: int) -> tuple[dict[int, int], int]:
-        """sum(coef * term) + const over class roots, constants folded in."""
-        find, const_of = self.cc.find, self.cc.const_of
-        coeffs: dict[int, int] = {}
-        c = const
-        for coef, i in pairs:
-            r = find(i)
-            val = const_of.get(r)
-            if val is not None:
-                c += coef * val
-            else:
-                coeffs[r] = coeffs.get(r, 0) + coef
-        return coeffs, c
-
-    def decide(self) -> IntModel | None:
-        """Decide the asserted conjunction: integer feasibility of the linear
-        atoms over the classes, with the `ne` rows translated over the current
-        roots; a row that translates to 0 != 0 is a conflict."""
-        pending_ne: list[tuple[dict[int, int], int]] = []
-        for pairs, const in self.nes:
-            coeffs, c = self.translate(pairs, const)
-            if any(coeffs.values()):
-                pending_ne.append((coeffs, c))
-            elif c == 0:
-                return None
-        return self.decide_lia(pending_ne)
-
-    def class_values(self, model_map: dict[str, int]) -> tuple[dict[int, int], list[int]]:
-        """The value of every class root and of every term: solved, constant,
-        or, for a class no row constrains, a distinct value clear of the
-        solved ones, so that such classes neither collide in function tables
-        nor violate disequalities."""
+    def class_values(self, model_map: dict[str, int]) -> list[int]:
+        """The value of every term: its class variable's in the model, where
+        a class the model leaves free is given a distinct value clear of the
+        solved ones and added to the model, so that such classes neither
+        collide in function tables nor violate disequalities."""
         cc = self.cc
         spread = 1 + max((abs(v) for v in model_map.values()), default=0)
         root_value: dict[int, int] = {}
         values: list[int] = []
         for i in range(len(cc.terms)):
             r = cc.find(i)
-            if r not in root_value:
-                v = model_map.get(f"#t{r}", cc.const_of.get(r))
+            v = root_value.get(r)
+            if v is None:
+                name = f"#t{r}"
+                v = model_map.get(name)
                 if v is None:
-                    v, spread = spread, spread + 1
+                    v = model_map[name] = spread
+                    spread += 1
                 root_value[r] = v
-            values.append(root_value[r])
-        return root_value, values
+            values.append(v)
+        return values
 
-    def decide_lia(self, pending_ne: list[tuple[dict[int, int], int]]) -> IntModel | None:
-        """Integer feasibility over fixed classes; violated disequalities and
-        functional inconsistencies are repaired by recursive case splits."""
+    def decide(self) -> IntModel | None:
+        """Integer feasibility of the asserted conjunction over fixed classes;
+        violated disequalities and functional inconsistencies are repaired by
+        recursive case splits."""
         model_map = self.lia.model()
         if model_map is None:
             return None
         # lazily split the first `ne` row the candidate model violates into
-        # its two strict sides, `le` literals over the class representatives:
-        # the classes do not change on those arms, so the translated rows stay
-        # valid and the side stays asserted for the functional-consistency
-        # splits below it.  A row over solved classes reads the model; only
-        # one over a class no row constrains needs the value of every class
-        root_value = values = None
-        for coeffs, c in pending_ne:
-            if root_value is None and any(f"#t{r}" not in model_map for r in coeffs):
-                root_value, values = self.class_values(model_map)
-            if root_value is None:
-                total = c + sum(a * model_map[f"#t{r}"] for r, a in coeffs.items())
-            else:
-                total = c + sum(a * root_value[r] for r, a in coeffs.items())
-            if total != 0:
-                continue
-            terms = self.cc.terms
-            sides = [RLin("le", tuple((sign * a, terms[r]) for r, a in coeffs.items()),
-                          sign * c + 1) for sign in (1, -1)]
-            return self.split(sides, lambda: self.decide_lia(pending_ne))
+        # its two strict sides; a row over solved variables reads the model,
+        # and only one over a class no row constrains needs every class value
+        values = None
+        for row in self.lia.nes():
+            if values is None and any(v not in model_map for v, _ in row.coeffs):
+                values = self.class_values(model_map)
+            if row.const + sum(a * model_map[v] for v, a in row.coeffs) == 0:
+                return self.split([lia.LinCon("le", tuple((v, s * a) for v, a in row.coeffs),
+                                              s * row.const + 1) for s in (1, -1)])
         if values is None:
-            root_value, values = self.class_values(model_map)
+            values = self.class_values(model_map)
 
         # functional consistency under the candidate model: two apps of one
         # function that agree on their arguments must agree on their values,
@@ -455,9 +409,8 @@ class _Search:
         else:
             return model
         t1, t2 = cc.terms[j], t
-        arms = [REq(t1, t2)] + [RNot(REq(a1, a2)) for a1, a2 in zip(t1.args, t2.args)
-                                if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])]
-        return self.split(arms, self.decide)
+        return self.split([REq(t1, t2)] + [RNot(REq(a1, a2)) for a1, a2 in zip(t1.args, t2.args)
+                                           if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])])
 
 
 # -- public solve ------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Subcommands: solve, analyze, emit, interpolate, corpus.  Exit codes: 0 the
 command ran to a verdict, 1 usage error, 2 input error, 3 backend or
 resource error (including an interpolant that fails verification), 4
 internal error (a bug in this package, such as a model that fails
-validation).
+validation).  A reader that closes standard output early, such as `head` or
+`grep -q`, ends the command quietly with exit code 0: what it did not read
+was not wanted.
 """
 
 from __future__ import annotations
@@ -181,18 +183,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
+    commands = {"solve": cmd_solve, "analyze": cmd_analyze, "emit": cmd_emit,
+                "interpolate": cmd_interpolate, "corpus": cmd_corpus}
     try:
-        if args.command == "solve":
-            return cmd_solve(args, out)
-        if args.command == "analyze":
-            return cmd_analyze(args, out)
-        if args.command == "emit":
-            return cmd_emit(args, out)
-        if args.command == "interpolate":
-            return cmd_interpolate(args, out)
-        if args.command == "corpus":
-            return cmd_corpus(args, out)
-        return 1
+        code = commands[args.command](args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the final
+        # flush at exit, to /dev/null instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,11 +1,13 @@
 """Feasibility of conjunctions of linear integer constraints.
 
-Constraints are normalized to `sum(coeff*var) + const <= 0` or `= 0`.
-Equalities are eliminated (unit-coefficient substitution, with Pugh's
-symmetric-modulus variable change when no unit coefficient exists), each
-inequality is GCD-tightened, and the rest is decided either on the
-difference-constraint graph (when every constraint has that shape) or by an
-exact rational simplex with branch-and-bound.
+Constraints are normalized to `sum(coeff*var) + const` compared with 0 by
+`<=`, `=` or `!=`.  Equalities are eliminated (unit-coefficient
+substitution, with Pugh's symmetric-modulus variable change when no unit
+coefficient exists), every other row is GCD-tightened, and the inequalities
+are decided either on the difference-constraint graph (when every one has
+that shape) or by an exact rational simplex with branch-and-bound.  The
+disequalities are only kept up to date: the caller reads them under a model
+and splits a violated one into its two strict sides.
 
 A `System` is this state as a push/pop theory solver: rows join one at a time
 through `add`, each rewritten by the substitutions so far, an equality is
@@ -28,12 +30,12 @@ NODE_CAP = 20000
 
 @dataclass(frozen=True)
 class LinCon:
-    op: str  # 'le' | 'eq'
+    op: str  # 'le' | 'eq' | 'ne'
     coeffs: tuple[tuple[str, int], ...]
     const: int
 
     def __post_init__(self):
-        assert self.op in ("le", "eq")
+        assert self.op in ("le", "eq", "ne")
 
 
 def con(op: str, coeffs: dict[str, int], const: int) -> LinCon:
@@ -53,19 +55,26 @@ class _Infeasible(Exception):
     pass
 
 
-def _tighten(c: LinCon) -> LinCon:
+def _tightened(c: LinCon) -> LinCon | None:
+    """c divided by the gcd of its coefficients; None for a row that holds
+    whatever the values (a true ground row, or an `ne` row whose constant the
+    gcd does not divide), _Infeasible for one that never does."""
     if not c.coeffs:
-        return c
+        if _check_ground(c):
+            return None
+        raise _Infeasible()
     g = 0
     for _, a in c.coeffs:
         g = gcd(g, abs(a))
     if g <= 1:
         return c
     coeffs = tuple((v, a // g) for v, a in c.coeffs)
-    if c.op == "eq":
-        if c.const % g != 0:
+    if c.op != "le":
+        if c.const % g == 0:
+            return LinCon(c.op, coeffs, c.const // g)
+        if c.op == "eq":
             raise _Infeasible()
-        return LinCon("eq", coeffs, c.const // g)
+        return None
     # sum a_i x_i <= -const  ->  divide and round the bound down
     bound = -c.const
     new_bound = bound // g if bound >= 0 else -((-bound + g - 1) // g)
@@ -73,7 +82,7 @@ def _tighten(c: LinCon) -> LinCon:
 
 
 def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon | None:
-    """c with var = expr . x + const, re-tightened (see _tightened); c itself
+    """c with var = expr . x + const, tightened (see _tightened); c itself
     when var does not occur in it."""
     coeffs = dict(c.coeffs)
     a = coeffs.pop(var, 0)
@@ -85,18 +94,10 @@ def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon
     return _tightened(con(c.op, coeffs, out_const))
 
 
-def _tightened(c: LinCon) -> LinCon | None:
-    """c tightened; None for a ground row that holds, _Infeasible for one
-    that fails."""
-    if c.coeffs:
-        return _tighten(c)
-    if _check_ground(c):
-        return None
-    raise _Infeasible()
-
-
 def _check_ground(c: LinCon) -> bool:
-    return c.const <= 0 if c.op == "le" else c.const == 0
+    if c.op == "le":
+        return c.const <= 0
+    return (c.const == 0) == (c.op == "eq")
 
 
 def _edge(c: LinCon) -> tuple[str, str, int] | None:
@@ -214,6 +215,9 @@ class System:
     variable makes one when there is none), and every live inequality that
     mentions it is replaced by its substituted copy.  A replaced row leaves
     the live set; the live inequalities are what the model is found over.
+    A disequality (`ne`) row is rewritten in place instead, so the live ones
+    keep the order they came in (`nes`); the model ignores them, and one
+    that becomes the ground `0 != 0` makes the system infeasible.
 
     Every live difference constraint is also an edge of the difference graph,
     which holds the shortest distances `dist` from a virtual source with
@@ -229,7 +233,7 @@ class System:
     """
 
     def __init__(self, cons: list[LinCon] = ()):
-        self.rows: list[LinCon | None] = []  # inequalities; None once replaced
+        self.rows: list[LinCon | None] = []  # `le` and `ne` rows; None once replaced
         self.subs: list[tuple[str, dict[str, int], int]] = []
         self.dist: dict[str, int] = {"$zero": 0}
         self.out: dict[str, list[tuple[str, int]]] = {"$zero": []}
@@ -281,10 +285,10 @@ class System:
                 if c is None:
                     break
                 c = _substitute(c, v, expr, const)
-            if c is not None and c.op == "le":
-                self._add_row(c)
-            elif c is not None:
+            if c is not None and c.op == "eq":
                 self._eliminate(c)
+            elif c is not None:
+                self._add_row(c)
         except _Infeasible:
             self.infeasible = True
         if not self.marks:
@@ -292,6 +296,8 @@ class System:
 
     def _add_row(self, c: LinCon) -> None:
         self.rows.append(c)
+        if c.op == "ne":
+            return
         edge = _edge(c)
         if edge is None:
             self.n_general += 1
@@ -320,8 +326,11 @@ class System:
             for i in range(len(rows)):
                 r = rows[i]
                 if r is not None and any(u == v for u, _ in r.coeffs):
-                    rows[i] = None
                     self.trail.append(("row", i, r))
+                    if r.op == "ne":
+                        rows[i] = _substitute(r, v, expr, const)
+                        continue
+                    rows[i] = None
                     if _edge(r) is None:
                         self.n_general -= 1
                     r = _substitute(r, v, expr, const)
@@ -367,11 +376,13 @@ class System:
         return True
 
     def model(self) -> dict[str, int] | None:
-        """Integer model of the current conjunction, or None when infeasible."""
+        """Integer model of the inequalities and equalities in scope, the
+        variables of the Omega steps included, or None when infeasible."""
         if self.infeasible:
             return None
         if self.general:
-            model = _branch_and_bound([r for r in self.rows if r is not None])
+            model = _branch_and_bound([r for r in self.rows
+                                       if r is not None and r.op == "le"])
             if model is None:
                 return None
         else:
@@ -380,9 +391,14 @@ class System:
         # replay eliminated equalities, newest first
         for v, expr, const in reversed(self.subs):
             model[v] = const + sum(b * model.setdefault(u, 0) for u, b in expr.items())
-        return {v: x for v, x in model.items() if not v.startswith("$")}
+        return model
+
+    def nes(self) -> list[LinCon]:
+        """The live `ne` rows, in the order they were added."""
+        return [r for r in self.rows if r is not None and r.op == "ne"]
 
 
 def solve(cons: list[LinCon]) -> dict[str, int] | None:
-    """Integer model of the conjunction, or None when infeasible."""
+    """Integer model of a conjunction of `le` and `eq` rows, or None when
+    infeasible."""
     return System(cons).model()

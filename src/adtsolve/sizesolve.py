@@ -55,7 +55,6 @@ class UnfoldState:
     rounds: int = 0
     fuel: int = DEFAULT_FUEL
     sites: dict[str, tuple[str, int]] = field(default_factory=dict)
-    creation_order: list[str] = field(default_factory=list)
     waiting_age: dict[str, int] = field(default_factory=dict)
     counter: int = 0
 
@@ -98,7 +97,6 @@ def make_state(parts: list[tuple[str, FlatFormula]], sig: Signature,
             if name not in state.var_sorts:
                 state.var_sorts[name] = sort
                 state.var_partition[name] = tag
-                state.creation_order.append(name)
         state.int_vars.update(flat.int_vars)
         state.registry.update(flat.registry)
     return state
@@ -126,7 +124,6 @@ def unfold_step(state: UnfoldState, name: str) -> UnfoldState:
             state.var_sorts[fresh] = arg_sort
             state.var_partition[fresh] = partition
             state.sites[fresh] = (name, state.rounds)
-            state.creation_order.append(fresh)
             args.append(Var(fresh, arg_sort))
         cases.append(Eq(Ctor(decl.name, tuple(args)), x))
     state.conjuncts.append((partition, disj(cases)))
@@ -162,7 +159,7 @@ def _select_variable(state: UnfoldState, mismatched: list[str],
         if v not in mismatched:
             state.waiting_age.pop(v)
     starved = [v for v in mismatched if state.waiting_age.get(v, 0) >= _STARVATION_AGE]
-    order = {n: i for i, n in enumerate(state.creation_order)}
+    order = {n: i for i, n in enumerate(state.var_sorts)}  # creation order
     if starved:
         return min(starved, key=lambda v: order[v])
 
@@ -180,14 +177,23 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
                 base: ReducedFormula) -> list[str]:
     """Acceptance test: the ADT variables whose value matches no unfolded
     variable of the same sort.  Unconstrained variables are repointed at
-    unfolded values first when the formula stays satisfied."""
+    unfolded values first when the formula stays satisfied.
+
+    A variable of a sort the reduct maps to indices (`table.enum_sorts`)
+    never mismatches: its range constraint pins its value to a constructor
+    index, `reconstruct` maps that index to its nullary constructor, of size
+    1, the one size the reduct's size-image constraint allows the sort, and
+    distinct indices are distinct terms.  So the value already names a term
+    that satisfies everything the reduct says of it, and unfolding the
+    variable would only restate its range."""
+    enum_sorts = base.table.enum_sorts
     values_of_unfolded: dict[str, set[int]] = {}
     for u in state.unfolded:
         values_of_unfolded.setdefault(state.var_sorts[u], set()).add(model.value(u))
     mentions: dict[str, list[RFormula]] | None = None
     for v, sort in state.var_sorts.items():
         candidates = values_of_unfolded.get(sort, set())
-        if not candidates or model.value(v) in candidates:
+        if sort in enum_sorts or not candidates or model.value(v) in candidates:
             continue
         if mentions is None:
             if not eval_reduced(base.formula, model):
@@ -206,7 +212,8 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
                 break
             model.values[v] = old
     return [v for v, sort in state.var_sorts.items()
-            if model.value(v) not in values_of_unfolded.get(sort, set())]
+            if sort not in enum_sorts
+            and model.value(v) not in values_of_unfolded.get(sort, set())]
 
 
 def reduction_mode(phi: Formula) -> str:
@@ -248,7 +255,6 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
     Depth mode accepts the first model; size mode accepts a model once it
     passes the acceptance test."""
     sig = state.sig
-    rounds = 0
     while True:
         reduct = reduce(state.flat(), sig, mode, opts)
         query = simplify(reduct) if use_simplify else reduct
@@ -257,10 +263,10 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
         else:
             result = backend.solve(query)
         if result.status == "unsat":
-            return SizeSolveResult("unsat", rounds=rounds, state=state, reduct=query)
+            return SizeSolveResult("unsat", rounds=state.rounds, state=state, reduct=query)
         if result.status == "unknown":
             return SizeSolveResult(
-                "unknown", rounds=rounds, state=state, reduct=query,
+                "unknown", rounds=state.rounds, state=state, reduct=query,
                 diagnosis=Diagnosis(f"backend gave up: {result.reason}"))
         model = backend.complete_model(query, result.model) if query.trace \
             else result.model
@@ -277,21 +283,20 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
                 if var_pairs & set(stats.case3_pairs):
                     raise InternalError("fresh term drawn for a constrained variable "
                                         "after the acceptance test fired")
-            return SizeSolveResult("sat", model=adt_model, rounds=rounds,
+            return SizeSolveResult("sat", model=adt_model, rounds=state.rounds,
                                    state=state, reduct=query)
-        if rounds >= state.fuel:
+        if state.rounds >= state.fuel:
             report = check_expanding(sig)
             lines = ["fuel exhausted before the unfolding loop converged"]
             lines += [report.cycle_line(s) for s in report.non_expanding_sorts]
             if report.all_expanding:
                 lines.append("all sorts expanding: raise the fuel limit to decide")
             return SizeSolveResult(
-                "unknown", rounds=rounds, state=state, reduct=query,
+                "unknown", rounds=state.rounds, state=state, reduct=query,
                 diagnosis=Diagnosis("\n".join(lines), report,
                                     [(v, model.value(v)) for v in mismatched]))
         target = _select_variable(state, mismatched, model, query)
         unfold_step(state, target)
-        rounds += 1
 
 
 def _has_size_atoms(f: Formula) -> bool:

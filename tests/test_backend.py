@@ -297,7 +297,7 @@ def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
 # -- backtrackable congruence closure ---------------------------------------------
 
 def _cc_state(cc):
-    return ([cc.find(i) for i in range(len(cc.terms))], dict(cc.const_of),
+    return ([cc.find(i) for i in range(len(cc.terms))],
             [list(u) for u in cc.uses], dict(cc.ids), dict(cc.sigs))
 
 
@@ -305,14 +305,13 @@ def test_cc_pop_restores_pre_push_state():
     cc = backend._CC()
     a, b, c = RVar("a"), RVar("b"), RVar("c")
     fa = cc.add(RApp("f", (a,)))
-    assert cc.merge(cc.add(b), cc.add(RConst(1)))
+    cc.merge(cc.add(b), cc.add(RConst(1)))
     before = _cc_state(cc)
     cc.push()
-    assert cc.merge(cc.ids[a], cc.ids[b])
-    assert cc.merge(cc.add(RApp("g", (a, c))), fa)
-    assert cc.merge(cc.ids[c], cc.add(RApp("f", (b,))))
+    cc.merge(cc.ids[a], cc.ids[b])
+    cc.merge(cc.add(RApp("g", (a, c))), fa)
+    cc.merge(cc.ids[c], cc.add(RApp("f", (b,))))
     assert cc.find(cc.ids[c]) == cc.find(fa)
-    assert cc.const_of[cc.find(cc.ids[a])] == 1
     cc.pop()
     assert _cc_state(cc) == before
     assert len(cc.terms) == 4
@@ -325,30 +324,38 @@ def test_cc_congruence_through_nested_applications():
     fgb = cc.add(RApp("f", (RApp("g", (b,)),)))
     assert cc.find(fga) != cc.find(fgb)
     cc.push()
-    assert cc.merge(cc.ids[a], cc.ids[b])
+    cc.merge(cc.ids[a], cc.ids[b])
     assert cc.find(fga) == cc.find(fgb)
     cc.pop()
     assert cc.find(fga) != cc.find(fgb)
     # an application added after the merge joins its congruent class at once
-    assert cc.merge(cc.ids[a], cc.ids[b])
+    cc.merge(cc.ids[a], cc.ids[b])
     h = cc.add(RApp("h", (b,)))
     assert cc.find(cc.add(RApp("h", (a,)))) == cc.find(h)
 
 
-def test_cc_constant_clash_undone_by_pop():
-    cc = backend._CC()
+def test_search_constant_clash_undone_by_pop():
+    """Constants live in the LIA system only: x = 1 and y = 2 pin two class
+    variables, so x = y and x != 1 are infeasible rows there, and a pop
+    restores the consistent state below them."""
+    search = backend._Search(backend._Budget(100, 100))
     x, y = RVar("x"), RVar("y")
-    assert cc.merge(cc.add(x), cc.add(RConst(1)))
-    assert cc.merge(cc.add(y), cc.add(RConst(2)))
-    before = _cc_state(cc)
-    cc.push()
-    fx, fy = cc.add(RApp("f", (x,))), cc.add(RApp("f", (y,)))
-    assert cc.merge(cc.add(RVar("z")), fx)
-    # f(x) = f(y) is fine; x = y clashes 1 against 2
-    assert cc.merge(fx, fy)
-    assert not cc.merge(cc.ids[x], cc.ids[y])
-    cc.pop()
-    assert _cc_state(cc) == before
+    search.assert_lit(REq(x, RConst(1)))
+    search.assert_lit(REq(y, RConst(2)))
+    before = (_cc_state(search.cc), dict(search.mentioned), search.decide())
+    assert before[2].values == {"x": 1, "y": 2}
+    for clash in (REq(x, y), RNot(REq(x, RConst(1)))):
+        search.push()
+        fx, fy = RApp("f", (x,)), RApp("f", (y,))
+        search.assert_lit(REq(RVar("z"), fx))
+        # f(x) = f(y) is fine; the clash is not
+        search.assert_lit(REq(fx, fy))
+        assert search.decide() is not None
+        search.assert_lit(clash)
+        assert search.lia.model() is None
+        assert search.decide() is None
+        search.pop()
+        assert (_cc_state(search.cc), dict(search.mentioned), search.decide()) == before
 
 
 def test_cc_matches_naive_closure():
@@ -386,12 +393,12 @@ def test_cc_matches_naive_closure():
         cc = backend._CC()
         kept = [(term(3), term(3)) for _ in range(rng.randint(0, 3))]
         for s, t in kept:
-            assert cc.merge(cc.add(s), cc.add(t))
+            cc.merge(cc.add(s), cc.add(t))
         before = _cc_state(cc)
         cc.push()
         scoped = [(term(3), term(3)) for _ in range(rng.randint(1, 3))]
         for s, t in scoped:
-            assert cc.merge(cc.add(s), cc.add(t))
+            cc.merge(cc.add(s), cc.add(t))
         cc.add(term(3))
         find = naive(cc.terms, kept + scoped)
         for i, s in enumerate(cc.terms):

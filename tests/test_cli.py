@@ -1,5 +1,6 @@
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -457,3 +458,19 @@ def test_interpolate_with_command_from_environment(monkeypatch):
     code, out = run(["interpolate", os.path.join(INPUTS, "itp_a.smt2"),
                      os.path.join(INPUTS, "itp_b.smt2")])
     assert (code, out) == (0, "(not (= (head x) (head (tail x))))\n")
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that is gone before the first write, as `head -c1` can be:
+    the command prints no traceback and exits 0."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adtsolve", "analyze", os.path.join(INPUTS, "weighted.smt2")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

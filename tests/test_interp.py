@@ -403,7 +403,7 @@ def test_joint_state_attributes_shared_variables_to_a(lists_sig, monkeypatch):
     # x occurs in both partitions and stays with A; B's own names follow
     assert state.var_partition == {"x": "A", "z": "A", "_ta1": "A", "_ta2": "A",
                                    "c": "B", "y": "B", "_tb1": "B"}
-    assert state.creation_order == ["x", "z", "_ta1", "_ta2", "c", "y", "_tb1"]
+    assert list(state.var_sorts) == ["x", "z", "_ta1", "_ta2", "c", "y", "_tb1"]
     assert [tag for tag, _ in state.conjuncts] == ["A", "B"]
     assert set(state.registry) == {"_ta1", "_ta2", "_tb1"}
 

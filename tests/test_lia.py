@@ -16,7 +16,7 @@ def brute(cons, lo=-8, hi=8):
 
 def _holds(c, env):
     total = c.const + sum(a * env[v] for v, a in c.coeffs)
-    return total <= 0 if c.op == "le" else total == 0
+    return {"le": total <= 0, "eq": total == 0, "ne": total != 0}[c.op]
 
 
 def test_equality_conflict():
@@ -214,15 +214,25 @@ CORPUS_1909 = [
 ]
 
 
-@given(st.lists(st.one_of(st.none(), ext_rows(names=EXT_VARS[:3])), max_size=10))
+@given(st.lists(st.one_of(st.none(), ext_rows(names=EXT_VARS[:3]),
+                          ext_rows(op="ne", names=EXT_VARS[:3])), max_size=10))
 @example(CORPUS_1909 + [None] * 4)
-# no unit coefficient: the Omega step eliminates through a fresh variable
+# no unit coefficient: the Omega step eliminates through a fresh variable,
+# and the `ne` rows over v0 and v1 are rewritten over it
 @example([lia.con("eq", {"v0": 3, "v1": 5}, -7), lia.con("le", {"v0": 1}, -2),
-          None, lia.con("eq", {"v1": 2, "v2": -3}, 1), None, None])
+          lia.con("ne", {"v0": 1}, 1), None, lia.con("ne", {"v1": 1, "v2": -1}, 0),
+          lia.con("eq", {"v1": 2, "v2": -3}, 1), None, None])
+# an equality makes an `ne` row the ground 0 != 0, and a pop undoes it
+@example([lia.con("ne", {"v0": 1, "v1": -1}, 0), lia.con("eq", {"v0": 1, "v1": -1}, 0),
+          None, lia.con("ne", {"v0": 2, "v1": -2}, 1)])
 def test_push_add_pop_against_brute_force(steps):
-    """Every variable is boxed at the bottom of the stack, so feasibility
-    must equal brute force over the box; every model satisfies every row in
-    scope, and every pop restores the model from before its push."""
+    """Every variable is boxed at the bottom of the stack, so feasibility of
+    the `le` and `eq` rows must equal brute force over the box; every model
+    satisfies every such row in scope, each live `ne` row is violated
+    exactly when the row in scope it was rewritten from is, and every pop
+    restores the model from before its push.  The model leaves the `ne` rows
+    to the caller, so only a row that the equalities make ground and false
+    turns the system infeasible."""
     names = sorted({v for step in steps if step is not None for v, _ in step.coeffs})
     box = [lia.con("le", {v: sign}, -BOX) for v in names for sign in (1, -1)]
     s = lia.System(box)
@@ -240,9 +250,14 @@ def test_push_add_pop_against_brute_force(steps):
             s.add(step)
             applied.append(step)
         model = s.model()
-        assert (model is not None) == feasible_in_box(applied, BOX), applied
-        if model is not None:
-            assert all(_holds(c, model) for c in box + applied), (applied, model)
+        scope = [c for c in applied if c.op != "ne"]
+        if model is None:
+            assert not feasible_in_box(applied, BOX), applied
+            continue
+        assert feasible_in_box(scope, BOX), applied
+        assert all(_holds(c, model) for c in box + scope), (applied, model)
+        assert (sum(not _holds(r, model) for r in s.nes())
+                == sum(not _holds(c, model) for c in applied if c.op == "ne")), applied
 
 
 def test_replaced_row_leaves_the_live_set():
@@ -260,3 +275,21 @@ def test_replaced_row_leaves_the_live_set():
     assert not s.general
     model = s.model()
     assert all(_holds(c, model) for c in CORPUS_1909)
+
+
+def test_ne_rows_are_tightened_and_substituted():
+    s = lia.System([lia.con("eq", {"a": 1, "b": -1}, 0)])
+    # 2a - 2c + 1 != 0 always holds; 2a - 2c != 0 is a - c != 0 over b
+    s.add(lia.con("ne", {"a": 2, "c": -2}, 1))
+    s.add(lia.con("ne", {"a": 2, "c": -2}, 0))
+    assert s.nes() == [lia.con("ne", {"b": 1, "c": -1}, 0)]
+    assert s.model() is not None
+    s.push()
+    s.add(lia.con("eq", {"b": 1, "c": -1}, 0))  # 0 != 0
+    assert s.model() is None
+    s.pop()
+    s.push()
+    s.add(lia.con("ne", {}, 0))
+    assert s.model() is None
+    s.pop()
+    assert s.nes() == [lia.con("ne", {"b": 1, "c": -1}, 0)]

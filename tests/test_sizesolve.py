@@ -3,6 +3,7 @@ import pytest
 from adtsolve.models import check_model
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_formula, parse_script
+from adtsolve.reduce import ReduceOptions
 from adtsolve.sizesolve import (
     AlreadyUnfoldedError, UnknownVariableError, completeness_report, decide,
     make_state, solve_with_size, unfold_step,
@@ -66,6 +67,22 @@ def test_unique_model_of_size_three(lists_sig, fml):
     assert res.model.adt["x"] == witnesses[0]
     ok, diag = check_model(lists_sig, res.model, phi)
     assert ok, diag
+
+
+def test_enumeration_sort_variables_are_never_unfolded(lists_sig, fml):
+    # the heads are Colour variables, pinned to constructor indices by the
+    # reduct: only the lists need unfolding (the acceptance test once asked
+    # for the heads too, and took 5 rounds)
+    phi = fml("(and (= (adt.size x) 3) (not (= (head x) red)) "
+              "(not (= (head x) green)))")
+    res = solve_with_size(phi, lists_sig)
+    assert (res.status, res.rounds) == ("sat", 2)
+    assert {res.state.var_sorts[v] for v in res.state.unfolded} == {"CList"}
+    assert res.model.adt["x"] == Ctor("cons", (Ctor("blue"), Ctor("nil")))
+    # without the enumeration rule a head is an ADT value like any other
+    res = solve_with_size(phi, lists_sig, opts=ReduceOptions.none())
+    assert res.status == "sat"
+    assert "Colour" in {res.state.var_sorts[v] for v in res.state.unfolded}
 
 
 def test_even_size_unsat_without_unfolding(lists_sig, fml):
