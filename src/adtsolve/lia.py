@@ -215,6 +215,8 @@ class System:
     variable makes one when there is none), and every live inequality that
     mentions it is replaced by its substituted copy.  A replaced row leaves
     the live set; the live inequalities are what the model is found over.
+    The rows to replace are read from `uses`, an index from each variable to
+    the positions of the live rows that mention it, in ascending position.
     A disequality (`ne`) row is rewritten in place instead, so the live ones
     keep the order they came in (`nes`); the model ignores them, and one
     that becomes the ground `0 != 0` makes the system infeasible.
@@ -234,6 +236,7 @@ class System:
 
     def __init__(self, cons: list[LinCon] = ()):
         self.rows: list[LinCon | None] = []  # `le` and `ne` rows; None once replaced
+        self.uses: dict[str, set[int]] = {}  # variable -> positions of live rows with it
         self.subs: list[tuple[str, dict[str, int], int]] = []
         self.dist: dict[str, int] = {"$zero": 0}
         self.out: dict[str, list[tuple[str, int]]] = {"$zero": []}
@@ -266,10 +269,12 @@ class System:
             elif kind == "edge":
                 self.out[entry[1]].pop()
             elif kind == "row":
-                self.rows[entry[1]] = entry[2]
+                self._put(entry[1], entry[2])
             else:  # "node"
                 del dist[entry[1]]
                 del self.out[entry[1]]
+        for i in range(n_rows, len(self.rows)):
+            self._put(i, None)
         del self.rows[n_rows:]
         del self.subs[n_subs:]
 
@@ -294,8 +299,20 @@ class System:
         if not self.marks:
             self.trail.clear()  # nothing pops below the first push
 
+    def _put(self, i: int, row: LinCon | None) -> None:
+        """Set position i to `row`, keeping `uses` up to date."""
+        old = self.rows[i]
+        if old is not None:
+            for v, _ in old.coeffs:
+                self.uses[v].discard(i)
+        if row is not None:
+            for v, _ in row.coeffs:
+                self.uses.setdefault(v, set()).add(i)
+        self.rows[i] = row
+
     def _add_row(self, c: LinCon) -> None:
-        self.rows.append(c)
+        self.rows.append(None)
+        self._put(len(self.rows) - 1, c)
         if c.op == "ne":
             return
         edge = _edge(c)
@@ -322,20 +339,19 @@ class System:
             expr = {u: -b * a for u, b in pivot.coeffs if u != v}
             const = -pivot.const * a
             self.subs.append((v, expr, const))
-            rows = self.rows
-            for i in range(len(rows)):
-                r = rows[i]
-                if r is not None and any(u == v for u, _ in r.coeffs):
-                    self.trail.append(("row", i, r))
-                    if r.op == "ne":
-                        rows[i] = _substitute(r, v, expr, const)
-                        continue
-                    rows[i] = None
-                    if _edge(r) is None:
-                        self.n_general -= 1
-                    r = _substitute(r, v, expr, const)
-                    if r is not None:
-                        self._add_row(r)
+            # in ascending position, so replaced rows are re-added in order
+            for i in sorted(self.uses.get(v, ())):
+                r = self.rows[i]
+                self.trail.append(("row", i, r))
+                if r.op == "ne":
+                    self._put(i, _substitute(r, v, expr, const))
+                    continue
+                self._put(i, None)
+                if _edge(r) is None:
+                    self.n_general -= 1
+                r = _substitute(r, v, expr, const)
+                if r is not None:
+                    self._add_row(r)
             if pivot is eq:
                 return
             eq = _substitute(eq, v, expr, const)

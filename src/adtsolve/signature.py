@@ -15,6 +15,9 @@ into the weights.  Size images, relativized images and the expandingness
 cycles are all computed on that shape, and every image is read off exact
 membership bitsets of one grammar start (`_eps_from_bits`): a relativized
 image or a cycle's exits are the start of a `_lap` grammar added to it.
+The bitsets of all sorts come from one least fixpoint in semi-naive rounds
+(`_image_bits`), and `size_image` keeps them in the signature's cache for
+each window, so the images of all its sorts share one fixpoint.
 """
 
 from __future__ import annotations
@@ -103,8 +106,11 @@ class Signature:
         return self.ctor(t.ctor).args[t.index][1]
 
     def is_enum(self, sort: str) -> bool:
-        cs = self.ctors_of(sort)
-        return bool(cs) and all(c.arity == 0 for c in cs)
+        key = ("is_enum", sort)
+        if key not in self._cache:
+            cs = self.ctors_of(sort)
+            self._cache[key] = bool(cs) and all(c.arity == 0 for c in cs)
+        return self._cache[key]
 
 
 # -- validation ----------------------------------------------------------------
@@ -276,67 +282,78 @@ def _mask(limit: int) -> int:
 
 
 def _minkowski(a: int, b: int, limit: int) -> int:
-    """Bitset Minkowski sum {x+y : x in a, y in b}, truncated below `limit`."""
+    """Bitset Minkowski sum {x+y : x in a, y in b}, truncated below `limit`;
+    walks the set bits of the sparser operand."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
     out = 0
     m = _mask(limit)
-    x = a
-    while x:
-        low = x & -x
-        i = low.bit_length() - 1
-        out |= (b << i) & m
-        x ^= low
+    while a:
+        low = a & -a
+        out |= (b << (low.bit_length() - 1)) & m
+        a ^= low
     return out
 
 
 def _image_bits(grammar: Grammar, limit: int) -> dict[str, int]:
-    """Exact membership bitsets of every sort's size image below `limit`."""
+    """Exact membership bitsets of every sort's size image below `limit`, the
+    least fixpoint in semi-naive rounds: after the nullary productions, a
+    round combines the sizes the previous round found first in one argument
+    position with the full bitsets in the others, until it finds nothing."""
     bits = {s: 0 for s in grammar}
-    m = _mask(limit)
-    changed = True
-    while changed:
-        changed = False
+    # a sum of distinct powers of two is their union
+    new = {s: sum({1 << w for _, w, args in prods if not args and w < limit})
+           for s, prods in grammar.items()}
+    while any(new.values()):
+        for s, b in new.items():
+            bits[s] |= b
+        found = {}
         for s, prods in grammar.items():
-            acc = bits[s]
+            acc = 0
             for _, w, args in prods:
                 if w >= limit:
                     continue
-                prod = 1  # bitset {0}
-                for a in args:
-                    prod = _minkowski(prod, bits[a], limit)
-                    if not prod:
-                        break
-                acc |= (prod << w) & m
-            if acc != bits[s]:
-                bits[s] = acc
-                changed = True
+                for i, a in enumerate(args):
+                    if not new[a]:
+                        continue
+                    prod = 1 << w
+                    for j, b in enumerate(args):
+                        prod = _minkowski(prod, new[b] if j == i else bits[b], limit)
+                        if not prod:
+                            break
+                    acc |= prod
+            found[s] = acc & ~bits[s]
+        new = found
     return bits
 
 
-def _eps_from_bits(grammar: Grammar, start: str) -> EventuallyPeriodicSet:
+def _period(x: int, window: int) -> tuple[int, int] | None:
+    """The least period p <= window/2 of the bitset `x` with its threshold:
+    x repeats with period p from the threshold on within the window, at
+    least twice, and the repetition carries on over [window, 2*window)."""
+    for p in range(1, window // 2 + 1):
+        d = x ^ x >> p  # bit n: whether n and n + p differ in membership
+        thr = (d & _mask(window - p)).bit_length()
+        if thr + 2 * p <= window and not d >> (window - p) & _mask(window):
+            return thr, p
+    return None
+
+
+def _eps_from_bits(grammar: Grammar, start: str, memo: dict | None = None) -> EventuallyPeriodicSet:
     """Extract the eventually periodic set for `start`, certifying the period
     by a doubling check: the candidate found on window W must extrapolate the
-    exact bits on (W, 2W]."""
+    exact bits on [W, 2W).  The bitsets of every sort at each limit are kept
+    in `memo` when given, so further starts of one grammar reuse them."""
+    memo = {} if memo is None else memo
     window = _IMAGE_WINDOW
     while window <= _IMAGE_WINDOW_MAX:
-        bits2 = _image_bits(grammar, 2 * window)[start]
-
-        def bit(n: int) -> bool:
-            return bool(bits2 >> n & 1)
-
-        found = None
-        for p in range(1, window // 2 + 1):
-            thr = 0
-            for n in range(window - p):
-                if bit(n) != bit(n + p):
-                    thr = n + 1
-            if thr + 2 * p > window:
-                continue
-            if all(bit(n) == bit(thr + ((n - thr) % p)) for n in range(window, 2 * window)):
-                found = (thr, p)
-                break
+        key = ("image-bits", 2 * window)
+        if key not in memo:
+            memo[key] = _image_bits(grammar, 2 * window)
+        x = memo[key][start]
+        found = _period(x, window)
         if found is not None:
-            thr, p = found
-            return EventuallyPeriodicSet.from_window(bit, thr, p)
+            return EventuallyPeriodicSet.from_window(lambda n: bool(x >> n & 1), *found)
         window *= 2
     raise InternalError(f"size image of {start} did not stabilize below {_IMAGE_WINDOW_MAX}")
 
@@ -347,7 +364,7 @@ def size_image(sig: Signature, sort: str) -> EventuallyPeriodicSet:
     if key not in sig._cache:
         if sort not in sig.sorts:
             raise UnknownSymbolError(sort, "not a declared sort")
-        sig._cache[key] = _eps_from_bits(_grammar(sig), sort)
+        sig._cache[key] = _eps_from_bits(_grammar(sig), sort, sig._cache)
     return sig._cache[key]
 
 

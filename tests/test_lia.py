@@ -198,6 +198,15 @@ def feasible_in_box(cons, bound):
     return extend(0, {})
 
 
+def _uses(s):
+    """The index from variable to live row positions, recomputed."""
+    out = {}
+    for i, r in enumerate(s.rows):
+        for v, _ in r.coeffs if r is not None else ():
+            out.setdefault(v, set()).add(i)
+    return out
+
+
 BOX = 6
 # the rows of corpus-1909 in the order the backend adds them
 CORPUS_1909 = [
@@ -230,7 +239,8 @@ def test_push_add_pop_against_brute_force(steps):
     the `le` and `eq` rows must equal brute force over the box; every model
     satisfies every such row in scope, each live `ne` row is violated
     exactly when the row in scope it was rewritten from is, and every pop
-    restores the model from before its push.  The model leaves the `ne` rows
+    restores the model from before its push and keeps the index from
+    variable to live rows exact.  The model leaves the `ne` rows
     to the caller, so only a row that the equalities make ground and false
     turns the system infeasible."""
     names = sorted({v for step in steps if step is not None for v, _ in step.coeffs})
@@ -249,6 +259,7 @@ def test_push_add_pop_against_brute_force(steps):
             s.push()
             s.add(step)
             applied.append(step)
+        assert {v: rows for v, rows in s.uses.items() if rows} == _uses(s)
         model = s.model()
         scope = [c for c in applied if c.op != "ne"]
         if model is None:
@@ -258,6 +269,18 @@ def test_push_add_pop_against_brute_force(steps):
         assert all(_holds(c, model) for c in box + scope), (applied, model)
         assert (sum(not _holds(r, model) for r in s.nes())
                 == sum(not _holds(c, model) for c in applied if c.op == "ne")), applied
+
+
+def test_replaced_rows_are_re_added_in_order():
+    """x = 2w replaces the first and the third row, and their copies join
+    in the order of the rows they replace."""
+    s = lia.System([lia.con("le", {"x": 1, "y": -1}, 0), lia.con("le", {"y": 1}, -3),
+                    lia.con("le", {"x": 2, "z": 1}, 0)])
+    s.add(lia.con("eq", {"x": 1, "w": -2}, 0))
+    assert [r for r in s.rows if r is not None] == [
+        lia.con("le", {"y": 1}, -3), lia.con("le", {"w": 2, "y": -1}, 0),
+        lia.con("le", {"w": 4, "z": 1}, 0)]
+    assert {v: rows for v, rows in s.uses.items() if rows} == _uses(s)
 
 
 def test_replaced_row_leaves_the_live_set():

@@ -3,12 +3,16 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from adtsolve import signature
 from adtsolve.corpus import random_signature
 from adtsolve.errors import InvalidSignatureError, ResourceLimitError, UnknownSymbolError
 from adtsolve.semilinear import EventuallyPeriodicSet as EPS
 from adtsolve.signature import (
-    Cardinality, CtorDecl, Signature, cardinality, check_expanding, ctor_index,
+    Cardinality, CtorDecl, Signature, _cycle_through, _eliminate_singletons, _grammar,
+    _image_bits, _lap, _period, cardinality, check_expanding, ctor_index,
     count_terms_of_size, dependency_graph, enumerate_terms, minimal_term, num_ctors,
     relativized_size_image, size_image, terms_of_size, validate,
 )
@@ -174,6 +178,154 @@ def test_image_agrees_with_counting(lists_sig, nat_sig, two_cycle_sig, three_cyc
             for b in range(26):
                 assert (count_terms_of_size(sig, sort, b) > 0) == (b in image), \
                     (sort, b)
+
+
+# -- the size-image kernel ------------------------------------------------------------
+
+def _kleene_bits(grammar, limit):
+    """The least fixpoint by plain Kleene iteration: every production over
+    the full bitsets, sort by sort, until a sweep changes nothing."""
+    m = (1 << limit) - 1
+
+    def plus(a, b):
+        out = 0
+        while a:
+            low = a & -a
+            out |= (b << (low.bit_length() - 1)) & m
+            a ^= low
+        return out
+
+    bits = {s: 0 for s in grammar}
+    changed = True
+    while changed:
+        changed = False
+        for s, prods in grammar.items():
+            acc = bits[s]
+            for _, w, args in prods:
+                if w < limit:
+                    prod = 1
+                    for a in args:
+                        prod = plus(prod, bits[a])
+                    acc |= (prod << w) & m
+            changed |= acc != bits[s]
+            bits[s] = acc
+    return bits
+
+
+def _kernel_grammars(sig, k):
+    """The plain grammar of `sig`, the singleton-free one when it differs,
+    the one-step lap of the k-th constructor, and the lap of every simple
+    cycle."""
+    plain, single = _grammar(sig), _eliminate_singletons(sig)
+    yield plain
+    if single != plain:
+        yield single
+    c = sig.ctors[k % len(sig.ctors)]
+    yield _lap(plain, [(c.sort, c.name)])[0]
+    for s in single:
+        cycle = _cycle_through(s, single)
+        if cycle:
+            yield _lap(single, cycle)[0]
+
+
+KERNEL_SIGS = [random_signature(random.Random(seed)) for seed in range(200)]
+
+
+def test_image_bits_match_kleene_iteration():
+    # sizes are positive, so the bits below a limit do not depend on larger
+    # sizes: the fixpoint below 256 truncates to the ones below 16 and 128
+    for k, sig in enumerate(KERNEL_SIGS + WEIGHTED_SIGS + [LONG_PERIOD]):
+        for grammar in _kernel_grammars(sig, k):
+            want = _kleene_bits(grammar, 256)
+            for limit in (16, 128, 256):
+                assert _image_bits(grammar, limit) == \
+                    {s: b & ((1 << limit) - 1) for s, b in want.items()}
+
+
+def _period_by_bits(x, window):
+    """The period search bit by bit: the threshold of p is one past the last
+    n < window - p with n and n + p differing, and [window, 2 * window) must
+    follow the periodic extension."""
+
+    def bit(n):
+        return bool(x >> n & 1)
+
+    for p in range(1, window // 2 + 1):
+        thr = 0
+        for n in range(window - p):
+            if bit(n) != bit(n + p):
+                thr = n + 1
+        if thr + 2 * p > window:
+            continue
+        if all(bit(n) == bit(thr + ((n - thr) % p)) for n in range(window, 2 * window)):
+            return thr, p
+    return None
+
+
+@given(window=st.sampled_from([8, 16, 64]), thr=st.integers(0, 80), p=st.integers(1, 40),
+       head=st.integers(0, 2 ** 80), pattern=st.integers(0, 2 ** 40),
+       flips=st.lists(st.integers(0, 127), max_size=2))
+# only the last bit of the doubling window breaks the period 1
+@example(window=8, thr=0, p=1, head=0, pattern=0, flips=[15])
+# one member late in the first window: no period repeats twice after it
+@example(window=8, thr=0, p=1, head=0, pattern=0, flips=[6])
+def test_period_matches_bitwise_search(window, thr, p, head, pattern, flips):
+    """On eventually periodic bitsets below 2 * window, some with a bit or
+    two flipped so that the period or the doubling check fails."""
+    x = head & ((1 << thr) - 1)
+    for n in range(thr, 2 * window):
+        x |= (pattern >> ((n - thr) % p) & 1) << n
+    for n in flips:
+        x ^= 1 << n % (2 * window)
+    assert _period(x, window) == _period_by_bits(x, window)
+
+
+@pytest.fixture
+def fixpoint_limits(monkeypatch):
+    """The limit of every `_image_bits` call, in order."""
+    calls = []
+
+    def counted(grammar, limit):
+        calls.append(limit)
+        return _image_bits(grammar, limit)
+
+    monkeypatch.setattr(signature, "_image_bits", counted)
+    return calls
+
+
+def test_size_images_of_all_sorts_share_one_fixpoint(fixpoint_limits):
+    sig = random_signature(random.Random(0))
+    assert len(sig.sorts) == 4
+    images = [size_image(sig, s) for s in sig.sorts]
+    assert fixpoint_limits == [128]
+    # each sort alone, on a fresh copy of the signature
+    assert images == [size_image(random_signature(random.Random(0)), s) for s in sig.sorts]
+
+
+# s holds forty copies of U's one term, so each lap of S -> s -> S adds 41:
+# a period longer than half the first window of 64
+LONG_PERIOD = Signature(("U", "S"), (
+    CtorDecl("one", "U"), CtorDecl("z", "S"),
+    CtorDecl("s", "S", tuple((f"u{i}", "U") for i in range(40)) + (("p", "S"),)),
+))
+
+
+def test_long_period_needs_the_second_window(fixpoint_limits):
+    sig = Signature(LONG_PERIOD.sorts, LONG_PERIOD.ctors)  # with an empty cache
+    image = size_image(sig, "S")
+    assert image == EPS(frozenset(), 0, 41, frozenset({1}))
+    assert fixpoint_limits == [128, 256]
+    rel_z, rel_s = (relativized_size_image(sig, "S", c) for c in ("z", "s"))
+    for b in range(200):
+        count = count_terms_of_size(sig, "S", b)
+        assert (count > 0) == (b in image)
+        assert (b in rel_s) == (b == 1)
+        # an s-headed term is s over forty ones and a term of size b - 41
+        assert (b in rel_z) == (count_terms_of_size(sig, "S", b - 41) > 0)
+    report = check_expanding(sig)
+    assert report.witness("S") == ("S", "s", "S")
+    assert [count_terms_of_size(sig, "S", 1 + 41 * k) for k in range(5)] == [1] * 5
+    _recheck_witness(sig, report.witness("S"))
 
 
 # -- counting and enumeration -----------------------------------------------------------
