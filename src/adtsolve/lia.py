@@ -404,9 +404,21 @@ class System:
         else:
             base = self.dist["$zero"]
             model = {n: d - base for n, d in self.dist.items() if n != "$zero"}
-        # replay eliminated equalities, newest first
+        # replay eliminated equalities, newest first; a variable no live
+        # inequality bounds gets a distinct value clear of the solved ones,
+        # so that free variables do not tie and violate an `ne` row over them
+        spread = None
         for v, expr, const in reversed(self.subs):
-            model[v] = const + sum(b * model.setdefault(u, 0) for u, b in expr.items())
+            value = const
+            for u, b in expr.items():
+                x = model.get(u)
+                if x is None:
+                    if spread is None:
+                        spread = 1 + max(map(abs, model.values()), default=0)
+                    x = model[u] = spread
+                    spread += 1
+                value += b * x
+            model[v] = value
         return model
 
     def nes(self) -> list[LinCon]:

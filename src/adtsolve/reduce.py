@@ -3,7 +3,10 @@
 Constructor, selector, tester, and equality literals rewrite into constraints
 over integer variables and uninterpreted integer functions: one function per
 constructor and selector, plus per-sort head-index functions and either a
-depth function (depth mode) or a size function (size mode).  Internal
+depth function (depth mode) or a size function (size mode).  Depth rows
+`depth(x0) > depth(xj)` are emitted only for constructor arguments inside the
+result sort's strongly connected component of the sort graph, the only place
+a cyclic term can close (see `Reducer.ctor_spec`).  Internal
 existentials are Skolemized with fresh constants.  Two optimizations are
 available: guarded selector literals drop their head-case disjunction, and
 enumeration sorts map constructors straight to their indices.
@@ -22,7 +25,9 @@ from typing import Callable, Iterator, Union
 from .errors import InternalError, ModeMismatchError
 from .normalize import FlatFormula
 from .semilinear import EventuallyPeriodicSet
-from .signature import Signature, cardinality, ctor_index, ensure_valid, size_image
+from .signature import (
+    Signature, cardinality, ctor_index, ensure_valid, reachable_sorts, size_image,
+)
 from .terms import (
     And, Ctor, Eq, FalseF, Formula, IntAdd, IntApp, IntConst, IntExpr, IntMul,
     IntVar, Not, Or, Sel, SizeAtom, SizeOf, Tester, TrueF, Var,
@@ -402,6 +407,21 @@ class Reducer:
     # -- Table 1 / Table 2 pieces ------------------------------------------------
 
     def ctor_spec(self, f: str, x0: RTerm, args: list[RTerm]) -> RFormula:
+        """x0 = f(args): the constructor and head-index equations, a selector
+        equation per argument, and either the depth or the size rows.
+
+        Depth mode asserts depth(x0) > depth(xj) only for an argument whose
+        sort reaches the result sort back, i.e. lies in its strongly
+        connected component of the sort graph.  The rows only rule out
+        cyclic terms, and this keeps every row a cycle could need:
+        - the pruned reduct's conjuncts are a subset of the full one's, all
+          in positive positions (NNF), so when it is unsat the full reduct
+          is unsat too;
+        - on sat, every cycle of the model's constructor graph returns to
+          the sort it starts from, so all its edges lie inside one
+          component, where every row is present and the depths would have
+          to fall all around the cycle; so `reconstruct` stays well-founded;
+        - and `check_model` re-checks every sat verdict regardless."""
         decl = self.sig.ctor(f)
         sort0 = decl.sort
         if self.is_enum_opt(sort0):
@@ -411,12 +431,13 @@ class Reducer:
             req(RApp(self.table.ctorid_fun(sort0), (x0,)), RConst(ctor_index(self.sig, f))),
         ]
         if self.mode == DEPTH_MODE:
-            d0 = RApp(self.table.depth_fun(sort0), (x0,))
             for j, xj in enumerate(args):
                 sj = decl.args[j][1]
                 parts.append(req(RApp(self.table.sel_fun(f, j), (x0,)), xj))
-                dj = RApp(self.table.depth_fun(sj), (xj,))
-                parts.append(lin("le", [(-1, d0), (1, dj)], 1))  # depth0 > depthj
+                if sort0 in reachable_sorts(self.sig, sj):
+                    d0 = RApp(self.table.depth_fun(sort0), (x0,))
+                    dj = RApp(self.table.depth_fun(sj), (xj,))
+                    parts.append(lin("le", [(-1, d0), (1, dj)], 1))  # depth0 > depthj
         else:
             s0 = RApp(self.table.size_fun(sort0), (x0,))
             size_sum: list[tuple[int, RTerm]] = [(1, s0)]

@@ -16,8 +16,9 @@ cycles are all computed on that shape, and every image is read off exact
 membership bitsets of one grammar start (`_eps_from_bits`): a relativized
 image or a cycle's exits are the start of a `_lap` grammar added to it.
 The bitsets of all sorts come from one least fixpoint in semi-naive rounds
-(`_image_bits`), and `size_image` keeps them in the signature's cache for
-each window, so the images of all its sorts share one fixpoint.
+(`_image_bits`), kept in the signature's cache per grammar and window, so
+the images of all its sorts share one fixpoint, and a lap's fixpoint starts
+from them and iterates only the lap sorts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
 from .semilinear import EventuallyPeriodicSet
@@ -266,6 +267,30 @@ def dependency_graph(sig: Signature) -> DependencyGraph:
     return DependencyGraph(tuple(vs), tuple(es))
 
 
+def reachable_sorts(sig: Signature, sort: str) -> frozenset[str]:
+    """The sorts reachable from `sort` in one or more steps of the sort graph,
+    which leads from each sort to the argument sorts of its constructors.
+    `sort` is among them iff it lies on a cycle, and an argument sort of
+    `sort` reaches it back iff both lie in one strongly connected component."""
+    key = ("reach", sort)
+    if key not in sig._cache:
+        sig._cache[key] = frozenset(_reach(_cached_grammar(sig, _grammar), sort))
+    return sig._cache[key]
+
+
+def _reach(grammar: Grammar, src: str) -> set[str]:
+    """The sorts that productions lead to from `src` in one or more steps."""
+    seen: set[str] = set()
+    stack = [src]
+    while stack:
+        for _, _, args in grammar[stack.pop()]:
+            for a in args:
+                if a not in seen:
+                    seen.add(a)
+                    stack.append(a)
+    return seen
+
+
 # -- size images ----------------------------------------------------------------------
 
 Grammar = dict[str, list[tuple[str, int, tuple[str, ...]]]]  # sort -> [(ctor, weight, arg sorts)]
@@ -295,20 +320,26 @@ def _minkowski(a: int, b: int, limit: int) -> int:
     return out
 
 
-def _image_bits(grammar: Grammar, limit: int) -> dict[str, int]:
+def _image_bits(grammar: Grammar, limit: int, known: dict[str, int] | None = None) -> dict[str, int]:
     """Exact membership bitsets of every sort's size image below `limit`, the
     least fixpoint in semi-naive rounds: after the nullary productions, a
     round combines the sizes the previous round found first in one argument
-    position with the full bitsets in the others, until it finds nothing."""
-    bits = {s: 0 for s in grammar}
+    position with the full bitsets in the others, until it finds nothing.
+    `known` holds the exact bitsets of sorts whose productions read only
+    each other (a base grammar's fixpoint): they count as found in the first
+    round, and only the other sorts iterate."""
+    known = known or {}
+    live = {s: prods for s, prods in grammar.items() if s not in known}
+    bits = {s: known.get(s, 0) for s in grammar}
     # a sum of distinct powers of two is their union
     new = {s: sum({1 << w for _, w, args in prods if not args and w < limit})
-           for s, prods in grammar.items()}
+           for s, prods in live.items()}
+    new.update(known)
     while any(new.values()):
-        for s, b in new.items():
-            bits[s] |= b
-        found = {}
-        for s, prods in grammar.items():
+        for s in live:
+            bits[s] |= new[s]
+        found = dict.fromkeys(grammar, 0)
+        for s, prods in live.items():
             acc = 0
             for _, w, args in prods:
                 if w >= limit:
@@ -339,23 +370,36 @@ def _period(x: int, window: int) -> tuple[int, int] | None:
     return None
 
 
-def _eps_from_bits(grammar: Grammar, start: str, memo: dict | None = None) -> EventuallyPeriodicSet:
-    """Extract the eventually periodic set for `start`, certifying the period
-    by a doubling check: the candidate found on window W must extrapolate the
-    exact bits on [W, 2W).  The bitsets of every sort at each limit are kept
-    in `memo` when given, so further starts of one grammar reuse them."""
-    memo = {} if memo is None else memo
+def _eps_from_bits(bits_at: Callable[[int], dict[str, int]], start: str) -> EventuallyPeriodicSet:
+    """Extract the eventually periodic set for `start` from `bits_at(limit)`,
+    the bitsets of its grammar below `limit`, certifying the period by a
+    doubling check: the candidate found on window W must extrapolate the
+    exact bits on [W, 2W)."""
     window = _IMAGE_WINDOW
     while window <= _IMAGE_WINDOW_MAX:
-        key = ("image-bits", 2 * window)
-        if key not in memo:
-            memo[key] = _image_bits(grammar, 2 * window)
-        x = memo[key][start]
+        x = bits_at(2 * window)[start]
         found = _period(x, window)
         if found is not None:
             return EventuallyPeriodicSet.from_window(lambda n: bool(x >> n & 1), *found)
         window *= 2
     raise InternalError(f"size image of {start} did not stabilize below {_IMAGE_WINDOW_MAX}")
+
+
+def _cached_grammar(sig: Signature, make: Callable[[Signature], Grammar]) -> Grammar:
+    """`make(sig)`, kept in the signature's cache."""
+    key = ("grammar", make)
+    if key not in sig._cache:
+        sig._cache[key] = make(sig)
+    return sig._cache[key]
+
+
+def _cached_bits(sig: Signature, make: Callable[[Signature], Grammar], limit: int) -> dict[str, int]:
+    """The bitsets of every sort of grammar `make(sig)` below `limit`, kept in
+    the signature's cache, so the images of all its sorts share one fixpoint."""
+    key = ("image-bits", make, limit)
+    if key not in sig._cache:
+        sig._cache[key] = _image_bits(_cached_grammar(sig, make), limit)
+    return sig._cache[key]
 
 
 def size_image(sig: Signature, sort: str) -> EventuallyPeriodicSet:
@@ -364,7 +408,7 @@ def size_image(sig: Signature, sort: str) -> EventuallyPeriodicSet:
     if key not in sig._cache:
         if sort not in sig.sorts:
             raise UnknownSymbolError(sort, "not a declared sort")
-        sig._cache[key] = _eps_from_bits(_grammar(sig), sort, sig._cache)
+        sig._cache[key] = _eps_from_bits(lambda limit: _cached_bits(sig, _grammar, limit), sort)
     return sig._cache[key]
 
 
@@ -376,7 +420,7 @@ def relativized_size_image(sig: Signature, sort: str, ctor_name: str) -> Eventua
         raise UnknownSymbolError(ctor_name, f"result sort is {c.sort}, not {sort}")
     key = ("rel-image", sort, ctor_name)
     if key not in sig._cache:
-        sig._cache[key] = _eps_from_bits(*_lap(_grammar(sig), [(sort, ctor_name)]))
+        sig._cache[key] = _lap_image(sig, _grammar, [(sort, ctor_name)])
     return sig._cache[key]
 
 
@@ -392,6 +436,16 @@ def _lap(grammar: Grammar, steps: list[tuple[str, str]]) -> tuple[Grammar, str]:
                          for d, w, args in grammar[s]
                          if d != c or i + 1 < len(steps)]
     return lap, names[0]
+
+
+def _lap_image(sig: Signature, make: Callable[[Signature], Grammar],
+               steps: list[tuple[str, str]]) -> EventuallyPeriodicSet:
+    """The image of the start of the lap of `steps` on grammar `make(sig)`.
+    No base sort reads a lap sort, so the lap's fixpoint starts from the
+    cached bitsets of the base grammar and only the lap sorts iterate."""
+    lap, start = _lap(_cached_grammar(sig, make), steps)
+    return _eps_from_bits(lambda limit: _image_bits(lap, limit, _cached_bits(sig, make, limit)),
+                          start)
 
 
 # -- counting and enumeration oracles ---------------------------------------------------
@@ -548,19 +602,7 @@ def _eliminate_singletons(sig: Signature) -> Grammar:
 def _cycle_through(sort: str, grammar: Grammar) -> list[tuple[str, str]] | None:
     """If the strongly connected component of `sort` is a single simple cycle
     of unary constructors, return it as [(sort_i, ctor_i)]; otherwise None."""
-
-    def reach(src: str) -> set[str]:
-        seen: set[str] = set()
-        stack = [src]
-        while stack:
-            for _, _, args in grammar[stack.pop()]:
-                for a in args:
-                    if a not in seen:
-                        seen.add(a)
-                        stack.append(a)
-        return seen
-
-    scc = {t for t in reach(sort) if sort in reach(t)}
+    scc = {t for t in _reach(grammar, sort) if sort in _reach(grammar, t)}
     # strongly connected with one edge inside out of every sort: a simple cycle
     cycle: list[tuple[str, str]] = []
     t = sort
@@ -584,7 +626,7 @@ def check_expanding(sig: Signature) -> ExpandingReport:
     key = "expanding"
     if key in sig._cache:
         return sig._cache[key]
-    grammar = _eliminate_singletons(sig)
+    grammar = _cached_grammar(sig, _eliminate_singletons)
     verdicts: list[tuple[str, tuple[str, ...] | None]] = []
     for s in sig.sorts:
         cycle = _cycle_through(s, grammar) if s in grammar else None
@@ -594,7 +636,7 @@ def check_expanding(sig: Signature) -> ExpandingReport:
             # large n, W*N + tail(R) holds n iff n mod g is a residue of R
             # mod g, g = gcd(W, period of R); so the cycle contributes
             # unboundedly iff R has no tail or an exception outside them
-            r = _eps_from_bits(*_lap(grammar, cycle))
+            r = _lap_image(sig, _eliminate_singletons, cycle)
             lap = sum(w for t, c in cycle for d, w, _ in grammar[t] if d == c)
             g = gcd(lap, r.period)
             tail = {x % g for x in r.residues}

@@ -65,6 +65,21 @@ def three_cycle_sig():
     ))
 
 
+# trees and forests of them: the two sorts form one strongly connected
+# component of the sort graph
+FOREST_SIG = Signature(("Tree", "Forest"), (
+    CtorDecl("leaf", "Tree"),
+    CtorDecl("node", "Tree", (("children", "Forest"),)),
+    CtorDecl("fnil", "Forest"),
+    CtorDecl("fcons", "Forest", (("fhead", "Tree"), ("ftail", "Forest"))),
+))
+
+
+@pytest.fixture
+def forest_sig():
+    return FOREST_SIG
+
+
 @pytest.fixture
 def fml(lists_sig):
     """Parse a formula over the list signature with standard variables."""

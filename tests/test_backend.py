@@ -285,7 +285,7 @@ def _spent(monkeypatch, reduct):
 def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
     # the split and branch counts of the plain DFS; a search change that
     # prunes (or grows) the tree shows up here
-    assert _spent(monkeypatch, two_colour_chain(4)) == ("unsat", 182, 11)
+    assert _spent(monkeypatch, two_colour_chain(4)) == ("unsat", 150, 11)
     # f(x) = 1, f(y) = 2 with x, y in [0, 1]: the candidate x = y = 0 breaks
     # functional consistency; its split's arm x != y is split into x < y
     fx, fy = RApp("f", (RVar("x"),)), RApp("f", (RVar("y"),))

@@ -316,3 +316,14 @@ def test_ne_rows_are_tightened_and_substituted():
     assert s.model() is None
     s.pop()
     assert s.nes() == [lia.con("ne", {"b": 1, "c": -1}, 0)]
+
+
+def test_free_variables_get_distinct_values():
+    # after a = u and b = w the ne row is u - w != 0, and no inequality
+    # bounds u or w: the replay must not give both the same value
+    s = lia.System([lia.con("le", {"x": 1}, -5), lia.con("eq", {"a": 1, "u": -1}, 0),
+                    lia.con("eq", {"b": 1, "w": -1}, 0), lia.con("ne", {"a": 1, "b": -1}, 0)])
+    assert s.nes() == [lia.con("ne", {"u": 1, "w": -1}, 0)]
+    model = s.model()
+    assert all(_holds(c, model) for c in s.nes())
+    assert model["a"] != model["b"] and {model["u"], model["w"]}.isdisjoint({model["x"]})

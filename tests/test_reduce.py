@@ -1,14 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given
 
 from adtsolve.errors import ModeMismatchError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.reduce import (
-    RAnd, RApp, RConst, REq, RFALSE, RLin, RNot, ROr, RVar, ReduceOptions,
-    is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
+    DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, RNot, ROr, RVar, ReduceOptions,
+    Reducer, SymbolTable, is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
 )
 from adtsolve import backend
-from adtsolve.corpus import signature_size
+from adtsolve.corpus import random_signature, signature_size
 from adtsolve.terms import formula_nodes
 from tests.test_semantics import formulas
 
@@ -29,6 +31,24 @@ def apps(reduct, fn):
             and isinstance(l.lhs, RApp) and l.lhs.fn == fn]
 
 
+def fns(reduct):
+    """The function symbols of every application in the reduct."""
+    out = set()
+
+    def walk(t):
+        if isinstance(t, RApp):
+            out.add(t.fn)
+            for a in t.args:
+                walk(a)
+
+    for l in lits(reduct):
+        if isinstance(l, RNot):
+            l = l.arg
+        for t in [l.lhs, l.rhs] if isinstance(l, REq) else [t for _, t in l.terms]:
+            walk(t)
+    return out
+
+
 def test_example_encoding(lists_sig, fml):
     r = _reduce(lists_sig, fml, EX1)
     # constructor application, head index, selectors, Skolems, ranges, depths
@@ -43,6 +63,8 @@ def test_example_encoding(lists_sig, fml):
                    and any(isinstance(t, RApp) and t.fn.startswith("depth_")
                            for _, t in l.terms)]
     assert depth_atoms
+    # but not to the head: Colour does not reach CList
+    assert "depth_Colour" not in fns(r)
     # enumeration optimization: blue = _t1 becomes _t1 = 2, red = _t2 becomes 0
     assert REq(RVar("_t1"), RConst(2)) in lits(r)
     assert REq(RVar("_t2"), RConst(0)) in lits(r)
@@ -215,3 +237,42 @@ def test_literal_memoization_shares_skolems(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(or (and ((_ is cons) x) (= y red)) "
                                 "(and ((_ is cons) x) (= y green)))")
     assert set(r.table.skolem_names()) == {"_s1", "_s2"}
+
+
+# -- depth rows -------------------------------------------------------------------------
+
+def _closure(sig):
+    """sort -> the sorts reachable from it in one or more steps, by
+    iterating the one-step successors to a fixpoint."""
+    reach = {s: {a for c in sig.ctors_of(s) for _, a in c.args} for s in sig.sorts}
+    changed = True
+    while changed:
+        changed = False
+        for s in sig.sorts:
+            more = set().union(*(reach[a] for a in reach[s])) - reach[s]
+            if more:
+                reach[s] |= more
+                changed = True
+    return reach
+
+
+def test_depth_rows_exactly_inside_components(forest_sig):
+    """Every depth row of a constructor literal joins two sorts of one
+    component, and every argument inside its result sort's component gets
+    one."""
+    for sig in [forest_sig] + [random_signature(random.Random(seed)) for seed in range(200)]:
+        reach = _closure(sig)
+        table = SymbolTable(sig, DEPTH_MODE)
+        red = Reducer(sig, DEPTH_MODE, ReduceOptions(), table, "_s")
+        for c in sig.ctors:
+            args = [RVar(f"a{j}") for j in range(c.arity)]
+            rows = {}  # argument position -> its sort, read off the row
+            for l in iter_literals(red.ctor_spec(c.name, RVar("x"), args)):
+                if isinstance(l, RLin):
+                    (_, d0), (_, dj) = sorted(l.terms, key=lambda p: p[0])
+                    assert d0.args == (RVar("x"),)
+                    assert table.origin_of_fun(d0.fn) == ("depth", c.sort)
+                    rows[args.index(dj.args[0])] = table.origin_of_fun(dj.fn)[1]
+            for sort in rows.values():
+                assert c.sort in reach[sort] and sort in reach[c.sort]
+            assert rows == {j: a for j, (_, a) in enumerate(c.args) if c.sort in reach[a]}

@@ -242,6 +242,21 @@ def test_image_bits_match_kleene_iteration():
                     {s: b & ((1 << limit) - 1) for s, b in want.items()}
 
 
+def test_lap_fixpoint_seeded_with_base_bits():
+    # no base sort reads a lap sort, so the lap's fixpoint may start from
+    # the base grammar's bitsets and iterate the lap sorts only
+    for k, sig in enumerate(KERNEL_SIGS + WEIGHTED_SIGS + [LONG_PERIOD]):
+        plain, single = _grammar(sig), _eliminate_singletons(sig)
+        c = sig.ctors[k % len(sig.ctors)]
+        laps = [(plain, [(c.sort, c.name)])]
+        laps += [(single, cycle) for s in single if (cycle := _cycle_through(s, single))]
+        for base, steps in laps:
+            lap = _lap(base, steps)[0]
+            for limit in (16, 128):
+                assert _image_bits(lap, limit, _image_bits(base, limit)) == \
+                    _image_bits(lap, limit)
+
+
 def _period_by_bits(x, window):
     """The period search bit by bit: the threshold of p is one past the last
     n < window - p with n and n + p differing, and [window, 2 * window) must
@@ -285,9 +300,9 @@ def fixpoint_limits(monkeypatch):
     """The limit of every `_image_bits` call, in order."""
     calls = []
 
-    def counted(grammar, limit):
+    def counted(grammar, limit, known=None):
         calls.append(limit)
-        return _image_bits(grammar, limit)
+        return _image_bits(grammar, limit, known)
 
     monkeypatch.setattr(signature, "_image_bits", counted)
     return calls

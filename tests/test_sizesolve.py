@@ -326,3 +326,27 @@ def test_depth_and_size_mode_agree():
         size = solve_with_size(phi, sig, fuel=30)
         assert depth.status in ("sat", "unsat"), i
         assert size.status in (depth.status, "unknown"), i
+
+
+def test_forest_depth_corpus_sound(forest_sig):
+    # Tree and Forest form one component, whose depth rows must refute every
+    # cycle through both sorts; pinning each variable to its sort's recursive
+    # constructor makes the selector chains of the formulas close such cycles
+    import random
+    from adtsolve.corpus import GenConfig, oracle_sat_within_bound, random_formula
+    from adtsolve.terms import And, Tester, free_vars
+
+    recursive = {"Tree": "node", "Forest": "fcons"}
+    rng = random.Random(1)
+    decided = {"sat": 0, "unsat": 0}
+    for _ in range(200):
+        phi = random_formula(rng, forest_sig, GenConfig(n_vars=3, depth=3))
+        pinned = And((phi,) + tuple(Tester(recursive[v.sort], v) for v in
+                                    sorted(free_vars(phi).adt, key=lambda v: v.name)))
+        for psi in (phi, pinned):
+            res = decide(psi, forest_sig)
+            assert res.status in decided
+            decided[res.status] += 1
+            if res.status == "unsat":
+                assert oracle_sat_within_bound(forest_sig, psi) is None
+    assert decided["sat"] and decided["unsat"]
