@@ -57,10 +57,13 @@ class SolverResult:
     status: str  # 'sat' | 'unsat' | 'unknown'
     model: IntModel | None = None
     reason: str | None = None
+    # on sat from the built-in search: the arm taken at each disjunction
+    # branched on the way to the model, outermost first
+    path: tuple[int, ...] = ()
 
     @staticmethod
-    def sat(model: IntModel) -> "SolverResult":
-        return SolverResult("sat", model=model)
+    def sat(model: IntModel, path: tuple[int, ...] = ()) -> "SolverResult":
+        return SolverResult("sat", model=model, path=path)
 
     @staticmethod
     def unsat() -> "SolverResult":
@@ -237,6 +240,7 @@ class _Search:
         self.lia = lia.System()
         self.mentioned: dict[int, None] = {}  # roots the system has seen, in order
         self.marks: list[int] = []
+        self.path: list[int] = []  # arms taken to the model, innermost first
 
     def push(self):
         self.cc.push()
@@ -301,9 +305,48 @@ class _Search:
         elif not isinstance(lit, RTrueF):
             raise InternalError(f"unexpected literal {lit}")
 
-    def search(self, pending: list[RFormula]) -> IntModel | None:
+    def search(self, pending: list[RFormula],
+               resume: tuple[int, ...] = ()) -> IntModel | None:
         """All definite conjuncts are asserted before branching, and a branch
-        is pruned as soon as its definite part is already inconsistent."""
+        is pruned as soon as its definite part is already inconsistent.  The
+        first disjunction collected is branched on, its arms in order, with
+        the other disjunctions passed on behind the arm; on success the arm
+        indices taken are left in `self.path`, innermost first.
+
+        `resume` is the `path` of a model of an earlier formula G whose
+        every top-level conjunct is one of this formula F's and whose
+        top-level disjunctions come first among F's, in the same order (the
+        unfolding loop checks this, `sizesolve._extends`).  At depth i the
+        search then starts at arm `resume[i]`, passes the rest of the path
+        only into that arm, and skips `decide()` at the node, and it returns
+        the model a fresh search of F returns:
+        - by induction on the depth, the disjunctions collected at each node
+          on the path are G's there, in G's order, followed by F's extra
+          ones, and the definite literals asserted include G's there;
+        - so below each arm before `resume[i]`, F's conjunction of the
+          literals and disjunctions left is G's with more conjuncts, and the
+          search of G exhausted that arm without a model: `decide` is
+          complete on a conjunction (it returns a model, returns None, or
+          raises ResourceLimitError, which ends the solve as unknown), so F
+          has no model there, and a fresh search of F finds none there;
+        - a node on the path still branches, so its `decide()` could only
+          prune, and the subtree below it is searched anyway;
+        - the search state at each node is the one a fresh search reaches
+          there, since push and pop restore it exactly; so from the end of
+          the path on, both searches visit the same nodes in the same order
+          and return the same model (up to the budget: a fresh search can
+          spend its caps on the skipped arms and give up where this one does
+          not).
+        In the unfolding loop G is round k's reduct and F round k+1's: the
+        reducer's memo returns round k's reductions, the new case clause is
+        appended last, and range rows hold no disjunction.  The one reduction
+        a round can change is a selector literal that the new clause guards
+        (rule 2'): it drops its one-case disjunction and the Skolems in it,
+        and a model of F gives one of G by setting each dropped Skolem to
+        the matching unfolded variable.  When that case also drops a
+        disjunction nested in the dropped part (a size-image membership with
+        several cases), G's disjunctions are no longer a prefix of F's, the
+        check fails, and the round searches afresh."""
         queue = deque(pending)
         lits: list[RFormula] = []
         ors: list[ROr] = []
@@ -322,16 +365,23 @@ class _Search:
         self.budget.spend_split()
         for lit in lits:
             self.assert_lit(lit)
-        model = self.decide()
-        if model is None or not ors:
-            return model
+        if resume:
+            if not ors or resume[0] >= len(ors[0].args):
+                raise InternalError("resumed path does not fit the formula")
+            start = resume[0]
+        else:
+            model = self.decide()
+            if model is None or not ors:
+                return model
+            start = 0
         first, rest = ors[0], ors[1:]
         self.budget.spend_branch()
-        for arm in first.args:
+        for i in range(start, len(first.args)):
             self.push()
-            out = self.search([arm] + rest)
+            out = self.search([first.args[i]] + rest, resume[1:] if i == start else ())
             self.pop()
             if out is not None:
+                self.path.append(i)
                 return out
         return None
 
@@ -415,10 +465,15 @@ class _Search:
 
 # -- public solve ------------------------------------------------------------------------
 
-def solve(reduct: ReducedFormula, *, branch_cap: int = DEFAULT_BRANCH_CAP,
+def solve(reduct: ReducedFormula, *, resume: tuple[int, ...] = (),
+          branch_cap: int = DEFAULT_BRANCH_CAP,
           split_cap: int = DEFAULT_SPLIT_CAP) -> SolverResult:
+    """Decide a reduct.  `resume` is the `path` of an earlier reduct's model
+    that this one extends (see `_Search.search`); the result is the one a
+    fresh search gives."""
+    search = _Search(_Budget(branch_cap, split_cap))
     try:
-        model = _Search(_Budget(branch_cap, split_cap)).search([reduct.formula])
+        model = search.search([reduct.formula], resume)
     except ResourceLimitError as e:
         return SolverResult.unknown(str(e))
     if model is None:
@@ -428,7 +483,7 @@ def solve(reduct: ReducedFormula, *, branch_cap: int = DEFAULT_BRANCH_CAP,
         model.values.setdefault(name, 0)
     if not eval_reduced(reduct.formula, model):
         raise InternalError("solver produced a model that fails re-evaluation")
-    return SolverResult.sat(model)
+    return SolverResult.sat(model, tuple(reversed(search.path)))
 
 
 # -- SMT-LIB emission ----------------------------------------------------------------------

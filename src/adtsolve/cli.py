@@ -31,6 +31,19 @@ from .sizesolve import completeness_report, decide, reduction_mode
 from .terms import formula_nodes
 
 
+def _count(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}: {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="adtsolve", add_help=True)
     sub = p.add_subparsers(dest="command", required=True)
@@ -40,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--external-cmd": dict(default=None,
                                help="command line of an SMT-LIB solver on stdio "
                                     "(default: $ADTSOLVE_EXTERNAL_CMD)"),
-        "--fuel": dict(type=int, default=100),
+        "--fuel": dict(type=_count(0), default=100),
         "--no-opt": dict(action="store_true",
                          help="disable the guarded-selector and enumeration optimizations"),
         "--stats": dict(action="store_true"),
@@ -70,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add(sp, "--external-cmd", "--fuel", "--no-opt")
 
     sp = sub.add_parser("corpus", help="run the seeded random agreement suite")
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--sigs", type=int, default=5)
+    sp.add_argument("--count", type=_count(0), default=100)
+    sp.add_argument("--sigs", type=_count(1), default=5)
     sp.add_argument("--seed", type=int, default=0)
     return p
 
@@ -87,8 +100,12 @@ def _external(args) -> str | None:
 
 
 def _load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_script(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:  # missing, a directory, not UTF-8
+        raise InputError(f"cannot read {path}: {e}") from e
+    return parse_script(text)
 
 
 def cmd_solve(args, out) -> int:
@@ -104,10 +121,8 @@ def cmd_solve(args, out) -> int:
     elif result.status == "unknown" and result.diagnosis:
         print(result.diagnosis.text, file=out)
     if args.stats:
-        query = result.reduct
         print(f"nodes: input={formula_nodes(phi)} "
-              f"reduced={rformula_nodes(query.base.formula)} "
-              f"simplified={rformula_nodes(query.formula)}", file=out)
+              f"reduced={rformula_nodes(result.reduct.formula)}", file=out)
     return 0
 
 
@@ -196,9 +211,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

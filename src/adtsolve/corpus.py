@@ -203,7 +203,6 @@ class CorpusStats:
     unsat: int = 0
     nodes_input: list[int] = field(default_factory=list)
     nodes_reduced: list[int] = field(default_factory=list)
-    nodes_simplified: list[int] = field(default_factory=list)
     blowup_ratios: list[float] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     roundtrips: int = 0
@@ -218,8 +217,7 @@ class CorpusStats:
         lines = [
             f"instances: {self.instances} (sat {self.sat}, unsat {self.unsat})",
             f"avg nodes: input {avg(self.nodes_input):.1f}, "
-            f"reduced {avg(self.nodes_reduced):.1f}, "
-            f"simplified {avg(self.nodes_simplified):.1f}",
+            f"reduced {avg(self.nodes_reduced):.1f}",
             f"max blow-up ratio |reduct| / (|signature| * |input|): "
             f"{self.max_blowup():.3f}",
             f"failures: {len(self.failures)}",
@@ -245,11 +243,10 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5) -> CorpusStats:
         prefix = f"[{i}] "
         try:
             res = decide(phi, sig)
-            plain = decide(phi, sig, opts=ReduceOptions.none(), use_simplify=False)
-            reduct = res.reduct.base
+            plain = decide(phi, sig, opts=ReduceOptions.none())
+            reduct = res.reduct
             stats.nodes_input.append(formula_nodes(phi))
             stats.nodes_reduced.append(rformula_nodes(reduct.formula))
-            stats.nodes_simplified.append(rformula_nodes(res.reduct.formula))
             stats.blowup_ratios.append(
                 rformula_nodes(reduct.formula)
                 / (signature_size(sig) * max(1, formula_nodes(reduct.flat.formula))))

@@ -8,7 +8,8 @@ class AdtSolveError(Exception):
 
 
 class InputError(AdtSolveError):
-    """Syntax error in an input script, with 1-based position."""
+    """An unreadable or ill-formed input script; a syntax error carries its
+    1-based position."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{line}:{col}: {message}" if line else message)

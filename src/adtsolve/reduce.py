@@ -11,8 +11,11 @@ existentials are Skolemized with fresh constants.  Two optimizations are
 available: guarded selector literals drop their head-case disjunction, and
 enumeration sorts map constructors straight to their indices.
 
+A `Reducer` memoises each literal's reduction, so one reducer kept across the
+rounds of the unfolding loop reduces only each round's new case clause.
+
 A lightweight equisatisfiability-preserving simplifier (constant propagation,
-ground folding, single-use fresh-variable elimination) runs over reducts; its
+ground folding, single-use fresh-variable elimination) serves `emit`; its
 trace allows models of the simplified formula to be completed back to models
 of the original reduct.
 """
@@ -342,12 +345,17 @@ class ReducedFormula:
 # -- the reducer ---------------------------------------------------------------------
 
 class Reducer:
-    def __init__(self, sig: Signature, mode: str, opts: ReduceOptions,
-                 table: SymbolTable, fresh_prefix: str):
+    """Reduces flat formulas literal by literal, memoising each literal's
+    reduction per guard context.  One reducer kept across calls of `reduce`
+    on growing formulas, as the unfolding loop does, returns the old
+    literals' reductions, Skolems included, and reduces only the new ones."""
+
+    def __init__(self, sig: Signature, mode: str, opts: ReduceOptions = ReduceOptions(),
+                 table: SymbolTable | None = None, fresh_prefix: str = "_s"):
         self.sig = sig
         self.mode = mode
         self.opts = opts
-        self.table = table
+        self.table = table if table is not None else _new_table(sig, mode, opts)
         self.fresh_prefix = fresh_prefix
         self.counter = 0
         self.aux_counter = 0
@@ -549,6 +557,19 @@ class Reducer:
 
     # -- formula walk ------------------------------------------------------------------
 
+    def reduce_flat(self, flat: FlatFormula) -> ReducedFormula:
+        """The reduct of `flat`, closed under the range constraints of its
+        variables; Skolems keep clear of every name it declares."""
+        self.used.update(flat.var_sorts)
+        self.used.update(flat.int_vars)
+        table = self.table
+        body = self.reduce_formula(flat.formula)
+        ranges = [self.in_range(table.adt_var(name, sort), sort)
+                  for name, sort in flat.var_sorts.items()]
+        for name in sorted(flat.int_vars):
+            table.int_var(name)
+        return ReducedFormula(rand([body] + ranges), table, flat)
+
     def reduce_formula(self, phi: Formula, guards: frozenset[str] = frozenset()) -> RFormula:
         if isinstance(phi, TrueF):
             return RTRUE
@@ -578,12 +599,24 @@ def _guard_vars(lit: Formula) -> list[str]:
     return []
 
 
+def _new_table(sig: Signature, mode: str, opts: ReduceOptions) -> SymbolTable:
+    """An empty symbol table for reducts of `sig` in `mode`."""
+    ensure_valid(sig)
+    if mode not in (DEPTH_MODE, SIZE_MODE):
+        raise InternalError(f"unknown mode {mode!r}")
+    enum_sorts = frozenset(s for s in sig.sorts if sig.is_enum(s)) if opts.enum_opt \
+        else frozenset()
+    return SymbolTable(sig, mode, enum_sorts=enum_sorts)
+
+
 def reduce(flat: FlatFormula, sig: Signature, mode: str = DEPTH_MODE,
-           opts: ReduceOptions = ReduceOptions()) -> ReducedFormula:
+           opts: ReduceOptions = ReduceOptions(),
+           reducer: Reducer | None = None) -> ReducedFormula:
     """Rewrite a flat NNF formula to an equisatisfiable EUF+LIA formula and
-    close it under the per-variable range constraints."""
-    (out,) = reduce_partitions([("", flat)], sig, mode, opts)
-    return out
+    close it under the per-variable range constraints.  A `reducer` made for
+    the same signature, mode and options is reused with its memo and symbol
+    table; without one, a fresh reducer is made."""
+    return (reducer or Reducer(sig, mode, opts)).reduce_flat(flat)
 
 
 def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
@@ -592,12 +625,7 @@ def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
     """Reduce tagged formulas against one shared symbol table; the fresh and
     Skolem symbols of part `tag` are named `_s<tag>N`, so they stay local to
     it (interpolation reduces its two partitions this way)."""
-    ensure_valid(sig)
-    if mode not in (DEPTH_MODE, SIZE_MODE):
-        raise InternalError(f"unknown mode {mode!r}")
-    enum_sorts = frozenset(s for s in sig.sorts if sig.is_enum(s)) if opts.enum_opt \
-        else frozenset()
-    table = SymbolTable(sig, mode, enum_sorts=enum_sorts)
+    table = _new_table(sig, mode, opts)
     all_names = set()
     for _, flat in parts:
         all_names.update(flat.var_sorts)
@@ -606,12 +634,7 @@ def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
     for tag, flat in parts:
         red = Reducer(sig, mode, opts, table, f"_s{tag.lower()}")
         red.used.update(all_names)
-        body = red.reduce_formula(flat.formula)
-        ranges = [red.in_range(table.adt_var(name, sort), sort)
-                  for name, sort in flat.var_sorts.items()]
-        for name in sorted(flat.int_vars):
-            table.int_var(name)
-        out.append(ReducedFormula(rand([body] + ranges), table, flat))
+        out.append(red.reduce_flat(flat))
     return out
 
 

@@ -1,8 +1,9 @@
 """The decision loop: one solve pipeline for every formula.
 
-`run_loop` reduces, simplifies, solves, completes the integer model, and then
-either reconstructs and checks an ADT model or unfolds one more variable and
-repeats.  Depth mode, used for size-free formulas, accepts the first model.
+`run_loop` reduces, solves, and then either reconstructs and checks an ADT
+model or unfolds one more variable and repeats.  One reducer serves every
+round, and each round's search resumes from the path of the previous
+round's model.  Depth mode, used for size-free formulas, accepts the first model.
 Size mode tests the termination conditions: an unsat reduct settles the
 input, and a sat reduct is accepted once every ADT variable's integer value
 coincides with the value of some unfolded variable of the same sort.
@@ -20,9 +21,10 @@ from .backend import eval_reduced
 from .errors import AdtSolveError, InternalError
 from .models import ReconstructionStats, check_model, reconstruct
 from .normalize import FlatFormula, flatten, to_nnf
+# the benchmark's tracer wraps `simplify` under this module's name, so it stays
 from .reduce import (
-    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, RFormula, _top_conjuncts,
-    _var_occurrences, reduce, simplify,
+    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, Reducer, RFormula, ROr,
+    _top_conjuncts, _var_occurrences, reduce, simplify,  # noqa: F401
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
@@ -174,7 +176,7 @@ def _select_variable(state: UnfoldState, mismatched: list[str],
 
 
 def _mismatched(state: UnfoldState, model: backend.IntModel,
-                base: ReducedFormula) -> list[str]:
+                reduct: ReducedFormula) -> list[str]:
     """Acceptance test: the ADT variables whose value matches no unfolded
     variable of the same sort.  Unconstrained variables are repointed at
     unfolded values first when the formula stays satisfied.
@@ -186,7 +188,7 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
     distinct indices are distinct terms.  So the value already names a term
     that satisfies everything the reduct says of it, and unfolding the
     variable would only restate its range."""
-    enum_sorts = base.table.enum_sorts
+    enum_sorts = reduct.table.enum_sorts
     values_of_unfolded: dict[str, set[int]] = {}
     for u in state.unfolded:
         values_of_unfolded.setdefault(state.var_sorts[u], set()).add(model.value(u))
@@ -196,11 +198,11 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
         if sort in enum_sorts or not candidates or model.value(v) in candidates:
             continue
         if mentions is None:
-            if not eval_reduced(base.formula, model):
+            if not eval_reduced(reduct.formula, model):
                 break  # repoint nothing under a model that fails the formula
             # repointing a variable can only falsify the conjuncts that mention it
             mentions = {}
-            for f in _top_conjuncts(base.formula):
+            for f in _top_conjuncts(reduct.formula):
                 names: dict[str, int] = {}
                 _var_occurrences(f, names)
                 for name in names:
@@ -222,59 +224,70 @@ def reduction_mode(phi: Formula) -> str:
 
 
 def decide(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
-           opts: ReduceOptions = ReduceOptions(), use_simplify: bool = True,
+           opts: ReduceOptions = ReduceOptions(),
            external_cmd: str | None = None) -> SizeSolveResult:
     """Decide a well-typed formula: size-free formulas in depth mode, where
     the first model is accepted, formulas with size atoms in size mode."""
-    return _solve(phi, sig, reduction_mode(phi), fuel, opts, use_simplify,
-                  external_cmd)
+    return _solve(phi, sig, reduction_mode(phi), fuel, opts, external_cmd)
 
 
 def solve_with_size(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
                     opts: ReduceOptions = ReduceOptions(),
-                    use_simplify: bool = True,
                     external_cmd: str | None = None) -> SizeSolveResult:
     """Decide a well-typed formula that may contain size constraints."""
-    return _solve(phi, sig, SIZE_MODE, fuel, opts, use_simplify, external_cmd)
+    return _solve(phi, sig, SIZE_MODE, fuel, opts, external_cmd)
 
 
 def _solve(phi: Formula, sig: Signature, mode: str, fuel: int,
-           opts: ReduceOptions, use_simplify: bool,
-           external_cmd: str | None) -> SizeSolveResult:
+           opts: ReduceOptions, external_cmd: str | None) -> SizeSolveResult:
     ensure_valid(sig)
     state = make_state([("A", flatten(to_nnf(phi), sig))], sig, fuel=fuel)
-    return run_loop(state, mode, opts=opts, use_simplify=use_simplify,
-                    external_cmd=external_cmd)
+    return run_loop(state, mode, opts=opts, external_cmd=external_cmd)
+
+
+def _extends(old: RFormula, new: RFormula) -> bool:
+    """Whether every top-level conjunct of `old` is one of `new`'s and
+    `old`'s top-level disjunctions come first among `new`'s, in the same
+    order: the condition under which a search of `new` may resume from the
+    path of a model of `old` (see `backend._Search.search`)."""
+    old_top, new_top = _top_conjuncts(old), _top_conjuncts(new)
+    old_ors = [f for f in old_top if isinstance(f, ROr)]
+    new_ors = [f for f in new_top if isinstance(f, ROr)]
+    present = {f for f in new_top if not isinstance(f, ROr)}
+    return (new_ors[:len(old_ors)] == old_ors
+            and all(f in present for f in old_top if not isinstance(f, ROr)))
 
 
 def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(),
-             use_simplify: bool = True,
              external_cmd: str | None = None) -> SizeSolveResult:
-    """The one solve pipeline: reduce, simplify, solve, complete, and either
-    reconstruct and check a model or unfold one more variable and repeat.
-    Depth mode accepts the first model; size mode accepts a model once it
-    passes the acceptance test."""
+    """The one solve pipeline: reduce, solve, and either reconstruct and
+    check a model or unfold one more variable and repeat.  Depth mode
+    accepts the first model; size mode accepts a model once it passes the
+    acceptance test.  One reducer serves every round, so a round reduces
+    only its new case clause, and the built-in search of each round resumes
+    from the path of the previous round's model whenever the reduct extends
+    the previous one, which yields the model a fresh search would."""
     sig = state.sig
+    reducer = Reducer(sig, mode, opts)
+    prev: tuple[RFormula, tuple[int, ...]] | None = None
     while True:
-        reduct = reduce(state.flat(), sig, mode, opts)
-        query = simplify(reduct) if use_simplify else reduct
+        reduct = reduce(state.flat(), sig, mode, opts, reducer)
         if external_cmd:
-            result = backend.solve_external(query, external_cmd)
+            result = backend.solve_external(reduct, external_cmd)
         else:
-            result = backend.solve(query)
+            resume = prev[1] if prev and _extends(prev[0], reduct.formula) else ()
+            result = backend.solve(reduct, resume=resume)
         if result.status == "unsat":
-            return SizeSolveResult("unsat", rounds=state.rounds, state=state, reduct=query)
+            return SizeSolveResult("unsat", rounds=state.rounds, state=state, reduct=reduct)
         if result.status == "unknown":
             return SizeSolveResult(
-                "unknown", rounds=state.rounds, state=state, reduct=query,
+                "unknown", rounds=state.rounds, state=state, reduct=reduct,
                 diagnosis=Diagnosis(f"backend gave up: {result.reason}"))
-        model = backend.complete_model(query, result.model) if query.trace \
-            else result.model
-        base = query.base or query
-        mismatched = _mismatched(state, model, base) if mode == SIZE_MODE else []
+        model = result.model
+        mismatched = _mismatched(state, model, reduct) if mode == SIZE_MODE else []
         if not mismatched:
             stats = ReconstructionStats()
-            adt_model = reconstruct(base, model, stats)
+            adt_model = reconstruct(reduct, model, stats)
             ok, diag = check_model(sig, adt_model, state.flat().formula)
             if not ok:
                 raise InternalError(f"reconstructed model failed validation: {diag}")
@@ -284,7 +297,7 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
                     raise InternalError("fresh term drawn for a constrained variable "
                                         "after the acceptance test fired")
             return SizeSolveResult("sat", model=adt_model, rounds=state.rounds,
-                                   state=state, reduct=query)
+                                   state=state, reduct=reduct)
         if state.rounds >= state.fuel:
             report = check_expanding(sig)
             lines = ["fuel exhausted before the unfolding loop converged"]
@@ -292,10 +305,11 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
             if report.all_expanding:
                 lines.append("all sorts expanding: raise the fuel limit to decide")
             return SizeSolveResult(
-                "unknown", rounds=state.rounds, state=state, reduct=query,
+                "unknown", rounds=state.rounds, state=state, reduct=reduct,
                 diagnosis=Diagnosis("\n".join(lines), report,
                                     [(v, model.value(v)) for v in mismatched]))
-        target = _select_variable(state, mismatched, model, query)
+        prev = (reduct.formula, result.path)
+        target = _select_variable(state, mismatched, model, reduct)
         unfold_step(state, target)
 
 

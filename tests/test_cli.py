@@ -12,6 +12,7 @@ from adtsolve.errors import AdtSolveError
 from adtsolve.parser import parse_script
 from adtsolve.reduce import rformula_nodes
 from adtsolve.sizesolve import decide
+from adtsolve.terms import formula_nodes
 
 LISTS = """
 (declare-datatypes ((Colour 0) (CList 0))
@@ -156,8 +157,8 @@ def test_stats_report_the_solved_round():
         script = parse_script(f.read())
     res = decide(script.formula(), script.sig)
     assert res.rounds > 0
-    assert (f"reduced={rformula_nodes(res.reduct.base.formula)} "
-            f"simplified={rformula_nodes(res.reduct.formula)}") in out
+    assert (f"nodes: input={formula_nodes(script.formula())} "
+            f"reduced={rformula_nodes(res.reduct.formula)}\n") in out
 
 
 def test_deterministic_output(ex1_file):
@@ -208,6 +209,28 @@ def test_input_error_exit_code(tmp_path):
         assert main(["solve", str(p)]) == 2
     missing = tmp_path / "missing.smt2"
     assert main(["solve", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "emit", "interpolate"])
+def test_unreadable_input_exit_code(tmp_path, capsys, command):
+    # a directory, and bytes that are not UTF-8, are input errors
+    binary = tmp_path / "binary.smt2"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (str(tmp_path), str(binary)):
+        args = [command, path] + ([path] if command == "interpolate" else [])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot read ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "x.smt2", "--fuel", "-1"],
+    ["corpus", "--count", "-5"],
+    ["corpus", "--sigs", "0"],
+], ids=["fuel", "count", "sigs"])
+def test_out_of_range_flags_are_usage_errors(capsys, args):
+    assert main(args) == 1
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_let_script_is_decided():

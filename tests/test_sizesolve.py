@@ -303,11 +303,10 @@ CORPUS_329 = """
 """
 
 
-@pytest.mark.parametrize("use_simplify", [True, False])
-def test_repointed_model_reconstructs(use_simplify):
+def test_repointed_model_reconstructs():
     script = parse_script(CORPUS_329)
     phi = script.formula()
-    res = decide(phi, script.sig, use_simplify=use_simplify)
+    res = decide(phi, script.sig)
     assert res.status == "sat"
     assert check_model(script.sig, res.model, phi) == (True, None)
 
@@ -349,4 +348,173 @@ def test_forest_depth_corpus_sound(forest_sig):
             decided[res.status] += 1
             if res.status == "unsat":
                 assert oracle_sat_within_bound(forest_sig, psi) is None
+    assert decided["sat"] and decided["unsat"]
+
+
+# -- the resumed search across rounds ---------------------------------------------
+
+def _round_log(monkeypatch):
+    """Wrap backend.solve so that every round resumed from the previous
+    round's path is also searched afresh, and the two models must match;
+    returns the log of (reduct, result, resume) per round."""
+    from adtsolve import backend
+
+    solve = backend.solve
+    log = []
+
+    def checked(reduct, resume=()):
+        got = solve(reduct, resume=resume)
+        if resume:
+            fresh = solve(reduct)
+            assert (got.status, got.model, got.path) == \
+                (fresh.status, fresh.model, fresh.path)
+        log.append((reduct, got, resume))
+        return got
+
+    monkeypatch.setattr(backend, "solve", checked)
+    return log
+
+
+def _clist_distinct(n: int, k: int) -> str:
+    names = [f"d{i}" for i in range(n)]
+    lines = ["(declare-datatypes ((Colour 0) (CList 0)) (((red) (green) (blue))"
+             " ((nil) (cons (head Colour) (tail CList)))))"]
+    lines += [f"(declare-const {v} CList)" for v in names]
+    lines += [f"(assert (not (= {a} {b})))" for i, a in enumerate(names)
+              for b in names[i + 1:]]
+    lines += [f"(assert (<= (adt.size {v}) {k}))" for v in names]
+    return "\n".join(lines)
+
+
+NAT_NE_SAME_SIZE = """
+(declare-datatypes ((Nat 0)) (((one) (succ (pred Nat)))))
+(declare-const x Nat)
+(declare-const y Nat)
+(assert (not (= x y)))
+(assert (= (adt.size x) (adt.size y)))
+"""
+
+
+@pytest.mark.parametrize("text, fuel", [
+    (_clist_distinct(2, 3), 100), (_clist_distinct(3, 4), 100),
+    (_clist_distinct(4, 3), 100), (_clist_distinct(3, 2), 100),
+    (_clist_distinct(2, 1), 100), (NAT_NE_SAME_SIZE, 10), (NAT_NE_SAME_SIZE, 14),
+], ids=["distinct-2-3", "distinct-3-4", "distinct-4-3", "distinct-3-2",
+        "distinct-2-1", "nat-10", "nat-14"])
+def test_resumed_search_equals_fresh(monkeypatch, text, fuel):
+    from adtsolve.sizesolve import _extends
+
+    script = parse_script(text)
+    log = _round_log(monkeypatch)
+    res = decide(script.formula(), script.sig, fuel=fuel)
+    assert res.rounds == len(log) - 1 > 0
+    # every round's reduct extends its predecessor's, and the search resumes
+    # from the predecessor's path
+    for (prev, prev_result, _), (cur, _, resume) in zip(log, log[1:]):
+        assert _extends(prev.formula, cur.formula)
+        assert resume == prev_result.path
+
+
+def test_resumed_search_equals_fresh_on_random_signatures(monkeypatch):
+    # random_signature's one-constructor product sorts hit the guard case
+    import random
+    from adtsolve.corpus import GenConfig, random_formula, random_signature
+    from adtsolve.sizesolve import _extends
+
+    log = _round_log(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(4):
+        sigs = [random_signature(rng) for _ in range(3)]
+        for i in range(40):
+            phi = random_formula(rng, sigs[i % 3], GenConfig(n_vars=rng.randint(1, 3),
+                                                             size_atoms=True))
+            log.append(None)  # a new instance
+            decide(phi, sigs[i % 3], fuel=20)
+    pairs = [(a, b) for a, b in zip(log, log[1:]) if a and b]
+    assert sum(1 for _, (_, _, resume) in pairs if resume) > 50
+    # the guard case dropped a disjunction, and those rounds searched afresh
+    assert any(not _extends(a[0].formula, b[0].formula) for a, b in pairs)
+
+
+def test_resumed_search_visits_fewer_nodes(monkeypatch):
+    # Nat x != y with |x| = |y| at fuel 10: 166 search nodes over all rounds
+    # when every round searches from the root
+    from adtsolve import backend
+
+    calls = []
+    search = backend._Search.search
+
+    def counted(self, pending, resume=()):
+        calls.append(resume)
+        return search(self, pending, resume)
+
+    monkeypatch.setattr(backend._Search, "search", counted)
+    script = parse_script(NAT_NE_SAME_SIZE)
+    res = decide(script.formula(), script.sig, fuel=10)
+    assert (res.status, res.rounds) == ("unknown", 10)
+    assert len(calls) == 86
+
+
+# A one-constructor sort P whose argument sort M has two sizes.  Once v0's
+# head is unfolded into mk(_u, _u'), the selector literal over it is guarded
+# and drops the membership disjunction of its Skolem's size, so round k's
+# disjunctions are no longer a prefix of round k+1's.
+GUARD_DROPS_DISJUNCTION = """
+(declare-datatypes ((E 0) (M 0) (P 0) (L 0))
+  (((e0) (e1)) ((m0) (m1 (me E))) ((mk (pa M) (pb M)))
+   ((nl) (cs (hd P) (tl L)))))
+(declare-const v0 L)
+(declare-const v1 M)
+(assert (or (= (pb (hd v0)) v1) (<= (adt.size v1) 9)))
+"""
+
+
+def test_guard_case_that_drops_a_disjunction_searches_afresh(monkeypatch):
+    from adtsolve import backend
+    from adtsolve.sizesolve import _extends
+
+    solve = backend.solve
+    log = _round_log(monkeypatch)
+    script = parse_script(GUARD_DROPS_DISJUNCTION)
+    res = decide(script.formula(), script.sig)
+    assert res.status == "sat"
+    broken = [(prev, cur) for prev, cur in zip(log, log[1:])
+              if not _extends(prev[0].formula, cur[0].formula)]
+    assert broken
+    for (_, prev_result, _), (reduct, result, resume) in broken:
+        assert resume == ()
+    # resuming there anyway would not return the fresh search's model
+    (_, prev_result, _), (reduct, result, _) = broken[0]
+    forced = solve(reduct, resume=prev_result.path)
+    assert forced.model != result.model
+
+
+def test_size_mode_sound_on_random_signatures():
+    # the oracle differential of the list and tree corpora, on several
+    # random signatures; unknown verdicts (non-expanding sorts) are skipped
+    import random
+    from adtsolve.corpus import (
+        GenConfig, oracle_sat_within_bound, random_formula, random_signature,
+    )
+
+    rng = random.Random(23)
+    decided = {"sat": 0, "unsat": 0, "unknown": 0}
+    for _ in range(10):
+        sig = random_signature(rng)
+        for _ in range(20):
+            phi = random_formula(rng, sig, GenConfig(n_vars=2, size_atoms=True,
+                                                     size_const_max=5))
+            res = solve_with_size(phi, sig, fuel=30)
+            decided[res.status] += 1
+            if res.status == "unknown":
+                continue
+            oracle = oracle_sat_within_bound(sig, phi, bound=5)
+            if res.status == "unsat":
+                assert oracle is None
+            else:
+                ok, diag = check_model(sig, res.model, phi)
+                assert ok, diag
+            if oracle is not None:
+                assert res.status == "sat"
+    print(f"size-mode random signatures: {decided}")
     assert decided["sat"] and decided["unsat"]
