@@ -2,7 +2,7 @@
 
 The built-in solver searches the preserved Boolean structure depth-first
 with one backtrackable congruence closure and one push/pop LIA system per
-solve, driven together: the literals of a branch are asserted into both in
+search, driven together: the literals of a branch are asserted into both in
 place and retracted on backtrack.  The congruence closure holds the term
 equalities and the LIA system every integer fact: a linear literal or a
 disequality becomes a row over the congruence classes when it is asserted (a
@@ -15,6 +15,11 @@ through one routine: the two strict sides of the row, as `le` rows, or the
 two applications being equal or one of their argument pairs differing.
 Every sat verdict is re-checked by an independent evaluator before being
 returned.
+
+A `Session` keeps one search live across the solves of a growing formula,
+such as the rounds of the unfolding loop: a solve asserts only the
+conjuncts the formula added to the last one and goes on from the leaf of
+the last model, and its verdict is the one a fresh search gives.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -32,7 +37,7 @@ from .errors import InternalError, ProtocolError, ResourceLimitError, SpawnError
 from .parser import SExpr, read_sexprs
 from .reduce import (
     RAnd, RApp, RConst, REq, RFalseF, RFormula, RLin, RNot, ROr, RTerm, RTrueF,
-    RVar, ReducedFormula, SymbolTable,
+    RVar, ReducedFormula, SymbolTable, _top_conjuncts,
 )
 
 DEFAULT_BRANCH_CAP = 200000
@@ -57,13 +62,10 @@ class SolverResult:
     status: str  # 'sat' | 'unsat' | 'unknown'
     model: IntModel | None = None
     reason: str | None = None
-    # on sat from the built-in search: the arm taken at each disjunction
-    # branched on the way to the model, outermost first
-    path: tuple[int, ...] = ()
 
     @staticmethod
-    def sat(model: IntModel, path: tuple[int, ...] = ()) -> "SolverResult":
-        return SolverResult("sat", model=model, path=path)
+    def sat(model: IntModel) -> "SolverResult":
+        return SolverResult("sat", model=model)
 
     @staticmethod
     def unsat() -> "SolverResult":
@@ -224,6 +226,27 @@ class _Budget:
             raise ResourceLimitError("split cap exhausted")
 
 
+def _conjuncts(pending: list[RFormula]) -> tuple[list[RFormula], list[ROr]] | None:
+    """The literals and the disjunctions of a conjunction, each in order, or
+    None when one of its conjuncts is false."""
+    queue = deque(pending)
+    lits: list[RFormula] = []
+    ors: list[ROr] = []
+    while queue:
+        f = queue.popleft()
+        if isinstance(f, RTrueF):
+            continue
+        if isinstance(f, RFalseF):
+            return None
+        if isinstance(f, RAnd):
+            queue.extendleft(reversed(f.args))
+        elif isinstance(f, ROr):
+            ors.append(f)
+        else:
+            lits.append(f)
+    return lits, ors
+
+
 class _Search:
     """DFS over the Boolean structure with one congruence closure and one
     LIA system: literals are asserted along the current path and retracted
@@ -232,7 +255,11 @@ class _Search:
     class variables #t<root> once, when it is asserted, each new constant
     term's variable is pinned to its value by an `eq` row, and a later union
     of a class the system mentions adds the equality of the two class
-    variables, which eliminates one of the two."""
+    variables, which eliminates one of the two.
+
+    The open choice points live on an explicit stack, so a search that
+    returned a model still holds the path to it and can go on from there
+    (`extend`)."""
 
     def __init__(self, budget: _Budget):
         self.budget = budget
@@ -240,7 +267,11 @@ class _Search:
         self.lia = lia.System()
         self.mentioned: dict[int, None] = {}  # roots the system has seen, in order
         self.marks: list[int] = []
-        self.path: list[int] = []  # arms taken to the model, innermost first
+        # open choice points, outermost first: [disjunctions, arm taken]; the
+        # node of frames[j] lives in scope depth j, the arm below it in j + 1
+        self.frames: list[list] = []
+        # literals added by `extend`, each batch with the depth of its scope
+        self.carried: list[tuple[int, list[RFormula]]] = []
 
     def push(self):
         self.cc.push()
@@ -305,85 +336,101 @@ class _Search:
         elif not isinstance(lit, RTrueF):
             raise InternalError(f"unexpected literal {lit}")
 
-    def search(self, pending: list[RFormula],
-               resume: tuple[int, ...] = ()) -> IntModel | None:
-        """All definite conjuncts are asserted before branching, and a branch
-        is pruned as soon as its definite part is already inconsistent.  The
-        first disjunction collected is branched on, its arms in order, with
-        the other disjunctions passed on behind the arm; on success the arm
-        indices taken are left in `self.path`, innermost first.
-
-        `resume` is the `path` of a model of an earlier formula G whose
-        every top-level conjunct is one of this formula F's and whose
-        top-level disjunctions come first among F's, in the same order (the
-        unfolding loop checks this, `sizesolve._extends`).  At depth i the
-        search then starts at arm `resume[i]`, passes the rest of the path
-        only into that arm, and skips `decide()` at the node, and it returns
-        the model a fresh search of F returns:
-        - by induction on the depth, the disjunctions collected at each node
-          on the path are G's there, in G's order, followed by F's extra
-          ones, and the definite literals asserted include G's there;
-        - so below each arm before `resume[i]`, F's conjunction of the
-          literals and disjunctions left is G's with more conjuncts, and the
-          search of G exhausted that arm without a model: `decide` is
-          complete on a conjunction (it returns a model, returns None, or
-          raises ResourceLimitError, which ends the solve as unknown), so F
-          has no model there, and a fresh search of F finds none there;
-        - a node on the path still branches, so its `decide()` could only
-          prune, and the subtree below it is searched anyway;
-        - the search state at each node is the one a fresh search reaches
-          there, since push and pop restore it exactly; so from the end of
-          the path on, both searches visit the same nodes in the same order
-          and return the same model (up to the budget: a fresh search can
-          spend its caps on the skipped arms and give up where this one does
-          not).
-        In the unfolding loop G is round k's reduct and F round k+1's: the
-        reducer's memo returns round k's reductions, the new case clause is
-        appended last, and range rows hold no disjunction.  The one reduction
-        a round can change is a selector literal that the new clause guards
-        (rule 2'): it drops its one-case disjunction and the Skolems in it,
-        and a model of F gives one of G by setting each dropped Skolem to
-        the matching unfolded variable.  When that case also drops a
-        disjunction nested in the dropped part (a size-image membership with
-        several cases), G's disjunctions are no longer a prefix of F's, the
-        check fails, and the round searches afresh."""
-        queue = deque(pending)
-        lits: list[RFormula] = []
-        ors: list[ROr] = []
-        while queue:
-            f = queue.popleft()
-            if isinstance(f, RTrueF):
-                continue
-            if isinstance(f, RFalseF):
+    def search(self, pending: list[RFormula]) -> IntModel | None:
+        """Search from the node of the conjunction `pending`, in the current
+        scope.  All definite conjuncts of a node are asserted before
+        branching, and a node is pruned as soon as its definite part is
+        inconsistent.  A node branches on the first disjunction collected,
+        its arms in order, with the other disjunctions passed on behind the
+        arm.  On a model the choice points of its path stay open."""
+        while True:
+            parts = _conjuncts(pending)
+            if parts is not None:
+                lits, ors = parts
+                self.budget.spend_split()
+                for lit in lits:
+                    self.assert_lit(lit)
+                model = self.decide()
+                if model is not None:
+                    if not ors:
+                        return model
+                    self.budget.spend_branch()
+                    self.frames.append([ors, -1])
+            pending = self._next_arm()
+            if pending is None:
                 return None
-            if isinstance(f, RAnd):
-                queue.extendleft(reversed(f.args))
-            elif isinstance(f, ROr):
-                ors.append(f)
-            else:
-                lits.append(f)
-        self.budget.spend_split()
+
+    def _next_arm(self) -> list[RFormula] | None:
+        """Leave the current node for the next arm of the innermost open
+        choice point, in a new scope, and return that arm's conjunction, or
+        None once every choice point is exhausted.  A node whose carried
+        literals had to be re-asserted is decided again, as a fresh search
+        would decide it with them, and pruned if that fails."""
+        frames = self.frames
+        while frames:
+            frame = frames[-1]
+            ors, arm = frame
+            if arm >= 0:
+                self.pop()
+                if self._restore():
+                    self.budget.spend_split()
+                    if self.decide() is None:
+                        frames.pop()
+                        continue
+            arm += 1
+            if arm < len(ors[0].args):
+                frame[1] = arm
+                self.push()
+                return [ors[0].args[arm]] + ors[1:]
+            frames.pop()
+        return None
+
+    def _restore(self) -> bool:
+        """Re-assert in the current scope the carried literals that the last
+        pop retracted; whether there were any."""
+        depth = len(self.marks)
+        lits: list[RFormula] = []
+        while self.carried and self.carried[-1][0] > depth:
+            lits[:0] = self.carried.pop()[1]
+        if not lits:
+            return False
+        self.carried.append((depth, lits))
         for lit in lits:
             self.assert_lit(lit)
-        if resume:
-            if not ors or resume[0] >= len(ors[0].args):
-                raise InternalError("resumed path does not fit the formula")
-            start = resume[0]
-        else:
-            model = self.decide()
-            if model is None or not ors:
-                return model
-            start = 0
-        first, rest = ors[0], ors[1:]
-        self.budget.spend_branch()
-        for i in range(start, len(first.args)):
-            self.push()
-            out = self.search([first.args[i]] + rest, resume[1:] if i == start else ())
-            self.pop()
-            if out is not None:
-                self.path.append(i)
-                return out
-        return None
+        return True
+
+    def extend(self, added: list[RFormula]) -> IntModel | None:
+        """Go on, after `search` returned a model of a formula G, with the
+        formula F that conjoins G with `added`.  The new literals are
+        asserted in the scope of the model's leaf and carried: a pop that
+        retracts them re-asserts them one scope up (`_restore`).  The new
+        disjunctions are appended behind those of every open choice point
+        and become the leaf's own, since a node's disjunctions are its arm's
+        followed by those passed on from above, which end in the top-level
+        ones.  The search then goes on from the leaf.
+
+        The verdict is F's.  Every node visited from here on is a node of
+        F's search tree, in F's order, with F's literals of that node
+        asserted, though the new ones come later than in a fresh search.
+        The nodes not visited are the arms that the search of G exhausted
+        before its model: G's conjunction at each such node has no model
+        (`decide` is complete on a conjunction, or raises
+        ResourceLimitError, which ends the solve as unknown), and F's
+        conjunction there implies G's, so a fresh search of F finds no
+        model there either.  A node on the path that a fresh search of F
+        would prune is decided again when the new literals are re-asserted
+        in its scope.  The model can differ from a fresh search's, because
+        the new literals are asserted in another order, and so can an
+        unknown: a fresh search can spend its caps on the arms skipped
+        here."""
+        parts = _conjuncts(added)
+        if parts is None:
+            return None
+        lits, ors = parts
+        for frame in self.frames:
+            frame[0].extend(ors)
+        self.carried.append((len(self.marks), lits))
+        return self.search(added)
 
     def split(self, arms: list[RFormula | lia.LinCon]) -> IntModel | None:
         """A case split inside the asserted conjunction: each arm in turn is
@@ -465,25 +512,75 @@ class _Search:
 
 # -- public solve ------------------------------------------------------------------------
 
-def solve(reduct: ReducedFormula, *, resume: tuple[int, ...] = (),
+class Session:
+    """One built-in search kept live across the solves of a growing formula,
+    as the rounds of the unfolding loop are.
+
+    After a sat answer the search keeps the scopes and open choice points of
+    the path to its model.  A solve of a formula that extends the last one
+    (each top-level conjunct of the old is one of the new, and the old
+    top-level disjunctions come first among the new ones, in order) goes on
+    with only the conjuncts the formula adds (`_Search.extend`).  Any other
+    formula, and any formula after an unsat or unknown answer, starts a new
+    search.  `top` lists the top-level conjuncts of the formula the search
+    holds; it grows in place while the search goes on, and is a new list
+    when the search starts anew."""
+
+    def __init__(self):
+        self.search: _Search | None = None
+        self.top: list[RFormula] = []
+
+    def added(self, top: list[RFormula]) -> list[RFormula] | None:
+        """The conjuncts of `top` beyond the live search's formula, or None
+        when there is no live search or `top` does not extend its formula."""
+        if self.search is None:
+            return None
+        old_ors = [f for f in self.top if isinstance(f, ROr)]
+        new_ors = [f for f in top if isinstance(f, ROr)]
+        if new_ors[:len(old_ors)] != old_ors:
+            return None
+        old_lits = {f for f in self.top if not isinstance(f, ROr)}
+        new_lits = [f for f in top if not isinstance(f, ROr)]
+        if not old_lits.issubset(new_lits):
+            return None
+        return [f for f in new_lits if f not in old_lits] + new_ors[len(old_ors):]
+
+
+def solve(reduct: ReducedFormula, *, session: Session | None = None,
           branch_cap: int = DEFAULT_BRANCH_CAP,
           split_cap: int = DEFAULT_SPLIT_CAP) -> SolverResult:
-    """Decide a reduct.  `resume` is the `path` of an earlier reduct's model
-    that this one extends (see `_Search.search`); the result is the one a
-    fresh search gives."""
-    search = _Search(_Budget(branch_cap, split_cap))
+    """Decide a reduct.  With a `session`, the session's live search goes on
+    when the reduct extends the formula it holds, and a new search starts
+    in the session otherwise; the caps are per call.  The verdict is the
+    one a fresh search gives (see `_Search.extend`)."""
+    budget = _Budget(branch_cap, split_cap)
+    top = _top_conjuncts(reduct.formula)
+    added = session.added(top) if session else None
     try:
-        model = search.search([reduct.formula], resume)
+        if added is None:
+            search = _Search(budget)
+            if session:
+                session.search, session.top = search, top
+            model = search.search(top)
+        else:
+            search = session.search
+            search.budget = budget
+            session.top.extend(added)
+            model = search.extend(added)
     except ResourceLimitError as e:
+        if session:
+            session.search = None
         return SolverResult.unknown(str(e))
     if model is None:
+        if session:
+            session.search = None
         return SolverResult.unsat()
     # values for declared variables that no literal mentioned
     for name in reduct.table.int_vars:
         model.values.setdefault(name, 0)
     if not eval_reduced(reduct.formula, model):
         raise InternalError("solver produced a model that fails re-evaluation")
-    return SolverResult.sat(model, tuple(reversed(search.path)))
+    return SolverResult.sat(model)
 
 
 # -- SMT-LIB emission ----------------------------------------------------------------------

@@ -146,12 +146,13 @@ def cmd_emit(args, out) -> int:
     phi = script.formula()
     flat = flatten(to_nnf(phi), script.sig)
     reduct = reduce(flat, script.sig, reduction_mode(phi), _opts(args))
+    nodes = f"; nodes: input={formula_nodes(phi)} reduced={rformula_nodes(reduct.formula)}"
     if not args.no_simplify:
         reduct = simplify(reduct)
+        nodes += f" simplified={rformula_nodes(reduct.formula)}"
     print(backend_mod.emit_smtlib(reduct), end="", file=out)
     if args.stats:
-        print(f"; nodes: input={formula_nodes(phi)} "
-              f"reduced={rformula_nodes(reduct.formula)}", file=out)
+        print(nodes, file=out)
     return 0
 
 

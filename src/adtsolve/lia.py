@@ -18,6 +18,7 @@ one edge at a time; `pop` restores the system of the matching `push`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -185,10 +186,13 @@ def _simplex_feasible(cons: list[LinCon], extra: list[LinCon]):
 
 
 def _branch_and_bound(cons: list[LinCon]) -> dict[str, int] | None:
-    stack: list[list[LinCon]] = [[]]
+    """Breadth-first: each branch adds one bound row, and each node's simplex
+    grows with its rows, so the depth stays near log2 of the nodes visited
+    (depth-first descent on an unbounded polyhedron adds a row per level)."""
+    queue: deque[list[LinCon]] = deque([[]])
     budget = NODE_CAP
-    while stack:
-        extra = stack.pop()
+    while queue:
+        extra = queue.popleft()
         budget -= 1
         if budget <= 0:
             raise ResourceLimitError("branch-and-bound node cap")
@@ -200,8 +204,8 @@ def _branch_and_bound(cons: list[LinCon]) -> dict[str, int] | None:
             return {v: int(x) for v, x in sol.items()}
         val = sol[frac]
         lo = val.numerator // val.denominator  # floor
-        stack.append(extra + [con("le", {frac: -1}, lo + 1)])   # x >= lo+1
-        stack.append(extra + [con("le", {frac: 1}, -lo)])       # x <= lo
+        queue.append(extra + [con("le", {frac: 1}, -lo)])       # x <= lo
+        queue.append(extra + [con("le", {frac: -1}, lo + 1)])   # x >= lo+1
     return None
 
 

@@ -2,8 +2,9 @@
 
 `run_loop` reduces, solves, and then either reconstructs and checks an ADT
 model or unfolds one more variable and repeats.  One reducer serves every
-round, and each round's search resumes from the path of the previous
-round's model.  Depth mode, used for size-free formulas, accepts the first model.
+round, and in size mode one backend session does too, so each round
+asserts only its new conjuncts and searches on from the previous round's
+model.  Depth mode, used for size-free formulas, accepts the first model.
 Size mode tests the termination conditions: an unsat reduct settles the
 input, and a sat reduct is accepted once every ADT variable's integer value
 coincides with the value of some unfolded variable of the same sort.
@@ -23,7 +24,7 @@ from .models import ReconstructionStats, check_model, reconstruct
 from .normalize import FlatFormula, flatten, to_nnf
 # the benchmark's tracer wraps `simplify` under this module's name, so it stays
 from .reduce import (
-    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, Reducer, RFormula, ROr,
+    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, Reducer, RFormula,
     _top_conjuncts, _var_occurrences, reduce, simplify,  # noqa: F401
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
@@ -175,8 +176,34 @@ def _select_variable(state: UnfoldState, mismatched: list[str],
     return min(mismatched, key=lambda v: (size_of(v), order[v]))
 
 
+class _Mentions:
+    """The top-level conjuncts of a solved reduct that mention each
+    variable.  Over a session, which extends its `top` list in place while
+    its search goes on, the index lasts as long as that list and scans only
+    the conjuncts each round adds; without one, every reduct is indexed
+    afresh."""
+
+    def __init__(self, session: backend.Session | None):
+        self.session = session
+        self.top: list[RFormula] | None = None
+        self.seen = 0
+        self.by_var: dict[str, list[RFormula]] = {}
+
+    def of(self, reduct: ReducedFormula) -> dict[str, list[RFormula]]:
+        top = self.session.top if self.session else _top_conjuncts(reduct.formula)
+        if top is not self.top:
+            self.top, self.seen, self.by_var = top, 0, {}
+        for f in top[self.seen:]:
+            names: dict[str, int] = {}
+            _var_occurrences(f, names)
+            for name in names:
+                self.by_var.setdefault(name, []).append(f)
+        self.seen = len(top)
+        return self.by_var
+
+
 def _mismatched(state: UnfoldState, model: backend.IntModel,
-                reduct: ReducedFormula) -> list[str]:
+                reduct: ReducedFormula, index: _Mentions) -> list[str]:
     """Acceptance test: the ADT variables whose value matches no unfolded
     variable of the same sort.  Unconstrained variables are repointed at
     unfolded values first when the formula stays satisfied.
@@ -198,15 +225,12 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
         if sort in enum_sorts or not candidates or model.value(v) in candidates:
             continue
         if mentions is None:
-            if not eval_reduced(reduct.formula, model):
+            # `backend.solve` has re-checked a session's model on the whole
+            # reduct; an external one is checked here
+            if index.session is None and not eval_reduced(reduct.formula, model):
                 break  # repoint nothing under a model that fails the formula
             # repointing a variable can only falsify the conjuncts that mention it
-            mentions = {}
-            for f in _top_conjuncts(reduct.formula):
-                names: dict[str, int] = {}
-                _var_occurrences(f, names)
-                for name in names:
-                    mentions.setdefault(name, []).append(f)
+            mentions = index.of(reduct)
         old = model.value(v)
         for w in sorted(candidates):
             model.values[v] = w
@@ -245,38 +269,27 @@ def _solve(phi: Formula, sig: Signature, mode: str, fuel: int,
     return run_loop(state, mode, opts=opts, external_cmd=external_cmd)
 
 
-def _extends(old: RFormula, new: RFormula) -> bool:
-    """Whether every top-level conjunct of `old` is one of `new`'s and
-    `old`'s top-level disjunctions come first among `new`'s, in the same
-    order: the condition under which a search of `new` may resume from the
-    path of a model of `old` (see `backend._Search.search`)."""
-    old_top, new_top = _top_conjuncts(old), _top_conjuncts(new)
-    old_ors = [f for f in old_top if isinstance(f, ROr)]
-    new_ors = [f for f in new_top if isinstance(f, ROr)]
-    present = {f for f in new_top if not isinstance(f, ROr)}
-    return (new_ors[:len(old_ors)] == old_ors
-            and all(f in present for f in old_top if not isinstance(f, ROr)))
-
-
 def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(),
              external_cmd: str | None = None) -> SizeSolveResult:
     """The one solve pipeline: reduce, solve, and either reconstruct and
     check a model or unfold one more variable and repeat.  Depth mode
     accepts the first model; size mode accepts a model once it passes the
     acceptance test.  One reducer serves every round, so a round reduces
-    only its new case clause, and the built-in search of each round resumes
-    from the path of the previous round's model whenever the reduct extends
-    the previous one, which yields the model a fresh search would."""
+    only its new case clause, and in size mode one `backend.Session` keeps
+    the built-in search live across the rounds, so a round searches on from
+    the previous round's model with only the conjuncts its reduct added; the
+    session starts a new search when a reduct does not extend the last one.
+    Depth mode accepts the first model, so it solves once, without one."""
     sig = state.sig
     reducer = Reducer(sig, mode, opts)
-    prev: tuple[RFormula, tuple[int, ...]] | None = None
+    session = backend.Session() if mode == SIZE_MODE and not external_cmd else None
+    index = _Mentions(session)
     while True:
         reduct = reduce(state.flat(), sig, mode, opts, reducer)
         if external_cmd:
             result = backend.solve_external(reduct, external_cmd)
         else:
-            resume = prev[1] if prev and _extends(prev[0], reduct.formula) else ()
-            result = backend.solve(reduct, resume=resume)
+            result = backend.solve(reduct, session=session)
         if result.status == "unsat":
             return SizeSolveResult("unsat", rounds=state.rounds, state=state, reduct=reduct)
         if result.status == "unknown":
@@ -284,7 +297,7 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
                 "unknown", rounds=state.rounds, state=state, reduct=reduct,
                 diagnosis=Diagnosis(f"backend gave up: {result.reason}"))
         model = result.model
-        mismatched = _mismatched(state, model, reduct) if mode == SIZE_MODE else []
+        mismatched = _mismatched(state, model, reduct, index) if mode == SIZE_MODE else []
         if not mismatched:
             stats = ReconstructionStats()
             adt_model = reconstruct(reduct, model, stats)
@@ -308,7 +321,6 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
                 "unknown", rounds=state.rounds, state=state, reduct=reduct,
                 diagnosis=Diagnosis("\n".join(lines), report,
                                     [(v, model.value(v)) for v in mismatched]))
-        prev = (reduct.formula, result.path)
         target = _select_variable(state, mismatched, model, reduct)
         unfold_step(state, target)
 

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from adtsolve.backend import parse_model_response
 from adtsolve.cli import main
 from adtsolve.errors import AdtSolveError
+from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
-from adtsolve.reduce import rformula_nodes
-from adtsolve.sizesolve import decide
+from adtsolve.reduce import reduce, rformula_nodes, simplify
+from adtsolve.sizesolve import decide, reduction_mode
 from adtsolve.terms import formula_nodes
 
 LISTS = """
@@ -159,6 +160,24 @@ def test_stats_report_the_solved_round():
     assert res.rounds > 0
     assert (f"nodes: input={formula_nodes(script.formula())} "
             f"reduced={rformula_nodes(res.reduct.formula)}\n") in out
+
+
+@pytest.mark.parametrize("flags, simplified", [([], True), (["--no-simplify"], False)])
+def test_emit_stats_name_each_figure(flags, simplified):
+    # reduced= is the round-0 reduct before simplification, as in solve
+    # --stats; simplified= is printed only when simplify ran
+    path = os.path.join(INPUTS, "list_size.smt2")
+    code, out = run(["emit", path, "--stats"] + flags)
+    assert code == 0
+    with open(path) as f:
+        script = parse_script(f.read())
+    phi = script.formula()
+    reduct = reduce(flatten(to_nnf(phi), script.sig), script.sig, reduction_mode(phi))
+    line = f"; nodes: input={formula_nodes(phi)} reduced={rformula_nodes(reduct.formula)}"
+    if simplified:
+        line += f" simplified={rformula_nodes(simplify(reduct).formula)}"
+    assert out.splitlines()[-1] == line
+    assert ("simplified=" in out) == simplified
 
 
 def test_deterministic_output(ex1_file):

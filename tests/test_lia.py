@@ -327,3 +327,28 @@ def test_free_variables_get_distinct_values():
     model = s.model()
     assert all(_holds(c, model) for c in s.nes())
     assert model["a"] != model["b"] and {model["u"], model["w"]}.isdisjoint({model["x"]})
+
+
+def test_branch_and_bound_on_an_unbounded_polyhedron(monkeypatch):
+    # depth-first branching adds a bound row per level here, each node's
+    # simplex grows with them, and the first model comes at node 69 after
+    # minutes; breadth first finds one at node 23
+    rows = [
+        lia.con("le", {"v0": 2, "v1": 5, "v2": -5, "v3": 5, "v4": -5}, 9),
+        lia.con("le", {"v0": -6, "v1": -5, "v2": 5, "v3": 1, "v4": -2}, 7),
+        lia.con("le", {"v0": 4, "v1": 4, "v2": -2, "v3": -5}, 0),
+        lia.con("eq", {"v0": 1, "v1": -2, "v2": -2, "v3": -6, "v4": 6}, 1),
+    ]
+    assert all(_holds(r, {"v0": -1, "v1": 5, "v2": 4, "v3": 2, "v4": 5}) for r in rows)
+    simplex = lia._simplex_feasible
+    calls = []
+
+    def counted(cons, extra):
+        calls.append(len(extra))
+        assert len(calls) <= 40, "no model within 40 simplex calls"
+        return simplex(cons, extra)
+
+    monkeypatch.setattr(lia, "_simplex_feasible", counted)
+    model = lia.System(rows).model()
+    assert model is not None
+    assert all(_holds(r, model) for r in rows)

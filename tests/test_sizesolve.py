@@ -3,7 +3,7 @@ import pytest
 from adtsolve.models import check_model
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_formula, parse_script
-from adtsolve.reduce import ReduceOptions
+from adtsolve.reduce import RTRUE, ReduceOptions, RVar, _top_conjuncts
 from adtsolve.sizesolve import (
     AlreadyUnfoldedError, UnknownVariableError, completeness_report, decide,
     make_state, solve_with_size, unfold_step,
@@ -351,24 +351,25 @@ def test_forest_depth_corpus_sound(forest_sig):
     assert decided["sat"] and decided["unsat"]
 
 
-# -- the resumed search across rounds ---------------------------------------------
+# -- the live search across rounds -------------------------------------------------
 
 def _round_log(monkeypatch):
-    """Wrap backend.solve so that every round resumed from the previous
-    round's path is also searched afresh, and the two models must match;
-    returns the log of (reduct, result, resume) per round."""
+    """Wrap backend.solve so that every round solved on a session is also
+    searched afresh, and the two verdicts and models must match; returns the
+    log of (reduct, result, whether the session's search went on) per
+    round."""
     from adtsolve import backend
 
     solve = backend.solve
     log = []
 
-    def checked(reduct, resume=()):
-        got = solve(reduct, resume=resume)
-        if resume:
-            fresh = solve(reduct)
-            assert (got.status, got.model, got.path) == \
-                (fresh.status, fresh.model, fresh.path)
-        log.append((reduct, got, resume))
+    def checked(reduct, session=None):
+        went_on = session is not None and \
+            session.added(_top_conjuncts(reduct.formula)) is not None
+        got = solve(reduct, session=session)
+        fresh = solve(reduct)
+        assert (got.status, got.model) == (fresh.status, fresh.model)
+        log.append((reduct, got, went_on))
         return got
 
     monkeypatch.setattr(backend, "solve", checked)
@@ -402,24 +403,19 @@ NAT_NE_SAME_SIZE = """
 ], ids=["distinct-2-3", "distinct-3-4", "distinct-4-3", "distinct-3-2",
         "distinct-2-1", "nat-10", "nat-14"])
 def test_resumed_search_equals_fresh(monkeypatch, text, fuel):
-    from adtsolve.sizesolve import _extends
-
     script = parse_script(text)
     log = _round_log(monkeypatch)
     res = decide(script.formula(), script.sig, fuel=fuel)
     assert res.rounds == len(log) - 1 > 0
-    # every round's reduct extends its predecessor's, and the search resumes
-    # from the predecessor's path
-    for (prev, prev_result, _), (cur, _, resume) in zip(log, log[1:]):
-        assert _extends(prev.formula, cur.formula)
-        assert resume == prev_result.path
+    # the first round starts the session's search, and every later round's
+    # reduct extends its predecessor's, so the search goes on
+    assert [went_on for _, _, went_on in log] == [False] + [True] * res.rounds
 
 
 def test_resumed_search_equals_fresh_on_random_signatures(monkeypatch):
     # random_signature's one-constructor product sorts hit the guard case
     import random
     from adtsolve.corpus import GenConfig, random_formula, random_signature
-    from adtsolve.sizesolve import _extends
 
     log = _round_log(monkeypatch)
     rng = random.Random(11)
@@ -430,29 +426,36 @@ def test_resumed_search_equals_fresh_on_random_signatures(monkeypatch):
                                                              size_atoms=True))
             log.append(None)  # a new instance
             decide(phi, sigs[i % 3], fuel=20)
-    pairs = [(a, b) for a, b in zip(log, log[1:]) if a and b]
-    assert sum(1 for _, (_, _, resume) in pairs if resume) > 50
+    later = [b for a, b in zip(log, log[1:]) if a and b]
+    assert sum(1 for _, _, went_on in later if went_on) > 50
     # the guard case dropped a disjunction, and those rounds searched afresh
-    assert any(not _extends(a[0].formula, b[0].formula) for a, b in pairs)
+    assert any(not went_on for _, _, went_on in later)
 
 
 def test_resumed_search_visits_fewer_nodes(monkeypatch):
-    # Nat x != y with |x| = |y| at fuel 10: 166 search nodes over all rounds
-    # when every round searches from the root
+    # Nat x != y with |x| = |y|: the live search asserts each round's new
+    # literals and the literals of the arms it tries, so the assertions grow
+    # about linearly with the rounds (126 at fuel 10, 246 at fuel 20); a
+    # search that re-asserts the path to the last model every round makes
+    # them grow quadratically (401 and 1296)
     from adtsolve import backend
 
+    assert_lit = backend._Search.assert_lit
     calls = []
-    search = backend._Search.search
 
-    def counted(self, pending, resume=()):
-        calls.append(resume)
-        return search(self, pending, resume)
+    def counted(self, lit):
+        calls.append(lit)
+        return assert_lit(self, lit)
 
-    monkeypatch.setattr(backend._Search, "search", counted)
+    monkeypatch.setattr(backend._Search, "assert_lit", counted)
     script = parse_script(NAT_NE_SAME_SIZE)
-    res = decide(script.formula(), script.sig, fuel=10)
-    assert (res.status, res.rounds) == ("unknown", 10)
-    assert len(calls) == 86
+    counts = []
+    for fuel in (10, 20):
+        calls.clear()
+        res = decide(script.formula(), script.sig, fuel=fuel)
+        assert (res.status, res.rounds) == ("unknown", fuel)
+        counts.append(len(calls))
+    assert counts[1] < 2.5 * counts[0]
 
 
 # A one-constructor sort P whose argument sort M has two sizes.  Once v0's
@@ -470,23 +473,95 @@ GUARD_DROPS_DISJUNCTION = """
 
 
 def test_guard_case_that_drops_a_disjunction_searches_afresh(monkeypatch):
-    from adtsolve import backend
-    from adtsolve.sizesolve import _extends
+    from adtsolve.reduce import ROr
 
-    solve = backend.solve
+    # every round's model equals a fresh search's, also after the restart
     log = _round_log(monkeypatch)
     script = parse_script(GUARD_DROPS_DISJUNCTION)
     res = decide(script.formula(), script.sig)
     assert res.status == "sat"
-    broken = [(prev, cur) for prev, cur in zip(log, log[1:])
-              if not _extends(prev[0].formula, cur[0].formula)]
-    assert broken
-    for (_, prev_result, _), (reduct, result, resume) in broken:
-        assert resume == ()
-    # resuming there anyway would not return the fresh search's model
-    (_, prev_result, _), (reduct, result, _) = broken[0]
-    forced = solve(reduct, resume=prev_result.path)
-    assert forced.model != result.model
+    restarts = [(prev, cur) for prev, cur in zip(log, log[1:]) if not cur[2]]
+    assert restarts
+    (prev, _, _), (reduct, _, _) = restarts[0]
+    prev_top, top = _top_conjuncts(prev.formula), _top_conjuncts(reduct.formula)
+    assert [f for f in prev_top if isinstance(f, ROr)] != \
+        [f for f in top if isinstance(f, ROr)][:sum(isinstance(f, ROr) for f in prev_top)]
+
+
+@pytest.mark.parametrize("text", [GUARD_DROPS_DISJUNCTION, NAT_NE_SAME_SIZE,
+                                  _clist_distinct(3, 4)], ids=["guard", "nat", "distinct-3-4"])
+def test_session_index_matches_the_reduct(monkeypatch, text):
+    # the acceptance test's index, kept for the life of the session and fed
+    # only each round's new conjuncts, indexes exactly the solved reduct's
+    # conjuncts, also after the session restarts
+    from adtsolve import sizesolve
+    from adtsolve.reduce import _var_occurrences
+
+    mismatched = sizesolve._mismatched
+    checked = []
+
+    def wrapped(state, model, reduct, index):
+        out = mismatched(state, model, reduct, index)
+        if index.top is not None:
+            want: dict = {}
+            for f in _top_conjuncts(reduct.formula):
+                names: dict = {}
+                _var_occurrences(f, names)
+                for name in names:
+                    want.setdefault(name, set()).add(f)
+            assert {v: set(fs) for v, fs in index.of(reduct).items()} == want
+            checked.append(index.seen)
+        return out
+
+    monkeypatch.setattr(sizesolve, "_mismatched", wrapped)
+    script = parse_script(text)
+    decide(script.formula(), script.sig, fuel=14)
+    assert len(checked) > 1
+
+
+def test_new_clause_refuted_below_the_leaf(lists_sig):
+    # round 0 takes arms x = 0 and y = 0; round 1 adds x >= 1, which no arm
+    # below that leaf satisfies, so the search backtracks above it, and only
+    # re-asserting x >= 1 there keeps it from the model x = 0, y = 1
+    from adtsolve import backend
+    from adtsolve.reduce import lin, rand, ror
+    from tests.test_backend import wrap
+
+    x, y = RVar("x"), RVar("y")
+    arms = [ror([lin("eq", [(1, v)], -c) for c in (0, 1)]) for v in (x, y)]
+    round0 = wrap(rand(arms), lists_sig)
+    round1 = wrap(rand(arms + [lin("le", [(-1, x)], 1)]), lists_sig)
+    session = backend.Session()
+    assert backend.solve(round0, session=session).model.values == {"x": 0, "y": 0}
+    got = backend.solve(round1, session=session)
+    assert got.model.values == {"x": 1, "y": 0}
+    assert session.search is not None and session.top[-1] == lin("le", [(-1, x)], 1)
+    assert (got.status, got.model) == (backend.solve(round1).status,
+                                       backend.solve(round1).model)
+    # a third round whose new disjunction fails under both x arms is unsat,
+    # and ends the session
+    round2 = wrap(rand(arms + [lin("le", [(-1, x)], 1),
+                               ror([lin("le", [(1, x)], 0), lin("le", [(-1, x)], 2)])]),
+                  lists_sig)
+    assert backend.solve(round2, session=session).status == "unsat"
+    assert session.search is None
+
+
+def test_resource_limit_leaves_no_session(lists_sig):
+    # a round that runs out of splits ends the session; the next round
+    # starts a new search and gets a fresh search's answer
+    from adtsolve import backend
+    from tests.test_backend import two_colour_chain, wrap
+
+    chain = two_colour_chain(6)
+    session = backend.Session()
+    assert backend.solve(wrap(RTRUE, lists_sig), session=session).status == "sat"
+    assert session.search is not None
+    got = backend.solve(chain, session=session, split_cap=20)
+    assert (got.status, got.reason) == ("unknown", "split cap exhausted")
+    assert session.search is None
+    assert session.added(_top_conjuncts(chain.formula)) is None
+    assert backend.solve(chain, session=session).status == "unsat"
 
 
 def test_size_mode_sound_on_random_signatures():
