@@ -79,29 +79,53 @@ class SolverResult:
 # -- independent evaluator ---------------------------------------------------------
 
 def eval_rterm(t: RTerm, model: IntModel) -> int:
-    if isinstance(t, RVar):
-        return model.value(t.name)
-    if isinstance(t, RConst):
+    """The value of a reduced term under `model` (see `IntModel.value` and
+    `IntModel.app`).  Exact-type dispatch and a plain loop over the
+    arguments: this runs on every node of every model check."""
+    kind = type(t)
+    if kind is RVar:
+        return model.values.get(t.name, 0)
+    if kind is RConst:
         return t.value
-    return model.app(t.fn, tuple(eval_rterm(a, model) for a in t.args))
+    values = model.values
+    args = []
+    for a in t.args:
+        kind = type(a)
+        args.append(values.get(a.name, 0) if kind is RVar
+                    else a.value if kind is RConst else eval_rterm(a, model))
+    graph = model.funcs.get(t.fn)
+    value = graph.get(tuple(args)) if graph is not None else None
+    return model.defaults.get(t.fn, 0) if value is None else value
 
 
 def eval_reduced(f: RFormula, model: IntModel) -> bool:
-    if isinstance(f, RTrueF):
-        return True
-    if isinstance(f, RFalseF):
-        return False
-    if isinstance(f, REq):
+    """Whether `model` satisfies a reduced formula; a conjunction stops at
+    its first false conjunct and a disjunction at its first true arm."""
+    kind = type(f)
+    if kind is REq:
         return eval_rterm(f.lhs, model) == eval_rterm(f.rhs, model)
-    if isinstance(f, RNot):
+    if kind is RLin:
+        total = f.const
+        for c, t in f.terms:
+            total += c * eval_rterm(t, model)
+        op = f.op
+        return total <= 0 if op == "le" else total == 0 if op == "eq" else total != 0
+    if kind is ROr:
+        for a in f.args:
+            if eval_reduced(a, model):
+                return True
+        return False
+    if kind is RAnd:
+        for a in f.args:
+            if not eval_reduced(a, model):
+                return False
+        return True
+    if kind is RNot:
         return not eval_reduced(f.arg, model)
-    if isinstance(f, RLin):
-        total = f.const + sum(c * eval_rterm(t, model) for c, t in f.terms)
-        return {"le": total <= 0, "eq": total == 0, "ne": total != 0}[f.op]
-    if isinstance(f, RAnd):
-        return all(eval_reduced(a, model) for a in f.args)
-    if isinstance(f, ROr):
-        return any(eval_reduced(a, model) for a in f.args)
+    if kind is RTrueF:
+        return True
+    if kind is RFalseF:
+        return False
     raise AssertionError(f)
 
 
@@ -524,26 +548,55 @@ class Session:
     formula, and any formula after an unsat or unknown answer, starts a new
     search.  `top` lists the top-level conjuncts of the formula the search
     holds; it grows in place while the search goes on, and is a new list
-    when the search starts anew."""
+    when the search starts anew.  `ors` lists its top-level disjunctions,
+    and `lits` holds its other top-level conjuncts, each with the number of
+    the last `added` call that met it."""
 
     def __init__(self):
         self.search: _Search | None = None
         self.top: list[RFormula] = []
+        self.ors: list[ROr] = []
+        self.lits: dict[RFormula, int] = {}
+        self.calls = 0
+
+    def start(self, search: _Search, top: list[RFormula]) -> None:
+        """Hold a new search of the formula whose conjuncts are `top`."""
+        self.search, self.top = search, top
+        self.ors = [f for f in top if type(f) is ROr]
+        self.lits = dict.fromkeys((f for f in top if type(f) is not ROr), 0)
+
+    def go_on(self, added: list[RFormula]) -> None:
+        """Record the conjuncts `added` found for the live search."""
+        self.top.extend(added)
+        for f in added:
+            if type(f) is ROr:
+                self.ors.append(f)
+            else:
+                self.lits[f] = self.calls
 
     def added(self, top: list[RFormula]) -> list[RFormula] | None:
         """The conjuncts of `top` beyond the live search's formula, or None
-        when there is no live search or `top` does not extend its formula."""
+        when there is no live search or `top` does not extend its formula.
+        Each old literal is counted once, when this call first meets it."""
         if self.search is None:
             return None
-        old_ors = [f for f in self.top if isinstance(f, ROr)]
-        new_ors = [f for f in top if isinstance(f, ROr)]
-        if new_ors[:len(old_ors)] != old_ors:
+        new_ors = [f for f in top if type(f) is ROr]
+        if new_ors[:len(self.ors)] != self.ors:
             return None
-        old_lits = {f for f in self.top if not isinstance(f, ROr)}
-        new_lits = [f for f in top if not isinstance(f, ROr)]
-        if not old_lits.issubset(new_lits):
+        self.calls += 1
+        lits, call, met, new_lits = self.lits, self.calls, 0, []
+        for f in top:
+            if type(f) is ROr:
+                continue
+            last = lits.get(f)
+            if last is None:
+                new_lits.append(f)
+            elif last != call:
+                lits[f] = call
+                met += 1
+        if met < len(lits):
             return None
-        return [f for f in new_lits if f not in old_lits] + new_ors[len(old_ors):]
+        return new_lits + new_ors[len(self.ors):]
 
 
 def solve(reduct: ReducedFormula, *, session: Session | None = None,
@@ -560,12 +613,12 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
         if added is None:
             search = _Search(budget)
             if session:
-                session.search, session.top = search, top
+                session.start(search, top)
             model = search.search(top)
         else:
             search = session.search
             search.budget = budget
-            session.top.extend(added)
+            session.go_on(added)
             model = search.extend(added)
     except ResourceLimitError as e:
         if session:

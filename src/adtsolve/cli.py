@@ -109,20 +109,22 @@ def _load(path: str):
 
 
 def cmd_solve(args, out) -> int:
+    """One answer per check-sat, for the assertions before it, each from a
+    decide of its own."""
     script = _load(args.file)
-    phi = script.formula()
     ext = _external(args)
-    result = decide(phi, script.sig, fuel=args.fuel, opts=_opts(args),
-                    external_cmd=ext)
-    print(result.status, file=out)
-    if result.status == "sat":
-        print(print_model(script.sig, result.model, script.var_sorts, script.ufuns),
-              file=out)
-    elif result.status == "unknown" and result.diagnosis:
-        print(result.diagnosis.text, file=out)
-    if args.stats:
-        print(f"nodes: input={formula_nodes(phi)} "
-              f"reduced={rformula_nodes(result.reduct.formula)}", file=out)
+    for phi in script.queries():
+        result = decide(phi, script.sig, fuel=args.fuel, opts=_opts(args),
+                        external_cmd=ext)
+        print(result.status, file=out)
+        if result.status == "sat":
+            print(print_model(script.sig, result.model, script.var_sorts, script.ufuns),
+                  file=out)
+        elif result.status == "unknown" and result.diagnosis:
+            print(result.diagnosis.text, file=out)
+        if args.stats:
+            print(f"nodes: input={formula_nodes(phi)} "
+                  f"reduced={rformula_nodes(result.reduct.formula)}", file=out)
     return 0
 
 

@@ -108,9 +108,16 @@ class Script:
     ufuns: dict[str, tuple[tuple[str, ...], str]]  # name -> (arg sorts, result sort)
     asserts: list[Formula] = field(default_factory=list)
     commands: list[str] = field(default_factory=list)
+    check_sats: list[int] = field(default_factory=list)  # asserts before each check-sat
 
     def formula(self) -> Formula:
         return conj(self.asserts)
+
+    def queries(self) -> list[Formula]:
+        """The formula each check-sat answers for, the conjunction of the
+        assertions before it; a script without one has the one query
+        `formula()`."""
+        return [conj(self.asserts[:n]) for n in self.check_sats or [len(self.asserts)]]
 
 
 def _is_int_literal(s: str) -> bool:
@@ -387,6 +394,7 @@ class _FormulaParser:
 def parse_script(text: str) -> Script:
     builder = _ScriptBuilder()
     pending_asserts: list[SExpr] = []
+    check_sats: list[int] = []
     for e in read_sexprs(text):
         if e.is_atom:
             raise InputError(f"stray atom {e.value!r}", e.line, e.col)
@@ -407,6 +415,8 @@ def parse_script(text: str) -> Script:
             pending_asserts.append(e.items[1])
         elif cmd in ("check-sat", "get-model", "exit"):
             builder.commands.append(cmd)
+            if cmd == "check-sat":
+                check_sats.append(len(pending_asserts))
         elif cmd in ("set-logic", "set-info", "set-option"):
             pass
         else:
@@ -417,7 +427,8 @@ def parse_script(text: str) -> Script:
         raise InputError("invalid signature: " + "; ".join(str(i) for i in issues))
     fp = _FormulaParser(sig, builder.var_sorts, builder.ufuns)
     asserts = [fp.parse_bool(a) for a in pending_asserts]
-    return Script(sig, builder.var_sorts, builder.ufuns, asserts, builder.commands)
+    return Script(sig, builder.var_sorts, builder.ufuns, asserts, builder.commands,
+                  check_sats)
 
 
 def parse_formula(text: str, sig: Signature, var_sorts: dict[str, str],

@@ -11,8 +11,12 @@ existentials are Skolemized with fresh constants.  Two optimizations are
 available: guarded selector literals drop their head-case disjunction, and
 enumeration sorts map constructors straight to their indices.
 
-A `Reducer` memoises each literal's reduction, so one reducer kept across the
-rounds of the unfolding loop reduces only each round's new case clause.
+A `Reducer` memoises each literal's reduction, each top-level conjunct's
+reduction under the formula's guard set, and each variable's range rows, so
+one reducer kept across the rounds of the unfolding loop reduces only each
+round's new case clause and the range rows of its new variables (and the
+whole formula again, through the literal memo, in a round whose clause
+guards a variable).
 
 A lightweight equisatisfiability-preserving simplifier (constant propagation,
 ground folding, single-use fresh-variable elimination) serves `emit`; its
@@ -252,6 +256,7 @@ class SymbolTable:
     int_vars: dict[str, tuple] = field(default_factory=dict)  # name -> origin
     funs: dict[str, tuple[int, tuple]] = field(default_factory=dict)  # name -> (arity, origin)
     enum_sorts: frozenset[str] = frozenset()
+    by_origin: dict[tuple, str] = field(default_factory=dict)  # origin -> name
 
     def _alloc(self, base: str) -> str:
         name = base
@@ -280,11 +285,10 @@ class SymbolTable:
         return RVar(name)
 
     def _fun(self, base: str, arity: int, origin: tuple) -> str:
-        for name, (a, o) in self.funs.items():
-            if o == origin:
-                return name
-        name = self._alloc(base)
-        self.funs[name] = (arity, origin)
+        name = self.by_origin.get(origin)
+        if name is None:
+            name = self.by_origin[origin] = self._alloc(base)
+            self.funs[name] = (arity, origin)
         return name
 
     def ctor_fun(self, f: str) -> str:
@@ -361,6 +365,12 @@ class Reducer:
         self.aux_counter = 0
         self.memo: dict[tuple[Formula, bool], RFormula] = {}
         self.used: set[str] = set()
+        # the last formula's top-level guard set, the reduction of each of
+        # its top-level conjuncts under it (by conjunct identity, the
+        # conjunct kept alive beside it), and each variable's range rows
+        self.top_guards: frozenset[str] | None = None
+        self.top_memo: dict[int, tuple[Formula, RFormula]] = {}
+        self.range_memo: dict[tuple[str, str], RFormula] = {}
 
     def _fresh_skolem(self, sort: str) -> RVar:
         while True:
@@ -559,16 +569,41 @@ class Reducer:
 
     def reduce_flat(self, flat: FlatFormula) -> ReducedFormula:
         """The reduct of `flat`, closed under the range constraints of its
-        variables; Skolems keep clear of every name it declares."""
+        variables; Skolems keep clear of every name it declares.
+
+        The reduct is the one a walk of the whole formula builds: the
+        reductions of the top-level conjuncts in order, then the range rows
+        of every variable.  Each conjunct's reduction is kept, keyed by the
+        conjunct object and the top-level guard set, and so are each
+        variable's range rows, so a formula that extends the last one by
+        conjuncts and variables, as each round of the unfolding loop does,
+        costs the reduction of only what it adds.  A new conjunct that
+        guards a variable (a one-constructor case clause) changes the guard
+        set, and then every conjunct is reduced again, through the literal
+        memo."""
         self.used.update(flat.var_sorts)
         self.used.update(flat.int_vars)
         table = self.table
-        body = self.reduce_formula(flat.formula)
-        ranges = [self.in_range(table.adt_var(name, sort), sort)
-                  for name, sort in flat.var_sorts.items()]
+        phi = flat.formula
+        conjuncts = phi.args if isinstance(phi, And) else (phi,)
+        guards = frozenset(v for c in conjuncts for v in _guard_vars(c))
+        if guards != self.top_guards:
+            self.top_guards, self.top_memo = guards, {}
+        top_memo, range_memo = self.top_memo, self.range_memo
+        parts = []
+        for c in conjuncts:
+            kept = top_memo.get(id(c))
+            if kept is None:
+                kept = top_memo[id(c)] = (c, self.reduce_formula(c, guards))
+            parts.append(kept[1])
+        for name, sort in flat.var_sorts.items():
+            rows = range_memo.get((name, sort))
+            if rows is None:
+                rows = range_memo[name, sort] = self.in_range(table.adt_var(name, sort), sort)
+            parts.append(rows)
         for name in sorted(flat.int_vars):
             table.int_var(name)
-        return ReducedFormula(rand([body] + ranges), table, flat)
+        return ReducedFormula(rand(parts), table, flat)
 
     def reduce_formula(self, phi: Formula, guards: frozenset[str] = frozenset()) -> RFormula:
         if isinstance(phi, TrueF):

@@ -2,9 +2,13 @@
 
 `run_loop` reduces, solves, and then either reconstructs and checks an ADT
 model or unfolds one more variable and repeats.  One reducer serves every
-round, and in size mode one backend session does too, so each round
-asserts only its new conjuncts and searches on from the previous round's
-model.  Depth mode, used for size-free formulas, accepts the first model.
+round, so a round reduces only its new case clause and the range rows of
+its new variables, and in size mode one backend session does too, so a
+round asserts only the conjuncts its reduct adds and searches on from the
+previous round's model.  The model check still evaluates the whole reduct
+each round; the acceptance test evaluates only the conjuncts that mention a
+variable it repoints.  Depth mode, used for size-free formulas, accepts the
+first model.
 Size mode tests the termination conditions: an unsat reduct settles the
 input, and a sat reduct is accepted once every ADT variable's integer value
 coincides with the value of some unfolded variable of the same sort.
@@ -166,11 +170,8 @@ def _select_variable(state: UnfoldState, mismatched: list[str],
     if starved:
         return min(starved, key=lambda v: order[v])
 
-    size_funs = {origin[1]: name for name, (_, origin) in reduct.table.funs.items()
-                 if origin[0] == "size"}
-
     def size_of(v: str) -> int:
-        fn = size_funs.get(state.var_sorts[v])
+        fn = reduct.table.by_origin.get(("size", state.var_sorts[v]))
         return model.app(fn, (model.value(v),)) if fn else 0
 
     return min(mismatched, key=lambda v: (size_of(v), order[v]))

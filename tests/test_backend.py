@@ -441,3 +441,102 @@ def test_caps_give_unknown(caps, reason):
     res = backend.solve(two_colour_chain(6), **caps)
     assert res.status == "unknown"
     assert res.reason == reason
+
+
+# -- the evaluator against its recursive reference ------------------------------
+
+def _ref_eval_rterm(t, model):
+    """The recursive evaluator that `backend.eval_rterm` replaced, kept as
+    its reference."""
+    if isinstance(t, RVar):
+        return model.value(t.name)
+    if isinstance(t, RConst):
+        return t.value
+    return model.app(t.fn, tuple(_ref_eval_rterm(a, model) for a in t.args))
+
+
+def _ref_eval_reduced(f, model):
+    from adtsolve.reduce import RAnd, RFalseF, ROr, RTrueF
+
+    if isinstance(f, RTrueF):
+        return True
+    if isinstance(f, RFalseF):
+        return False
+    if isinstance(f, REq):
+        return _ref_eval_rterm(f.lhs, model) == _ref_eval_rterm(f.rhs, model)
+    if isinstance(f, RNot):
+        return not _ref_eval_reduced(f.arg, model)
+    if isinstance(f, RLin):
+        total = f.const + sum(c * _ref_eval_rterm(t, model) for c, t in f.terms)
+        return {"le": total <= 0, "eq": total == 0, "ne": total != 0}[f.op]
+    if isinstance(f, RAnd):
+        return all(_ref_eval_reduced(a, model) for a in f.args)
+    if isinstance(f, ROr):
+        return any(_ref_eval_reduced(a, model) for a in f.args)
+    raise AssertionError(f)
+
+
+def _nodes(f, formulas, terms):
+    """Every subformula and every term of a reduced formula."""
+    def term(t):
+        terms.append(t)
+        for a in getattr(t, "args", ()):
+            term(a)
+
+    formulas.append(f)
+    if isinstance(f, REq):
+        term(f.lhs)
+        term(f.rhs)
+    elif isinstance(f, RNot):
+        _nodes(f.arg, formulas, terms)
+    elif isinstance(f, RLin):
+        for _, t in f.terms:
+            term(t)
+    else:
+        for a in getattr(f, "args", ()):
+            _nodes(a, formulas, terms)
+
+
+def test_evaluator_matches_recursive_reference():
+    # corpus reducts in both modes, plus nested applications of a declared
+    # function, under random models whose small value range makes graph
+    # hits, recorded defaults and the default 0 all occur
+    from adtsolve.corpus import GenConfig, random_formula, random_signature
+    from adtsolve.sizesolve import reduction_mode
+
+    rng = random.Random(7)
+    reducts = []
+    for _ in range(6):
+        sig = random_signature(rng)
+        for size_atoms in (False, True):
+            phi = random_formula(rng, sig, GenConfig(size_atoms=size_atoms))
+            reducts.append(reduce(flatten(to_nnf(phi), sig), sig, reduction_mode(phi)))
+    script = parse_script("(declare-fun f (Int Int) Int) (declare-fun g (Int) Int)"
+                          "(declare-const a Int) (assert (or (= (f (g a) (- 1)) 2)"
+                          " (distinct (g (f a (g 3))) a)))")
+    reducts.append(reduce(flatten(to_nnf(script.formula()), script.sig), script.sig))
+    hits = fell_through = checked = 0
+    for reduct in reducts:
+        formulas, terms = [], []
+        _nodes(reduct.formula, formulas, terms)
+        funs = reduct.table.funs
+        for _ in range(20):
+            model = backend.IntModel(
+                {name: rng.randint(-2, 2) for name in reduct.table.int_vars
+                 if rng.random() < 0.8})
+            for fn, (arity, _) in funs.items():
+                if rng.random() < 0.8:
+                    model.funcs[fn] = {tuple(rng.randint(-2, 2) for _ in range(arity)):
+                                       rng.randint(-2, 2) for _ in range(3)}
+                if rng.random() < 0.5:
+                    model.defaults[fn] = rng.randint(-2, 2)
+            for t in terms:
+                assert backend.eval_rterm(t, model) == _ref_eval_rterm(t, model), t
+                if isinstance(t, RApp):
+                    args = tuple(_ref_eval_rterm(a, model) for a in t.args)
+                    hit = args in model.funcs.get(t.fn, {})
+                    hits, fell_through = hits + hit, fell_through + (not hit)
+            for f in formulas:
+                assert backend.eval_reduced(f, model) == _ref_eval_reduced(f, model), f
+                checked += 1
+    assert hits > 100 and fell_through > 100 and checked > 2000

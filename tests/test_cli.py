@@ -86,6 +86,22 @@ def test_solve_unsat(tmp_path):
     assert out.strip() == "unsat"
 
 
+def test_solve_answers_each_check_sat(tmp_path):
+    # each check-sat answers for the assertions before it, with its model
+    code, out = run(["solve", os.path.join(INPUTS, "incremental.smt2")])
+    assert (code, out.splitlines()) == (0, ["sat", "(define-fun x () Nat z)", "unsat"])
+    # an assertion after the last check-sat is not answered for, and a
+    # script without a check-sat has one answer for all its assertions
+    p = tmp_path / "tail.smt2"
+    text = ("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))"
+            "(declare-const x Nat) (assert (= x z))")
+    p.write_text(text + "(check-sat) (assert (= x (s z)))")
+    assert run(["solve", str(p), "--stats"])[1].splitlines()[0::2] == [
+        "sat", "nodes: input=3 reduced=8"]
+    p.write_text(text + "(assert (= x (s z)))")
+    assert run(["solve", str(p)])[1] == "unsat\n"
+
+
 def test_solve_unknown_with_diagnosis(tmp_path):
     p = tmp_path / "n.smt2"
     p.write_text("""

@@ -3,7 +3,7 @@ import pytest
 from adtsolve.errors import InputError, TypeCheckError, UnknownSymbolError
 from adtsolve.parser import parse_script
 from adtsolve.terms import (
-    And, Ctor, Eq, IntConst, Not, Sel, SizeAtom, SizeOf, Tester, Var,
+    TRUE, And, Ctor, Eq, IntConst, Not, Sel, SizeAtom, SizeOf, Tester, Var,
 )
 
 LISTS = """
@@ -33,6 +33,17 @@ def test_parse_size_atom():
     assert script.asserts == [
         SizeAtom("eq", SizeOf(Var("x", "CList")), IntConst(3)),
     ]
+
+
+def test_parse_records_asserts_before_each_check_sat():
+    a, b = "(assert ((_ is cons) x))", "(assert (= y red))"
+    script = parse_script(LISTS + "(check-sat)" + a + "(check-sat)" + b + "(check-sat)" + a)
+    assert script.check_sats == [0, 1, 2]
+    first, second = script.asserts[:2]
+    assert script.queries() == [TRUE, first, And((first, second))]
+    assert script.formula() == And(tuple(script.asserts))
+    # without a check-sat the one query is the conjunction of all assertions
+    assert parse_script(LISTS + a + b).queries() == [And((first, second))]
 
 
 def test_parse_commands_and_sig():

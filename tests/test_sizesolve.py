@@ -488,6 +488,83 @@ def test_guard_case_that_drops_a_disjunction_searches_afresh(monkeypatch):
         [f for f in top if isinstance(f, ROr)][:sum(isinstance(f, ROr) for f in prev_top)]
 
 
+def _reduct_log(monkeypatch):
+    """Wrap the loop's reduce so that every round's reduct must equal the
+    formula a walk of the whole flat formula builds on the same reducer:
+    its reduction, then the range rows of every variable; returns the log of
+    (reduct, top-level guard set) per round."""
+    from adtsolve import sizesolve
+    from adtsolve.reduce import rand
+
+    reduce = sizesolve.reduce
+    log = []
+
+    def checked(flat, sig, mode, opts, reducer):
+        got = reduce(flat, sig, mode, opts, reducer)
+        ranges = [reducer.in_range(RVar(name), sort) for name, sort in flat.var_sorts.items()]
+        assert got.formula == rand([reducer.reduce_formula(flat.formula)] + ranges)
+        log.append((got, reducer.top_guards))
+        return got
+
+    monkeypatch.setattr(sizesolve, "reduce", checked)
+    return log
+
+
+@pytest.mark.parametrize("text, fuel", [
+    (GUARD_DROPS_DISJUNCTION, 100), (NAT_NE_SAME_SIZE, 20), (_clist_distinct(3, 4), 100),
+], ids=["guard", "nat", "distinct-3-4"])
+def test_each_round_reduces_to_the_whole_walk(monkeypatch, text, fuel):
+    log = _reduct_log(monkeypatch)
+    script = parse_script(text)
+    res = decide(script.formula(), script.sig, fuel=fuel)
+    assert len(log) == res.rounds + 1 > 2
+    if text is GUARD_DROPS_DISJUNCTION:
+        # a round whose clause guards a variable reduced every conjunct again
+        assert len({guards for _, guards in log}) > 1
+
+
+def test_each_round_reduces_to_the_whole_walk_on_random_signatures(monkeypatch):
+    import random
+    from adtsolve.corpus import GenConfig, random_formula, random_signature
+
+    log = _reduct_log(monkeypatch)
+    rng = random.Random(11)
+    guard_changes = 0
+    for _ in range(3):
+        sig = random_signature(rng)
+        for _ in range(30):
+            phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3), size_atoms=True))
+            log.clear()
+            decide(phi, sig, fuel=20)
+            guard_changes += len({guards for _, guards in log}) > 1
+    assert guard_changes
+
+
+def test_rounds_reduce_only_what_they_add(monkeypatch):
+    # Nat x != y with |x| = |y|: each round reduces only its new case
+    # clause, so the reduce_formula calls grow linearly with the rounds (69
+    # at fuel 20, 129 at fuel 40); a walk of the whole formula every round
+    # makes them grow quadratically (755 and 2705)
+    from adtsolve.reduce import Reducer
+
+    reduce_formula = Reducer.reduce_formula
+    calls = []
+
+    def counted(self, phi, guards=frozenset()):
+        calls.append(phi)
+        return reduce_formula(self, phi, guards)
+
+    monkeypatch.setattr(Reducer, "reduce_formula", counted)
+    script = parse_script(NAT_NE_SAME_SIZE)
+    counts = []
+    for fuel in (20, 40):
+        calls.clear()
+        res = decide(script.formula(), script.sig, fuel=fuel)
+        assert (res.status, res.rounds) == ("unknown", fuel)
+        counts.append(len(calls))
+    assert counts[1] < 2.5 * counts[0]
+
+
 @pytest.mark.parametrize("text", [GUARD_DROPS_DISJUNCTION, NAT_NE_SAME_SIZE,
                                   _clist_distinct(3, 4)], ids=["guard", "nat", "distinct-3-4"])
 def test_session_index_matches_the_reduct(monkeypatch, text):
