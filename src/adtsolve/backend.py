@@ -12,7 +12,10 @@ equality of the two class variables.  Each conjunction is decided by linear
 integer feasibility over the classes; a violated `ne` row and a functional
 inconsistency of the candidate model are repaired by case splits, all
 through one routine: the two strict sides of the row, as `le` rows, or the
-two applications being equal or one of their argument pairs differing.
+two applications being equal or one of their argument pairs differing.  Of
+the violated `ne` rows, the one with the fewest variables is split first,
+the earliest added among equals (fail first); functional inconsistencies
+are split only when no `ne` row is violated.
 Every sat verdict is re-checked by an independent evaluator before being
 returned.
 
@@ -495,20 +498,36 @@ class _Search:
     def decide(self) -> IntModel | None:
         """Integer feasibility of the asserted conjunction over fixed classes;
         violated disequalities and functional inconsistencies are repaired by
-        recursive case splits."""
+        recursive case splits.
+
+        Of the `ne` rows the candidate model violates, the one with the
+        fewest variables is split first, the one added first among equals
+        (fail first).  A one-variable row x != k splits into two bounds on x,
+        and when k is one of x's bounds one side fails as soon as it is
+        added, so the split costs one failed probe; the rows over several
+        variables are then split under the tighter bounds.  The order cannot
+        change the verdict: each split's arms cover every integer point of
+        the row's scope, and None is returned only when every arm of every
+        split has failed.  Only the caps can notice the order."""
         model_map = self.lia.model()
         if model_map is None:
             return None
-        # lazily split the first `ne` row the candidate model violates into
-        # its two strict sides; a row over solved variables reads the model,
-        # and only one over a class no row constrains needs every class value
+        # a row over solved variables reads the model, and only one over a
+        # class no row constrains needs every class value
         values = None
+        best = None
         for row in self.lia.nes():
+            if best is not None and len(row.coeffs) >= len(best.coeffs):
+                continue
             if values is None and any(v not in model_map for v, _ in row.coeffs):
                 values = self.class_values(model_map)
             if row.const + sum(a * model_map[v] for v, a in row.coeffs) == 0:
-                return self.split([lia.LinCon("le", tuple((v, s * a) for v, a in row.coeffs),
-                                              s * row.const + 1) for s in (1, -1)])
+                best = row
+                if len(row.coeffs) == 1:
+                    break
+        if best is not None:
+            return self.split([lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs),
+                                          s * best.const + 1) for s in (1, -1)])
         if values is None:
             values = self.class_values(model_map)
 

@@ -110,16 +110,16 @@ def _load(path: str):
 
 def cmd_solve(args, out) -> int:
     """One answer per check-sat, for the assertions before it, each from a
-    decide of its own."""
+    decide of its own, and the model of a sat answer that a get-model asks
+    for."""
     script = _load(args.file)
     ext = _external(args)
-    for phi in script.queries():
+    for phi, shown in zip(script.queries(), script.shown_models()):
         result = decide(phi, script.sig, fuel=args.fuel, opts=_opts(args),
                         external_cmd=ext)
         print(result.status, file=out)
-        if result.status == "sat":
-            print(print_model(script.sig, result.model, script.var_sorts, script.ufuns),
-                  file=out)
+        if result.status == "sat" and shown is not None:
+            print(print_model(script.sig, result.model, *shown), file=out)
         elif result.status == "unknown" and result.diagnosis:
             print(result.diagnosis.text, file=out)
         if args.stats:

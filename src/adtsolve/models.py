@@ -89,56 +89,12 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
         if sort not in enum_sorts:
             pairs.setdefault((model.value(name), sort))
 
-    gamma: dict[tuple[int, str], Term] = {}
-    used: dict[str, set[Term]] = {}
-
-    def fixed_enum_term(value: int, sort: str) -> Term:
-        n = cardinality(sig, sort).count
-        if n is None or not (0 <= value < n):
-            raise InternalError(f"enum value {value} outside range of {sort}")
-        return Ctor(ctor_at(sig, sort, value).name, ())
+    gamma = _build_terms(sig, pairs, dep, enum_sorts, stats)
 
     def gamma_term(pair: tuple[int, str]) -> Term:
         if pair[1] in enum_sorts:
-            return fixed_enum_term(*pair)
+            return _enum_term(sig, *pair)
         return gamma[pair]
-
-    def assign(p: tuple[int, str], t: Term):
-        stats.injectivity_checks += 1
-        if t in used.setdefault(p[1], set()):
-            raise InternalError("injectivity violated during reconstruction")
-        used[p[1]].add(t)
-        gamma[p] = t
-
-    remaining = set(pairs)
-    while remaining:
-        progressed = False
-        # case 2: a dependency-complete pair builds its term bottom-up
-        for p in sorted(remaining, key=lambda q: (q[1], q[0])):
-            if p in dep:
-                head, children = dep[p]
-                if all(c[1] in enum_sorts or c in gamma for c in children):
-                    assign(p, Ctor(head, tuple(gamma_term(c) for c in children)))
-                    stats.case2_pairs.append(p)
-                    remaining.discard(p)
-                    progressed = True
-                    break
-        if progressed:
-            continue
-        # case 3: give some unconstrained pair a fresh minimal term
-        candidates = [p for p in remaining if p not in dep]
-        if not candidates:
-            raise InternalError("cyclic dependency in model reconstruction")
-        best = None
-        for p in sorted(candidates, key=lambda q: (q[1], q[0])):
-            t = _next_fresh(sig, p[1], used)
-            key = (ground_size(t), p[1], p[0])
-            if best is None or key < best[0]:
-                best = (key, p, t)
-        _, p, t = best
-        assign(p, t)
-        stats.case3_pairs.append(p)
-        remaining.discard(p)
 
     adt: dict[str, Term] = {}
     for name, sort in flat.var_sorts.items():
@@ -168,6 +124,67 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
             if isinstance(src, Ctor) and src.ctor != ctor_name:
                 overrides[(ctor_name, j, src)] = gamma_term(tgt_pair)
     return AdtModel(adt, ints, overrides, funcs)
+
+
+def _enum_term(sig: Signature, value: int, sort: str) -> Term:
+    n = cardinality(sig, sort).count
+    if n is None or not (0 <= value < n):
+        raise InternalError(f"enum value {value} outside range of {sort}")
+    return Ctor(ctor_at(sig, sort, value).name, ())
+
+
+def _build_terms(sig: Signature, pairs: dict[tuple[int, str], None],
+                 dep: dict[tuple[int, str], tuple[str, list[tuple[int, str]]]],
+                 enum_sorts, stats: ReconstructionStats) -> dict[tuple[int, str], Term]:
+    """A distinct term of its sort for every pair.  Case 2: a pair of `dep`
+    whose children are all built gets its head over their terms; a worklist
+    takes each such pair once its last child is built (Kahn's algorithm).
+    Case 3: when the worklist is empty, the pair outside `dep` that is least
+    by (size of its sort's smallest unused term, sort, value) gets that term.
+
+    Case 3 thus always sees the terms of every pair that case 2 can build
+    from the pairs built so far, in whatever order case 2 built them, so its
+    choices, and with them every term, do not depend on that order."""
+    gamma: dict[tuple[int, str], Term] = {}
+    used: dict[str, set[Term]] = {}
+    waiting: dict[tuple[int, str], int] = {}  # children not yet built
+    parents: dict[tuple[int, str], list[tuple[int, str]]] = {}
+    for p, (_, children) in dep.items():
+        built_later = {c for c in children if c[1] not in enum_sorts}
+        waiting[p] = len(built_later)
+        for c in built_later:
+            parents.setdefault(c, []).append(p)
+    ready = [p for p, n in waiting.items() if n == 0]
+    free = {p for p in pairs if p not in dep}
+
+    def assign(p: tuple[int, str], t: Term):
+        stats.injectivity_checks += 1
+        taken = used.setdefault(p[1], set())
+        if t in taken:
+            raise InternalError("injectivity violated during reconstruction")
+        taken.add(t)
+        gamma[p] = t
+        for q in parents.get(p, ()):
+            waiting[q] -= 1
+            if waiting[q] == 0:
+                ready.append(q)
+
+    while len(gamma) < len(pairs):
+        if ready:
+            p = ready.pop()
+            head, children = dep[p]
+            assign(p, Ctor(head, tuple(_enum_term(sig, *c) if c[1] in enum_sorts else gamma[c]
+                                       for c in children)))
+            stats.case2_pairs.append(p)
+            continue
+        if not free:
+            raise InternalError("cyclic dependency in model reconstruction")
+        fresh = {s: _next_fresh(sig, s, used) for s in {q[1] for q in free}}
+        p = min(free, key=lambda q: (ground_size(fresh[q[1]]), q[1], q[0]))
+        free.discard(p)
+        assign(p, fresh[p[1]])
+        stats.case3_pairs.append(p)
+    return gamma
 
 
 def _branch(f: RFormula, model: IntModel) -> Iterator[RFormula]:

@@ -109,6 +109,9 @@ class Script:
     asserts: list[Formula] = field(default_factory=list)
     commands: list[str] = field(default_factory=list)
     check_sats: list[int] = field(default_factory=list)  # asserts before each check-sat
+    # constants and functions declared before each check-sat
+    declared: list[tuple[int, int]] = field(default_factory=list)
+    get_models: list[int] = field(default_factory=list)  # check-sats before each get-model
 
     def formula(self) -> Formula:
         return conj(self.asserts)
@@ -118,6 +121,18 @@ class Script:
         assertions before it; a script without one has the one query
         `formula()`."""
         return [conj(self.asserts[:n]) for n in self.check_sats or [len(self.asserts)]]
+
+    def shown_models(self) -> list[tuple[dict[str, str], dict] | None]:
+        """Per query, the constants and functions whose values a get-model
+        after its check-sat, before the next one, asks for: those declared
+        before that check-sat; None where no get-model follows.  The query of
+        a script without a check-sat has no model shown."""
+        if not self.check_sats:
+            return [None]
+        asked = set(self.get_models)
+        consts, funs = list(self.var_sorts.items()), list(self.ufuns.items())
+        return [(dict(consts[:n_consts]), dict(funs[:n_funs])) if i in asked else None
+                for i, (n_consts, n_funs) in enumerate(self.declared, 1)]
 
 
 def _is_int_literal(s: str) -> bool:
@@ -395,6 +410,8 @@ def parse_script(text: str) -> Script:
     builder = _ScriptBuilder()
     pending_asserts: list[SExpr] = []
     check_sats: list[int] = []
+    declared: list[tuple[int, int]] = []
+    get_models: list[int] = []
     for e in read_sexprs(text):
         if e.is_atom:
             raise InputError(f"stray atom {e.value!r}", e.line, e.col)
@@ -417,6 +434,9 @@ def parse_script(text: str) -> Script:
             builder.commands.append(cmd)
             if cmd == "check-sat":
                 check_sats.append(len(pending_asserts))
+                declared.append((len(builder.var_sorts), len(builder.ufuns)))
+            elif cmd == "get-model":
+                get_models.append(len(check_sats))
         elif cmd in ("set-logic", "set-info", "set-option"):
             pass
         else:
@@ -428,7 +448,7 @@ def parse_script(text: str) -> Script:
     fp = _FormulaParser(sig, builder.var_sorts, builder.ufuns)
     asserts = [fp.parse_bool(a) for a in pending_asserts]
     return Script(sig, builder.var_sorts, builder.ufuns, asserts, builder.commands,
-                  check_sats)
+                  check_sats, declared, get_models)
 
 
 def parse_formula(text: str, sig: Signature, var_sorts: dict[str, str],

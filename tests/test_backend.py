@@ -1,9 +1,10 @@
+import itertools
 import os
 import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from adtsolve import backend
 from adtsolve.errors import ProtocolError, SpawnError
@@ -283,9 +284,9 @@ def _spent(monkeypatch, reduct):
 
 
 def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
-    # the split and branch counts of the plain DFS; a search change that
-    # prunes (or grows) the tree shows up here
-    assert _spent(monkeypatch, two_colour_chain(4)) == ("unsat", 150, 11)
+    # the split and branch counts of the DFS with fail-first `ne` splits; a
+    # search change that prunes (or grows) the tree shows up here
+    assert _spent(monkeypatch, two_colour_chain(4)) == ("unsat", 106, 11)
     # f(x) = 1, f(y) = 2 with x, y in [0, 1]: the candidate x = y = 0 breaks
     # functional consistency; its split's arm x != y is split into x < y
     fx, fy = RApp("f", (RVar("x"),)), RApp("f", (RVar("y"),))
@@ -408,6 +409,37 @@ def test_cc_matches_naive_closure():
         assert _cc_state(cc) == before
 
 
+@st.composite
+def _int_rows(draw):
+    """A conjunction of `ne` and `le` rows over three or four integer
+    variables, each variable boxed in [-1, 1]; returns the rows with the
+    variable names."""
+    names = ["a", "b", "c", "d"][:draw(st.integers(3, 4))]
+    rows = []
+    for _ in range(draw(st.integers(2, 10))):
+        used = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        terms = tuple((draw(st.sampled_from([-2, -1, 1, 2])), RVar(v)) for v in used)
+        rows.append(RLin(draw(st.sampled_from(["ne", "ne", "le"])), terms,
+                         draw(st.integers(-2, 2))))
+    for v in names:
+        rows += [_le(-1, (1, v)), _le(-1, (-1, v))]
+    return rows, names
+
+
+@given(_int_rows())
+def test_ne_and_le_rows_against_brute_force(lists_sig, case):
+    """The verdict on `ne` and `le` rows equals brute force over the box,
+    whichever order the search splits the `ne` rows in."""
+    rows, names = case
+    f = rand(rows)
+    expected = any(backend.eval_reduced(f, backend.IntModel(dict(zip(names, p))))
+                   for p in itertools.product(range(-1, 2), repeat=len(names)))
+    res = backend.solve(wrap(f, lists_sig))
+    assert res.status == ("sat" if expected else "unsat")
+    if expected:
+        assert backend.eval_reduced(f, res.model)
+
+
 # -- resource caps ----------------------------------------------------------------
 
 def two_colour_chain(n):
@@ -431,6 +463,16 @@ def two_colour_chain(n):
 
 def test_two_colour_chain_unsat_within_default_caps():
     assert backend.solve(two_colour_chain(4)).status == "unsat"
+
+
+def test_two_colour_chain_splits_grow_linearly(monkeypatch):
+    # splitting the violated `ne` row with the fewest variables first fails
+    # a pinned head at once instead of exploring the heads' orderings below it
+    spent = {}
+    for n in (10, 18, 24, 40):
+        status, spent[n], _ = _spent(monkeypatch, two_colour_chain(n))
+        assert status == "unsat", n
+    assert spent[40] <= 5 * spent[10]
 
 
 @pytest.mark.parametrize("caps, reason", [

@@ -95,11 +95,30 @@ def test_solve_answers_each_check_sat(tmp_path):
     p = tmp_path / "tail.smt2"
     text = ("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))"
             "(declare-const x Nat) (assert (= x z))")
-    p.write_text(text + "(check-sat) (assert (= x (s z)))")
+    p.write_text(text + "(check-sat) (get-model) (assert (= x (s z)))")
     assert run(["solve", str(p), "--stats"])[1].splitlines()[0::2] == [
         "sat", "nodes: input=3 reduced=8"]
     p.write_text(text + "(assert (= x (s z)))")
     assert run(["solve", str(p)])[1] == "unsat\n"
+
+
+def test_solve_prints_a_model_only_where_get_model_asks(tmp_path):
+    # a model follows only a check-sat with a get-model after it, before the
+    # next check-sat, and lists only the constants declared before it
+    p = tmp_path / "shown.smt2"
+    text = ("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))"
+            "(declare-const x Nat) (assert (= x z)) (check-sat) {}"
+            "(declare-const y Nat) (assert (= y (s x))) (check-sat) {}")
+    p.write_text(text.format("", ""))
+    assert run(["solve", str(p)]) == (0, "sat\nsat\n")
+    p.write_text(text.format("(get-model)", ""))
+    assert run(["solve", str(p)]) == (0, "sat\n(define-fun x () Nat z)\nsat\n")
+    p.write_text(text.format("", "(get-model)"))
+    assert run(["solve", str(p)]) == (
+        0, "sat\nsat\n(define-fun x () Nat z)\n(define-fun y () Nat (s z))\n")
+    # the one answer of a script without a check-sat shows no model
+    p.write_text(text.split("(check-sat)")[0] + "(get-model)")
+    assert run(["solve", str(p)]) == (0, "sat\n")
 
 
 def test_solve_unknown_with_diagnosis(tmp_path):
@@ -429,7 +448,7 @@ def _printed_model(out):
 ], ids=["probe", "two-functions", "folded-application"])
 def test_solve_prints_function_graphs(tmp_path, text):
     p = tmp_path / "funs.smt2"
-    p.write_text(text)
+    p.write_text(text + "(check-sat) (get-model)")
     script = parse_script(text)
     model = decide(script.formula(), script.sig).model
     assert model.funcs
@@ -444,7 +463,8 @@ def test_solve_prints_function_graphs(tmp_path, text):
 
 def test_solve_prints_unused_declarations(tmp_path):
     p = tmp_path / "unused.smt2"
-    p.write_text(LISTS + FUNS + "(declare-const z CList) (assert (or (= a a) (= (f a) 2)))")
+    p.write_text(LISTS + FUNS + "(declare-const z CList) (assert (or (= a a) (= (f a) 2)))"
+                 "(check-sat) (get-model)")
     code, out = run(["solve", str(p)])
     assert code == 0
     lines = out.splitlines()
@@ -491,7 +511,7 @@ def test_external_backend_with_fake(ex1_file):
 
 def test_external_model_of_top_level_define_funs(tmp_path):
     p = tmp_path / "a.smt2"
-    p.write_text("(declare-const a Int) (assert (> a 5))")
+    p.write_text("(declare-const a Int) (assert (> a 5)) (check-sat) (get-model)")
     cmd = f"{sys.executable} {os.path.join(FAKES, 'smt_bare_model.py')}"
     assert run(["solve", str(p), "--external-cmd", cmd]) == \
         (0, "sat\n(define-fun a () Int 7)\n")

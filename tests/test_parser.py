@@ -46,6 +46,16 @@ def test_parse_records_asserts_before_each_check_sat():
     assert parse_script(LISTS + a + b).queries() == [And((first, second))]
 
 
+def test_parse_records_get_models_and_declarations_per_check_sat():
+    script = parse_script(LISTS + "(check-sat) (get-model) (declare-fun f (Int) Int)"
+                          "(declare-const z CList) (check-sat) (check-sat) (get-model)")
+    assert script.get_models == [1, 3]
+    assert script.declared == [(3, 0), (4, 1), (4, 1)]
+    everything = (script.var_sorts, script.ufuns)
+    assert script.shown_models() == [({"x": "CList", "y": "Colour", "n": "Int"}, {}),
+                                     None, everything]
+
+
 def test_parse_commands_and_sig():
     script = parse_script(LISTS + "(check-sat)\n(get-model)")
     assert script.commands == ["check-sat", "get-model"]
