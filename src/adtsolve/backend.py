@@ -16,6 +16,9 @@ two applications being equal or one of their argument pairs differing.  Of
 the violated `ne` rows, the one with the fewest variables is split first,
 the earliest added among equals (fail first); functional inconsistencies
 are split only when no `ne` row is violated.
+An inner node of the search is settled without a decide when the model of
+the conjunction it extends satisfies its literals; leaves are always
+decided, so the models returned are the ones deciding every node gives.
 Every sat verdict is re-checked by an independent evaluator before being
 returned.
 
@@ -293,12 +296,15 @@ class _Search:
         self.cc = _CC()
         self.lia = lia.System()
         self.mentioned: dict[int, None] = {}  # roots the system has seen, in order
+        self.names: list[str] = []  # the system's variable of each CC id, #t<id>
         self.marks: list[int] = []
-        # open choice points, outermost first: [disjunctions, arm taken]; the
-        # node of frames[j] lives in scope depth j, the arm below it in j + 1
+        # open choice points, outermost first: [disjunctions, arm taken, a
+        # model of the node's conjunction]; the node of frames[j] lives in
+        # scope depth j, the arm below it in j + 1
         self.frames: list[list] = []
         # literals added by `extend`, each batch with the depth of its scope
         self.carried: list[tuple[int, list[RFormula]]] = []
+        self.leaf_model: IntModel | None = None  # the model `search` last returned
 
     def push(self):
         self.cc.push()
@@ -316,15 +322,18 @@ class _Search:
         for r, a in coeffs.items():
             if a:
                 self.mentioned.setdefault(r)
-        self.lia.add(lia.con(op, {f"#t{r}": a for r, a in coeffs.items()}, const))
+        names = self.names
+        self.lia.add(lia.con(op, {names[r]: a for r, a in coeffs.items()}, const))
 
     def add(self, t: RTerm) -> int:
         """The CC node of a term, with the variable of each constant term
         this adds pinned to the constant's value."""
-        cc = self.cc
+        cc, names = self.cc, self.names
         start = len(cc.terms)
         i = cc.add(t)
         for j in range(start, len(cc.terms)):
+            if j == len(names):  # an id that a pop freed keeps its name
+                names.append(f"#t{j}")
             if isinstance(cc.terms[j], RConst):
                 self.add_row("eq", {j: 1}, -cc.terms[j].value)
         return i
@@ -363,13 +372,26 @@ class _Search:
         elif not isinstance(lit, RTrueF):
             raise InternalError(f"unexpected literal {lit}")
 
-    def search(self, pending: list[RFormula]) -> IntModel | None:
+    def search(self, pending: list[RFormula],
+               witness: IntModel | None = None) -> IntModel | None:
         """Search from the node of the conjunction `pending`, in the current
-        scope.  All definite conjuncts of a node are asserted before
+        scope; `witness`, when given, is a model of the conjunction asserted
+        so far.  All definite conjuncts of a node are asserted before
         branching, and a node is pruned as soon as its definite part is
         inconsistent.  A node branches on the first disjunction collected,
         its arms in order, with the other disjunctions passed on behind the
-        arm.  On a model the choice points of its path stay open."""
+        arm.  On a model the choice points of its path stay open.
+
+        An inner node (one with disjunctions left) is not decided when its
+        witness, a model of the conjunction the node extends, satisfies the
+        node's literals (`_settles`): the witness is then a model of the
+        node's conjunction, so `decide`, which is complete, would not prune
+        the node, and the witness stands in for its model.  The witness of
+        an arm is its parent's model, kept on the parent's frame; of the
+        node `extend` adds below a leaf, the leaf's model.  A leaf is always
+        decided, and `decide` reads only the asserted conjunction, so every
+        model returned is the one a search that decides every node returns;
+        only the splits spent, and so the caps, can tell the two apart."""
         while True:
             parts = _conjuncts(pending)
             if parts is not None:
@@ -377,38 +399,53 @@ class _Search:
                 self.budget.spend_split()
                 for lit in lits:
                     self.assert_lit(lit)
-                model = self.decide()
+                if ors and witness is not None and self._settles(witness, lits):
+                    model = witness
+                else:
+                    model = self.decide()
                 if model is not None:
                     if not ors:
+                        self.leaf_model = model
                         return model
                     self.budget.spend_branch()
-                    self.frames.append([ors, -1])
-            pending = self._next_arm()
-            if pending is None:
+                    self.frames.append([ors, -1, model])
+            step = self._next_arm()
+            if step is None:
                 return None
+            pending, witness = step
 
-    def _next_arm(self) -> list[RFormula] | None:
+    def _settles(self, witness: IntModel, lits: list[RFormula]) -> bool:
+        """Whether a model of the conjunction a node extends satisfies the
+        node's own literals, and so is a model of the node's conjunction."""
+        for lit in lits:
+            if not eval_reduced(lit, witness):
+                return False
+        return True
+
+    def _next_arm(self) -> tuple[list[RFormula], IntModel] | None:
         """Leave the current node for the next arm of the innermost open
-        choice point, in a new scope, and return that arm's conjunction, or
-        None once every choice point is exhausted.  A node whose carried
-        literals had to be re-asserted is decided again, as a fresh search
-        would decide it with them, and pruned if that fails."""
+        choice point, in a new scope, and return that arm's conjunction with
+        the model of the node it extends, or None once every choice point is
+        exhausted.  A node whose carried literals had to be re-asserted is
+        decided again, as a fresh search would decide it with them, and
+        pruned if that fails; else the new model replaces its old one."""
         frames = self.frames
         while frames:
             frame = frames[-1]
-            ors, arm = frame
+            ors, arm, model = frame
             if arm >= 0:
                 self.pop()
                 if self._restore():
                     self.budget.spend_split()
-                    if self.decide() is None:
+                    model = frame[2] = self.decide()
+                    if model is None:
                         frames.pop()
                         continue
             arm += 1
             if arm < len(ors[0].args):
                 frame[1] = arm
                 self.push()
-                return [ors[0].args[arm]] + ors[1:]
+                return [ors[0].args[arm]] + ors[1:], model
             frames.pop()
         return None
 
@@ -439,17 +476,21 @@ class _Search:
         The verdict is F's.  Every node visited from here on is a node of
         F's search tree, in F's order, with F's literals of that node
         asserted, though the new ones come later than in a fresh search.
-        The nodes not visited are the arms that the search of G exhausted
-        before its model: G's conjunction at each such node has no model
-        (`decide` is complete on a conjunction, or raises
-        ResourceLimitError, which ends the solve as unknown), and F's
-        conjunction there implies G's, so a fresh search of F finds no
-        model there either.  A node on the path that a fresh search of F
-        would prune is decided again when the new literals are re-asserted
-        in its scope.  The model can differ from a fresh search's, because
-        the new literals are asserted in another order, and so can an
-        unknown: a fresh search can spend its caps on the arms skipped
-        here."""
+        The nodes not visited lie in the subtrees that the search of G
+        exhausted before its model.  G has no model in such a subtree: each
+        of its leaves was decided and had none, or lies below a node that
+        was decided and had none (`decide` is complete on a conjunction, or
+        raises ResourceLimitError, which ends the solve as unknown), and a
+        node settled by its witness instead was an inner node, whose arms
+        were all searched.  F's conjunction at each node implies G's there,
+        so a fresh search of F finds no model in those subtrees either.  A
+        node on the path that a fresh search of F would prune is decided
+        again when the new literals are re-asserted in its scope, and the
+        node added below the leaf is settled by the leaf's model only when
+        that model satisfies the new literals.  The model can differ from a
+        fresh search's, because the new literals are asserted in another
+        order, and so can an unknown: a fresh search can spend its caps on
+        the arms skipped here."""
         parts = _conjuncts(added)
         if parts is None:
             return None
@@ -457,7 +498,7 @@ class _Search:
         for frame in self.frames:
             frame[0].extend(ors)
         self.carried.append((len(self.marks), lits))
-        return self.search(added)
+        return self.search(added, self.leaf_model)
 
     def split(self, arms: list[RFormula | lia.LinCon]) -> IntModel | None:
         """A case split inside the asserted conjunction: each arm in turn is
@@ -473,32 +514,62 @@ class _Search:
                 return out
         return None
 
-    def class_values(self, model_map: dict[str, int]) -> list[int]:
-        """The value of every term: its class variable's in the model, where
-        a class the model leaves free is given a distinct value clear of the
-        solved ones and added to the model, so that such classes neither
-        collide in function tables nor violate disequalities."""
+    def candidate(self, model_map: dict[str, int]) -> tuple[IntModel, tuple[int, int] | None]:
+        """The candidate model that a solution of the system gives the
+        terms, built in one pass over the CC terms, with the first functional
+        inconsistency met.
+
+        A term's value is its class variable's in `model_map`, where a class
+        the map leaves free is given a distinct value clear of the solved
+        ones and added to the map, so that such classes neither collide in
+        function tables nor violate disequalities; every class is added,
+        in the order of the terms.  Two apps of one function whose arguments
+        have the same values must have the same value: the CC ids of the
+        first two that do not are returned with the model, else None."""
         cc = self.cc
-        spread = 1 + max((abs(v) for v in model_map.values()), default=0)
+        names, parent, cc_args = self.names, cc.parent, cc.args
+        spread = None
         root_value: dict[int, int] = {}
         values: list[int] = []
-        for i in range(len(cc.terms)):
-            r = cc.find(i)
+        model = IntModel()
+        var_values, funcs = model.values, model.funcs
+        first: dict[tuple, int] = {}
+        clash = None
+        for i, t in enumerate(cc.terms):
+            r = i
+            while parent[r] != r:
+                r = parent[r]
             v = root_value.get(r)
             if v is None:
-                name = f"#t{r}"
-                v = model_map.get(name)
+                v = model_map.get(names[r])
                 if v is None:
-                    v = model_map[name] = spread
+                    if spread is None:
+                        spread = 1 + max((abs(x) for x in model_map.values()), default=0)
+                    v = model_map[names[r]] = spread
                     spread += 1
                 root_value[r] = v
             values.append(v)
-        return values
+            kind = type(t)
+            if kind is RVar:
+                var_values[t.name] = v
+            elif kind is RApp:
+                args = tuple([values[a] for a in cc_args[i]])
+                j = first.setdefault((t.fn, args), i)
+                if j == i:
+                    funcs.setdefault(t.fn, {})[args] = v
+                elif values[j] != v and clash is None:
+                    clash = (j, i)
+        return model, clash
 
     def decide(self) -> IntModel | None:
         """Integer feasibility of the asserted conjunction over fixed classes;
         violated disequalities and functional inconsistencies are repaired by
-        recursive case splits.
+        recursive case splits.  It is complete: None means the conjunction
+        has no model (or ResourceLimitError is raised), which is why `search`
+        need not decide an inner node that a model already satisfies.  The
+        candidate model is read in one pass over the terms (`candidate`),
+        which the scan of the `ne` rows starts early only when a row
+        mentions a class the system leaves free.
 
         Of the `ne` rows the candidate model violates, the one with the
         fewest variables is split first, the one added first among equals
@@ -514,13 +585,13 @@ class _Search:
             return None
         # a row over solved variables reads the model, and only one over a
         # class no row constrains needs every class value
-        values = None
+        found = None
         best = None
         for row in self.lia.nes():
             if best is not None and len(row.coeffs) >= len(best.coeffs):
                 continue
-            if values is None and any(v not in model_map for v, _ in row.coeffs):
-                values = self.class_values(model_map)
+            if found is None and any(v not in model_map for v, _ in row.coeffs):
+                found = self.candidate(model_map)
             if row.const + sum(a * model_map[v] for v, a in row.coeffs) == 0:
                 best = row
                 if len(row.coeffs) == 1:
@@ -528,27 +599,13 @@ class _Search:
         if best is not None:
             return self.split([lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs),
                                           s * best.const + 1) for s in (1, -1)])
-        if values is None:
-            values = self.class_values(model_map)
-
-        # functional consistency under the candidate model: two apps of one
-        # function that agree on their arguments must agree on their values,
-        # else split on the apps being equal or one argument pair differing
-        cc = self.cc
-        model = IntModel()
-        first: dict[tuple, int] = {}
-        for i, t in enumerate(cc.terms):
-            if isinstance(t, RVar):
-                model.values[t.name] = values[i]
-            elif isinstance(t, RApp):
-                args = tuple(values[a] for a in cc.args[i])
-                j = first.setdefault((t.fn, args), i)
-                if values[j] != values[i]:
-                    break
-                model.funcs.setdefault(t.fn, {})[args] = values[i]
-        else:
+        model, clash = found or self.candidate(model_map)
+        if clash is None:
             return model
-        t1, t2 = cc.terms[j], t
+        # two apps of one function agree on their arguments but not on their
+        # values: split on the apps being equal or one argument pair differing
+        cc = self.cc
+        t1, t2 = cc.terms[clash[0]], cc.terms[clash[1]]
         return self.split([REq(t1, t2)] + [RNot(REq(a1, a2)) for a1, a2 in zip(t1.args, t2.args)
                                            if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])])
 
@@ -647,6 +704,10 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
         if session:
             session.search = None
         return SolverResult.unsat()
+    # the search keeps its model as the witness of the node a later solve
+    # adds below the leaf (`_Search.extend`); the caller's copy gets values
+    # filled in here and may have them repointed
+    model = IntModel(dict(model.values), model.funcs, model.defaults)
     # values for declared variables that no literal mentioned
     for name in reduct.table.int_vars:
         model.values.setdefault(name, 0)

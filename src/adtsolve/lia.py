@@ -10,33 +10,32 @@ disequalities are only kept up to date: the caller reads them under a model
 and splits a violated one into its two strict sides.
 
 A `System` is this state as a push/pop theory solver: rows join one at a time
-through `add`, each rewritten by the substitutions so far, an equality is
-eliminated as it arrives, and the difference graph is solved incrementally,
-one edge at a time; `pop` restores the system of the matching `push`.
+through `add`, each rewritten by the substitutions so far that it mentions,
+an equality is eliminated as it arrives, and the difference graph is solved
+incrementally, one edge at a time; `pop` restores the system of the
+matching `push`.
 `solve` is a system built and read once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InternalError, ResourceLimitError
 
 NODE_CAP = 20000
 
 
-@dataclass(frozen=True)
-class LinCon:
+class LinCon(NamedTuple):
+    """sum(a * v for v, a in coeffs) + const compared with 0 by `op`;
+    `System.add` rejects any op but these three."""
     op: str  # 'le' | 'eq' | 'ne'
     coeffs: tuple[tuple[str, int], ...]
     const: int
-
-    def __post_init__(self):
-        assert self.op in ("le", "eq", "ne")
 
 
 def con(op: str, coeffs: dict[str, int], const: int) -> LinCon:
@@ -213,11 +212,12 @@ class System:
     """Integer feasibility of a conjunction that grows one row at a time and
     shrinks again under push/pop.
 
-    A row added by `add` is first rewritten by the recorded substitutions and
-    tightened.  An equality is then eliminated at once: a variable with a
-    unit coefficient is substituted (Pugh's symmetric-modulus change of
-    variable makes one when there is none), and every live inequality that
-    mentions it is replaced by its substituted copy.  A replaced row leaves
+    A row added by `add` is first rewritten by the recorded substitutions
+    that it mentions and tightened (`_rewritten`).  An equality is then
+    eliminated at once: a variable with a unit coefficient is substituted
+    (Pugh's symmetric-modulus change of variable makes one when there is
+    none), and every live inequality that mentions it is replaced by its
+    substituted copy.  A replaced row leaves
     the live set; the live inequalities are what the model is found over.
     The rows to replace are read from `uses`, an index from each variable to
     the positions of the live rows that mention it, in ascending position.
@@ -242,6 +242,7 @@ class System:
         self.rows: list[LinCon | None] = []  # `le` and `ne` rows; None once replaced
         self.uses: dict[str, set[int]] = {}  # variable -> positions of live rows with it
         self.subs: list[tuple[str, dict[str, int], int]] = []
+        self.sub_of: dict[str, int] = {}  # eliminated variable -> its position in subs
         self.dist: dict[str, int] = {"$zero": 0}
         self.out: dict[str, list[tuple[str, int]]] = {"$zero": []}
         # no integer model, whatever rows join: an equality or ground row
@@ -280,20 +281,18 @@ class System:
         for i in range(n_rows, len(self.rows)):
             self._put(i, None)
         del self.rows[n_rows:]
+        for v, _, _ in self.subs[n_subs:]:
+            del self.sub_of[v]
         del self.subs[n_subs:]
 
     def add(self, row: LinCon) -> None:
         """Conjoin one row."""
+        if row.op not in ("le", "eq", "ne"):
+            raise InternalError(f"unknown row op {row.op!r}")
         if self.infeasible:
             return
         try:
-            # the row over live variables: the substitutions in the order
-            # they were made, re-tightened after each
-            c = _tightened(row)
-            for v, expr, const in self.subs:
-                if c is None:
-                    break
-                c = _substitute(c, v, expr, const)
+            c = self._rewritten(_tightened(row))
             if c is not None and c.op == "eq":
                 self._eliminate(c)
             elif c is not None:
@@ -302,6 +301,33 @@ class System:
             self.infeasible = True
         if not self.marks:
             self.trail.clear()  # nothing pops below the first push
+
+    def _rewritten(self, c: LinCon | None) -> LinCon | None:
+        """A tight row over live variables: the substitutions whose variable
+        it mentions, in the order they were made, re-tightened after each.
+        This is the row that applying every substitution in order builds,
+        since the others leave it as it is, and a substitution brings in only
+        variables that are live or eliminated after it: its expression was
+        rewritten by every earlier one."""
+        if c is None:
+            return None
+        sub_of, subs = self.sub_of, self.subs
+        due = [sub_of[v] for v, _ in c.coeffs if v in sub_of]
+        heapify(due)
+        done = -1
+        while due:
+            k = heappop(due)
+            if k == done:
+                continue
+            done = k
+            v, expr, const = subs[k]
+            c = _substitute(c, v, expr, const)
+            if c is None:
+                return None
+            for u in expr:
+                if u in sub_of:
+                    heappush(due, sub_of[u])
+        return c
 
     def _put(self, i: int, row: LinCon | None) -> None:
         """Set position i to `row`, keeping `uses` up to date."""
@@ -342,6 +368,7 @@ class System:
             # a*v + rest + const = 0  =>  v = -(rest + const)/a
             expr = {u: -b * a for u, b in pivot.coeffs if u != v}
             const = -pivot.const * a
+            self.sub_of[v] = len(self.subs)
             self.subs.append((v, expr, const))
             # in ascending position, so replaced rows are re-added in order
             for i in sorted(self.uses.get(v, ())):

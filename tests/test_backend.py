@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adtsolve import backend
 from adtsolve.errors import ProtocolError, SpawnError
@@ -582,3 +582,229 @@ def test_evaluator_matches_recursive_reference():
                 assert backend.eval_reduced(f, model) == _ref_eval_reduced(f, model), f
                 checked += 1
     assert hits > 100 and fell_through > 100 and checked > 2000
+
+
+# -- inner nodes settled by their parent's model ----------------------------------
+
+def pigeonhole_or(n):
+    """n independent two-arm disjunctions, then three constants of a
+    two-constructor sort under `distinct`: unsat, and only deciding the root
+    prunes the 2^n leaves below it."""
+    lines = ["(declare-datatypes ((C 0)) (((c0) (c1))))"]
+    lines += [f"(declare-const a{i} C)" for i in range(n)]
+    lines += [f"(declare-const {v} C)" for v in "xyz"]
+    lines += [f"(assert (or (= a{i} c0) (= a{i} c1)))" for i in range(n)]
+    lines.append("(assert (distinct x y z))")
+    script = parse_script("\n".join(lines))
+    return reduce(flatten(to_nnf(script.formula()), script.sig), script.sig, "depth")
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_root_conflict_prunes_every_disjunction(n):
+    assert backend.solve(pigeonhole_or(n)).status == "unsat"
+
+
+def _deciding_every_node(fn, *args, **kwargs):
+    """Call fn under the reference node rule, which decides every node of
+    the search and settles none by its witness."""
+    settles = backend._Search._settles
+    backend._Search._settles = lambda self, witness, lits: False
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        backend._Search._settles = settles
+
+
+def _count_node_decides(monkeypatch):
+    """Count the `decide` calls of the search's nodes, not the nested ones
+    of case splits; returns the one-element counter."""
+    decide = backend._Search.decide
+    count, depth = [0], [0]
+
+    def counted(self):
+        count[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return decide(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(backend._Search, "decide", counted)
+    return count
+
+
+def track_paths(monkeypatch):
+    """Record the literals each search has asserted in the scopes still
+    open; returns the map from search to that list."""
+    paths = {}
+    push, pop, assert_lit = backend._Search.push, backend._Search.pop, backend._Search.assert_lit
+
+    def pushed(self):
+        push(self)
+        paths.setdefault(self, []).append(None)
+
+    def popped(self):
+        pop(self)
+        path = paths[self]
+        del path[len(path) - path[::-1].index(None) - 1:]
+
+    def asserted(self, lit):
+        assert_lit(self, lit)
+        paths.setdefault(self, []).append(lit)
+
+    monkeypatch.setattr(backend._Search, "push", pushed)
+    monkeypatch.setattr(backend._Search, "pop", popped)
+    monkeypatch.setattr(backend._Search, "assert_lit", asserted)
+    return paths
+
+
+def path_literals(paths, search):
+    """The formula literals asserted along the search's current path."""
+    return [lit for lit in paths.get(search, ()) if lit is not None
+            and not isinstance(lit, backend.lia.LinCon)]
+
+
+def _check_settled_nodes(monkeypatch):
+    """Make every node settled by its witness also be decided, which must
+    find a model, and check that the witness satisfies every literal on the
+    node's path; returns the list of settled nodes."""
+    settles = backend._Search._settles
+    paths = track_paths(monkeypatch)
+    settled = []
+
+    def checked(self, witness, lits):
+        out = settles(self, witness, lits)
+        if out:
+            assert all(backend.eval_reduced(lit, witness) for lit in path_literals(paths, self))
+            assert self.decide() is not None, lits
+            settled.append(lits)
+        return out
+
+    monkeypatch.setattr(backend._Search, "_settles", checked)
+    return settled
+
+
+def _stateless_reducts():
+    """Corpus reducts in both modes, two-colour chains and pigeonholes."""
+    from adtsolve.corpus import GenConfig, random_formula, random_signature
+    from adtsolve.sizesolve import reduction_mode
+
+    rng = random.Random(3)
+    reducts = []
+    for _ in range(20):
+        sig = random_signature(rng)
+        for size_atoms in (False, True):
+            for _ in range(5):
+                phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3),
+                                                         size_atoms=size_atoms))
+                reducts.append(reduce(flatten(to_nnf(phi), sig), sig, reduction_mode(phi)))
+    return reducts + [two_colour_chain(n) for n in (3, 4, 6)] + [pigeonhole_or(4)]
+
+
+SESSION_FIXTURES = ["nat-20", "distinct-3-4", "guard"]
+
+
+def _session_fixture(name):
+    from tests.test_sizesolve import (
+        GUARD_DROPS_DISJUNCTION, NAT_NE_SAME_SIZE, _clist_distinct,
+    )
+    text, fuel = {"nat-20": (NAT_NE_SAME_SIZE, 20), "distinct-3-4": (_clist_distinct(3, 4), 100),
+                  "guard": (GUARD_DROPS_DISJUNCTION, 100)}[name]
+    return parse_script(text), fuel
+
+
+def test_search_matches_the_reference_rule(monkeypatch):
+    # same status and model as deciding every node, with no more node decides
+    count = _count_node_decides(monkeypatch)
+    fewer = 0
+    for reduct in _stateless_reducts():
+        count[0] = 0
+        got = backend.solve(reduct)
+        spent = count[0]
+        count[0] = 0
+        want = _deciding_every_node(backend.solve, reduct)
+        assert (got.status, got.model) == (want.status, want.model)
+        assert spent <= count[0]
+        fewer += spent < count[0]
+    assert fewer
+
+
+@pytest.mark.parametrize("name", SESSION_FIXTURES)
+def test_session_search_matches_the_reference_rule(monkeypatch, name):
+    # every round's solve on the live session against a second session
+    # that decides every node, solve by solve
+    from adtsolve.sizesolve import decide
+
+    solve = backend.solve
+    count = _count_node_decides(monkeypatch)
+    references, spent = {}, [0, 0]
+
+    def paired(reduct, session=None, **caps):
+        count[0] = 0
+        got = solve(reduct, session=session, **caps)
+        spent[0] += count[0]
+        count[0] = 0
+        reference = references.setdefault(session, backend.Session())
+        want = _deciding_every_node(solve, reduct, session=reference, **caps)
+        spent[1] += count[0]
+        assert (got.status, got.model) == (want.status, want.model)
+        return got
+
+    monkeypatch.setattr(backend, "solve", paired)
+    script, fuel = _session_fixture(name)
+    res = decide(script.formula(), script.sig, fuel=fuel)
+    assert res.rounds > 1
+    assert spent[0] <= spent[1]
+    if name == "nat-20":
+        assert spent[0] < spent[1]
+
+
+def test_settled_nodes_could_not_be_pruned(monkeypatch):
+    # at every node the witness settles, `decide` finds a model too
+    from adtsolve.sizesolve import decide
+
+    settled = _check_settled_nodes(monkeypatch)
+    for reduct in _stateless_reducts():
+        backend.solve(reduct)
+    stateless = len(settled)
+    assert stateless
+    for name in SESSION_FIXTURES:
+        script, fuel = _session_fixture(name)
+        decide(script.formula(), script.sig, fuel=fuel)
+    assert len(settled) > stateless
+
+
+def _bound(v, op, k):
+    """v = k, v <= k or v >= k."""
+    if op == "eq":
+        return RLin("eq", ((1, RVar(v)),), -k)
+    return _le(-k, (1, v)) if op == "le" else _le(k, (-1, v))
+
+
+_bounds = st.builds(_bound, st.sampled_from("abc"), st.sampled_from(["eq", "le", "ge"]),
+                    st.integers(0, 3))
+
+
+@given(st.lists(st.one_of(_bounds, st.lists(_bounds, min_size=2, max_size=3).map(ror)),
+                min_size=1, max_size=4))
+# the last round backtracks above the leaf and re-asserts a = 2 at the node
+# of the second disjunction, whose third arm must then be judged by the
+# node's new model, not by the one it had before a = 2 joined it
+@example([ror([_bound("b", "eq", 1), _bound("c", "le", 2), _bound("b", "ge", 0)]),
+          ror([_bound("c", "le", 0), _bound("a", "ge", 1), _bound("c", "le", 0)]),
+          _bound("a", "eq", 2),
+          ror([_bound("b", "le", 0), _bound("a", "eq", 3)])])
+def test_session_rounds_match_the_reference_rule(lists_sig, added):
+    """Rounds that each add one conjunct, on a live session and on one that
+    decides every node: the same verdict and model every round, and every
+    node settled by its witness could not have been pruned."""
+    with pytest.MonkeyPatch.context() as mp:
+        _check_settled_nodes(mp)
+        session, reference = backend.Session(), backend.Session()
+        conj = [_bound(v, "ge", 0) for v in "abc"]
+        for f in added:
+            conj.append(f)
+            reduct = wrap(rand(conj), lists_sig)
+            got = backend.solve(reduct, session=session)
+            want = _deciding_every_node(backend.solve, reduct, session=reference)
+            assert (got.status, got.model) == (want.status, want.model)

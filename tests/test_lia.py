@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from adtsolve import lia
+from adtsolve.errors import InternalError
 
 
 def brute(cons, lo=-8, hi=8):
@@ -223,8 +225,30 @@ CORPUS_1909 = [
 ]
 
 
+class SequentialSystem(lia.System):
+    """A system whose rows go through every substitution in the order they
+    were made, as `add` once rewrote them; the reference for the rewrite by
+    only the substitutions a row mentions."""
+
+    def _rewritten(self, c):
+        for v, expr, const in self.subs:
+            if c is None:
+                break
+            c = lia._substitute(c, v, expr, const)
+        return c
+
+
+@st.composite
+def omega_rows(draw, names=EXT_VARS[:3]):
+    """An equality with no unit coefficient, eliminated by Omega steps."""
+    vs = draw(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True))
+    return lia.con("eq", {v: draw(st.sampled_from([-3, -2, 2, 3])) for v in vs},
+                   draw(st.integers(-6, 6)))
+
+
 @given(st.lists(st.one_of(st.none(), ext_rows(names=EXT_VARS[:3]),
-                          ext_rows(op="ne", names=EXT_VARS[:3])), max_size=10))
+                          ext_rows(op="ne", names=EXT_VARS[:3]),
+                          ext_rows(op="eq", names=EXT_VARS[:3]), omega_rows()), max_size=10))
 @example(CORPUS_1909 + [None] * 4)
 # no unit coefficient: the Omega step eliminates through a fresh variable,
 # and the `ne` rows over v0 and v1 are rewritten over it
@@ -234,6 +258,11 @@ CORPUS_1909 = [
 # an equality makes an `ne` row the ground 0 != 0, and a pop undoes it
 @example([lia.con("ne", {"v0": 1, "v1": -1}, 0), lia.con("eq", {"v0": 1, "v1": -1}, 0),
           None, lia.con("ne", {"v0": 2, "v1": -2}, 1)])
+# two Omega eliminations, then rows over the variables they eliminated: a
+# substitution brings in an Omega variable that a later one eliminates
+@example([lia.con("eq", {"v0": 2, "v1": 3}, -1), lia.con("eq", {"v1": 2, "v2": -3}, 4),
+          lia.con("le", {"v0": 1, "v2": -1}, 0), lia.con("ne", {"v1": 1}, 1), None,
+          lia.con("eq", {"v0": 3, "v2": 2}, 0), lia.con("le", {"v1": -1, "v0": 1}, 2)])
 def test_push_add_pop_against_brute_force(steps):
     """Every variable is boxed at the bottom of the stack, so feasibility of
     the `le` and `eq` rows must equal brute force over the box; every model
@@ -242,23 +271,28 @@ def test_push_add_pop_against_brute_force(steps):
     restores the model from before its push and keeps the index from
     variable to live rows exact.  The model leaves the `ne` rows
     to the caller, so only a row that the equalities make ground and false
-    turns the system infeasible."""
+    turns the system infeasible.  Every row and substitution equals the one
+    of a system that rewrites each row by every substitution in order."""
     names = sorted({v for step in steps if step is not None for v, _ in step.coeffs})
     box = [lia.con("le", {v: sign}, -BOX) for v in names for sign in (1, -1)]
-    s = lia.System(box)
+    s, ref = lia.System(box), SequentialSystem(box)
     applied, before = [], []
     for step in steps:
         if step is None:
             if not applied:
                 continue
             s.pop()
+            ref.pop()
             applied.pop()
             assert s.model() == before.pop()
         else:
             before.append(s.model())
-            s.push()
-            s.add(step)
+            for system in (s, ref):
+                system.push()
+                system.add(step)
             applied.append(step)
+        assert (s.rows, s.subs, s.infeasible) == (ref.rows, ref.subs, ref.infeasible)
+        assert s.sub_of == {v: k for k, (v, _, _) in enumerate(s.subs)}
         assert {v: rows for v, rows in s.uses.items() if rows} == _uses(s)
         model = s.model()
         scope = [c for c in applied if c.op != "ne"]
@@ -352,3 +386,8 @@ def test_branch_and_bound_on_an_unbounded_polyhedron(monkeypatch):
     model = lia.System(rows).model()
     assert model is not None
     assert all(_holds(r, model) for r in rows)
+
+
+def test_unknown_op_raises_at_add():
+    with pytest.raises(InternalError):
+        lia.System().add(lia.LinCon("lt", (("x", 1),), 0))

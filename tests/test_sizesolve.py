@@ -624,6 +624,55 @@ def test_new_clause_refuted_below_the_leaf(lists_sig):
     assert session.search is None
 
 
+# v0 takes the first arm of the disjunction, whose literals say v0 =
+# cs(_s1, _s2); the acceptance test repoints v0 at an unfolded value, and the
+# disjunction stays true by its second arm.  v3 keeps the loop going.
+REPOINTS_A_PATH_VARIABLE = """
+(declare-datatypes ((E 0) (L 0)) (((e0) (e1)) ((nl) (cs (hd E) (tl L)))))
+(declare-const v0 L)
+(declare-const v1 L)
+(declare-const v2 E)
+(declare-const v3 L)
+(assert (or (and (<= (adt.size v1) 8) (not ((_ is nl) v0))) (= v2 e0)))
+(assert (= (adt.size v3) 5))
+"""
+
+
+def test_repointing_leaves_the_next_witness_alone(monkeypatch):
+    # the model the search keeps for the node the next round adds below
+    # its leaf must still satisfy every literal on the leaf's path after the
+    # acceptance test repoints the values of the model it handed out
+    from adtsolve import backend, sizesolve
+    from tests.test_backend import path_literals, track_paths
+
+    paths = track_paths(monkeypatch)
+    mismatched = sizesolve._mismatched
+    repointed = []
+
+    def recorded(state, model, reduct, index):
+        before = dict(model.values)
+        out = mismatched(state, model, reduct, index)
+        mentioned = index.session.search.leaf_model.values
+        repointed.extend(v for v, w in model.values.items() if v in mentioned and before[v] != w)
+        return out
+
+    extend = backend._Search.extend
+    extended = []
+
+    def checked(self, added):
+        lits = path_literals(paths, self)
+        assert all(backend.eval_reduced(lit, self.leaf_model) for lit in lits)
+        extended.append(len(lits))
+        return extend(self, added)
+
+    monkeypatch.setattr(sizesolve, "_mismatched", recorded)
+    monkeypatch.setattr(backend._Search, "extend", checked)
+    script = parse_script(REPOINTS_A_PATH_VARIABLE)
+    res = decide(script.formula(), script.sig)
+    assert res.status == "sat" and res.rounds > 2
+    assert "v0" in repointed and len(extended) == res.rounds
+
+
 def test_resource_limit_leaves_no_session(lists_sig):
     # a round that runs out of splits ends the session; the next round
     # starts a new search and gets a fresh search's answer
