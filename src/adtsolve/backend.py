@@ -4,9 +4,9 @@ The built-in solver searches the preserved Boolean structure depth-first
 with one backtrackable congruence closure and one push/pop LIA system per
 search, driven together: the literals of a branch are asserted into both in
 place and retracted on backtrack.  The congruence closure holds the term
-equalities and the LIA system every integer fact: a linear literal or a
-disequality becomes a row over the congruence classes when it is asserted (a
-disequality as an `ne` row), the class variable of each constant term is
+equalities and the LIA system every integer fact: a linear literal, a
+disequality included (an `ne` row), becomes a row over the congruence
+classes when it is asserted, the class variable of each constant term is
 pinned to its value, and each union of a class the system mentions adds the
 equality of the two class variables.  Each conjunction is decided by linear
 integer feasibility over the classes; a violated `ne` row and a functional
@@ -42,9 +42,10 @@ from . import lia
 from .errors import InternalError, ProtocolError, ResourceLimitError, SpawnError
 from .parser import SExpr, read_sexprs
 from .reduce import (
-    RAnd, RApp, RConst, REq, RFalseF, RFormula, RLin, RNot, ROr, RTerm, RTrueF,
-    RVar, ReducedFormula, SymbolTable, _top_conjuncts,
+    RAnd, RApp, RConst, REq, RFalseF, RFormula, RLin, ROr, RTerm, RTrueF,
+    RVar, ReducedFormula, SymbolTable, _top_conjuncts, ne_sides,
 )
+from .semantics import _int_text
 
 DEFAULT_BRANCH_CAP = 200000
 DEFAULT_SPLIT_CAP = 20000
@@ -126,8 +127,6 @@ def eval_reduced(f: RFormula, model: IntModel) -> bool:
             if not eval_reduced(a, model):
                 return False
         return True
-    if kind is RNot:
-        return not eval_reduced(f.arg, model)
     if kind is RTrueF:
         return True
     if kind is RFalseF:
@@ -281,11 +280,11 @@ class _Search:
     """DFS over the Boolean structure with one congruence closure and one
     LIA system: literals are asserted along the current path and retracted
     on backtrack.  The CC holds the term equalities and the system every
-    integer fact: a linear literal or disequality becomes a row over the
-    class variables #t<root> once, when it is asserted, each new constant
-    term's variable is pinned to its value by an `eq` row, and a later union
-    of a class the system mentions adds the equality of the two class
-    variables, which eliminates one of the two.
+    integer fact: a linear literal (a disequality is an `ne` row) becomes a
+    row over the class variables #t<root> once, when it is asserted, each
+    new constant term's variable is pinned to its value by an `eq` row, and
+    a later union of a class the system mentions adds the equality of the
+    two class variables, which eliminates one of the two.
 
     The open choice points live on an explicit stack, so a search that
     returned a model still holds the path to it and can go on from there
@@ -358,15 +357,12 @@ class _Search:
 
     def assert_lit(self, lit: RFormula | lia.LinCon) -> None:
         """Add one literal, or a row over the system's variables, to the
-        current scope.  A disequality a != b is the `ne` row 1*a - 1*b != 0.
-        A row, such as a side of a violated `ne` row, mentions only classes
-        the system has seen already."""
+        current scope.  A row, such as a side of a violated `ne` row,
+        mentions only classes the system has seen already."""
         if isinstance(lit, lia.LinCon):
             self.lia.add(lit)
         elif isinstance(lit, REq):
             self.merge(self.add(lit.lhs), self.add(lit.rhs))
-        elif isinstance(lit, RNot):
-            self.add_row("ne", self.translate(((1, lit.arg.lhs), (-1, lit.arg.rhs))), 0)
         elif isinstance(lit, RLin):
             self.add_row(lit.op, self.translate(lit.terms), lit.const)
         elif not isinstance(lit, RTrueF):
@@ -426,16 +422,18 @@ class _Search:
         """Leave the current node for the next arm of the innermost open
         choice point, in a new scope, and return that arm's conjunction with
         the model of the node it extends, or None once every choice point is
-        exhausted.  A node whose carried literals had to be re-asserted is
-        decided again, as a fresh search would decide it with them, and
-        pruned if that fails; else the new model replaces its old one."""
+        exhausted.  A node whose carried literals had to be re-asserted
+        keeps its model when that model satisfies them (`_settles`); else it
+        is decided again, as a fresh search would decide it with them, and
+        pruned if that fails, or the new model replaces its old one."""
         frames = self.frames
         while frames:
             frame = frames[-1]
             ors, arm, model = frame
             if arm >= 0:
                 self.pop()
-                if self._restore():
+                lits = self._restore()
+                if lits and not self._settles(model, lits):
                     self.budget.spend_split()
                     model = frame[2] = self.decide()
                     if model is None:
@@ -449,19 +447,18 @@ class _Search:
             frames.pop()
         return None
 
-    def _restore(self) -> bool:
+    def _restore(self) -> list[RFormula]:
         """Re-assert in the current scope the carried literals that the last
-        pop retracted; whether there were any."""
+        pop retracted, and return them."""
         depth = len(self.marks)
         lits: list[RFormula] = []
         while self.carried and self.carried[-1][0] > depth:
             lits[:0] = self.carried.pop()[1]
-        if not lits:
-            return False
-        self.carried.append((depth, lits))
-        for lit in lits:
-            self.assert_lit(lit)
-        return True
+        if lits:
+            self.carried.append((depth, lits))
+            for lit in lits:
+                self.assert_lit(lit)
+        return lits
 
     def extend(self, added: list[RFormula]) -> IntModel | None:
         """Go on, after `search` returned a model of a formula G, with the
@@ -484,13 +481,13 @@ class _Search:
         node settled by its witness instead was an inner node, whose arms
         were all searched.  F's conjunction at each node implies G's there,
         so a fresh search of F finds no model in those subtrees either.  A
-        node on the path that a fresh search of F would prune is decided
-        again when the new literals are re-asserted in its scope, and the
-        node added below the leaf is settled by the leaf's model only when
-        that model satisfies the new literals.  The model can differ from a
-        fresh search's, because the new literals are asserted in another
-        order, and so can an unknown: a fresh search can spend its caps on
-        the arms skipped here."""
+        node on the path, like the node added below the leaf, keeps its
+        model only when that model satisfies the new literals re-asserted in
+        its scope; else it is decided again, and pruned when a fresh search
+        of F would prune it.  The model can differ from a fresh search's,
+        because the new literals are asserted in another order, and so can
+        an unknown: a fresh search can spend its caps on the arms skipped
+        here."""
         parts = _conjuncts(added)
         if parts is None:
             return None
@@ -603,10 +600,12 @@ class _Search:
         if clash is None:
             return model
         # two apps of one function agree on their arguments but not on their
-        # values: split on the apps being equal or one argument pair differing
+        # values: split on the apps being equal or one argument pair differing,
+        # a row over the arguments as they are (`rne` would fold constants)
         cc = self.cc
         t1, t2 = cc.terms[clash[0]], cc.terms[clash[1]]
-        return self.split([REq(t1, t2)] + [RNot(REq(a1, a2)) for a1, a2 in zip(t1.args, t2.args)
+        return self.split([REq(t1, t2)] + [RLin("ne", ((1, a1), (-1, a2)), 0)
+                                           for a1, a2 in zip(t1.args, t2.args)
                                            if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])])
 
 
@@ -722,21 +721,25 @@ def _rterm_text(t: RTerm) -> str:
     if isinstance(t, RVar):
         return t.name
     if isinstance(t, RConst):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
+        return _int_text(t.value)
     if not t.args:
         return t.fn
     return "(" + " ".join([t.fn] + [_rterm_text(a) for a in t.args]) + ")"
 
 
 def _rlin_text(f: RLin) -> str:
+    """A row as SMT-LIB; the disequality row of `rne` prints as (not (= a b))."""
+    sides = ne_sides(f)
+    if sides is not None:
+        return f"(not (= {_rterm_text(sides[0])} {_rterm_text(sides[1])}))"
     parts = []
     for c, t in f.terms:
         if c == 1:
             parts.append(_rterm_text(t))
         else:
-            parts.append(f"(* {c} {_rterm_text(t)})")
+            parts.append(f"(* {_int_text(c)} {_rterm_text(t)})")
     if f.const != 0 or not parts:
-        parts.append(str(f.const) if f.const >= 0 else f"(- {-f.const})")
+        parts.append(_int_text(f.const))
     lhs = parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
     if f.op == "le":
         return f"(<= {lhs} 0)"
@@ -752,8 +755,6 @@ def rformula_text(f: RFormula) -> str:
         return "false"
     if isinstance(f, REq):
         return f"(= {_rterm_text(f.lhs)} {_rterm_text(f.rhs)})"
-    if isinstance(f, RNot):
-        return f"(not {rformula_text(f.arg)})"
     if isinstance(f, RLin):
         return _rlin_text(f)
     op = "and" if isinstance(f, RAnd) else "or"
@@ -798,6 +799,8 @@ def run_solver(cmd: str, script: str, timeout: float, name: str) -> str | None:
 
 def solve_external(reduct: ReducedFormula, cmd: str, *,
                    timeout: float = 30.0) -> SolverResult:
+    """Decide a reduct with an external SMT-LIB solver; an unreadable
+    response, or a model that fails the reduct, is a protocol error."""
     out = run_solver(cmd, emit_smtlib(reduct), timeout, "external solver")
     if out is None:
         return SolverResult.unknown("external solver timeout")
@@ -811,6 +814,8 @@ def solve_external(reduct: ReducedFormula, cmd: str, *,
         raise ProtocolError(f"unexpected solver verdict {verdict!r}", raw=out)
     body = "\n".join(lines[1:])
     model = parse_model_response(body) if body.strip() else IntModel()
+    if not eval_reduced(reduct.formula, model):
+        raise ProtocolError("external solver's model does not satisfy the reduct", raw=out)
     return SolverResult.sat(model)
 
 
@@ -919,10 +924,6 @@ def _solve_dropped(lit: RFormula, var: str, model: IntModel) -> int:
     if isinstance(lit, REq):
         other = lit.rhs if isinstance(lit.lhs, RVar) and lit.lhs.name == var else lit.lhs
         return value_of(other)
-    if isinstance(lit, RNot):
-        eq = lit.arg
-        other = eq.rhs if isinstance(eq.lhs, RVar) and eq.lhs.name == var else eq.lhs
-        return value_of(other) + 1
     if isinstance(lit, RLin):
         coeff = 0
         rest = lit.const

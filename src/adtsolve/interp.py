@@ -28,9 +28,9 @@ from .errors import (
 from .normalize import flatten, to_nnf
 from .parser import INT_SORT, parse_formula, read_sexprs
 from .reduce import (
-    RAnd, RApp, RConst, REq, RFormula, RLin, RNot, ROr, RTRUE, RFALSE, RTerm,
+    RAnd, RApp, RConst, REq, RFormula, RLin, ROr, RTRUE, RFALSE, RTerm,
     RTrueF, RFalseF, RVar, ReduceOptions, ReducedFormula, SymbolTable, SIZE_MODE,
-    linear_atom, reduce_partitions, req, rne, rand, ror,
+    linear_atom, ne_sides, reduce_partitions, req, rand, ror,
 )
 from .signature import Signature, ensure_valid
 from .sizesolve import DEFAULT_FUEL, decide, make_state, run_loop
@@ -168,7 +168,8 @@ _PLAIN = (IntConst, IntVar, IntApp)
 
 def _reduced(f: Formula) -> RFormula:
     """An NNF formula over the reduced vocabulary as a reduced formula; an
-    equation between plain terms stays an equation, for `back_translate`."""
+    equation between plain terms stays an equation, for `back_translate`,
+    and a disequality between them is the `ne` row that `rne` builds."""
     if isinstance(f, And):
         return rand([_reduced(a) for a in f.args])
     if isinstance(f, Or):
@@ -178,8 +179,8 @@ def _reduced(f: Formula) -> RFormula:
     if isinstance(f, FalseF):
         return RFALSE
     # over an empty signature every literal is an integer comparison
-    if f.op in ("eq", "ne") and isinstance(f.lhs, _PLAIN) and isinstance(f.rhs, _PLAIN):
-        return (req if f.op == "eq" else rne)(_rterm(f.lhs), _rterm(f.rhs))
+    if f.op == "eq" and isinstance(f.lhs, _PLAIN) and isinstance(f.rhs, _PLAIN):
+        return req(_rterm(f.lhs), _rterm(f.rhs))
     return linear_atom(f, _rterm)
 
 
@@ -329,8 +330,6 @@ class _BackTranslator:
             return conj([self.formula(a) for a in f.args])
         if isinstance(f, ROr):
             return disj([self.formula(a) for a in f.args])
-        if isinstance(f, RNot):
-            return self.atom(f.arg.lhs, f.arg.rhs, negate=True)
         if isinstance(f, REq):
             return self.atom(f.lhs, f.rhs, negate=False)
         if isinstance(f, RLin):
@@ -359,6 +358,9 @@ class _BackTranslator:
         raise self.fail("equality mixes untranslatable operands", REq(lhs, rhs))
 
     def linear(self, f: RLin) -> Formula:
+        sides = ne_sides(f)
+        if sides is not None:
+            return self.atom(*sides, negate=True)
         # a head index or enumeration variable against a constant: c*i + const
         # OP 0 with c = +-1 allows a set of constructor indices; only head
         # indices reject out-of-range values of eq and ne atoms

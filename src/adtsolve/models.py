@@ -17,7 +17,7 @@ from typing import Iterator
 from .backend import IntModel, complete_model, eval_reduced, eval_rterm
 from .errors import InternalError, UnboundVariableError
 from .reduce import (
-    RAnd, RApp, REq, RFormula, RNot, ROr, RTerm, RTrueF, ReducedFormula, iter_literals,
+    RAnd, RApp, REq, RFormula, ROr, RTerm, RTrueF, ReducedFormula, iter_literals,
 )
 from .semantics import evaluate, print_formula
 from .signature import Signature, cardinality, ctor_at, fresh_terms
@@ -204,8 +204,7 @@ def _branch(f: RFormula, model: IntModel) -> Iterator[RFormula]:
 
 def _lit_apps(lit: RFormula) -> Iterator[RApp]:
     """Every application in a literal, arguments before the application."""
-    core = lit.arg if isinstance(lit, RNot) else lit
-    terms = [core.lhs, core.rhs] if isinstance(core, REq) else [t for _, t in core.terms]
+    terms = [lit.lhs, lit.rhs] if isinstance(lit, REq) else [t for _, t in lit.terms]
     for t in terms:
         yield from _apps(t)
 

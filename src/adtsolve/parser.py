@@ -358,6 +358,9 @@ class _FormulaParser:
             if not nodes:
                 raise InputError("- takes at least one argument", e.line, e.col)
             if len(nodes) == 1:
+                # (- k) of a numeral is the numeral -k, as in (* (- 2) a)
+                if isinstance(nodes[0], IntConst):
+                    return IntConst(-nodes[0].value), INT_SORT
                 return IntMul(-1, nodes[0]), INT_SORT
             rest = [IntMul(-1, n) for n in nodes[1:]]
             return IntAdd(tuple([nodes[0]] + rest)), INT_SORT

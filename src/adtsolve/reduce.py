@@ -80,11 +80,6 @@ class REq:
 
 
 @dataclass(frozen=True)
-class RNot:
-    arg: "REq"
-
-
-@dataclass(frozen=True)
 class RLin:
     """sum(coeff * term) + const OP 0, with OP in {'le', 'eq', 'ne'}."""
 
@@ -113,7 +108,7 @@ class RFalseF:
     pass
 
 
-RFormula = Union[REq, RNot, RLin, RAnd, ROr, RTrueF, RFalseF]
+RFormula = Union[REq, RLin, RAnd, ROr, RTrueF, RFalseF]
 
 RTRUE = RTrueF()
 RFALSE = RFalseF()
@@ -180,11 +175,20 @@ def req(lhs: RTerm, rhs: RTerm) -> RFormula:
 
 
 def rne(lhs: RTerm, rhs: RTerm) -> RFormula:
+    """lhs != rhs as the one form of a disequality: the row 1*lhs - 1*rhs != 0."""
     if lhs == rhs:
         return RFALSE
-    if isinstance(lhs, RConst) and isinstance(rhs, RConst):
-        return RTRUE if lhs.value != rhs.value else RFALSE
-    return RNot(REq(lhs, rhs))
+    if isinstance(lhs, RConst) or isinstance(rhs, RConst):
+        return lin("ne", [(1, lhs), (-1, rhs)], 0)
+    return RLin("ne", ((1, lhs), (-1, rhs)), 0)
+
+
+def ne_sides(f: RLin) -> tuple[RTerm, RTerm] | None:
+    """The sides of a disequality row in the form `rne` builds, else None."""
+    if f.op == "ne" and f.const == 0 and len(f.terms) == 2 \
+            and f.terms[0][0] == 1 and f.terms[1][0] == -1:
+        return f.terms[0][1], f.terms[1][1]
+    return None
 
 
 def rformula_nodes(f: RFormula) -> int:
@@ -197,8 +201,6 @@ def rformula_nodes(f: RFormula) -> int:
         return 1
     if isinstance(f, REq):
         return 1 + tn(f.lhs) + tn(f.rhs)
-    if isinstance(f, RNot):
-        return 1 + rformula_nodes(f.arg)
     if isinstance(f, RLin):
         return 1 + sum(tn(t) for _, t in f.terms)
     return 1 + sum(rformula_nodes(a) for a in f.args)
@@ -699,8 +701,6 @@ def _subst(f: RFormula, env: dict[str, RTerm]) -> RFormula:
         return f
     if isinstance(f, REq):
         return req(_subst_rterm(f.lhs, env), _subst_rterm(f.rhs, env))
-    if isinstance(f, RNot):
-        return rne(_subst_rterm(f.arg.lhs, env), _subst_rterm(f.arg.rhs, env))
     if isinstance(f, RLin):
         return lin(f.op, [(c, _subst_rterm(t, env)) for c, t in f.terms], f.const)
     if isinstance(f, RAnd):
@@ -719,8 +719,6 @@ def _var_occurrences(f: RFormula, counts: dict[str, int]):
     if isinstance(f, REq):
         term(f.lhs)
         term(f.rhs)
-    elif isinstance(f, RNot):
-        _var_occurrences(f.arg, counts)
     elif isinstance(f, RLin):
         for _, t in f.terms:
             term(t)
@@ -767,12 +765,6 @@ def _droppable_for(lit: RFormula, v: str) -> bool:
     """Can `exists v. lit` be discharged to true regardless of the other vars?"""
     if isinstance(lit, REq):
         for side, other in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs)):
-            if isinstance(side, RVar) and side.name == v and v not in _vars_of_rterm(other):
-                return True
-        return False
-    if isinstance(lit, RNot):
-        eq = lit.arg
-        for side, other in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
             if isinstance(side, RVar) and side.name == v and v not in _vars_of_rterm(other):
                 return True
         return False

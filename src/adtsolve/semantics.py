@@ -105,7 +105,7 @@ def print_int_expr(sig: Signature, e: IntExpr) -> str:
     if isinstance(e, IntAdd):
         return "(+ " + " ".join(print_int_expr(sig, a) for a in e.args) + ")"
     if isinstance(e, IntMul):
-        return f"(* {e.coeff} {print_int_expr(sig, e.arg)})"
+        return f"(* {_int_text(e.coeff)} {print_int_expr(sig, e.arg)})"
     if not e.args:
         return e.fn
     return "(" + " ".join([e.fn] + [print_int_expr(sig, a) for a in e.args]) + ")"

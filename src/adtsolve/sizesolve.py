@@ -226,10 +226,7 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
         if sort in enum_sorts or not candidates or model.value(v) in candidates:
             continue
         if mentions is None:
-            # `backend.solve` has re-checked a session's model on the whole
-            # reduct; an external one is checked here
-            if index.session is None and not eval_reduced(reduct.formula, model):
-                break  # repoint nothing under a model that fails the formula
+            # the backend has checked the model on the whole reduct, and
             # repointing a variable can only falsify the conjuncts that mention it
             mentions = index.of(reduct)
         old = model.value(v)

@@ -52,7 +52,7 @@ def test_criterion_1_list_example_exact(lists_sig):
     flat = flatten(to_nnf(phi), lists_sig)
     emitted = backend.emit_smtlib(reduce(flat, lists_sig, "depth"))
     for needle in ("ctorId_CList", "depth_CList",
-                   "(<= (* -1 _s1) 0)", "_s2", "(<= (+ y (- 2)) 0)"):
+                   "(<= (* (- 1) _s1) 0)", "_s2", "(<= (+ y (- 2)) 0)"):
         assert needle in emitted, needle
     # Colour does not reach CList, so the head of a cons gets no depth row
     assert "depth_Colour" not in emitted

@@ -11,7 +11,7 @@ from adtsolve.errors import ProtocolError, SpawnError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import (
-    RApp, RConst, REq, RLin, RNot, RVar, rand, reduce, ror, simplify,
+    RApp, RConst, REq, RLin, RVar, rand, reduce, rne, ror, simplify,
 )
 from tests.test_semantics import formulas
 
@@ -43,13 +43,13 @@ def test_congruence_unsat(lists_sig):
     f = rand([
         REq(RApp("f", (RVar("a"),)), RVar("b")),
         REq(RVar("a"), RVar("c")),
-        RNot(REq(RApp("f", (RVar("c"),)), RVar("b"))),
+        rne(RApp("f", (RVar("c"),)), RVar("b")),
     ])
     assert backend.solve(wrap(f, lists_sig)).status == "unsat"
 
 
 def test_contradiction_unsat(lists_sig):
-    f = rand([REq(RVar("x"), RVar("y")), RNot(REq(RVar("x"), RVar("y")))])
+    f = rand([REq(RVar("x"), RVar("y")), rne(RVar("x"), RVar("y"))])
     assert backend.solve(wrap(f, lists_sig)).status == "unsat"
 
 
@@ -109,8 +109,11 @@ def _fake(name):
     return f"{sys.executable} {os.path.join(FAKES, name)}"
 
 
-def test_external_sat_with_model(lists_sig, fml):
-    res = backend.solve_external(ex1_reduct(lists_sig, fml), _fake("smt_sat.py"))
+def test_external_sat_with_model(lists_sig):
+    # the fake answers x = 3 and f(3) = 7, a model of x = 3 and f(x) = 7
+    x = RVar("x")
+    f = rand([RLin("eq", ((1, x),), -3), REq(RApp("f", (x,)), RConst(7))])
+    res = backend.solve_external(wrap(f, lists_sig), _fake("smt_sat.py"))
     assert res.status == "sat"
     assert res.model.values["x"] == 3
     assert res.model.funcs["f"] == {(3,): 7}
@@ -234,10 +237,10 @@ B_GE_3 = _le(3, (-1, "b"))          # b >= 3
     ([A_LE_5, B_GE_7, ror([REq(RVar("a"), RConst(7)), REq(RVar("a"), RVar("b"))])],
      "unsat"),
     # a disequality over one class, whichever literal comes first, and an
-    # `ne` row whose two sides the union puts in one class
-    ([REq(RVar("a"), RVar("b")), RNot(REq(RVar("a"), RVar("b")))], "unsat"),
-    ([RNot(REq(RVar("a"), RVar("b"))), REq(RVar("a"), RVar("b"))], "unsat"),
-    ([REq(RVar("a"), RVar("b")), RLin("ne", ((1, RVar("a")), (-1, RVar("b"))), 0)],
+    # `ne` row of other coefficients whose two sides the union puts in one class
+    ([REq(RVar("a"), RVar("b")), rne(RVar("a"), RVar("b"))], "unsat"),
+    ([rne(RVar("a"), RVar("b")), REq(RVar("a"), RVar("b"))], "unsat"),
+    ([REq(RVar("a"), RVar("b")), RLin("ne", ((2, RVar("a")), (-2, RVar("b"))), 0)],
      "unsat"),
 ])
 def test_class_merges_reach_the_lia_rows(lists_sig, lits, status):
@@ -345,7 +348,7 @@ def test_search_constant_clash_undone_by_pop():
     search.assert_lit(REq(y, RConst(2)))
     before = (_cc_state(search.cc), dict(search.mentioned), search.decide())
     assert before[2].values == {"x": 1, "y": 2}
-    for clash in (REq(x, y), RNot(REq(x, RConst(1)))):
+    for clash in (REq(x, y), rne(x, RConst(1))):
         search.push()
         fx, fy = RApp("f", (x,)), RApp("f", (y,))
         search.assert_lit(REq(RVar("z"), fx))
@@ -506,8 +509,6 @@ def _ref_eval_reduced(f, model):
         return False
     if isinstance(f, REq):
         return _ref_eval_rterm(f.lhs, model) == _ref_eval_rterm(f.rhs, model)
-    if isinstance(f, RNot):
-        return not _ref_eval_reduced(f.arg, model)
     if isinstance(f, RLin):
         total = f.const + sum(c * _ref_eval_rterm(t, model) for c, t in f.terms)
         return {"le": total <= 0, "eq": total == 0, "ne": total != 0}[f.op]
@@ -529,8 +530,6 @@ def _nodes(f, formulas, terms):
     if isinstance(f, REq):
         term(f.lhs)
         term(f.rhs)
-    elif isinstance(f, RNot):
-        _nodes(f.arg, formulas, terms)
     elif isinstance(f, RLin):
         for _, t in f.terms:
             term(t)
@@ -808,3 +807,40 @@ def test_session_rounds_match_the_reference_rule(lists_sig, added):
             got = backend.solve(reduct, session=session)
             want = _deciding_every_node(backend.solve, reduct, session=reference)
             assert (got.status, got.model) == (want.status, want.model)
+
+
+def test_restored_node_keeps_a_model_that_satisfies_it(lists_sig, monkeypatch):
+    """Round 1 takes the arm a = 1 below a root whose model has a = 0, and
+    round 2 adds a <= 0: the arm fails, the pop re-asserts a <= 0 at the
+    root, and the root's model satisfies it, so the root is not decided
+    again; the model is still the reference rule's."""
+    count = _count_node_decides(monkeypatch)
+    restored, spent = [], []
+    restore, next_arm = backend._Search._restore, backend._Search._next_arm
+
+    def recorded_restore(self):
+        restored.append(restore(self))
+        return restored[-1]
+
+    def counted_next_arm(self):
+        before = count[0]
+        out = next_arm(self)
+        spent.append(count[0] - before)
+        return out
+
+    monkeypatch.setattr(backend._Search, "_restore", recorded_restore)
+    monkeypatch.setattr(backend._Search, "_next_arm", counted_next_arm)
+    session, reference = backend.Session(), backend.Session()
+    conj = [_bound(v, "ge", 0) for v in "abc"]
+    for f in (ror([_bound("a", "eq", 1), _bound("c", "ge", 0)]), _bound("a", "le", 0)):
+        conj.append(f)
+        reduct = wrap(rand(conj), lists_sig)
+        restored.clear()
+        spent.clear()
+        got = backend.solve(reduct, session=session)
+        assert sum(spent) == 0
+        live_restores = list(restored)
+        want = _deciding_every_node(backend.solve, reduct, session=reference)
+        assert (got.status, got.model) == (want.status, want.model)
+    assert got.status == "sat" and got.model.value("a") == 0
+    assert [_bound("a", "le", 0)] in live_restores

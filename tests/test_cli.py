@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -215,6 +216,15 @@ def test_emit_stats_name_each_figure(flags, simplified):
     assert ("simplified=" in out) == simplified
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-simplify"]])
+def test_emit_writes_negative_numerals_as_smtlib(flags):
+    # -1 is a symbol in SMT-LIB 2.6; a negative integer is written (- 1)
+    for name in sorted(os.listdir(INPUTS)):
+        code, out = run(["emit", os.path.join(INPUTS, name)] + flags)
+        assert code == 0
+        assert not re.search(r"[ (]-[0-9]", out), name
+
+
 def test_deterministic_output(ex1_file):
     a = run(["solve", ex1_file, "--stats"])
     b = run(["solve", ex1_file, "--stats"])
@@ -372,6 +382,15 @@ def test_backend_error_exit_code(ex1_file):
     assert main(["solve", ex1_file, "--external-cmd", ex1_file]) == 3
     assert main(["interpolate", os.path.join(INPUTS, "itp_a.smt2"),
                  os.path.join(INPUTS, "itp_b.smt2"), "--external-cmd", ex1_file]) == 3
+
+
+def test_external_wrong_model_exit_code(capsys):
+    # the fake's model (x = 3, f(3) = 7) does not satisfy the reduct: a
+    # backend fault, not an internal error
+    cmd = f"{sys.executable} {os.path.join(FAKES, 'smt_sat.py')}"
+    assert main(["solve", os.path.join(INPUTS, "lists.smt2"), "--external-cmd", cmd]) == 3
+    assert capsys.readouterr().err.startswith(
+        "backend error: external solver's model does not satisfy the reduct")
 
 
 def test_interpolate_without_backend_exit_code(ex1_file, tmp_path):

@@ -15,8 +15,8 @@ from adtsolve.parser import parse_formula
 from adtsolve.backend import IntModel, eval_reduced, rformula_text
 from adtsolve.corpus import GenConfig, random_formula, random_signature
 from adtsolve.reduce import (
-    DEPTH_MODE, SIZE_MODE, RAnd, RApp, RConst, REq, RLin, RNot, ROr, RVar,
-    SymbolTable, reduce, reduce_partitions,
+    DEPTH_MODE, SIZE_MODE, RAnd, RApp, RConst, REq, RLin, ROr, RVar,
+    SymbolTable, reduce, reduce_partitions, rne,
 )
 from adtsolve.semantics import print_formula
 from adtsolve.signature import CtorDecl, Signature
@@ -79,7 +79,7 @@ def test_back_translate_head_index(lists_sig):
     cid = table.ctorid_fun("CList")
     out = back_translate(REq(RApp(cid, (RVar("x"),)), RConst(1)), table)
     assert out == Tester("cons", Var("x", "CList"))
-    neg = back_translate(RNot(REq(RApp(cid, (RVar("x"),)), RConst(1))), table)
+    neg = back_translate(rne(RApp(cid, (RVar("x"),)), RConst(1)), table)
     assert neg == Not(Tester("cons", Var("x", "CList")))
 
 
@@ -106,7 +106,7 @@ def test_back_translate_size(lists_sig):
 def test_back_translate_applications(lists_sig):
     table = make_table(lists_sig)
     hd, tl = table.sel_fun("cons", 0), table.sel_fun("cons", 1)
-    f = RNot(REq(RApp(hd, (RVar("x"),)), RApp(hd, (RApp(tl, (RVar("x"),)),))))
+    f = rne(RApp(hd, (RVar("x"),)), RApp(hd, (RApp(tl, (RVar("x"),)),)))
     out = back_translate(f, table)
     assert out == Not(Eq(Sel("cons", 0, Var("x", "CList")),
                          Sel("cons", 0, Sel("cons", 1, Var("x", "CList")))))
@@ -208,18 +208,20 @@ def test_parse_reduced_with_let(lists_sig):
     hd = table.sel_fun("cons", 0)
     text = f"(let ((a ({hd} x))) (not (= a 0)))"
     out = parse_reduced(text, table)
-    assert isinstance(out, (RLin, RNot))
+    assert isinstance(out, RLin)
 
 
 def test_parse_reduced_plain_equations_stay_equations(lists_sig):
-    # back_translate reads equations between plain terms as ADT equations
+    # back_translate reads equations between plain terms, and disequality
+    # rows 1*a - 1*b != 0 between them, as ADT equations and disequalities
     table = make_table(lists_sig)
     hd, tl = table.sel_fun("cons", 0), table.sel_fun("cons", 1)
-    x = RVar("x")
+    x, y = RVar("x"), RVar("y")
     assert parse_reduced(f"(not (= ({hd} x) ({hd} ({tl} x))))", table) == \
-        RNot(REq(RApp(hd, (x,)), RApp(hd, (RApp(tl, (x,)),))))
+        RLin("ne", ((1, RApp(hd, (x,))), (-1, RApp(hd, (RApp(tl, (x,)),)))), 0)
     assert parse_reduced("(distinct x 1 y)", table) == RAnd((
-        RNot(REq(x, RConst(1))), RNot(REq(x, RVar("y"))), RNot(REq(RConst(1), RVar("y")))))
+        RLin("ne", ((1, x),), -1), RLin("ne", ((1, x), (-1, y)), 0),
+        RLin("ne", ((-1, y),), 1)))
     # anything else is linear
     assert parse_reduced(f"(=> (< x 3) (= ({hd} x) (+ y 1)))", table) == ROr((
         RLin("le", ((-1, x),), 3), RLin("eq", ((1, RApp(hd, (x,))), (-1, RVar("y"))), -1)))
@@ -326,36 +328,38 @@ SECTION_FIVE_DECLS = "\n".join(
     "(declare-fun size_Colour (Int) Int)"))
 SECTION_FIVE_A = (
     '(and (= (tail x) z) (or (and (= nil x) (= (ctorId_CList x) 0) (= (+ '
-    '(size_CList x) (- 1)) 0)) (and (<= (* -1 _sa1) 0) (<= (+ _sa1 (- 2)) '
-    '0) (= (cons _sa1 _sa2) x) (= (ctorId_CList x) 1) (= (head x) _sa1) (= '
-    '(+ (size_Colour _sa1) (- 1)) 0) (= (tail x) _sa2) (<= (* -1 '
-    '(size_CList _sa2)) 0) (= (+ (size_CList _sa2) (* -2 _sak1) (- 1)) 0) '
-    '(<= (* -1 _sak1) 0) (= (+ (size_CList x) (* -1 (size_Colour _sa1)) (* '
-    '-1 (size_CList _sa2)) (- 1)) 0))) (<= (* -1 _sa3) 0) (<= (+ _sa3 (- '
-    '2)) 0) (= (cons _sa3 _sa4) z) (= (ctorId_CList z) 1) (= (head z) _sa3)'
-    ' (= (+ (size_Colour _sa3) (- 1)) 0) (= (tail z) _sa4) (<= (* -1 '
-    '(size_CList _sa4)) 0) (= (+ (size_CList _sa4) (* -2 _sak2) (- 1)) 0) '
-    '(<= (* -1 _sak2) 0) (= (+ (size_CList z) (* -1 (size_Colour _sa3)) (* '
-    '-1 (size_CList _sa4)) (- 1)) 0) (= (head x) _ta1) (or (and (= nil x) '
-    '(= (ctorId_CList x) 0) (= (+ (size_CList x) (- 1)) 0)) (and (<= (* -1 '
-    '_sa5) 0) (<= (+ _sa5 (- 2)) 0) (= (cons _sa5 _sa6) x) (= (ctorId_CList'
-    ' x) 1) (= (head x) _sa5) (= (+ (size_Colour _sa5) (- 1)) 0) (= (tail '
-    'x) _sa6) (<= (* -1 (size_CList _sa6)) 0) (= (+ (size_CList _sa6) (* -2'
-    ' _sak3) (- 1)) 0) (<= (* -1 _sak3) 0) (= (+ (size_CList x) (* -1 '
-    '(size_Colour _sa5)) (* -1 (size_CList _sa6)) (- 1)) 0))) (= (head z) '
-    '_ta2) (not (= _ta1 _ta2)) (<= (* -1 _ta1) 0) (<= (+ _ta1 (- 2)) 0) (<='
-    ' (* -1 _ta2) 0) (<= (+ _ta2 (- 2)) 0))')
+    '(size_CList x) (- 1)) 0)) (and (<= (* (- 1) _sa1) 0) (<= (+ _sa1 (- '
+    '2)) 0) (= (cons _sa1 _sa2) x) (= (ctorId_CList x) 1) (= (head x) '
+    '_sa1) (= (+ (size_Colour _sa1) (- 1)) 0) (= (tail x) _sa2) (<= (* (- '
+    '1) (size_CList _sa2)) 0) (= (+ (size_CList _sa2) (* (- 2) _sak1) (- '
+    '1)) 0) (<= (* (- 1) _sak1) 0) (= (+ (size_CList x) (* (- 1) '
+    '(size_Colour _sa1)) (* (- 1) (size_CList _sa2)) (- 1)) 0))) (<= (* (- '
+    '1) _sa3) 0) (<= (+ _sa3 (- 2)) 0) (= (cons _sa3 _sa4) z) (= '
+    '(ctorId_CList z) 1) (= (head z) _sa3) (= (+ (size_Colour _sa3) (- 1)) '
+    '0) (= (tail z) _sa4) (<= (* (- 1) (size_CList _sa4)) 0) (= (+ '
+    '(size_CList _sa4) (* (- 2) _sak2) (- 1)) 0) (<= (* (- 1) _sak2) 0) (= '
+    '(+ (size_CList z) (* (- 1) (size_Colour _sa3)) (* (- 1) (size_CList '
+    '_sa4)) (- 1)) 0) (= (head x) _ta1) (or (and (= nil x) (= '
+    '(ctorId_CList x) 0) (= (+ (size_CList x) (- 1)) 0)) (and (<= (* (- 1) '
+    '_sa5) 0) (<= (+ _sa5 (- 2)) 0) (= (cons _sa5 _sa6) x) (= '
+    '(ctorId_CList x) 1) (= (head x) _sa5) (= (+ (size_Colour _sa5) (- 1)) '
+    '0) (= (tail x) _sa6) (<= (* (- 1) (size_CList _sa6)) 0) (= (+ '
+    '(size_CList _sa6) (* (- 2) _sak3) (- 1)) 0) (<= (* (- 1) _sak3) 0) (= '
+    '(+ (size_CList x) (* (- 1) (size_Colour _sa5)) (* (- 1) (size_CList '
+    '_sa6)) (- 1)) 0))) (= (head z) _ta2) (not (= _ta1 _ta2)) (<= (* (- 1) '
+    '_ta1) 0) (<= (+ _ta1 (- 2)) 0) (<= (* (- 1) _ta2) 0) (<= (+ _ta2 (- '
+    '2)) 0))')
 SECTION_FIVE_B = (
     '(and (= (cons c y) _tb1) (= (ctorId_CList _tb1) 1) (= (head _tb1) c) '
-    '(= (+ (size_Colour c) (- 1)) 0) (= (tail _tb1) y) (<= (* -1 '
-    '(size_CList y)) 0) (= (+ (size_CList y) (* -2 _sbk1) (- 1)) 0) (<= (* '
-    '-1 _sbk1) 0) (= (+ (size_CList _tb1) (* -1 (size_Colour c)) (* -1 '
-    '(size_CList y)) (- 1)) 0) (= (cons c _tb1) x) (= (ctorId_CList x) 1) '
-    '(= (head x) c) (= (+ (size_Colour c) (- 1)) 0) (= (tail x) _tb1) (<= '
-    '(* -1 (size_CList _tb1)) 0) (= (+ (size_CList _tb1) (* -2 _sbk2) (- '
-    '1)) 0) (<= (* -1 _sbk2) 0) (= (+ (size_CList x) (* -1 (size_Colour c))'
-    ' (* -1 (size_CList _tb1)) (- 1)) 0) (<= (* -1 c) 0) (<= (+ c (- 2)) '
-    '0))')
+    '(= (+ (size_Colour c) (- 1)) 0) (= (tail _tb1) y) (<= (* (- 1) '
+    '(size_CList y)) 0) (= (+ (size_CList y) (* (- 2) _sbk1) (- 1)) 0) (<= '
+    '(* (- 1) _sbk1) 0) (= (+ (size_CList _tb1) (* (- 1) (size_Colour c)) '
+    '(* (- 1) (size_CList y)) (- 1)) 0) (= (cons c _tb1) x) (= '
+    '(ctorId_CList x) 1) (= (head x) c) (= (+ (size_Colour c) (- 1)) 0) (= '
+    '(tail x) _tb1) (<= (* (- 1) (size_CList _tb1)) 0) (= (+ (size_CList '
+    '_tb1) (* (- 2) _sbk2) (- 1)) 0) (<= (* (- 1) _sbk2) 0) (= (+ '
+    '(size_CList x) (* (- 1) (size_Colour c)) (* (- 1) (size_CList _tb1)) '
+    '(- 1)) 0) (<= (* (- 1) c) 0) (<= (+ c (- 2)) 0))')
 SECTION_FIVE_SCRIPTS = {
     "smtinterpol": (
         "(set-option :produce-interpolants true)\n(set-logic QF_UFLIA)\n"
@@ -415,7 +419,7 @@ ENUM_ERR = "! enumeration value outside the constructor range"
 INDEX_FORMS = {
     "REq": lambda s, k: REq(s, RConst(k)),
     "REq swapped": lambda s, k: REq(RConst(k), s),
-    "RNot": lambda s, k: RNot(REq(s, RConst(k))),
+    "RNot": lambda s, k: rne(s, RConst(k)),  # a disequality as the reducer builds it
     "RLin eq": lambda s, k: RLin("eq", ((1, s),), -k),
     "RLin eq -1": lambda s, k: RLin("eq", ((-1, s),), k),
     "RLin ne": lambda s, k: RLin("ne", ((1, s),), -k),
@@ -459,8 +463,8 @@ INDEX_TABLE = {
                                    "((_ is blue) y)", "false"],
     ("y", "REq"): [ENUM_ERR, "(= y red)", "(= y green)", "(= y blue)", ENUM_ERR],
     ("y", "REq swapped"): [ENUM_ERR, "(= y red)", "(= y green)", "(= y blue)", ENUM_ERR],
-    ("y", "RNot"): [ENUM_ERR, "(not (= y red))", "(not (= y green))",
-                    "(not (= y blue))", ENUM_ERR],
+    ("y", "RNot"): ["true", "(not (= y red))", "(not (= y green))",
+                    "(not (= y blue))", "true"],
     ("y", "RLin eq"): ["false", "(= y red)", "(= y green)", "(= y blue)", "false"],
     ("y", "RLin eq -1"): ["false", "(= y red)", "(= y green)", "(= y blue)", "false"],
     ("y", "RLin ne"): ["true", "(not (= y red))", "(not (= y green))",
@@ -469,7 +473,7 @@ INDEX_TABLE = {
     ("y", "RLin ge"): ["true", "true", "(not (= y red))", "(= y blue)", "false"],
     ("b", "REq"): [ENUM_ERR, "(= b lo)", "(= b hi)", ENUM_ERR],
     ("b", "REq swapped"): [ENUM_ERR, "(= b lo)", "(= b hi)", ENUM_ERR],
-    ("b", "RNot"): [ENUM_ERR, "(not (= b lo))", "(not (= b hi))", ENUM_ERR],
+    ("b", "RNot"): ["true", "(not (= b lo))", "(not (= b hi))", "true"],
     ("b", "RLin eq"): ["false", "(not (= b hi))", "(not (= b lo))", "false"],
     ("b", "RLin eq -1"): ["false", "(not (= b hi))", "(not (= b lo))", "false"],
     ("b", "RLin ne"): ["true", "(not (= b lo))", "(not (= b hi))", "true"],

@@ -81,6 +81,21 @@ def test_arithmetic_chain():
     assert isinstance(phi, And) and len(phi.args) == 2
 
 
+def test_negated_numeral_is_a_numeral():
+    # SMT-LIB 2.6 writes -2 as (- 2), also as a coefficient of a product;
+    # the printer writes it back the same way
+    from adtsolve.semantics import print_formula
+    from adtsolve.sizesolve import decide
+    from adtsolve.terms import IntMul, IntVar
+    text = "(<= (+ (* (- 2) n) (- 3)) 0)"
+    script = parse_script(LISTS + f"(assert {text})")
+    (phi,) = script.asserts
+    assert phi.lhs.args == (IntMul(-2, IntVar("n")), IntConst(-3))
+    assert print_formula(script.sig, phi) == text
+    res = decide(script.formula(), script.sig)
+    assert res.status == "sat" and -2 * res.model.ints["n"] - 3 <= 0
+
+
 def test_syntax_error_position():
     with pytest.raises(InputError) as e:
         parse_script("(assert (= x")

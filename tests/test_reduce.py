@@ -6,7 +6,7 @@ from hypothesis import given
 from adtsolve.errors import ModeMismatchError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.reduce import (
-    DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, RNot, ROr, RVar, ReduceOptions,
+    DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, ROr, RVar, ReduceOptions,
     Reducer, SymbolTable, is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
 )
 from adtsolve import backend
@@ -42,8 +42,6 @@ def fns(reduct):
                 walk(a)
 
     for l in lits(reduct):
-        if isinstance(l, RNot):
-            l = l.arg
         for t in [l.lhs, l.rhs] if isinstance(l, REq) else [t for _, t in l.terms]:
             walk(t)
     return out
@@ -80,7 +78,7 @@ def test_variable_equation_over_infinite_sort(lists_sig, fml):
 
 def test_negated_equation(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(not (= x z))")
-    assert r.formula == RNot(REq(RVar("x"), RVar("z")))
+    assert r.formula == RLin("ne", ((1, RVar("x")), (-1, RVar("z"))), 0)
 
 
 def test_size_mode_rule7(lists_sig, fml):
