@@ -10,12 +10,12 @@ classes when it is asserted, the class variable of each constant term is
 pinned to its value, and each union of a class the system mentions adds the
 equality of the two class variables.  Each conjunction is decided by linear
 integer feasibility over the classes; a violated `ne` row and a functional
-inconsistency of the candidate model are repaired by case splits, all
-through one routine: the two strict sides of the row, as `le` rows, or the
-two applications being equal or one of their argument pairs differing.  Of
-the violated `ne` rows, the one with the fewest variables is split first,
-the earliest added among equals (fail first); functional inconsistencies
-are split only when no `ne` row is violated.
+inconsistency of the candidate model are repaired by case splits, choice
+points on the search's one stack like its disjunctions: the two strict sides
+of the row, as `le` rows, or the two applications being equal or one of
+their argument pairs differing.  Of the violated `ne` rows, the one with the
+fewest variables is split first, the earliest added among equals (fail
+first); functional inconsistencies only when no `ne` row is violated.
 An inner node of the search is settled without a decide when the model of
 the conjunction it extends satisfies its literals; leaves are always
 decided, so the models returned are the ones deciding every node gives.
@@ -69,18 +69,6 @@ class SolverResult:
     status: str  # 'sat' | 'unsat' | 'unknown'
     model: IntModel | None = None
     reason: str | None = None
-
-    @staticmethod
-    def sat(model: IntModel) -> "SolverResult":
-        return SolverResult("sat", model=model)
-
-    @staticmethod
-    def unsat() -> "SolverResult":
-        return SolverResult("unsat")
-
-    @staticmethod
-    def unknown(reason: str) -> "SolverResult":
-        return SolverResult("unknown", reason=reason)
 
 
 # -- independent evaluator ---------------------------------------------------------
@@ -286,9 +274,9 @@ class _Search:
     a later union of a class the system mentions adds the equality of the
     two class variables, which eliminates one of the two.
 
-    The open choice points live on an explicit stack, so a search that
-    returned a model still holds the path to it and can go on from there
-    (`extend`)."""
+    The open choice points, disjunctions and case splits alike, live on
+    one explicit stack, so a search that returned a model still holds the
+    path to it and can go on from there (`extend`)."""
 
     def __init__(self, budget: _Budget):
         self.budget = budget
@@ -298,8 +286,8 @@ class _Search:
         self.names: list[str] = []  # the system's variable of each CC id, #t<id>
         self.marks: list[int] = []
         # open choice points, outermost first: [disjunctions, arm taken, a
-        # model of the node's conjunction]; the node of frames[j] lives in
-        # scope depth j, the arm below it in j + 1
+        # model of the node's conjunction, None for a case split]; the node
+        # of frames[j] lives in scope depth j, the arm below it in j + 1
         self.frames: list[list] = []
         # literals added by `extend`, each batch with the depth of its scope
         self.carried: list[tuple[int, list[RFormula]]] = []
@@ -372,26 +360,31 @@ class _Search:
                witness: IntModel | None = None) -> IntModel | None:
         """Search from the node of the conjunction `pending`, in the current
         scope; `witness`, when given, is a model of the conjunction asserted
-        so far.  All definite conjuncts of a node are asserted before
-        branching, and a node is pruned as soon as its definite part is
-        inconsistent.  A node branches on the first disjunction collected,
-        its arms in order, with the other disjunctions passed on behind the
-        arm.  On a model the choice points of its path stay open.
+        so far.  A node asserts all its definite conjuncts and is pruned as
+        soon as they are inconsistent.  It branches on the first disjunction
+        collected, its arms in order, with the other disjunctions passed on
+        behind the arm; a node that `decide` splits opens a split frame
+        (model None) on the split's arms instead, followed by its own
+        disjunctions.  A node that gets a model pops the split frames on top
+        of the stack with their scopes, and the node that split goes on with
+        that model in its own scope.  A split's arms cover every model of
+        its node, so the search is complete on a conjunction.  On a model
+        the choice points of its path stay open.
 
         An inner node (one with disjunctions left) is not decided when its
         witness, a model of the conjunction the node extends, satisfies the
-        node's literals (`_settles`): the witness is then a model of the
-        node's conjunction, so `decide`, which is complete, would not prune
-        the node, and the witness stands in for its model.  The witness of
-        an arm is its parent's model, kept on the parent's frame; of the
-        node `extend` adds below a leaf, the leaf's model.  A leaf is always
+        node's literals (`_settles`): a complete search would not prune it,
+        and the witness stands in for its model.  An arm's witness is its
+        parent's model, on the parent's frame, and the node `extend` adds
+        below a leaf has the leaf's; a split arm has none.  A leaf is always
         decided, and `decide` reads only the asserted conjunction, so every
         model returned is the one a search that decides every node returns;
         only the splits spent, and so the caps, can tell the two apart."""
+        ors: list[ROr] = []
         while True:
             parts = _conjuncts(pending)
             if parts is not None:
-                lits, ors = parts
+                lits, ors = parts[0], parts[1] + ors
                 self.budget.spend_split()
                 for lit in lits:
                     self.assert_lit(lit)
@@ -399,7 +392,13 @@ class _Search:
                     model = witness
                 else:
                     model = self.decide()
-                if model is not None:
+                if type(model) is list:
+                    self.budget.spend_split()
+                    self.frames.append([[ROr(tuple(model))] + ors, -1, None])
+                elif model is not None:
+                    while self.frames and self.frames[-1][2] is None:
+                        self.frames.pop()
+                        self.pop()
                     if not ors:
                         self.leaf_model = model
                         return model
@@ -408,24 +407,22 @@ class _Search:
             step = self._next_arm()
             if step is None:
                 return None
-            pending, witness = step
+            arm, ors, witness = step
+            pending = [arm]
 
     def _settles(self, witness: IntModel, lits: list[RFormula]) -> bool:
         """Whether a model of the conjunction a node extends satisfies the
         node's own literals, and so is a model of the node's conjunction."""
-        for lit in lits:
-            if not eval_reduced(lit, witness):
-                return False
-        return True
+        return all(eval_reduced(lit, witness) for lit in lits)
 
-    def _next_arm(self) -> tuple[list[RFormula], IntModel] | None:
+    def _next_arm(self) -> tuple[RFormula | lia.LinCon, list[ROr], IntModel | None] | None:
         """Leave the current node for the next arm of the innermost open
-        choice point, in a new scope, and return that arm's conjunction with
-        the model of the node it extends, or None once every choice point is
-        exhausted.  A node whose carried literals had to be re-asserted
-        keeps its model when that model satisfies them (`_settles`); else it
-        is decided again, as a fresh search would decide it with them, and
-        pruned if that fails, or the new model replaces its old one."""
+        choice point, in a new scope, and return the arm, the disjunctions
+        passed on behind it and the model of the node it extends, or None
+        once every choice point is exhausted.  A node whose carried literals
+        had to be re-asserted keeps its model when that model satisfies them
+        (`_settles`); else it is re-entered in its own scope, without a
+        witness, on the arms it has left, and so decided again."""
         frames = self.frames
         while frames:
             frame = frames[-1]
@@ -434,16 +431,13 @@ class _Search:
                 self.pop()
                 lits = self._restore()
                 if lits and not self._settles(model, lits):
-                    self.budget.spend_split()
-                    model = frame[2] = self.decide()
-                    if model is None:
-                        frames.pop()
-                        continue
+                    frames.pop()
+                    return RTrueF(), [ROr(ors[0].args[arm + 1:])] + ors[1:], None
             arm += 1
             if arm < len(ors[0].args):
                 frame[1] = arm
                 self.push()
-                return [ors[0].args[arm]] + ors[1:], model
+                return ors[0].args[arm], ors[1:], model
             frames.pop()
         return None
 
@@ -476,18 +470,18 @@ class _Search:
         The nodes not visited lie in the subtrees that the search of G
         exhausted before its model.  G has no model in such a subtree: each
         of its leaves was decided and had none, or lies below a node that
-        was decided and had none (`decide` is complete on a conjunction, or
-        raises ResourceLimitError, which ends the solve as unknown), and a
-        node settled by its witness instead was an inner node, whose arms
-        were all searched.  F's conjunction at each node implies G's there,
-        so a fresh search of F finds no model in those subtrees either.  A
-        node on the path, like the node added below the leaf, keeps its
-        model only when that model satisfies the new literals re-asserted in
-        its scope; else it is decided again, and pruned when a fresh search
-        of F would prune it.  The model can differ from a fresh search's,
-        because the new literals are asserted in another order, and so can
-        an unknown: a fresh search can spend its caps on the arms skipped
-        here."""
+        had none (the search is complete on a conjunction, or raises
+        ResourceLimitError, which ends the solve as unknown), and a node
+        settled by its witness instead was an inner node, whose arms were
+        all searched.  F's conjunction at each node implies G's there, so
+        a fresh search of F finds no model in those subtrees either.  A node
+        on the path, like the node added below the leaf, keeps its model
+        only when that model satisfies the new literals re-asserted in its
+        scope; else it is re-entered and decided again, and pruned when a
+        fresh search of F would prune it.  The model can differ from a fresh
+        search's, because the new literals are asserted in another order,
+        and so can an unknown: a fresh search can spend its caps on the arms
+        skipped here."""
         parts = _conjuncts(added)
         if parts is None:
             return None
@@ -496,20 +490,6 @@ class _Search:
             frame[0].extend(ors)
         self.carried.append((len(self.marks), lits))
         return self.search(added, self.leaf_model)
-
-    def split(self, arms: list[RFormula | lia.LinCon]) -> IntModel | None:
-        """A case split inside the asserted conjunction: each arm in turn is
-        asserted in its own scope and decided; the first model wins."""
-        self.budget.spend_split()
-        for arm in arms:
-            self.budget.spend_split()
-            self.push()
-            self.assert_lit(arm)
-            out = self.decide()
-            self.pop()
-            if out is not None:
-                return out
-        return None
 
     def candidate(self, model_map: dict[str, int]) -> tuple[IntModel, tuple[int, int] | None]:
         """The candidate model that a solution of the system gives the
@@ -558,25 +538,24 @@ class _Search:
                     clash = (j, i)
         return model, clash
 
-    def decide(self) -> IntModel | None:
-        """Integer feasibility of the asserted conjunction over fixed classes;
-        violated disequalities and functional inconsistencies are repaired by
-        recursive case splits.  It is complete: None means the conjunction
-        has no model (or ResourceLimitError is raised), which is why `search`
-        need not decide an inner node that a model already satisfies.  The
-        candidate model is read in one pass over the terms (`candidate`),
+    def decide(self) -> IntModel | list[RFormula | lia.LinCon] | None:
+        """One probe of the asserted conjunction: None when its system is
+        infeasible, the candidate model when that satisfies every `ne` row
+        and is functionally consistent, and else the arms of a case split
+        that repairs it, which together cover every model: the two strict
+        sides of a violated `ne` row, as `le` rows, or the two clashing
+        applications being equal or one of their argument pairs differing.
+        The candidate model is read in one pass over the terms (`candidate`),
         which the scan of the `ne` rows starts early only when a row
         mentions a class the system leaves free.
 
-        Of the `ne` rows the candidate model violates, the one with the
-        fewest variables is split first, the one added first among equals
-        (fail first).  A one-variable row x != k splits into two bounds on x,
-        and when k is one of x's bounds one side fails as soon as it is
-        added, so the split costs one failed probe; the rows over several
-        variables are then split under the tighter bounds.  The order cannot
-        change the verdict: each split's arms cover every integer point of
-        the row's scope, and None is returned only when every arm of every
-        split has failed.  Only the caps can notice the order."""
+        Of the violated `ne` rows, the one with the fewest variables is split
+        first, the one added first among equals (fail first).  A one-variable
+        row x != k splits into two bounds on x, and when k is one of x's
+        bounds one side fails as soon as it is added, so the split costs one
+        failed probe; the rows over several variables are then split under
+        the tighter bounds.  Each split covers every integer point of the
+        row's scope, so the order changes no verdict; only the caps see it."""
         model_map = self.lia.model()
         if model_map is None:
             return None
@@ -594,8 +573,8 @@ class _Search:
                 if len(row.coeffs) == 1:
                     break
         if best is not None:
-            return self.split([lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs),
-                                          s * best.const + 1) for s in (1, -1)])
+            return [lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs), s * best.const + 1)
+                    for s in (1, -1)]
         model, clash = found or self.candidate(model_map)
         if clash is None:
             return model
@@ -604,9 +583,9 @@ class _Search:
         # a row over the arguments as they are (`rne` would fold constants)
         cc = self.cc
         t1, t2 = cc.terms[clash[0]], cc.terms[clash[1]]
-        return self.split([REq(t1, t2)] + [RLin("ne", ((1, a1), (-1, a2)), 0)
-                                           for a1, a2 in zip(t1.args, t2.args)
-                                           if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])])
+        return [REq(t1, t2)] + [RLin("ne", ((1, a1), (-1, a2)), 0)
+                                for a1, a2 in zip(t1.args, t2.args)
+                                if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])]
 
 
 # -- public solve ------------------------------------------------------------------------
@@ -698,11 +677,11 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
     except ResourceLimitError as e:
         if session:
             session.search = None
-        return SolverResult.unknown(str(e))
+        return SolverResult("unknown", reason=str(e))
     if model is None:
         if session:
             session.search = None
-        return SolverResult.unsat()
+        return SolverResult("unsat")
     # the search keeps its model as the witness of the node a later solve
     # adds below the leaf (`_Search.extend`); the caller's copy gets values
     # filled in here and may have them repointed
@@ -712,7 +691,7 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
         model.values.setdefault(name, 0)
     if not eval_reduced(reduct.formula, model):
         raise InternalError("solver produced a model that fails re-evaluation")
-    return SolverResult.sat(model)
+    return SolverResult("sat", model)
 
 
 # -- SMT-LIB emission ----------------------------------------------------------------------
@@ -803,20 +782,20 @@ def solve_external(reduct: ReducedFormula, cmd: str, *,
     response, or a model that fails the reduct, is a protocol error."""
     out = run_solver(cmd, emit_smtlib(reduct), timeout, "external solver")
     if out is None:
-        return SolverResult.unknown("external solver timeout")
+        return SolverResult("unknown", reason="external solver timeout")
     lines = out.splitlines()
     verdict = lines[0].strip()
     if verdict == "unsat":
-        return SolverResult.unsat()
+        return SolverResult("unsat")
     if verdict == "unknown":
-        return SolverResult.unknown("external solver returned unknown")
+        return SolverResult("unknown", reason="external solver returned unknown")
     if verdict != "sat":
         raise ProtocolError(f"unexpected solver verdict {verdict!r}", raw=out)
     body = "\n".join(lines[1:])
     model = parse_model_response(body) if body.strip() else IntModel()
     if not eval_reduced(reduct.formula, model):
         raise ProtocolError("external solver's model does not satisfy the reduct", raw=out)
-    return SolverResult.sat(model)
+    return SolverResult("sat", model)
 
 
 def parse_model_response(text: str) -> IntModel:

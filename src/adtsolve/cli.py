@@ -2,11 +2,11 @@
 
 Subcommands: solve, analyze, emit, interpolate, corpus.  Exit codes: 0 the
 command ran to a verdict, 1 usage error, 2 input error, 3 backend or
-resource error (including an interpolant that fails verification), 4
-internal error (a bug in this package, such as a model that fails
-validation).  A reader that closes standard output early, such as `head` or
-`grep -q`, ends the command quietly with exit code 0: what it did not read
-was not wanted.
+resource error (including an interpolant that fails verification, and a
+RecursionError or MemoryError), 4 internal error (a bug in this package,
+such as a model that fails validation).  A reader that closes standard
+output early, such as `head` or `grep -q`, ends the command quietly with
+exit code 0: what it did not read was not wanted.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     except (SpawnError, ProtocolError, ResourceLimitError) as e:
         print(f"backend error: {e}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as e:  # too deep or too large an input
+        print(f"resource error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)

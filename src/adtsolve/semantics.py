@@ -86,13 +86,18 @@ def evaluate(sig: Signature, model: AdtModel, phi: Formula) -> bool:
 # -- printing ------------------------------------------------------------------
 
 def print_term(sig: Signature, t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Ctor):
-        if not t.args:
-            return t.ctor
-        return "(" + " ".join([t.ctor] + [print_term(sig, a) for a in t.args]) + ")"
-    return f"({sig.selector_name(t.ctor, t.index)} {print_term(sig, t.arg)})"
+    """A term as SMT-LIB text, from an explicit stack of the terms and texts
+    still to write: a model term nests as deep as the input's chains."""
+    parts, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Ctor) and t.args:
+            todo += [")"] + [x for a in reversed(t.args) for x in (a, " ")] + ["(" + t.ctor]
+        elif isinstance(t, Sel):
+            todo += [")", t.arg, f"({sig.selector_name(t.ctor, t.index)} "]
+        else:
+            parts.append(t if isinstance(t, str) else t.name if isinstance(t, Var) else t.ctor)
+    return "".join(parts)
 
 
 def print_int_expr(sig: Signature, e: IntExpr) -> str:

@@ -25,6 +25,14 @@ class Ctor:
     ctor: str
     args: tuple["Term", ...] = ()
 
+    def __hash__(self):
+        # cached: model terms nest as deep as the input's chains
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.ctor, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 @dataclass(frozen=True)
 class Sel:
@@ -201,27 +209,21 @@ def term_vars(t: Term) -> Iterator[Var]:
 def int_expr_terms(e: IntExpr) -> Iterator[Term]:
     if isinstance(e, SizeOf):
         yield e.arg
-    elif isinstance(e, IntAdd):
+    elif isinstance(e, (IntAdd, IntApp)):
         for a in e.args:
             yield from int_expr_terms(a)
     elif isinstance(e, IntMul):
         yield from int_expr_terms(e.arg)
-    elif isinstance(e, IntApp):
-        for a in e.args:
-            yield from int_expr_terms(a)
 
 
 def int_expr_vars(e: IntExpr) -> Iterator[str]:
     if isinstance(e, IntVar):
         yield e.name
-    elif isinstance(e, IntAdd):
+    elif isinstance(e, (IntAdd, IntApp)):
         for a in e.args:
             yield from int_expr_vars(a)
     elif isinstance(e, IntMul):
         yield from int_expr_vars(e.arg)
-    elif isinstance(e, IntApp):
-        for a in e.args:
-            yield from int_expr_vars(a)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -338,6 +339,13 @@ def test_cc_congruence_through_nested_applications():
     assert cc.find(cc.add(RApp("h", (a,)))) == cc.find(h)
 
 
+def has_model(lits):
+    """Whether a fresh search finds a model of the conjunction of `lits`:
+    a complete decision, where one `decide` may return a split instead."""
+    budget = backend._Budget(backend.DEFAULT_BRANCH_CAP, backend.DEFAULT_SPLIT_CAP)
+    return backend._Search(budget).search(list(lits)) is not None
+
+
 def test_search_constant_clash_undone_by_pop():
     """Constants live in the LIA system only: x = 1 and y = 2 pin two class
     variables, so x = y and x != 1 are infeasible rows there, and a pop
@@ -354,7 +362,7 @@ def test_search_constant_clash_undone_by_pop():
         search.assert_lit(REq(RVar("z"), fx))
         # f(x) = f(y) is fine; the clash is not
         search.assert_lit(REq(fx, fy))
-        assert search.decide() is not None
+        assert has_model([REq(x, RConst(1)), REq(y, RConst(2)), REq(RVar("z"), fx), REq(fx, fy)])
         search.assert_lit(clash)
         assert search.lia.model() is None
         assert search.decide() is None
@@ -445,9 +453,10 @@ def test_ne_and_le_rows_against_brute_force(lists_sig, case):
 
 # -- resource caps ----------------------------------------------------------------
 
-def two_colour_chain(n):
-    """x_{i+1} = tail x_i, adjacent heads differ, heads in {red, green} and
-    head x_0 != head x_2: unsat, and the search must be exhausted to say so."""
+def chain_text(n, two=True):
+    """x_{i+1} = tail x_i, adjacent heads differ: sat.  With `two`, heads
+    are also in {red, green} and head x_0 != head x_2: unsat, and the search
+    must be exhausted to say so."""
     x = [f"x{i}" for i in range(n + 1)]
     lines = ["(declare-datatypes ((Colour 0) (CList 0)) (((red) (green) (blue)) "
              "((nil) (cons (head Colour) (tail CList)))))"]
@@ -456,16 +465,50 @@ def two_colour_chain(n):
         lines.append(f"(assert ((_ is cons) {x[i]}))")
         lines.append(f"(assert (= {x[i + 1]} (tail {x[i]})))")
         lines.append(f"(assert (not (= (head {x[i]}) (head {x[i + 1]}))))")
-    for v in x:
-        lines.append(f"(assert (or (= (head {v}) red) (= (head {v}) green)))")
-    lines.append(f"(assert (not (= (head {x[0]}) (head {x[2]}))))")
-    script = parse_script("\n".join(lines))
+    if two:
+        for v in x:
+            lines.append(f"(assert (or (= (head {v}) red) (= (head {v}) green)))")
+        lines.append(f"(assert (not (= (head {x[0]}) (head {x[2]}))))")
+    return "\n".join(lines)
+
+
+def two_colour_chain(n):
+    """The reduct of the two-colour chain of `chain_text`."""
+    script = parse_script(chain_text(n))
     return simplify(reduce(flatten(to_nnf(script.formula()), script.sig), script.sig,
                            "depth"))
 
 
 def test_two_colour_chain_unsat_within_default_caps():
     assert backend.solve(two_colour_chain(4)).status == "unsat"
+
+
+DEEP_CHAINS = """
+import sys
+from adtsolve import decide, parse_script, print_model
+sys.setrecursionlimit(250)
+for path in sys.argv[1:]:
+    script = parse_script(open(path).read())
+    res = decide(script.formula(), script.sig)
+    print(res.status)
+    if res.status == "sat":
+        print(print_model(script.sig, res.model, script.var_sorts).splitlines()[0][:40])
+"""
+
+
+def test_chains_decide_deeper_than_the_recursion_limit(tmp_path):
+    # a case split is a frame of the search, not a level of Python's stack:
+    # 150 nested `ne` splits decide under a limit of 250 frames
+    paths = []
+    for two in (True, False):
+        paths.append(tmp_path / f"chain-{two}.smt2")
+        paths[-1].write_text(chain_text(150, two))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", DEEP_CHAINS, *map(str, paths)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["unsat", "sat", "(define-fun x0 () CList (cons red (cons "]
 
 
 def test_two_colour_chain_splits_grow_linearly(monkeypatch):
@@ -615,18 +658,15 @@ def _deciding_every_node(fn, *args, **kwargs):
 
 
 def _count_node_decides(monkeypatch):
-    """Count the `decide` calls of the search's nodes, not the nested ones
-    of case splits; returns the one-element counter."""
+    """Count the `decide` calls of the search's nodes, not those of the
+    arms of case splits, which run while the top frame is the split's
+    (model None); returns the one-element counter."""
     decide = backend._Search.decide
-    count, depth = [0], [0]
+    count = [0]
 
     def counted(self):
-        count[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return decide(self)
-        finally:
-            depth[0] -= 1
+        count[0] += not (self.frames and self.frames[-1][2] is None)
+        return decide(self)
 
     monkeypatch.setattr(backend._Search, "decide", counted)
     return count
@@ -664,9 +704,9 @@ def path_literals(paths, search):
 
 
 def _check_settled_nodes(monkeypatch):
-    """Make every node settled by its witness also be decided, which must
-    find a model, and check that the witness satisfies every literal on the
-    node's path; returns the list of settled nodes."""
+    """Check at every node settled by its witness that the witness satisfies
+    every literal on the node's path, and that a fresh search of those
+    literals finds a model; returns the list of settled nodes."""
     settles = backend._Search._settles
     paths = track_paths(monkeypatch)
     settled = []
@@ -674,8 +714,9 @@ def _check_settled_nodes(monkeypatch):
     def checked(self, witness, lits):
         out = settles(self, witness, lits)
         if out:
-            assert all(backend.eval_reduced(lit, witness) for lit in path_literals(paths, self))
-            assert self.decide() is not None, lits
+            path = path_literals(paths, self)
+            assert all(backend.eval_reduced(lit, witness) for lit in path)
+            assert has_model(path), lits
             settled.append(lits)
         return out
 
@@ -774,13 +815,15 @@ def test_settled_nodes_could_not_be_pruned(monkeypatch):
 
 
 def _bound(v, op, k):
-    """v = k, v <= k or v >= k."""
+    """v = k, v != k, v <= k or v >= k."""
     if op == "eq":
         return RLin("eq", ((1, RVar(v)),), -k)
+    if op == "ne":
+        return rne(RVar(v), RConst(k))
     return _le(-k, (1, v)) if op == "le" else _le(k, (-1, v))
 
 
-_bounds = st.builds(_bound, st.sampled_from("abc"), st.sampled_from(["eq", "le", "ge"]),
+_bounds = st.builds(_bound, st.sampled_from("abc"), st.sampled_from(["eq", "ne", "le", "ge"]),
                     st.integers(0, 3))
 
 
@@ -799,6 +842,15 @@ def test_session_rounds_match_the_reference_rule(lists_sig, added):
     node settled by its witness could not have been pruned."""
     with pytest.MonkeyPatch.context() as mp:
         _check_settled_nodes(mp)
+        # a node that gets a model drops the split frames above it, so none
+        # is left open when a search or an extension returns
+        for name in ("search", "extend"):
+            def no_split_frame_left(self, *args, method=getattr(backend._Search, name)):
+                out = method(self, *args)
+                assert all(frame[2] is not None for frame in self.frames)
+                return out
+
+            mp.setattr(backend._Search, name, no_split_frame_left)
         session, reference = backend.Session(), backend.Session()
         conj = [_bound(v, "ge", 0) for v in "abc"]
         for f in added:
@@ -812,33 +864,31 @@ def test_session_rounds_match_the_reference_rule(lists_sig, added):
 def test_restored_node_keeps_a_model_that_satisfies_it(lists_sig, monkeypatch):
     """Round 1 takes the arm a = 1 below a root whose model has a = 0, and
     round 2 adds a <= 0: the arm fails, the pop re-asserts a <= 0 at the
-    root, and the root's model satisfies it, so the root is not decided
-    again; the model is still the reference rule's."""
-    count = _count_node_decides(monkeypatch)
-    restored, spent = [], []
+    root, and the root's model satisfies it, so the root is not re-entered
+    to be decided again: every step to a next arm carries a witness.  The
+    model is still the reference rule's."""
+    restored, steps = [], []
     restore, next_arm = backend._Search._restore, backend._Search._next_arm
 
     def recorded_restore(self):
         restored.append(restore(self))
         return restored[-1]
 
-    def counted_next_arm(self):
-        before = count[0]
-        out = next_arm(self)
-        spent.append(count[0] - before)
-        return out
+    def recorded_next_arm(self):
+        steps.append(next_arm(self))
+        return steps[-1]
 
     monkeypatch.setattr(backend._Search, "_restore", recorded_restore)
-    monkeypatch.setattr(backend._Search, "_next_arm", counted_next_arm)
+    monkeypatch.setattr(backend._Search, "_next_arm", recorded_next_arm)
     session, reference = backend.Session(), backend.Session()
     conj = [_bound(v, "ge", 0) for v in "abc"]
     for f in (ror([_bound("a", "eq", 1), _bound("c", "ge", 0)]), _bound("a", "le", 0)):
         conj.append(f)
         reduct = wrap(rand(conj), lists_sig)
         restored.clear()
-        spent.clear()
+        steps.clear()
         got = backend.solve(reduct, session=session)
-        assert sum(spent) == 0
+        assert steps and all(step is None or step[2] is not None for step in steps)
         live_restores = list(restored)
         want = _deciding_every_node(backend.solve, reduct, session=reference)
         assert (got.status, got.model) == (want.status, want.model)

@@ -571,3 +571,21 @@ def test_closed_stdout_ends_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_input_too_deep_to_parse_is_a_resource_error(tmp_path):
+    """The parser still recurses per level of term nesting: a Nat numeral
+    nested 2000 deep exits 3 with a one-line message and no traceback."""
+    numeral = "z"
+    for _ in range(2000):
+        numeral = f"(s {numeral})"
+    p = tmp_path / "deep.smt2"
+    p.write_text("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))\n"
+                 f"(declare-const x Nat)\n(assert (= x {numeral}))\n(check-sat)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-m", "adtsolve", "solve", str(p)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource error: RecursionError")
+    assert proc.stderr.count("\n") == 1

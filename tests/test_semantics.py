@@ -89,6 +89,23 @@ def test_print_model(lists_sig):
     assert "(define-fun n () Int (- 2))" in text
 
 
+def test_print_model_of_a_deep_chain(lists_sig):
+    # the model of the chain of 1000 links nests 1001 conses, deeper than
+    # Python's default recursion limit, and prints all the same
+    names = ["red", "green", "blue"]
+    terms = [NIL]
+    for i in reversed(range(1001)):
+        terms.append(cons(Ctor(names[i % 3]), terms[-1]))
+    terms.reverse()
+    model = AdtModel({f"x{i}": t for i, t in enumerate(terms[:-1])}, {})
+    lines = print_model(lists_sig, model, {f"x{i}": "CList" for i in range(1001)}).splitlines()
+    assert len(lines) == 1001
+    assert lines[0] == ("(define-fun x0 () CList "
+                        + "".join(f"(cons {names[i % 3]} " for i in range(1001))
+                        + "nil" + ")" * 1001 + ")")
+    assert lines[1000] == "(define-fun x1000 () CList (cons green nil))"
+
+
 def test_print_parse_golden(lists_sig, fml):
     for text in [
         "(and ((_ is cons) x) (not (= y blue)))",
