@@ -7,24 +7,32 @@ written `(_ is f)`, the term-size operator is the reserved unary symbol
 `adt.size`.  Uninterpreted integer functions are accepted so that emitted
 reducts re-parse, and interpolants over a reduct's vocabulary are read with
 the same parser (`interp.parse_reduced`).
+
+The reader tokenises the text in one pass of a compiled pattern and builds
+lists on an explicit stack of open lists; the elaborator walks the
+s-expression tree with an explicit work stack and a value stack.  Neither
+recurses, so how deeply the input may nest is bounded by memory, not by
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, TypeCheckError, UnknownSymbolError
 from .signature import CtorDecl, Signature, validate
 from .terms import (
-    And, Ctor, Eq, FALSE, Formula, IntAdd, IntApp, IntConst, IntExpr, IntMul,
-    IntVar, Not, Or, Sel, SizeAtom, SizeOf, TRUE, Var, conj,
+    And, Ctor, Eq, FALSE, Formula, IntAdd, IntApp, IntConst, IntMul, IntVar,
+    Not, Or, Sel, SizeAtom, SizeOf, TRUE, Tester, Var, conj,
 )
 
 INT_SORT = "Int"
+BOOL_SORT = "Bool"
 
 
-@dataclass(frozen=True)
-class SExpr:
+class SExpr(NamedTuple):
     """Either an atom (`value` set) or a list (`items` set); carries position."""
 
     line: int
@@ -37,67 +45,57 @@ class SExpr:
         return self.value is not None
 
     def __str__(self) -> str:
-        if self.is_atom:
-            return self.value
-        return "(" + " ".join(str(i) for i in self.items) + ")"
+        parts, work = [], [self]
+        while work:
+            x = work.pop()
+            if isinstance(x, str):
+                parts.append(x)
+            elif x.value is not None:
+                parts.append(x.value)
+            else:
+                parts.append("(")
+                work.append(")")
+                for i in range(len(x.items) - 1, -1, -1):
+                    work.append(x.items[i])
+                    if i:
+                        work.append(" ")
+        return "".join(parts)
 
 
-def tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield (text[start:i], line, start_col)
-    yield (None, line, col)
+# a parenthesis, an atom (up to whitespace, a parenthesis or a comment), a
+# comment, or a line break; other whitespace is skipped
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+
+# builds an SExpr from its four fields without the Python-level call of the
+# NamedTuple constructor, which took a fifth of the reader's time
+_sexpr = tuple.__new__
 
 
 def read_sexprs(text: str) -> list[SExpr]:
-    toks = list(tokenize(text))
-    pos = 0
-
-    def parse_one() -> SExpr:
-        nonlocal pos
-        tok, line, col = toks[pos]
-        if tok is None:
-            raise InputError("unexpected end of input", line, col)
-        pos += 1
+    """The s-expressions of `text`.  Positions are 1-based lines and
+    columns; a tab or a carriage return is one column."""
+    out: list[SExpr] = []
+    items = out                                 # the innermost open list
+    open_lists: list[tuple[int, int, list]] = []  # (line, col, enclosing items)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
         if tok == "(":
+            open_lists.append((line, m.start() - line_start + 1, items))
             items = []
-            while True:
-                t, l2, c2 = toks[pos]
-                if t is None:
-                    raise InputError("unbalanced parenthesis", l2, c2)
-                if t == ")":
-                    pos += 1
-                    return SExpr(line, col, items=tuple(items))
-                items.append(parse_one())
-        if tok == ")":
-            raise InputError("unexpected ')'", line, col)
-        return SExpr(line, col, value=tok)
-
-    out = []
-    while toks[pos][0] is not None:
-        out.append(parse_one())
+        elif tok == ")":
+            if not open_lists:
+                raise InputError("unexpected ')'", line, m.start() - line_start + 1)
+            list_line, list_col, outer = open_lists.pop()
+            outer.append(_sexpr(SExpr, (list_line, list_col, None, tuple(items))))
+            items = outer
+        elif tok == "\n":
+            line += 1
+            line_start = m.end()
+        elif tok[0] != ";":
+            items.append(_sexpr(SExpr, (line, m.start() - line_start + 1, tok, None)))
+    if open_lists:
+        raise InputError("unbalanced parenthesis", line, len(text) - line_start + 1)
     return out
 
 
@@ -212,48 +210,170 @@ class _ScriptBuilder:
         self.ufuns[name] = (tuple(arg_sorts), INT_SORT)
 
 
+# -- elaboration ----------------------------------------------------------------
+#
+# Every elaborated expression is a (node, sort) pair, the sort a sort name,
+# 'Int' or 'Bool'.  An application is checked on entry (its operator and
+# arity), its arguments are elaborated in order, each checked against the
+# sort the operator wants as soon as it is done, and the node is built on
+# exit from the arguments' pairs, so errors come in the order of the text.
+
+def _nodes(vals) -> tuple:
+    return tuple(node for node, _ in vals)
+
+
+def _implies(e: SExpr, vals):
+    parts = _nodes(vals)
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = Or((Not(p), out))
+    return out, BOOL_SORT
+
+
+def _equal(e: SExpr, vals):
+    """(= a b ...) chains, (distinct a b ...) compares every pair."""
+    sorts = {s for _, s in vals}
+    if len(sorts) != 1:
+        raise TypeCheckError(str(e), vals[0][1], vals[1][1], e.line, e.col)
+    sort = sorts.pop()
+    if sort == BOOL_SORT:
+        raise InputError("Boolean equality is not supported", e.line, e.col)
+    nodes = _nodes(vals)
+    eq = e.items[0].value == "="
+    if eq:
+        pairs = zip(nodes, nodes[1:])
+    else:
+        pairs = ((a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:])
+    if sort == INT_SORT:
+        return conj(SizeAtom("eq" if eq else "ne", a, b) for a, b in pairs), BOOL_SORT
+    return conj(Eq(a, b) if eq else Not(Eq(a, b)) for a, b in pairs), BOOL_SORT
+
+
+_COMPARISONS = {"<=": "le", "<": "lt", ">=": "ge", ">": "gt"}
+
+
+def _compare(e: SExpr, vals):
+    op, nodes = _COMPARISONS[e.items[0].value], _nodes(vals)
+    return conj(SizeAtom(op, a, b) for a, b in zip(nodes, nodes[1:])), BOOL_SORT
+
+
+def _minus(e: SExpr, vals):
+    nodes = _nodes(vals)
+    if len(nodes) == 1:
+        # (- k) of a numeral is the numeral -k, as in (* (- 2) a)
+        if isinstance(nodes[0], IntConst):
+            return IntConst(-nodes[0].value), INT_SORT
+        return IntMul(-1, nodes[0]), INT_SORT
+    return IntAdd((nodes[0],) + tuple(IntMul(-1, n) for n in nodes[1:])), INT_SORT
+
+
+def _times(e: SExpr, vals):
+    nodes = _nodes(vals)
+    if len(nodes) != 2:
+        raise InputError("* takes two arguments", e.line, e.col)
+    consts = [n for n in nodes if isinstance(n, IntConst)]
+    if not consts:
+        raise InputError("nonlinear multiplication is not supported", e.line, e.col)
+    other = nodes[1] if nodes[0] is consts[0] else nodes[0]
+    return IntMul(consts[0].value, other), INT_SORT
+
+
+def _size(e: SExpr, vals):
+    node, sort = vals[0]
+    if sort in (INT_SORT, BOOL_SORT):
+        raise TypeCheckError(str(e), "an ADT sort", sort, e.line, e.col)
+    return SizeOf(node), INT_SORT
+
+
+# arity of a built-in operator: (fewest, most or None, as its error says it)
+_ONE = (1, 1, "one argument")
+_ONE_UP = (1, None, "at least one argument")
+_TWO_UP = (2, None, "at least two arguments")
+
+# operator -> (arity checked on entry or None, sort of every argument or
+# None, build on exit)
+_BUILTINS = {
+    "and": (None, BOOL_SORT, lambda e, vals: (And(_nodes(vals)), BOOL_SORT)),
+    "or": (None, BOOL_SORT, lambda e, vals: (Or(_nodes(vals)), BOOL_SORT)),
+    "not": (_ONE, BOOL_SORT, lambda e, vals: (Not(vals[0][0]), BOOL_SORT)),
+    "=>": (_TWO_UP, BOOL_SORT, _implies),
+    "=": (_TWO_UP, None, _equal),
+    "distinct": (_TWO_UP, None, _equal),
+    **{op: (_TWO_UP, INT_SORT, _compare) for op in _COMPARISONS},
+    "+": (None, INT_SORT, lambda e, vals: (IntAdd(_nodes(vals)), INT_SORT)),
+    "-": (_ONE_UP, INT_SORT, _minus),
+    "*": (None, INT_SORT, _times),
+    "adt.size": (_ONE, None, _size),
+}
+
+# the steps of the work stack, each (kind, SExpr e, x, sort wanted or None);
+# the value a step leaves on the value stack must have the sort wanted
+_EXPR = 0   # x None: elaborate e
+_APPLY = 1  # x build: build e's value from the values of its arguments
+_BIND = 2   # x names: check the let binding e, elaborate its term
+_OPEN = 3   # x names: bind the names to the bindings' values, elaborate the body
+_CLOSE = 4  # x scope: the let body is done, restore the enclosing scope
+
+
+def _check(e: SExpr, want: str | None, sort: str):
+    if want is not None and sort != want:
+        raise TypeCheckError(str(e), want, sort, e.line, e.col)
+
+
 class _FormulaParser:
     def __init__(self, sig: Signature, var_sorts, ufuns):
         self.sig = sig
         self.var_sorts = var_sorts
         self.ufuns = ufuns
-        self.lets: dict[str, tuple] = {}  # let-bound name -> (node, sort)
 
-    # every parse method returns (node, sort) where sort is a sort name,
-    # 'Int', or 'Bool'
+    def parse_bool(self, root: SExpr) -> Formula:
+        """The formula `root` elaborates to; the error raised is the first
+        one met in the order of the text."""
+        lets: dict[str, tuple] = {}  # let-bound name -> (node, sort)
+        work = [(_EXPR, root, None, BOOL_SORT)]
+        vals: list[tuple] = []
+        while work:
+            kind, e, x, want = work.pop()
+            if kind == _EXPR:
+                if e.value is None:
+                    self._enter(e, want, work)
+                    continue
+                val = lets[e.value] if e.value in lets else self._atom(e)
+            elif kind == _APPLY:
+                k = len(vals) - len(e.items) + 1
+                val = x(e, vals[k:])
+                del vals[k:]
+            elif kind == _BIND:
+                if e.items is None or len(e.items) != 2 or not e.items[0].is_atom:
+                    raise InputError("expected (name term) let binding", e.line, e.col)
+                name = e.items[0].value
+                if name in x:
+                    raise InputError(f"duplicate let binding {name!r}", e.line, e.col)
+                x.append(name)
+                work.append((_EXPR, e.items[1], None, None))
+                continue
+            elif kind == _OPEN:
+                # a parallel binding: every term was elaborated in the outer
+                # scope; the names shadow declared symbols in the body
+                k = len(vals) - len(x)
+                work.append((_CLOSE, e, lets, want))
+                lets = {**lets, **dict(zip(x, vals[k:]))}
+                del vals[k:]
+                work.append((_EXPR, e.items[2], None, None))
+                continue
+            else:
+                lets = x
+                val = vals.pop()
+            _check(e, want, val[1])
+            vals.append(val)
+        return vals.pop()[0]
 
-    def parse_expr(self, e: SExpr):
-        if e.is_atom:
-            return self.parse_atom(e)
-        if not e.items:
-            raise InputError("empty application", e.line, e.col)
-        head = e.items[0]
-        if head.is_atom:
-            return self.parse_app(head.value, e)
-        # ((_ is f) t)
-        if (head.items and len(head.items) == 3 and head.items[0].value == "_"
-                and head.items[1].value == "is"):
-            ctor_name = head.items[2].value
-            if not self.sig.has_ctor(ctor_name):
-                raise UnknownSymbolError(ctor_name, "tester of undeclared constructor")
-            if len(e.items) != 2:
-                raise InputError("tester takes one argument", e.line, e.col)
-            arg, sort = self.parse_expr(e.items[1])
-            expected = self.sig.ctor(ctor_name).sort
-            if sort != expected:
-                raise TypeCheckError(str(e), expected, sort, e.line, e.col)
-            from .terms import Tester
-            return Tester(ctor_name, arg), "Bool"
-        raise InputError(f"unsupported application head {head}", e.line, e.col)
-
-    def parse_atom(self, e: SExpr):
+    def _atom(self, e: SExpr):
         v = e.value
-        if v in self.lets:
-            return self.lets[v]
         if v == "true":
-            return TRUE, "Bool"
+            return TRUE, BOOL_SORT
         if v == "false":
-            return FALSE, "Bool"
+            return FALSE, BOOL_SORT
         if _is_int_literal(v):
             return IntConst(int(v)), INT_SORT
         if v in self.var_sorts:
@@ -270,143 +390,79 @@ class _FormulaParser:
             return IntApp(v, ()), INT_SORT
         raise UnknownSymbolError(v)
 
-    def parse_int(self, e: SExpr) -> IntExpr:
-        node, sort = self.parse_expr(e)
-        if sort != INT_SORT:
-            raise TypeCheckError(str(e), INT_SORT, sort, e.line, e.col)
-        return node
-
-    def parse_bool(self, e: SExpr) -> Formula:
-        node, sort = self.parse_expr(e)
-        if sort != "Bool":
-            raise TypeCheckError(str(e), "Bool", sort, e.line, e.col)
-        return node
-
-    def parse_let(self, e: SExpr):
-        """(let ((n1 t1) ... (nk tk)) body): a parallel binding, so every ti
-        is parsed in the enclosing scope; the names shadow declared symbols."""
-        if len(e.items) != 3 or not e.items[1].items:
-            raise InputError("let takes a non-empty binding list and a body",
-                             e.line, e.col)
-        bound: dict[str, tuple] = {}
-        for b in e.items[1].items:
-            if b.items is None or len(b.items) != 2 or not b.items[0].is_atom:
-                raise InputError("expected (name term) let binding", b.line, b.col)
-            name = b.items[0].value
-            if name in bound:
-                raise InputError(f"duplicate let binding {name!r}", b.line, b.col)
-            bound[name] = self.parse_expr(b.items[1])
-        outer = self.lets
-        self.lets = {**outer, **bound}
-        try:
-            return self.parse_expr(e.items[2])
-        finally:
-            self.lets = outer
-
-    def parse_app(self, op: str, e: SExpr):
-        args = e.items[1:]
+    def _enter(self, e: SExpr, want: str | None, work: list):
+        """Check the application `e` and push the steps that elaborate it:
+        its exit, then its arguments, the first on top."""
+        if not e.items:
+            raise InputError("empty application", e.line, e.col)
+        head, args = e.items[0], e.items[1:]
+        op = head.value
         if op == "let":
-            return self.parse_let(e)
-        if op in ("and", "or"):
-            parts = tuple(self.parse_bool(a) for a in args)
-            return (And(parts) if op == "and" else Or(parts)), "Bool"
-        if op == "not":
-            if len(args) != 1:
-                raise InputError("not takes one argument", e.line, e.col)
-            return Not(self.parse_bool(args[0])), "Bool"
-        if op == "=>":
-            if len(args) < 2:
-                raise InputError("=> takes at least two arguments", e.line, e.col)
-            parts = [self.parse_bool(a) for a in args]
-            out = parts[-1]
-            for p in reversed(parts[:-1]):
-                out = Or((Not(p), out))
-            return out, "Bool"
-        if op in ("=", "distinct"):
-            if len(args) < 2:
-                raise InputError(f"{op} takes at least two arguments", e.line, e.col)
-            parsed = [self.parse_expr(a) for a in args]
-            sorts = {s for _, s in parsed}
-            if len(sorts) != 1:
-                raise TypeCheckError(str(e), parsed[0][1], parsed[1][1], e.line, e.col)
-            sort = sorts.pop()
-            if sort == "Bool":
-                raise InputError("Boolean equality is not supported", e.line, e.col)
-            pairs = []
-            nodes = [n for n, _ in parsed]
-            if op == "=":
-                it = zip(nodes, nodes[1:])
-            else:
-                it = ((a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:])
-            for a, b in it:
-                if sort == INT_SORT:
-                    pairs.append(SizeAtom("eq" if op == "=" else "ne", a, b))
-                else:
-                    pairs.append(Eq(a, b) if op == "=" else Not(Eq(a, b)))
-            return conj(pairs), "Bool"
-        if op in ("<=", "<", ">=", ">"):
-            if len(args) < 2:
-                raise InputError(f"{op} takes at least two arguments", e.line, e.col)
-            ops = {"<=": "le", "<": "lt", ">=": "ge", ">": "gt"}
-            nodes = [self.parse_int(a) for a in args]
-            atoms = [SizeAtom(ops[op], a, b) for a, b in zip(nodes, nodes[1:])]
-            return conj(atoms), "Bool"
-        if op == "+":
-            return IntAdd(tuple(self.parse_int(a) for a in args)), INT_SORT
-        if op == "-":
-            nodes = [self.parse_int(a) for a in args]
-            if not nodes:
-                raise InputError("- takes at least one argument", e.line, e.col)
-            if len(nodes) == 1:
-                # (- k) of a numeral is the numeral -k, as in (* (- 2) a)
-                if isinstance(nodes[0], IntConst):
-                    return IntConst(-nodes[0].value), INT_SORT
-                return IntMul(-1, nodes[0]), INT_SORT
-            rest = [IntMul(-1, n) for n in nodes[1:]]
-            return IntAdd(tuple([nodes[0]] + rest)), INT_SORT
-        if op == "*":
-            nodes = [self.parse_int(a) for a in args]
-            if len(nodes) != 2:
-                raise InputError("* takes two arguments", e.line, e.col)
-            consts = [n for n in nodes if isinstance(n, IntConst)]
-            if not consts:
-                raise InputError("nonlinear multiplication is not supported", e.line, e.col)
-            other = nodes[1] if nodes[0] is consts[0] else nodes[0]
-            return IntMul(consts[0].value, other), INT_SORT
-        if op == "adt.size":
-            if len(args) != 1:
-                raise InputError("adt.size takes one argument", e.line, e.col)
-            node, sort = self.parse_expr(args[0])
-            if sort in (INT_SORT, "Bool"):
-                raise TypeCheckError(str(e), "an ADT sort", sort, e.line, e.col)
-            return SizeOf(node), INT_SORT
-        if self.sig.has_ctor(op):
+            # (let ((n1 t1) ... (nk tk)) body)
+            if len(e.items) != 3 or not e.items[1].items:
+                raise InputError("let takes a non-empty binding list and a body",
+                                 e.line, e.col)
+            names: list[str] = []
+            work.append((_OPEN, e, names, want))
+            work.extend((_BIND, b, names, None) for b in reversed(e.items[1].items))
+            return
+        if op in _BUILTINS:
+            arity, arg_sort, build = _BUILTINS[op]
+            if arity and not arity[0] <= len(args) <= (arity[1] or len(args)):
+                raise InputError(f"{op} takes {arity[2]}", e.line, e.col)
+            wants = (arg_sort,) * len(args)
+        elif op is None:
+            build, wants = self._tester(e, head)
+        elif self.sig.has_ctor(op):
             c = self.sig.ctor(op)
             if len(args) != c.arity:
                 raise TypeCheckError(str(e), f"{c.arity} arguments", str(len(args)),
                                      e.line, e.col)
-            terms = []
-            for a, (_, expected) in zip(args, c.args):
-                node, sort = self.parse_expr(a)
-                if sort != expected:
-                    raise TypeCheckError(str(a), expected, sort, a.line, a.col)
-                terms.append(node)
-            return Ctor(op, tuple(terms)), c.sort
-        if self.sig.has_selector(op):
+            wants = [sort for _, sort in c.args]
+
+            def build(e, vals):
+                return Ctor(op, _nodes(vals)), c.sort
+        elif self.sig.has_selector(op):
             c, j = self.sig.selector(op)
             if len(args) != 1:
                 raise InputError("selector takes one argument", e.line, e.col)
-            node, sort = self.parse_expr(args[0])
-            if sort != c.sort:
-                raise TypeCheckError(str(e), c.sort, sort, e.line, e.col)
-            return Sel(c.name, j, node), c.args[j][1]
-        if op in self.ufuns:
+            wants = (None,)
+
+            def build(e, vals):
+                node, sort = vals[0]
+                _check(e, c.sort, sort)
+                return Sel(c.name, j, node), c.args[j][1]
+        elif op in self.ufuns:
             arg_sorts, _ = self.ufuns[op]
             if len(args) != len(arg_sorts):
                 raise TypeCheckError(str(e), f"{len(arg_sorts)} arguments",
                                      str(len(args)), e.line, e.col)
-            return IntApp(op, tuple(self.parse_int(a) for a in args)), INT_SORT
-        raise UnknownSymbolError(op)
+            wants = (INT_SORT,) * len(args)
+
+            def build(e, vals):
+                return IntApp(op, _nodes(vals)), INT_SORT
+        else:
+            raise UnknownSymbolError(op)
+        work.append((_APPLY, e, build, want))
+        for i in range(len(args) - 1, -1, -1):
+            work.append((_EXPR, args[i], None, wants[i]))
+
+    def _tester(self, e: SExpr, head: SExpr):
+        """((_ is f) t): the build and argument sorts of a tester."""
+        if not (head.items and len(head.items) == 3 and head.items[0].value == "_"
+                and head.items[1].value == "is"):
+            raise InputError(f"unsupported application head {head}", e.line, e.col)
+        ctor_name = head.items[2].value
+        if not self.sig.has_ctor(ctor_name):
+            raise UnknownSymbolError(ctor_name, "tester of undeclared constructor")
+        if len(e.items) != 2:
+            raise InputError("tester takes one argument", e.line, e.col)
+
+        def build(e, vals):
+            node, sort = vals[0]
+            _check(e, self.sig.ctor(ctor_name).sort, sort)
+            return Tester(ctor_name, node), BOOL_SORT
+        return build, (None,)
 
 
 def parse_script(text: str) -> Script:

@@ -573,9 +573,10 @@ def test_closed_stdout_ends_quietly():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def test_input_too_deep_to_parse_is_a_resource_error(tmp_path):
-    """The parser still recurses per level of term nesting: a Nat numeral
-    nested 2000 deep exits 3 with a one-line message and no traceback."""
+def test_input_too_deep_to_flatten_is_a_resource_error(tmp_path):
+    """`flatten` still walks terms recursively (`terms.free_vars`, through
+    `sub_terms`, one frame per level of nesting): a Nat numeral nested 2000
+    deep parses, then exits 3 with a one-line message and no traceback."""
     numeral = "z"
     for _ in range(2000):
         numeral = f"(s {numeral})"

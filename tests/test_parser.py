@@ -1,7 +1,12 @@
+import glob
+import os
+import subprocess
+import sys
+
 import pytest
 
 from adtsolve.errors import InputError, TypeCheckError, UnknownSymbolError
-from adtsolve.parser import parse_script
+from adtsolve.parser import parse_script, read_sexprs
 from adtsolve.terms import (
     TRUE, And, Ctor, Eq, IntConst, Not, Sel, SizeAtom, SizeOf, Tester, Var,
 )
@@ -100,6 +105,84 @@ def test_syntax_error_position():
     with pytest.raises(InputError) as e:
         parse_script("(assert (= x")
     assert e.value.line >= 1
+
+
+@pytest.mark.parametrize("command, error, message, line, col", [
+    ("(assert true))", InputError, "unexpected ')'", 8, 14),
+    # a list left open reports the end of input, on a later line
+    ("(assert (and true\n  (= y red)\n", InputError, "unbalanced parenthesis", 10, 1),
+    # a tab and a carriage return count one column each
+    ("(assert\t\r(= x y))", TypeCheckError,
+     "type error in (= x y): expected CList, found Colour", 8, 10),
+    ("(assert (= x (cons\tred\rred)))", TypeCheckError,
+     "type error in red: expected CList, found Colour", 8, 24),
+    ("(assert (not (= y red) (= y blue)))", InputError, "not takes one argument", 8, 9),
+    ("(assert (= x (cons red (cons y (cons red red)))))", TypeCheckError,
+     "type error in red: expected CList, found Colour", 8, 42),
+    ("(assert (let ((c red) c) (= y c)))", InputError,
+     "expected (name term) let binding", 8, 23),
+    ("(declare-fun f (Colour) Int)", InputError,
+     "uninterpreted functions must range over Int", 8, 17),
+])
+def test_error_positions_are_exact(command, error, message, line, col):
+    with pytest.raises(InputError) as e:
+        parse_script(LISTS + command)
+    assert (type(e.value), str(e.value), e.value.line, e.value.col) == \
+        (error, f"{line}:{col}: {message}", line, col)
+
+
+def test_end_of_input_after_a_trailing_comment():
+    # the comment runs to column 25, so the input ends at column 26
+    with pytest.raises(InputError) as e:
+        read_sexprs("(assert (= x y) ; comment")
+    assert (str(e.value), e.value.line, e.value.col) == ("1:26: unbalanced parenthesis", 1, 26)
+
+
+NAT = "(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))\n(declare-const x Nat)\n"
+
+
+def test_numeral_deeper_than_the_recursion_limit_parses():
+    depth = 10_000
+    assert depth > 5 * sys.getrecursionlimit()
+    numeral = f"{'(s ' * depth}z{')' * depth}"
+    script = parse_script(NAT + f"(assert (= x {numeral}))")
+    (phi,) = script.asserts
+    # == and hash on so deep a term still recurse: walk it in a loop
+    t, n = phi.rhs, 0
+    while t.args:
+        assert t.ctor == "s" and len(t.args) == 1
+        t, n = t.args[0], n + 1
+    assert (t.ctor, n) == ("z", depth)
+    # a type error prints the whole term
+    with pytest.raises(TypeCheckError) as e:
+        parse_script(NAT + f"(assert {numeral})")
+    assert str(e.value).endswith(f"(s z{')' * depth}: expected Bool, found Nat")
+
+
+def test_bundled_inputs_parse_under_a_low_recursion_limit():
+    """The parser does not recurse: every bundled input parses under a
+    limit of 200 frames to the scripts it gives under the default limit."""
+    inputs = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                           "scripts", "inputs", "*.smt2")))
+    code = ("import sys\n"
+            "from adtsolve.parser import parse_script\n"
+            "texts = [open(f).read() for f in sys.argv[1:]]\n"
+            "limit = sys.getrecursionlimit()\n"
+            "sys.setrecursionlimit(200)\n"
+            "scripts = [parse_script(t) for t in texts]\n"
+            "sys.setrecursionlimit(limit)\n"
+            "for s in scripts:\n"
+            "    print(repr(s))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code, *inputs], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for f in inputs:
+        with open(f) as text:
+            want.append(repr(parse_script(text.read())))
+    assert len(want) >= 15 and proc.stdout.splitlines() == want
 
 
 def test_unknown_symbol():
