@@ -16,6 +16,10 @@ of the row, as `le` rows, or the two applications being equal or one of
 their argument pairs differing.  Of the violated `ne` rows, the one with the
 fewest variables is split first, the earliest added among equals (fail
 first); functional inconsistencies only when no `ne` row is violated.
+A probe reads only what changed since the last one: the LIA system keeps
+its model as data and watches the `ne` rows (see `lia.System`), and the
+terms of a reduct are interned by its symbol table, so the congruence
+closure finds a term it holds by identity.
 An inner node of the search is settled without a decide when the model of
 the conjunction it extends satisfies its literals; leaves are always
 decided, so the models returned are the ones deciding every node gives.
@@ -169,20 +173,29 @@ class _CC:
                 self.uses.pop()
 
     def add(self, t: RTerm) -> int:
-        i = self.ids.get(t)
+        ids = self.ids
+        i = ids.get(t)
         if i is not None:
             return i
-        args = tuple(self.add(a) for a in t.args) if isinstance(t, RApp) else ()
+        is_app = type(t) is RApp
+        if is_app:
+            args = []
+            for a in t.args:
+                j = ids.get(a)
+                args.append(self.add(a) if j is None else j)
+            args = tuple(args)
+        else:
+            args = ()
         i = len(self.terms)
-        self.ids[t] = i
+        ids[t] = i
         self.terms.append(t)
         self.args.append(args)
         self.parent.append(i)
         self.size.append(1)
         self.uses.append([])
         self.trail.append(("term",))
-        if isinstance(t, RApp):
-            sig = (t.fn, tuple(self.find(a) for a in args))
+        if is_app:
+            sig = (t.fn, tuple([self.find(a) for a in args]))
             other = self.sigs.get(sig)
             if other is not None:
                 self.merge(i, other)  # a fresh singleton without uses
@@ -246,20 +259,19 @@ class _Budget:
 def _conjuncts(pending: list[RFormula]) -> tuple[list[RFormula], list[ROr]] | None:
     """The literals and the disjunctions of a conjunction, each in order, or
     None when one of its conjuncts is false."""
-    queue = deque(pending)
+    stack = pending[::-1]
     lits: list[RFormula] = []
     ors: list[ROr] = []
-    while queue:
-        f = queue.popleft()
-        if isinstance(f, RTrueF):
-            continue
-        if isinstance(f, RFalseF):
-            return None
-        if isinstance(f, RAnd):
-            queue.extendleft(reversed(f.args))
-        elif isinstance(f, ROr):
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is RAnd:
+            stack.extend(reversed(f.args))
+        elif kind is ROr:
             ors.append(f)
-        else:
+        elif kind is RFalseF:
+            return None
+        elif kind is not RTrueF:
             lits.append(f)
     return lits, ors
 
@@ -314,8 +326,13 @@ class _Search:
 
     def add(self, t: RTerm) -> int:
         """The CC node of a term, with the variable of each constant term
-        this adds pinned to the constant's value."""
+        this adds pinned to the constant's value.  A term the CC holds is
+        found by one lookup, by identity for a term of the reduct's table
+        (`SymbolTable.app`)."""
         cc, names = self.cc, self.names
+        i = cc.ids.get(t)
+        if i is not None:
+            return i
         start = len(cc.terms)
         i = cc.add(t)
         for j in range(start, len(cc.terms)):
@@ -491,21 +508,25 @@ class _Search:
         self.carried.append((len(self.marks), lits))
         return self.search(added, self.leaf_model)
 
-    def candidate(self, model_map: dict[str, int]) -> tuple[IntModel, tuple[int, int] | None]:
+    def candidate(self, model_map: dict[str, int]
+                  ) -> tuple[IntModel, tuple[int, int] | None, dict[str, int]]:
         """The candidate model that a solution of the system gives the
         terms, built in one pass over the CC terms, with the first functional
-        inconsistency met.
+        inconsistency met and the values given to free classes.
 
         A term's value is its class variable's in `model_map`, where a class
         the map leaves free is given a distinct value clear of the solved
-        ones and added to the map, so that such classes neither collide in
-        function tables nor violate disequalities; every class is added,
-        in the order of the terms.  Two apps of one function whose arguments
-        have the same values must have the same value: the CC ids of the
-        first two that do not are returned with the model, else None."""
+        ones, so that such classes neither collide in function tables nor
+        violate disequalities; every class gets one, in the order of the
+        terms, and these values are returned by variable (the map itself is
+        the system's and is only read).  Two apps of one function whose
+        arguments have the same values must have the same value: the CC ids
+        of the first two that do not are returned with the model, else
+        None."""
         cc = self.cc
         names, parent, cc_args = self.names, cc.parent, cc.args
         spread = None
+        free: dict[str, int] = {}
         root_value: dict[int, int] = {}
         values: list[int] = []
         model = IntModel()
@@ -521,8 +542,8 @@ class _Search:
                 v = model_map.get(names[r])
                 if v is None:
                     if spread is None:
-                        spread = 1 + max((abs(x) for x in model_map.values()), default=0)
-                    v = model_map[names[r]] = spread
+                        spread = 1 + max(map(abs, model_map.values()), default=0)
+                    v = free[names[r]] = spread
                     spread += 1
                 root_value[r] = v
             values.append(v)
@@ -536,7 +557,7 @@ class _Search:
                     funcs.setdefault(t.fn, {})[args] = v
                 elif values[j] != v and clash is None:
                     clash = (j, i)
-        return model, clash
+        return model, clash, free
 
     def decide(self) -> IntModel | list[RFormula | lia.LinCon] | None:
         """One probe of the asserted conjunction: None when its system is
@@ -545,9 +566,13 @@ class _Search:
         that repairs it, which together cover every model: the two strict
         sides of a violated `ne` row, as `le` rows, or the two clashing
         applications being equal or one of their argument pairs differing.
-        The candidate model is read in one pass over the terms (`candidate`),
-        which the scan of the `ne` rows starts early only when a row
-        mentions a class the system leaves free.
+
+        The system keeps its model and the violated `ne` rows from probe to
+        probe, and reads again only what changed since the last one
+        (`lia.System.violated`).  A row over a class the system leaves free
+        (a loose row) is read against the candidate model's values, so the
+        candidate (`candidate`, one pass over the terms) is built before the
+        split only when such a row could come first.
 
         Of the violated `ne` rows, the one with the fewest variables is split
         first, the one added first among equals (fail first).  A one-variable
@@ -556,26 +581,24 @@ class _Search:
         failed probe; the rows over several variables are then split under
         the tighter bounds.  Each split covers every integer point of the
         row's scope, so the order changes no verdict; only the caps see it."""
-        model_map = self.lia.model()
-        if model_map is None:
+        pick = self.lia.violated()
+        if pick is None:
             return None
-        # a row over solved variables reads the model, and only one over a
-        # class no row constrains needs every class value
+        best, loose = pick
+        model_map = self.lia.values
         found = None
-        best = None
-        for row in self.lia.nes():
-            if best is not None and len(row.coeffs) >= len(best.coeffs):
-                continue
-            if found is None and any(v not in model_map for v, _ in row.coeffs):
-                found = self.candidate(model_map)
-            if row.const + sum(a * model_map[v] for v, a in row.coeffs) == 0:
-                best = row
-                if len(row.coeffs) == 1:
+        if loose:
+            found = self.candidate(model_map)
+            free = found[2]
+            for row in loose:
+                if row.const + sum(a * (free[v] if v in free else model_map[v])
+                                   for v, a in row.coeffs) == 0:
+                    best = row
                     break
         if best is not None:
             return [lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs), s * best.const + 1)
                     for s in (1, -1)]
-        model, clash = found or self.candidate(model_map)
+        model, clash, _ = found or self.candidate(model_map)
         if clash is None:
             return model
         # two apps of one function agree on their arguments but not on their

@@ -13,7 +13,11 @@ A `System` is this state as a push/pop theory solver: rows join one at a time
 through `add`, each rewritten by the substitutions so far that it mentions,
 an equality is eliminated as it arrives, and the difference graph is solved
 incrementally, one edge at a time; `pop` restores the system of the
-matching `push`.
+matching `push`.  Its model is kept as data across adds and pops, and only
+the variables whose distance or substitution changed since the last read
+are read again (`refresh`); the live `ne` rows are watched the same way, so
+a read of the violated ones re-evaluates only the rows over a variable whose
+value changed (`violated`).
 `solve` is a system built and read once.
 """
 
@@ -208,6 +212,26 @@ def _branch_and_bound(cons: list[LinCon]) -> dict[str, int] | None:
     return None
 
 
+def _replay(model: dict[str, int], subs: list[tuple[str, dict[str, int], int]]) -> bool:
+    """Give every eliminated variable the value of its substitution, newest
+    first; a variable no live inequality bounds gets a distinct value clear
+    of the solved ones, so that free variables do not tie and violate an
+    `ne` row over them.  Returns whether any variable got such a value."""
+    spread = None
+    for v, expr, const in reversed(subs):
+        value = const
+        for u, b in expr.items():
+            x = model.get(u)
+            if x is None:
+                if spread is None:
+                    spread = 1 + max(map(abs, model.values()), default=0)
+                x = model[u] = spread
+                spread += 1
+            value += b * x
+        model[v] = value
+    return spread is not None
+
+
 class System:
     """Integer feasibility of a conjunction that grows one row at a time and
     shrinks again under push/pop.
@@ -222,8 +246,8 @@ class System:
     The rows to replace are read from `uses`, an index from each variable to
     the positions of the live rows that mention it, in ascending position.
     A disequality (`ne`) row is rewritten in place instead, so the live ones
-    keep the order they came in (`nes`); the model ignores them, and one
-    that becomes the ground `0 != 0` makes the system infeasible.
+    keep the order they came in; the model ignores them, and one that
+    becomes the ground `0 != 0` makes the system infeasible.
 
     Every live difference constraint is also an edge of the difference graph,
     which holds the shortest distances `dist` from a virtual source with
@@ -236,13 +260,23 @@ class System:
     constraint the distances are the model; otherwise branch-and-bound
     searches over the live inequalities.  `pop` undoes everything since the
     matching `push` from an explicit trail.
+
+    The model is kept as data in `values` (see `refresh`): the nodes whose
+    distance the trail wrote or undid, and the substitutions added or
+    popped, since the last read are what it reads again.  Once `violated`
+    has been called, the violated `ne` rows are kept too, bucketed by their
+    number of variables, and re-evaluated only when a row is rewritten or
+    one of its variables changes value.
     """
 
     def __init__(self, cons: list[LinCon] = ()):
         self.rows: list[LinCon | None] = []  # `le` and `ne` rows; None once replaced
         self.uses: dict[str, set[int]] = {}  # variable -> positions of live rows with it
+        self.ne_uses: dict[str, set[int]] = {}  # the same for the live `ne` rows alone
         self.subs: list[tuple[str, dict[str, int], int]] = []
         self.sub_of: dict[str, int] = {}  # eliminated variable -> its position in subs
+        self.sub_uses: dict[str, list[int]] = {}  # variable -> positions in subs of the
+        #                                           expressions with it, ascending
         self.dist: dict[str, int] = {"$zero": 0}
         self.out: dict[str, list[tuple[str, int]]] = {"$zero": []}
         # no integer model, whatever rows join: an equality or ground row
@@ -252,6 +286,24 @@ class System:
         self.n_general = 0  # live inequalities that are not difference constraints
         self.trail: list[tuple] = []
         self.marks: list[tuple[int, int, int, bool, int]] = []
+        # the model as of the last `refresh` that found one, and the
+        # variables whose value that refresh changed
+        self.values: dict[str, int] = {}
+        self.changed: set[str] = set()
+        self._stale: set[str] = set()  # nodes and eliminated variables to read again
+        self._subs_low = 0  # the substitutions from here on are new since the last read
+        self._base: int | None = None  # the source's distance then; None: read all again
+        self._spread = False  # whether that read gave free variables spread values
+        # the watch of the `ne` rows, from the first `violated` on: the rows
+        # to evaluate again, the changed variables not yet applied, and the
+        # rows filed as violated (by number of variables) or loose (a variable
+        # without a value), with where each position is filed (0 for loose)
+        self._watching = False
+        self._touched: set[int] = set()
+        self._pending: set[str] = set()
+        self._filed: dict[int, int] = {}
+        self._bad: dict[int, set[int]] = {}
+        self._loose: set[int] = set()
         for c in cons:
             self.add(c)
 
@@ -265,12 +317,13 @@ class System:
 
     def pop(self) -> None:
         mark, n_rows, n_subs, self.infeasible, self.n_general = self.marks.pop()
-        trail, dist = self.trail, self.dist
+        trail, dist, stale = self.trail, self.dist, self._stale
         while len(trail) > mark:
             entry = trail.pop()
             kind = entry[0]
             if kind == "dist":
                 dist[entry[1]] = entry[2]
+                stale.add(entry[1])
             elif kind == "edge":
                 self.out[entry[1]].pop()
             elif kind == "row":
@@ -278,12 +331,17 @@ class System:
             else:  # "node"
                 del dist[entry[1]]
                 del self.out[entry[1]]
+                stale.add(entry[1])
         for i in range(n_rows, len(self.rows)):
             self._put(i, None)
         del self.rows[n_rows:]
-        for v, _, _ in self.subs[n_subs:]:
+        for v, expr, _ in reversed(self.subs[n_subs:]):
             del self.sub_of[v]
+            stale.add(v)
+            for u in expr:
+                self.sub_uses[u].pop()
         del self.subs[n_subs:]
+        self._subs_low = min(self._subs_low, n_subs)
 
     def add(self, row: LinCon) -> None:
         """Conjoin one row."""
@@ -330,14 +388,26 @@ class System:
         return c
 
     def _put(self, i: int, row: LinCon | None) -> None:
-        """Set position i to `row`, keeping `uses` up to date."""
+        """Set position i to `row`, keeping `uses` and `ne_uses` up to date,
+        and the watch of the `ne` rows told."""
+        uses, ne_uses = self.uses, self.ne_uses
         old = self.rows[i]
         if old is not None:
             for v, _ in old.coeffs:
-                self.uses[v].discard(i)
+                uses[v].discard(i)
+            if old.op == "ne":
+                for v, _ in old.coeffs:
+                    ne_uses[v].discard(i)
+                if self._watching:
+                    self._touched.add(i)
         if row is not None:
             for v, _ in row.coeffs:
-                self.uses.setdefault(v, set()).add(i)
+                uses.setdefault(v, set()).add(i)
+            if row.op == "ne":
+                for v, _ in row.coeffs:
+                    ne_uses.setdefault(v, set()).add(i)
+                if self._watching:
+                    self._touched.add(i)
         self.rows[i] = row
 
     def _add_row(self, c: LinCon) -> None:
@@ -369,6 +439,8 @@ class System:
             expr = {u: -b * a for u, b in pivot.coeffs if u != v}
             const = -pivot.const * a
             self.sub_of[v] = len(self.subs)
+            for u in expr:
+                self.sub_uses.setdefault(u, []).append(len(self.subs))
             self.subs.append((v, expr, const))
             # in ascending position, so replaced rows are re-added in order
             for i in sorted(self.uses.get(v, ())):
@@ -393,12 +465,13 @@ class System:
     def _insert(self, u: str, v: str, w: int) -> bool:
         """Add the edge x_v - x_u <= w and restore the shortest distances;
         False when the edge closes a negative cycle."""
-        dist, out, trail = self.dist, self.out, self.trail
+        dist, out, trail, stale = self.dist, self.out, self.trail, self._stale
         for n in (u, v):
             if n not in dist:
                 dist[n] = 0
                 out[n] = []
                 trail.append(("node", n))
+                stale.add(n)
         out[u].append((v, w))
         trail.append(("edge", u))
         # gap[x] < 0 is how far x's distance falls; reduced costs are >= 0,
@@ -412,6 +485,7 @@ class System:
             if g > gap[x]:
                 continue  # superseded by a larger fall
             trail.append(("dist", x, dist[x]))
+            stale.add(x)
             dist[x] += g
             for y, c in out[x]:
                 gy = dist[x] + c - dist[y]
@@ -424,37 +498,177 @@ class System:
 
     def model(self) -> dict[str, int] | None:
         """Integer model of the inequalities and equalities in scope, the
-        variables of the Omega steps included, or None when infeasible."""
+        variables of the Omega steps included, or None when infeasible; a
+        copy of `values` (see `refresh`)."""
+        return dict(self.values) if self.refresh() else None
+
+    def refresh(self) -> bool:
+        """Bring `values` up to the rows in scope, or return False when they
+        are infeasible (`values` then keeps the last model).  `changed`
+        names the variables whose value (or presence) differs from the last
+        model found.
+
+        A node's value is its distance minus the source's, and an eliminated
+        variable's is its substitution replayed, newest first, over the
+        values so far; a variable that only a substitution mentions gets a
+        distinct value clear of the solved ones (`_replay`).  When neither the
+        source's distance nor the use of those spread values changes, only
+        the nodes whose distance the trail wrote or undid since the last
+        read, the variables of the substitutions popped since, and the
+        substitutions added since or over a variable whose value changed are
+        read again, newest first.  Every other case, branch-and-bound
+        included, builds the model anew."""
         if self.infeasible:
-            return None
+            return False
         if self.general:
             model = _branch_and_bound([r for r in self.rows
                                        if r is not None and r.op == "le"])
             if model is None:
-                return None
-        else:
-            base = self.dist["$zero"]
-            model = {n: d - base for n, d in self.dist.items() if n != "$zero"}
-        # replay eliminated equalities, newest first; a variable no live
-        # inequality bounds gets a distinct value clear of the solved ones,
-        # so that free variables do not tie and violate an `ne` row over them
-        spread = None
-        for v, expr, const in reversed(self.subs):
-            value = const
-            for u, b in expr.items():
-                x = model.get(u)
+                return False
+            _replay(model, self.subs)
+            self._swap(model, None, False)
+            return True
+        dist, sub_of, sub_uses, subs = self.dist, self.sub_of, self.sub_uses, self.subs
+        base = dist["$zero"]
+        if base != self._base or self._spread:
+            return self._rebuild(base)
+        # a spread value is due, when none was at the last read, only for a
+        # variable whose node or substitution was popped or that a new
+        # substitution mentions
+        updates = []
+        for n in self._stale:
+            if n in sub_of or n == "$zero":
+                continue  # the replay below gives an eliminated variable its value
+            d = dist.get(n)
+            if d is None:
+                if sub_uses.get(n):
+                    return self._rebuild(base)
+                updates.append((n, None))
+            else:
+                updates.append((n, d - base))
+        low = self._subs_low
+        if low < len(subs) and any(u not in dist and u not in sub_of
+                                   for _, expr, _ in subs[low:] for u in expr):
+            return self._rebuild(base)
+        values, changed = self.values, set()
+        for n, x in updates:
+            if values.get(n) != x:
                 if x is None:
-                    if spread is None:
-                        spread = 1 + max(map(abs, model.values()), default=0)
-                    x = model[u] = spread
-                    spread += 1
-                value += b * x
-            model[v] = value
-        return model
+                    del values[n]
+                else:
+                    values[n] = x
+                changed.add(n)
+        due = list(range(low, len(subs)))
+        for n in changed:
+            ks = sub_uses.get(n)
+            if ks:
+                due.extend(ks)
+        if due:
+            due = [-k for k in due]
+            heapify(due)
+            done = None
+            while due:
+                k = -heappop(due)
+                if k == done:
+                    continue
+                done = k
+                v, expr, const = subs[k]
+                value = const
+                for u, b in expr.items():
+                    value += b * values[u]
+                if values.get(v) != value:
+                    values[v] = value
+                    changed.add(v)
+                    for j in sub_uses.get(v, ()):
+                        heappush(due, -j)
+        self._note(changed)
+        return True
 
-    def nes(self) -> list[LinCon]:
-        """The live `ne` rows, in the order they were added."""
-        return [r for r in self.rows if r is not None and r.op == "ne"]
+    def _rebuild(self, base: int) -> bool:
+        model = {n: d - base for n, d in self.dist.items() if n != "$zero"}
+        self._swap(model, base, _replay(model, self.subs))
+        return True
+
+    def _swap(self, model: dict[str, int], base: int | None, spread: bool) -> None:
+        """Make a model built anew the kept one; `base` None reads the next
+        model anew too."""
+        old = self.values
+        changed = {n for n, x in model.items() if old.get(n) != x}
+        changed.update(n for n in old if n not in model)
+        self.values, self._base, self._spread = model, base, spread
+        self._note(changed)
+
+    def _note(self, changed: set[str]) -> None:
+        self.changed = changed
+        self._stale = set()
+        self._subs_low = len(self.subs)
+        if self._watching:
+            self._pending |= changed
+
+    def violated(self) -> tuple[LinCon | None, list[LinCon]] | None:
+        """None when the system is infeasible (see `refresh`); else the `ne`
+        row that `values` violates with the fewest variables, the earliest
+        added among equals, or None, and, in that order, the loose rows that
+        would come before it: those over a variable without a value, which
+        the caller must read under values of its own.
+
+        The first call files every live `ne` row (a scan of all rows); a
+        later one files again only the rows rewritten since and the rows
+        over a variable whose value changed since."""
+        if not self.refresh():
+            return None
+        rows, values, filed, bad, loose = self.rows, self.values, self._filed, self._bad, self._loose
+        if self._watching:
+            due = self._touched
+            ne_uses = self.ne_uses
+            for v in self._pending:
+                rows_of = ne_uses.get(v)
+                if rows_of:
+                    due |= rows_of
+            self._touched = set()
+            self._pending.clear()
+        else:
+            self._watching = True
+            due = range(len(rows))
+        n_rows = len(rows)
+        for i in due:
+            k = filed.pop(i, None)
+            if k == 0:
+                loose.discard(i)
+            elif k is not None:
+                bucket = bad[k]
+                bucket.discard(i)
+                if not bucket:
+                    del bad[k]
+            row = rows[i] if i < n_rows else None
+            if row is None or row.op != "ne":
+                continue  # popped, or an `le` row at a popped `ne` row's position
+            total = row.const
+            for v, a in row.coeffs:
+                x = values.get(v)
+                if x is None:
+                    filed[i] = 0
+                    loose.add(i)
+                    break
+                total += a * x
+            else:
+                if total == 0:
+                    k = len(row.coeffs)
+                    filed[i] = k
+                    bucket = bad.get(k)
+                    if bucket is None:
+                        bucket = bad[k] = set()
+                    bucket.add(i)
+        best = None
+        if bad:
+            k = min(bad)
+            best = (k, min(bad[k]))
+        before = []
+        if loose:
+            before = sorted((len(rows[i].coeffs), i) for i in loose)
+            if best is not None:
+                before = [key for key in before if key < best]
+        return rows[best[1]] if best else None, [rows[i] for _, i in before]
 
 
 def solve(cons: list[LinCon]) -> dict[str, int] | None:

@@ -251,7 +251,12 @@ def linear_atom(atom: SizeAtom, leaf: Callable[[IntExpr], RTerm]) -> RFormula:
 
 @dataclass
 class SymbolTable:
-    """Maps every reduced symbol back to its source."""
+    """Maps every reduced symbol back to its source, and interns the
+    variables and applications of the reducts built over it (`var`, `app`):
+    a term met again is the same object, so the solver's lookups hit by
+    identity.  The interned terms live as long as the table, which is one
+    reduction's (a `Reducer`'s, kept across the rounds of the unfolding
+    loop), and go with it."""
 
     sig: Signature
     mode: str
@@ -259,6 +264,21 @@ class SymbolTable:
     funs: dict[str, tuple[int, tuple]] = field(default_factory=dict)  # name -> (arity, origin)
     enum_sorts: frozenset[str] = frozenset()
     by_origin: dict[tuple, str] = field(default_factory=dict)  # origin -> name
+    # name -> RVar, and (function, arguments) -> RApp
+    interned: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def var(self, name: str) -> RVar:
+        t = self.interned.get(name)
+        if t is None:
+            t = self.interned[name] = RVar(name)
+        return t
+
+    def app(self, fn: str, args: tuple[RTerm, ...]) -> RApp:
+        key = (fn, args)
+        t = self.interned.get(key)
+        if t is None:
+            t = self.interned[key] = RApp(fn, args)
+        return t
 
     def _alloc(self, base: str) -> str:
         name = base
@@ -271,20 +291,20 @@ class SymbolTable:
     def adt_var(self, name: str, sort: str) -> RVar:
         if name not in self.int_vars:
             self.int_vars[name] = ("var", name, sort)
-        return RVar(name)
+        return self.var(name)
 
     def int_var(self, name: str) -> RVar:
         if name not in self.int_vars:
             self.int_vars[name] = ("int", name)
-        return RVar(name)
+        return self.var(name)
 
     def skolem(self, name: str, sort: str) -> RVar:
         self.int_vars[name] = ("skolem", sort)
-        return RVar(name)
+        return self.var(name)
 
     def aux(self, name: str) -> RVar:
         self.int_vars[name] = ("aux",)
-        return RVar(name)
+        return self.var(name)
 
     def _fun(self, base: str, arity: int, origin: tuple) -> str:
         name = self.by_origin.get(origin)
@@ -447,24 +467,24 @@ class Reducer:
         if self.is_enum_opt(sort0):
             return req(x0, RConst(ctor_index(self.sig, f)))
         parts: list[RFormula] = [
-            req(RApp(self.table.ctor_fun(f), tuple(args)), x0),
-            req(RApp(self.table.ctorid_fun(sort0), (x0,)), RConst(ctor_index(self.sig, f))),
+            req(self.table.app(self.table.ctor_fun(f), tuple(args)), x0),
+            req(self.table.app(self.table.ctorid_fun(sort0), (x0,)), RConst(ctor_index(self.sig, f))),
         ]
         if self.mode == DEPTH_MODE:
             for j, xj in enumerate(args):
                 sj = decl.args[j][1]
-                parts.append(req(RApp(self.table.sel_fun(f, j), (x0,)), xj))
+                parts.append(req(self.table.app(self.table.sel_fun(f, j), (x0,)), xj))
                 if sort0 in reachable_sorts(self.sig, sj):
-                    d0 = RApp(self.table.depth_fun(sort0), (x0,))
-                    dj = RApp(self.table.depth_fun(sj), (xj,))
+                    d0 = self.table.app(self.table.depth_fun(sort0), (x0,))
+                    dj = self.table.app(self.table.depth_fun(sj), (xj,))
                     parts.append(lin("le", [(-1, d0), (1, dj)], 1))  # depth0 > depthj
         else:
-            s0 = RApp(self.table.size_fun(sort0), (x0,))
+            s0 = self.table.app(self.table.size_fun(sort0), (x0,))
             size_sum: list[tuple[int, RTerm]] = [(1, s0)]
             for j, xj in enumerate(args):
                 sj = decl.args[j][1]
-                parts.append(req(RApp(self.table.sel_fun(f, j), (x0,)), xj))
-                sz = RApp(self.table.size_fun(sj), (xj,))
+                parts.append(req(self.table.app(self.table.sel_fun(f, j), (x0,)), xj))
+                sz = self.table.app(self.table.size_fun(sj), (xj,))
                 parts.append(self.member_of(sz, size_image(self.sig, sj)))
                 size_sum.append((-1, sz))
             parts.append(lin("eq", size_sum, -1))  # size0 = 1 + sum sizej
@@ -503,7 +523,7 @@ class Reducer:
                 return self.ctor_spec(lhs.ctor, x0, args)  # rule (1) / (1')
             assert isinstance(lhs, Sel)
             x = self.xvar(lhs.arg)
-            sel_eq = req(RApp(self.table.sel_fun(lhs.ctor, lhs.index), (x,)), x0)
+            sel_eq = req(self.table.app(self.table.sel_fun(lhs.ctor, lhs.index), (x,)), x0)
             if guarded:
                 return sel_eq  # rule (2')
             sort0 = self.sig.ctor(lhs.ctor).sort
@@ -538,7 +558,7 @@ class Reducer:
             x = atom.lhs.arg
             assert isinstance(x, Var), "flat form violated"
             y = self.table.int_var(atom.rhs.name)
-            sz = RApp(self.table.size_fun(x.sort), (self.xvar(x),))
+            sz = self.table.app(self.table.size_fun(x.sort), (self.xvar(x),))
             return rand([
                 req(sz, y),
                 self.member_of(y, size_image(self.sig, x.sort)),  # rule (7)
@@ -550,7 +570,7 @@ class Reducer:
             return self.table.int_var(e.name)
         if isinstance(e, IntApp):
             args = tuple(self._int_term(a) for a in e.args)
-            return RApp(self.table.uf(e.fn, len(args)), args)
+            return self.table.app(self.table.uf(e.fn, len(args)), args)
         if isinstance(e, SizeOf):
             if self.mode != SIZE_MODE:
                 raise ModeMismatchError("size atom in depth-mode reduction")
@@ -563,7 +583,7 @@ class Reducer:
         if isinstance(e, IntVar):
             return self.table.int_var(e.name)
         if isinstance(e, IntApp):
-            return RApp(self.table.uf(e.fn, len(e.args)),
+            return self.table.app(self.table.uf(e.fn, len(e.args)),
                         tuple(self._int_term(a) for a in e.args))
         raise InternalError("uninterpreted application argument must be flat")
 

@@ -63,37 +63,37 @@ class Signature:
             self._cache[key] = tuple(c for c in self.ctors if c.sort == sort)
         return self._cache[key]
 
-    def ctor(self, name: str) -> CtorDecl:
-        key = ("ctor", name)
-        if key not in self._cache:
+    def _names(self) -> tuple[dict[str, CtorDecl], dict[str, tuple[CtorDecl, int]]]:
+        """The constructors and the selectors by name, the first declared
+        where a name repeats (an invalid signature), built once."""
+        names = self._cache.get("names")
+        if names is None:
+            ctors: dict[str, CtorDecl] = {}
+            sels: dict[str, tuple[CtorDecl, int]] = {}
             for c in self.ctors:
-                if c.name == name:
-                    self._cache[key] = c
-                    break
-            else:
-                raise UnknownSymbolError(name, "not a declared constructor")
-        return self._cache[key]
+                ctors.setdefault(c.name, c)
+                for j, (sel, _) in enumerate(c.args):
+                    sels.setdefault(sel, (c, j))
+            names = self._cache["names"] = (ctors, sels)
+        return names
+
+    def ctor(self, name: str) -> CtorDecl:
+        c = self._names()[0].get(name)
+        if c is None:
+            raise UnknownSymbolError(name, "not a declared constructor")
+        return c
 
     def has_ctor(self, name: str) -> bool:
-        return any(c.name == name for c in self.ctors)
+        return name in self._names()[0]
 
     def selector(self, name: str) -> tuple[CtorDecl, int]:
-        key = ("selector", name)
-        if key not in self._cache:
-            for c in self.ctors:
-                for j, (sel, _) in enumerate(c.args):
-                    if sel == name:
-                        self._cache[key] = (c, j)
-                        break
-                else:
-                    continue
-                break
-            else:
-                raise UnknownSymbolError(name, "not a declared selector")
-        return self._cache[key]
+        got = self._names()[1].get(name)
+        if got is None:
+            raise UnknownSymbolError(name, "not a declared selector")
+        return got
 
     def has_selector(self, name: str) -> bool:
-        return any(sel == name for c in self.ctors for sel, _ in c.args)
+        return name in self._names()[1]
 
     def selector_name(self, ctor: str, index: int) -> str:
         c = self.ctor(ctor)
@@ -184,8 +184,12 @@ def num_ctors(sig: Signature, sort: str) -> int:
 
 def ctor_index(sig: Signature, ctor_name: str) -> int:
     """Zero-based index of a constructor among the constructors of its sort."""
-    c = sig.ctor(ctor_name)
-    return [d.name for d in sig.ctors_of(c.sort)].index(ctor_name)
+    index = sig._cache.setdefault("ctor_index", {})
+    i = index.get(ctor_name)
+    if i is None:
+        c = sig.ctor(ctor_name)
+        i = index[ctor_name] = [d.name for d in sig.ctors_of(c.sort)].index(ctor_name)
+    return i
 
 
 def ctor_at(sig: Signature, sort: str, index: int) -> CtorDecl:
@@ -218,6 +222,9 @@ class Cardinality:
 
 
 def cardinality(sig: Signature, sort: str) -> Cardinality:
+    counts = sig._cache.get("card")
+    if counts is not None and sort in counts:
+        return Cardinality(counts[sort])  # no count is in progress between calls
     ensure_valid(sig)
     if sort not in sig.sorts:
         raise UnknownSymbolError(sort, "not a declared sort")

@@ -9,7 +9,7 @@ and hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 
 # -- terms -------------------------------------------------------------------
@@ -191,41 +191,6 @@ def ground_size(t: Term) -> int:
     return 1 + sum(ground_size(a) for a in t.args)
 
 
-def sub_terms(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, Ctor):
-        for a in t.args:
-            yield from sub_terms(a)
-    elif isinstance(t, Sel):
-        yield from sub_terms(t.arg)
-
-
-def term_vars(t: Term) -> Iterator[Var]:
-    for s in sub_terms(t):
-        if isinstance(s, Var):
-            yield s
-
-
-def int_expr_terms(e: IntExpr) -> Iterator[Term]:
-    if isinstance(e, SizeOf):
-        yield e.arg
-    elif isinstance(e, (IntAdd, IntApp)):
-        for a in e.args:
-            yield from int_expr_terms(a)
-    elif isinstance(e, IntMul):
-        yield from int_expr_terms(e.arg)
-
-
-def int_expr_vars(e: IntExpr) -> Iterator[str]:
-    if isinstance(e, IntVar):
-        yield e.name
-    elif isinstance(e, (IntAdd, IntApp)):
-        for a in e.args:
-            yield from int_expr_vars(a)
-    elif isinstance(e, IntMul):
-        yield from int_expr_vars(e.arg)
-
-
 @dataclass(frozen=True)
 class FreeVars:
     adt: frozenset[Var]
@@ -233,35 +198,35 @@ class FreeVars:
 
 
 def free_vars(phi: Formula) -> FreeVars:
+    """The ADT variables and the integer variables of a formula, met in
+    preorder, left to right, on one explicit stack (a term nested
+    thousands deep is walked under the default recursion limit)."""
     adt: set[Var] = set()
     ints: set[str] = set()
-
-    def term(t: Term):
-        adt.update(term_vars(t))
-
-    def walk(f: Formula):
-        if isinstance(f, (TrueF, FalseF)):
-            return
-        if isinstance(f, Tester):
-            term(f.arg)
-        elif isinstance(f, Eq):
-            term(f.lhs)
-            term(f.rhs)
-        elif isinstance(f, SizeAtom):
-            for e in (f.lhs, f.rhs):
-                ints.update(int_expr_vars(e))
-                for t in int_expr_terms(e):
-                    term(t)
-        elif isinstance(f, Not):
-            walk(f.arg)
-        elif isinstance(f, (And, Or)):
-            for a in f.args:
-                walk(a)
-        else:
-            raise AssertionError(f)
-
-    walk(phi)
+    stack: list = [phi]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is Var:
+            adt.add(x)
+        elif kind is IntVar:
+            ints.add(x.name)
+        elif kind in _NARY:
+            stack.extend(reversed(x.args))
+        elif kind in _UNARY:
+            stack.append(x.arg)
+        elif kind is Eq or kind is SizeAtom:
+            stack.append(x.rhs)
+            stack.append(x.lhs)
+        elif kind not in _LEAVES:
+            raise AssertionError(x)
     return FreeVars(frozenset(adt), frozenset(ints))
+
+
+# the node kinds `free_vars` walks through, by where their children are
+_NARY = frozenset({Ctor, And, Or, IntAdd, IntApp})
+_UNARY = frozenset({Sel, Tester, Not, SizeOf, IntMul})
+_LEAVES = frozenset({TrueF, FalseF, IntConst})
 
 
 def formula_nodes(phi: Formula) -> int:

@@ -574,9 +574,9 @@ def test_closed_stdout_ends_quietly():
 
 
 def test_input_too_deep_to_flatten_is_a_resource_error(tmp_path):
-    """`flatten` still walks terms recursively (`terms.free_vars`, through
-    `sub_terms`, one frame per level of nesting): a Nat numeral nested 2000
-    deep parses, then exits 3 with a one-line message and no traceback."""
+    """`flatten` still names terms recursively (`_Flattener.name_term`, one
+    frame per level of nesting): a Nat numeral nested 2000 deep parses, then
+    exits 3 with a one-line message and no traceback."""
     numeral = "z"
     for _ in range(2000):
         numeral = f"(s {numeral})"

@@ -209,6 +209,11 @@ def _uses(s):
     return out
 
 
+def _nes(s):
+    """The live `ne` rows of a system, in the order they were added."""
+    return [r for r in s.rows if r is not None and r.op == "ne"]
+
+
 BOX = 6
 # the rows of corpus-1909 in the order the backend adds them
 CORPUS_1909 = [
@@ -301,7 +306,7 @@ def test_push_add_pop_against_brute_force(steps):
             continue
         assert feasible_in_box(scope, BOX), applied
         assert all(_holds(c, model) for c in box + scope), (applied, model)
-        assert (sum(not _holds(r, model) for r in s.nes())
+        assert (sum(not _holds(r, model) for r in _nes(s))
                 == sum(not _holds(c, model) for c in applied if c.op == "ne")), applied
 
 
@@ -339,7 +344,7 @@ def test_ne_rows_are_tightened_and_substituted():
     # 2a - 2c + 1 != 0 always holds; 2a - 2c != 0 is a - c != 0 over b
     s.add(lia.con("ne", {"a": 2, "c": -2}, 1))
     s.add(lia.con("ne", {"a": 2, "c": -2}, 0))
-    assert s.nes() == [lia.con("ne", {"b": 1, "c": -1}, 0)]
+    assert _nes(s) == [lia.con("ne", {"b": 1, "c": -1}, 0)]
     assert s.model() is not None
     s.push()
     s.add(lia.con("eq", {"b": 1, "c": -1}, 0))  # 0 != 0
@@ -349,7 +354,7 @@ def test_ne_rows_are_tightened_and_substituted():
     s.add(lia.con("ne", {}, 0))
     assert s.model() is None
     s.pop()
-    assert s.nes() == [lia.con("ne", {"b": 1, "c": -1}, 0)]
+    assert _nes(s) == [lia.con("ne", {"b": 1, "c": -1}, 0)]
 
 
 def test_free_variables_get_distinct_values():
@@ -357,9 +362,9 @@ def test_free_variables_get_distinct_values():
     # bounds u or w: the replay must not give both the same value
     s = lia.System([lia.con("le", {"x": 1}, -5), lia.con("eq", {"a": 1, "u": -1}, 0),
                     lia.con("eq", {"b": 1, "w": -1}, 0), lia.con("ne", {"a": 1, "b": -1}, 0)])
-    assert s.nes() == [lia.con("ne", {"u": 1, "w": -1}, 0)]
+    assert _nes(s) == [lia.con("ne", {"u": 1, "w": -1}, 0)]
     model = s.model()
-    assert all(_holds(c, model) for c in s.nes())
+    assert all(_holds(c, model) for c in _nes(s))
     assert model["a"] != model["b"] and {model["u"], model["w"]}.isdisjoint({model["x"]})
 
 
@@ -391,3 +396,71 @@ def test_branch_and_bound_on_an_unbounded_polyhedron(monkeypatch):
 def test_unknown_op_raises_at_add():
     with pytest.raises(InternalError):
         lia.System().add(lia.LinCon("lt", (("x", 1),), 0))
+
+
+def _scan(s, model):
+    """A full scan of the live `ne` rows under `model`: the violated ones and
+    the loose ones (over a variable without a value), each as (number of
+    variables, position), in the order of the pick."""
+    bad, loose = [], []
+    for i, r in enumerate(s.rows):
+        if r is None or r.op != "ne":
+            continue
+        if any(v not in model for v, _ in r.coeffs):
+            loose.append((len(r.coeffs), i))
+        elif _holds(lia.LinCon("eq", r.coeffs, r.const), model):
+            bad.append((len(r.coeffs), i))
+    return sorted(bad), sorted(loose)
+
+
+@given(ext_bases(), st.lists(st.tuples(st.one_of(st.none(), ext_rows(), ext_rows(op="ne")),
+                                       st.booleans()), max_size=12))
+# a pop removes the substitution that gave w a spread value, and the `ne`
+# row over w is loose again
+@example([lia.con("le", {"v0": 1}, -2)],
+         [(lia.con("ne", {"w": 1, "v0": -1}, 0), True),
+          (lia.con("eq", {"w": 1, "v1": -1}, 0), True),
+          (None, True), (None, False), (lia.con("ne", {"w": 1}, -1), True)])
+# v1 has a node only between the push and the pop, so the substitution of
+# v0 over it needs a spread value again after the pop
+@example([lia.con("eq", {"v0": 1, "v1": -1}, 0)],
+         [(lia.con("le", {"v1": 1}, -2), True), (None, True)])
+# a pop frees the position of a watched `ne` row, and an `le` row takes it
+@example([], [(lia.con("ne", {"v0": 1}, 0), True), (None, False),
+              (lia.con("le", {"v0": 1}, 0), True)])
+def test_watched_ne_rows_and_changed_values_match_a_full_scan(base, steps):
+    """After every push-and-add or pop (None), the model equals a from-scratch
+    solve of the rows in scope, the changed-variable record equals the diff
+    of the last two models found, and, at the steps that read them (the
+    flag), the violated rows, the loose rows and the pick equal a full scan
+    of the live `ne` rows under the model."""
+    s = lia.System(base)
+    applied, last = [], s.model()
+    for step, read in steps:
+        if step is None:
+            if not applied:
+                continue
+            s.pop()
+            applied.pop()
+        else:
+            s.push()
+            s.add(step)
+            applied.append(step)
+        model = s.model()
+        assert model == lia.solve(base + applied), (base, applied)
+        if model is None:
+            continue
+        if last is not None:
+            assert s.changed == {v for v in model.keys() | last.keys()
+                                 if model.get(v) != last.get(v)}
+        last = model
+        if not read:
+            continue
+        bad, loose = _scan(s, model)
+        got = s.violated()
+        assert not s.changed  # nothing changed since the read above
+        assert sorted((k, i) for i, k in s._filed.items() if k) == bad
+        assert sorted((len(s.rows[i].coeffs), i) for i in s._loose) == loose
+        best = bad[0] if bad else None
+        assert got[0] == (s.rows[best[1]] if bad else None)
+        assert got[1] == [s.rows[i] for k, i in loose if best is None or (k, i) < best]

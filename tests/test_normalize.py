@@ -186,3 +186,12 @@ def test_flatten_equisatisfiable_random(lists_sig, phi):
     names = sorted(v.name for v in fv.adt)
     assert _sat_assignments(lists_sig, phi, names, bound=5) == \
         _sat_assignments_flat(lists_sig, flat, names, bound=5)
+
+
+def test_free_vars_of_a_deep_numeral_under_the_default_recursion_limit():
+    numeral = Ctor("z")
+    for _ in range(10000):
+        numeral = Ctor("s", (numeral,))
+    x = Var("x", "Nat")
+    fv = free_vars(And((Eq(x, numeral), Not(Tester("z", Sel("s", 0, x))))))
+    assert fv.adt == {x} and not fv.ints
