@@ -27,9 +27,10 @@ Every sat verdict is re-checked by an independent evaluator before being
 returned.
 
 A `Session` keeps one search live across the solves of a growing formula,
-such as the rounds of the unfolding loop: a solve asserts only the
-conjuncts the formula added to the last one and goes on from the leaf of
-the last model, and its verdict is the one a fresh search gives.
+such as the rounds of the unfolding loop: a formula whose top-level
+conjuncts begin with the last one's goes on from the leaf of the last model
+with only the suffix asserted, and its verdict is the one a fresh search
+gives.
 
 An external SMT-LIB process can be driven in batch mode as an alternative
 backend; its model response is parsed back into the same IntModel shape.
@@ -618,62 +619,26 @@ class Session:
     as the rounds of the unfolding loop are.
 
     After a sat answer the search keeps the scopes and open choice points of
-    the path to its model.  A solve of a formula that extends the last one
-    (each top-level conjunct of the old is one of the new, and the old
-    top-level disjunctions come first among the new ones, in order) goes on
-    with only the conjuncts the formula adds (`_Search.extend`).  Any other
-    formula, and any formula after an unsat or unknown answer, starts a new
-    search.  `top` lists the top-level conjuncts of the formula the search
-    holds; it grows in place while the search goes on, and is a new list
-    when the search starts anew.  `ors` lists its top-level disjunctions,
-    and `lits` holds its other top-level conjuncts, each with the number of
-    the last `added` call that met it."""
+    the path to its model.  A solve of a formula whose top-level conjuncts
+    begin with those of the last one, as each round's reduct extends the
+    last by a suffix (`Reducer.reduce_flat`), goes on with only the suffix
+    (`_Search.extend`).  Any other formula, and any formula after an unsat
+    or unknown answer, starts a new search.  `top` lists the top-level
+    conjuncts of the formula the search holds; it grows in place while the
+    search goes on, and is a new list when the search starts anew."""
 
     def __init__(self):
         self.search: _Search | None = None
         self.top: list[RFormula] = []
-        self.ors: list[ROr] = []
-        self.lits: dict[RFormula, int] = {}
-        self.calls = 0
-
-    def start(self, search: _Search, top: list[RFormula]) -> None:
-        """Hold a new search of the formula whose conjuncts are `top`."""
-        self.search, self.top = search, top
-        self.ors = [f for f in top if type(f) is ROr]
-        self.lits = dict.fromkeys((f for f in top if type(f) is not ROr), 0)
-
-    def go_on(self, added: list[RFormula]) -> None:
-        """Record the conjuncts `added` found for the live search."""
-        self.top.extend(added)
-        for f in added:
-            if type(f) is ROr:
-                self.ors.append(f)
-            else:
-                self.lits[f] = self.calls
 
     def added(self, top: list[RFormula]) -> list[RFormula] | None:
         """The conjuncts of `top` beyond the live search's formula, or None
-        when there is no live search or `top` does not extend its formula.
-        Each old literal is counted once, when this call first meets it."""
-        if self.search is None:
+        when there is no live search or `top` does not begin with its
+        formula."""
+        n = len(self.top)
+        if self.search is None or top[:n] != self.top:
             return None
-        new_ors = [f for f in top if type(f) is ROr]
-        if new_ors[:len(self.ors)] != self.ors:
-            return None
-        self.calls += 1
-        lits, call, met, new_lits = self.lits, self.calls, 0, []
-        for f in top:
-            if type(f) is ROr:
-                continue
-            last = lits.get(f)
-            if last is None:
-                new_lits.append(f)
-            elif last != call:
-                lits[f] = call
-                met += 1
-        if met < len(lits):
-            return None
-        return new_lits + new_ors[len(self.ors):]
+        return top[n:]
 
 
 def solve(reduct: ReducedFormula, *, session: Session | None = None,
@@ -690,12 +655,12 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
         if added is None:
             search = _Search(budget)
             if session:
-                session.start(search, top)
+                session.search, session.top = search, top
             model = search.search(top)
         else:
             search = session.search
             search.budget = budget
-            session.go_on(added)
+            session.top.extend(added)
             model = search.extend(added)
     except ResourceLimitError as e:
         if session:

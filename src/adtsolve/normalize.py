@@ -84,7 +84,7 @@ class _Flattener:
         self.sig = sig
         self.counter = 0
         self.prefix = prefix
-        self.named: dict[Term, str] = {}
+        self.named: dict[Term, str] = {}  # a flat application -> its name
         self.size_vars: dict[str, str] = {}
         self.registry: dict[str, object] = {}
         self.var_sorts: dict[str, str] = {}
@@ -99,31 +99,47 @@ class _Flattener:
                 self.used_names.add(name)
                 return name
 
-    def name_term(self, t: Term, defs: list[Formula]) -> Var:
+    def name_term(self, t: Term, defs: dict[Formula, None]) -> Var:
         """Reduce an arbitrary term to a variable.  Names are hash-consed
         across the whole formula, but the defining equation is attached to
         every literal that uses the name: a definition emitted in one disjunct
-        cannot serve another."""
+        cannot serve another.  The subterms are named children first, left to
+        right, on one explicit stack, and a subterm's name is keyed by its
+        application to its children's names, so equal subterms share a name
+        and no walk, hash or comparison goes deeper than one level."""
         if isinstance(t, Var):
             return t
-        if isinstance(t, Ctor):
-            args = tuple(self.name_term(a, defs) for a in t.args)
-            app: Term = Ctor(t.ctor, args)
-        else:
-            app = Sel(t.ctor, t.index, self.name_term(t.arg, defs))
-        if t in self.named:
-            v = Var(self.named[t], self.sig.term_sort(t))
-        else:
-            v = Var(self.fresh(), self.sig.term_sort(t))
-            self.named[t] = v.name
-            self.registry[v.name] = t
-            self.var_sorts[v.name] = v.sort
-        definition = Eq(app, v)
-        if definition not in defs:
-            defs.append(definition)
-        return v
+        named: list[Var] = []  # the variables of the subterms finished so far
+        stack: list[tuple[Term, bool]] = [(t, False)]
+        while stack:
+            u, children_done = stack.pop()
+            if isinstance(u, Var):
+                named.append(u)
+                continue
+            children = u.args if isinstance(u, Ctor) else (u.arg,)
+            if not children_done:
+                stack.append((u, True))
+                stack.extend((c, False) for c in reversed(children))
+                continue
+            first = len(named) - len(children)
+            args = tuple(named[first:])
+            del named[first:]
+            if isinstance(u, Ctor):
+                app: Term = Ctor(u.ctor, args)
+            else:
+                app = Sel(u.ctor, u.index, args[0])
+            sort = self.sig.term_sort(u)
+            name = self.named.get(app)
+            if name is None:
+                name = self.named[app] = self.fresh()
+                self.registry[name] = u
+                self.var_sorts[name] = sort
+            v = Var(name, sort)
+            defs[Eq(app, v)] = None
+            named.append(v)
+        return named[0]
 
-    def flat_eq(self, lhs: Term, rhs: Term, defs: list[Formula]) -> Formula:
+    def flat_eq(self, lhs: Term, rhs: Term, defs: dict[Formula, None]) -> Formula:
         """Positive equality: keep one application as the literal."""
         if isinstance(lhs, Var) and isinstance(rhs, Var):
             return Eq(lhs, rhs)
@@ -140,7 +156,7 @@ class _Flattener:
         rv = self.name_term(rhs, defs)
         return self.flat_eq(lhs, rv, defs)
 
-    def flat_int(self, e: IntExpr, defs: list[Formula]) -> IntExpr:
+    def flat_int(self, e: IntExpr, defs: dict[Formula, None]) -> IntExpr:
         if isinstance(e, (IntConst, IntVar)):
             if isinstance(e, IntVar):
                 self.int_vars.add(e.name)
@@ -152,9 +168,7 @@ class _Flattener:
                 self.size_vars[x.name] = y
                 self.int_vars.add(y)
                 self.registry[y] = SizeOf(x)
-            definition = SizeAtom("eq", SizeOf(x), IntVar(self.size_vars[x.name]))
-            if definition not in defs:
-                defs.append(definition)
+            defs[SizeAtom("eq", SizeOf(x), IntVar(self.size_vars[x.name]))] = None
             return IntVar(self.size_vars[x.name])
         if isinstance(e, IntAdd):
             return IntAdd(tuple(self.flat_int(a, defs) for a in e.args))
@@ -164,7 +178,7 @@ class _Flattener:
             return IntApp(e.fn, tuple(self.flat_arg(a, defs) for a in e.args))
         raise AssertionError(e)
 
-    def flat_arg(self, e: IntExpr, defs: list[Formula]) -> IntExpr:
+    def flat_arg(self, e: IntExpr, defs: dict[Formula, None]) -> IntExpr:
         """A function argument: a compound one is named by a fresh integer
         variable `y` with the definition `y = e`."""
         e = self.flat_int(e, defs)
@@ -173,11 +187,11 @@ class _Flattener:
         y = self.fresh()
         self.int_vars.add(y)
         self.registry[y] = e
-        defs.append(SizeAtom("eq", IntVar(y), e))
+        defs[SizeAtom("eq", IntVar(y), e)] = None
         return IntVar(y)
 
     def flat_literal(self, lit: Formula) -> Formula:
-        defs: list[Formula] = []
+        defs: dict[Formula, None] = {}  # a set in insertion order
         if isinstance(lit, Eq):
             out = self.flat_eq(lit.lhs, lit.rhs, defs)
         elif isinstance(lit, Not) and isinstance(lit.arg, Eq):
@@ -193,7 +207,7 @@ class _Flattener:
             out = SizeAtom(lit.op, self.flat_int(lit.lhs, defs), self.flat_int(lit.rhs, defs))
         else:
             raise InternalError(f"unexpected literal {lit}")
-        return conj(defs + [out])
+        return conj([*defs, out])
 
     def flat(self, phi: Formula) -> Formula:
         if isinstance(phi, (TrueF, FalseF)):

@@ -373,8 +373,10 @@ class ReducedFormula:
 class Reducer:
     """Reduces flat formulas literal by literal, memoising each literal's
     reduction per guard context.  One reducer kept across calls of `reduce`
-    on growing formulas, as the unfolding loop does, returns the old
-    literals' reductions, Skolems included, and reduces only the new ones."""
+    on formulas that each extend the last one by top-level conjuncts, as the
+    unfolding loop's do, builds reducts that each extend the last one by a
+    suffix: the old parts, Skolems included, then the reductions of the new
+    conjuncts and the range rows of the new variables (`reduce_flat`)."""
 
     def __init__(self, sig: Signature, mode: str, opts: ReduceOptions = ReduceOptions(),
                  table: SymbolTable | None = None, fresh_prefix: str = "_s"):
@@ -387,12 +389,13 @@ class Reducer:
         self.aux_counter = 0
         self.memo: dict[tuple[Formula, bool], RFormula] = {}
         self.used: set[str] = set()
-        # the last formula's top-level guard set, the reduction of each of
-        # its top-level conjuncts under it (by conjunct identity, the
-        # conjunct kept alive beside it), and each variable's range rows
-        self.top_guards: frozenset[str] | None = None
-        self.top_memo: dict[int, tuple[Formula, RFormula]] = {}
-        self.range_memo: dict[tuple[str, str], RFormula] = {}
+        # the last formula: its top-level conjuncts, its parts in order, each
+        # with its source conjunct (None for range rows), the variables whose
+        # range rows are among them, and its top-level guard set
+        self.conjuncts: list[Formula] = []
+        self.parts: list[tuple[Formula | None, RFormula]] = []
+        self.ranged: set[str] = set()
+        self.guards: frozenset[str] = frozenset()
 
     def _fresh_skolem(self, sort: str) -> RVar:
         while True:
@@ -593,39 +596,40 @@ class Reducer:
         """The reduct of `flat`, closed under the range constraints of its
         variables; Skolems keep clear of every name it declares.
 
-        The reduct is the one a walk of the whole formula builds: the
-        reductions of the top-level conjuncts in order, then the range rows
-        of every variable.  Each conjunct's reduction is kept, keyed by the
-        conjunct object and the top-level guard set, and so are each
-        variable's range rows, so a formula that extends the last one by
-        conjuncts and variables, as each round of the unfolding loop does,
-        costs the reduction of only what it adds.  A new conjunct that
-        guards a variable (a one-constructor case clause) changes the guard
-        set, and then every conjunct is reduced again, through the literal
-        memo."""
+        A formula whose top-level conjuncts begin with the last formula's
+        (by identity), as each round of the unfolding loop's does, gets the
+        last reduct's parts, then the reductions of its new conjuncts, then
+        the range rows of its new variables: its reduct extends the last one
+        by a suffix, and costs the reduction of only what it adds.  A new
+        conjunct that guards a variable (a one-constructor case clause)
+        changes the guard set, and then every conjunct part is reduced again
+        in place, through the literal memo.  Any other formula starts anew,
+        with its conjuncts' reductions before every range row."""
         self.used.update(flat.var_sorts)
         self.used.update(flat.int_vars)
         table = self.table
         phi = flat.formula
         conjuncts = phi.args if isinstance(phi, And) else (phi,)
-        guards = frozenset(v for c in conjuncts for v in _guard_vars(c))
-        if guards != self.top_guards:
-            self.top_guards, self.top_memo = guards, {}
-        top_memo, range_memo = self.top_memo, self.range_memo
-        parts = []
-        for c in conjuncts:
-            kept = top_memo.get(id(c))
-            if kept is None:
-                kept = top_memo[id(c)] = (c, self.reduce_formula(c, guards))
-            parts.append(kept[1])
+        n = len(self.conjuncts)
+        if n > len(conjuncts) or any(a is not b for a, b in zip(self.conjuncts, conjuncts)):
+            self.conjuncts, self.parts, self.ranged, self.guards = [], [], set(), frozenset()
+            n = 0
+        new = conjuncts[n:]
+        guards = self.guards.union(v for c in new for v in _guard_vars(c))
+        if guards != self.guards:
+            self.guards = guards
+            self.parts = [(c, part if c is None else self.reduce_formula(c, guards))
+                          for c, part in self.parts]
+        for c in new:
+            self.conjuncts.append(c)
+            self.parts.append((c, self.reduce_formula(c, guards)))
         for name, sort in flat.var_sorts.items():
-            rows = range_memo.get((name, sort))
-            if rows is None:
-                rows = range_memo[name, sort] = self.in_range(table.adt_var(name, sort), sort)
-            parts.append(rows)
+            if name not in self.ranged:
+                self.ranged.add(name)
+                self.parts.append((None, self.in_range(table.adt_var(name, sort), sort)))
         for name in sorted(flat.int_vars):
             table.int_var(name)
-        return ReducedFormula(rand(parts), table, flat)
+        return ReducedFormula(rand([part for _, part in self.parts]), table, flat)
 
     def reduce_formula(self, phi: Formula, guards: frozenset[str] = frozenset()) -> RFormula:
         if isinstance(phi, TrueF):

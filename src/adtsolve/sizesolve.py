@@ -1,14 +1,17 @@
 """The decision loop: one solve pipeline for every formula.
 
 `run_loop` reduces, solves, and then either reconstructs and checks an ADT
-model or unfolds one more variable and repeats.  One reducer serves every
-round, so a round reduces only its new case clause and the range rows of
-its new variables, and in size mode one backend session does too, so a
-round asserts only the conjuncts its reduct adds and searches on from the
-previous round's model.  The model check still evaluates the whole reduct
-each round; the acceptance test evaluates only the conjuncts that mention a
-variable it repoints.  Depth mode, used for size-free formulas, accepts the
-first model.
+model or unfolds one more variable and repeats.  A round's formula is the
+last one's top-level conjuncts followed by a case clause, so with one
+reducer for every round its reduct is the last reduct followed by the
+clause's reduction and the new variables' range rows, and in size mode one
+backend session searches on from the previous round's model with only that
+suffix.  A clause that guards a variable can change an old conjunct's
+reduction; then the reduct does not begin with the last one, and the
+session starts a new search.
+The model check still evaluates the whole reduct each round; the acceptance
+test evaluates only the conjuncts that mention a variable it repoints.
+Depth mode, used for size-free formulas, accepts the first model.
 Size mode tests the termination conditions: an unsat reduct settles the
 input, and a sat reduct is accepted once every ADT variable's integer value
 coincides with the value of some unfolded variable of the same sort.
@@ -33,7 +36,7 @@ from .reduce import (
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
-    AdtModel, Ctor, Eq, Formula, SizeAtom, Var, conj, disj, free_vars,
+    AdtModel, And, Ctor, Eq, Formula, SizeAtom, Var, conj, disj, free_vars,
 )
 
 DEFAULT_FUEL = 100
@@ -94,12 +97,15 @@ class UnfoldState:
 def make_state(parts: list[tuple[str, FlatFormula]], sig: Signature,
                fuel: int = DEFAULT_FUEL) -> UnfoldState:
     """The unfolding state of one or more tagged flat formulas: one part when
-    deciding, partitions A and B when interpolating.  Each variable belongs
-    to the first part that mentions it, so a variable shared by A and B stays
-    with A; unfolding a variable conjoins its cases to the variable's part."""
+    deciding, partitions A and B when interpolating.  A part enters as its
+    top-level conjuncts, and unfolding appends a variable's cases tagged with
+    its part, so each round's formula extends the last one by a conjunct.
+    Each variable belongs to the first part that mentions it, so a variable
+    shared by A and B stays with A."""
     state = UnfoldState(sig=sig, fuel=fuel)
     for tag, flat in parts:
-        state.conjuncts.append((tag, flat.formula))
+        phi = flat.formula
+        state.conjuncts += [(tag, c) for c in (phi.args if isinstance(phi, And) else (phi,))]
         for name, sort in flat.var_sorts.items():
             if name not in state.var_sorts:
                 state.var_sorts[name] = sort
@@ -273,11 +279,12 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
     check a model or unfold one more variable and repeat.  Depth mode
     accepts the first model; size mode accepts a model once it passes the
     acceptance test.  One reducer serves every round, so a round reduces
-    only its new case clause, and in size mode one `backend.Session` keeps
-    the built-in search live across the rounds, so a round searches on from
-    the previous round's model with only the conjuncts its reduct added; the
-    session starts a new search when a reduct does not extend the last one.
-    Depth mode accepts the first model, so it solves once, without one."""
+    only its new case clause and its reduct extends the last one by a
+    suffix, and in size mode one `backend.Session` keeps the built-in search
+    live across the rounds, so a round searches on from the previous round's
+    model with only that suffix; the session starts a new search when a
+    reduct does not begin with the last one.  Depth mode accepts the first
+    model, so it solves once, without one."""
     sig = state.sig
     reducer = Reducer(sig, mode, opts)
     session = backend.Session() if mode == SIZE_MODE and not external_cmd else None

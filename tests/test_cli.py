@@ -573,20 +573,51 @@ def test_closed_stdout_ends_quietly():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def test_input_too_deep_to_flatten_is_a_resource_error(tmp_path):
-    """`flatten` still names terms recursively (`_Flattener.name_term`, one
-    frame per level of nesting): a Nat numeral nested 2000 deep parses, then
-    exits 3 with a one-line message and no traceback."""
+def test_deep_numeral_solves_with_its_model(tmp_path):
+    """A Nat numeral nested 2000 deep solves under the default recursion
+    limit, and its model prints."""
     numeral = "z"
     for _ in range(2000):
         numeral = f"(s {numeral})"
     p = tmp_path / "deep.smt2"
     p.write_text("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))\n"
-                 f"(declare-const x Nat)\n(assert (= x {numeral}))\n(check-sat)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-m", "adtsolve", "solve", str(p)],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+                 f"(declare-const x Nat)\n(assert (= x {numeral}))\n(check-sat)\n(get-model)\n")
+    assert run(["solve", str(p)]) == (0, f"sat\n(define-fun x () Nat {numeral})\n")
+
+
+def _python(code: str):
+    """Run `code` in a fresh interpreter with this checkout's package."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_recursion_error_is_a_resource_error():
+    """A RecursionError raised in a command exits 3 with a one-line message
+    and no traceback: here the command runs a few frames below the limit."""
+    proc = _python(
+        "import inspect, sys\n"
+        "from adtsolve import cli\n"
+        "solve = cli.cmd_solve\n"
+        "def shallow(args, out):\n"
+        "    sys.setrecursionlimit(len(inspect.stack()) + 5)\n"
+        "    return solve(args, out)\n"
+        "cli.cmd_solve = shallow\n"
+        f"sys.exit(cli.main(['solve', {os.path.join(INPUTS, 'lists.smt2')!r}]))\n")
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource error: RecursionError")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(INPUTS) if f.endswith(".smt2")))
+def test_bundled_input_solves_alike_at_a_low_recursion_limit(name):
+    """`solve` prints the same at a recursion limit of 120 as at the
+    default one."""
+    def solve(limit_line):
+        return _python(f"import sys\nfrom adtsolve import cli\n{limit_line}\n"
+                       f"sys.exit(cli.main(['solve', {os.path.join(INPUTS, name)!r}]))\n")
+
+    low, default = solve("sys.setrecursionlimit(120)"), solve("")
+    assert (low.returncode, low.stdout, low.stderr) == \
+        (default.returncode, default.stdout, default.stderr)
+    assert low.returncode == 0 and low.stdout

@@ -408,7 +408,13 @@ def test_joint_state_attributes_shared_variables_to_a(lists_sig, monkeypatch):
     assert state.var_partition == {"x": "A", "z": "A", "_ta1": "A", "_ta2": "A",
                                    "c": "B", "y": "B", "_tb1": "B"}
     assert list(state.var_sorts) == ["x", "z", "_ta1", "_ta2", "c", "y", "_tb1"]
-    assert [tag for tag, _ in state.conjuncts] == ["A", "B"]
+    # one tag per top-level conjunct, A's before B's
+    prob = section_five_problem(lists_sig)
+    flat_a = flatten(to_nnf(prob.a), lists_sig, prefix="_ta").formula
+    flat_b = flatten(to_nnf(prob.b), lists_sig, prefix="_tb").formula
+    assert isinstance(flat_a, And) and isinstance(flat_b, And)
+    assert state.conjuncts == ([("A", c) for c in flat_a.args]
+                               + [("B", c) for c in flat_b.args])
     assert set(state.registry) == {"_ta1", "_ta2", "_tb1"}
 
 

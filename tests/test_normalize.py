@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 
 from adtsolve.normalize import flatten, fresh_var_count, is_flat, to_nnf
@@ -195,3 +196,43 @@ def test_free_vars_of_a_deep_numeral_under_the_default_recursion_limit():
     x = Var("x", "Nat")
     fv = free_vars(And((Eq(x, numeral), Not(Tester("z", Sel("s", 0, x))))))
     assert fv.adt == {x} and not fv.ints
+
+
+def _numeral(n):
+    term = Ctor("one")
+    for _ in range(n):
+        term = Ctor("succ", (term,))
+    return term
+
+
+@pytest.mark.parametrize("kind", ["numeral", "selector chain"])
+def test_flatten_a_deep_term_under_the_default_recursion_limit(nat_sig, kind):
+    # one fresh name per level, innermost first, each defined once
+    n = 10000
+    if kind == "numeral":
+        term, level = _numeral(n), (lambda t: Ctor("succ", (t,)))
+    else:
+        term, level = Var("y", "Nat"), (lambda t: Sel("succ", 0, t))
+        for _ in range(n):
+            term = level(term)
+    x = Var("x", "Nat")
+    flat = flatten(to_nnf(Eq(x, term)), nat_sig)
+    names = [Var(f"_t{i}", "Nat") for i in range(1, n + 1)]
+    if kind == "numeral":
+        defs = [Eq(Ctor("one"), names[0])]
+    else:
+        defs, names = [], [Var("y", "Nat")] + names[:-1]
+    defs += [Eq(level(a), b) for a, b in zip(names, names[1:])]
+    assert is_flat(flat.formula) and fresh_var_count(flat) == len(defs)
+    assert flat.formula.args == tuple(defs) + (Eq(level(names[-1]), x),)
+
+
+def test_equal_deep_terms_share_their_names(nat_sig):
+    # two equal numerals that are distinct objects: one name per level
+    n = 10000
+    x, y = Var("x", "Nat"), Var("y", "Nat")
+    flat = flatten(to_nnf(And((Eq(x, _numeral(n)), Eq(y, _numeral(n))))), nat_sig)
+    assert fresh_var_count(flat) == n
+    first, second = flat.formula.args[:n + 1], flat.formula.args[n + 1:]
+    assert first[:-1] == second[:-1]
+    assert (first[-1].rhs, second[-1].rhs) == (x, y)

@@ -488,11 +488,27 @@ def test_guard_case_that_drops_a_disjunction_searches_afresh(monkeypatch):
         [f for f in top if isinstance(f, ROr)][:sum(isinstance(f, ROr) for f in prev_top)]
 
 
+def _top_guards(phi):
+    """The variables guarded by the top-level conjuncts of `phi`, nested
+    conjunctions opened."""
+    from adtsolve.reduce import _guard_vars
+    from adtsolve.terms import And
+
+    if isinstance(phi, And):
+        return frozenset().union(*map(_top_guards, phi.args))
+    return frozenset(_guard_vars(phi))
+
+
 def _reduct_log(monkeypatch):
-    """Wrap the loop's reduce so that every round's reduct must equal the
-    formula a walk of the whole flat formula builds on the same reducer:
-    its reduction, then the range rows of every variable; returns the log of
-    (reduct, top-level guard set) per round."""
+    """Wrap the loop's reduce so that every round's reduct must hold, as a
+    multiset, the top-level conjuncts that a walk of the whole flat formula
+    builds on the same reducer under its top-level guard set: its reduction,
+    then the range rows of every variable; and must begin with the last
+    round's top-level conjuncts unless a new guard changed the reduction of
+    an old conjunct.  Returns the log of (top-level conjuncts, guard set,
+    whether they begin with the last round's) per round."""
+    from collections import Counter
+
     from adtsolve import sizesolve
     from adtsolve.reduce import rand
 
@@ -501,26 +517,37 @@ def _reduct_log(monkeypatch):
 
     def checked(flat, sig, mode, opts, reducer):
         got = reduce(flat, sig, mode, opts, reducer)
+        guards = _top_guards(flat.formula)
         ranges = [reducer.in_range(RVar(name), sort) for name, sort in flat.var_sorts.items()]
-        assert got.formula == rand([reducer.reduce_formula(flat.formula)] + ranges)
-        log.append((got, reducer.top_guards))
+        walk = rand([reducer.reduce_formula(flat.formula, guards)] + ranges)
+        top = _top_conjuncts(got.formula)
+        assert Counter(top) == Counter(_top_conjuncts(walk))
+        prefix = None
+        if log:
+            last_top, last_guards, _ = log[-1]
+            prefix = top[:len(last_top)] == last_top
+            if not prefix:
+                assert guards != last_guards and Counter(last_top) - Counter(top)
+        log.append((top, guards, prefix))
         return got
 
     monkeypatch.setattr(sizesolve, "reduce", checked)
     return log
 
 
-@pytest.mark.parametrize("text, fuel", [
-    (GUARD_DROPS_DISJUNCTION, 100), (NAT_NE_SAME_SIZE, 20), (_clist_distinct(3, 4), 100),
+@pytest.mark.parametrize("text, fuel, prefixes", [
+    (GUARD_DROPS_DISJUNCTION, 100, [True, True, False]),
+    (NAT_NE_SAME_SIZE, 20, [True] * 20),
+    (_clist_distinct(3, 4), 100, [True] * 5),
 ], ids=["guard", "nat", "distinct-3-4"])
-def test_each_round_reduces_to_the_whole_walk(monkeypatch, text, fuel):
+def test_each_round_reduces_to_the_whole_walk(monkeypatch, text, fuel, prefixes):
+    # a round's reduct extends the last one by a suffix, except in the
+    # round whose clause guards a variable and drops a disjunction
     log = _reduct_log(monkeypatch)
     script = parse_script(text)
     res = decide(script.formula(), script.sig, fuel=fuel)
     assert len(log) == res.rounds + 1 > 2
-    if text is GUARD_DROPS_DISJUNCTION:
-        # a round whose clause guards a variable reduced every conjunct again
-        assert len({guards for _, guards in log}) > 1
+    assert [prefix for _, _, prefix in log[1:]] == prefixes
 
 
 def test_each_round_reduces_to_the_whole_walk_on_random_signatures(monkeypatch):
@@ -529,15 +556,16 @@ def test_each_round_reduces_to_the_whole_walk_on_random_signatures(monkeypatch):
 
     log = _reduct_log(monkeypatch)
     rng = random.Random(11)
-    guard_changes = 0
+    guard_changes = prefixes = 0
     for _ in range(3):
         sig = random_signature(rng)
         for _ in range(30):
             phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3), size_atoms=True))
             log.clear()
             decide(phi, sig, fuel=20)
-            guard_changes += len({guards for _, guards in log}) > 1
-    assert guard_changes
+            guard_changes += len({guards for _, guards, _ in log}) > 1
+            prefixes += sum(prefix is True for _, _, prefix in log)
+    assert guard_changes and prefixes
 
 
 def test_rounds_reduce_only_what_they_add(monkeypatch):
