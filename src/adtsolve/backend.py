@@ -573,7 +573,11 @@ class _Search:
         (`lia.System.violated`).  A row over a class the system leaves free
         (a loose row) is read against the candidate model's values, so the
         candidate (`candidate`, one pass over the terms) is built before the
-        split only when such a row could come first.
+        split only when such a row could come first.  A loose row x - y != 0
+        in the shape `rne` makes is left out of that test: the candidate gives
+        a free class a value above every value of the system's model, and
+        distinct from every other free class's, so x and y never get one
+        value and the row is never the one picked.
 
         Of the violated `ne` rows, the one with the fewest variables is split
         first, the one added first among equals (fail first).  A one-variable
@@ -588,6 +592,7 @@ class _Search:
         best, loose = pick
         model_map = self.lia.values
         found = None
+        loose = [row for row in loose if not _kept_apart(row)]
         if loose:
             found = self.candidate(model_map)
             free = found[2]
@@ -610,6 +615,14 @@ class _Search:
         return [REq(t1, t2)] + [RLin("ne", ((1, a1), (-1, a2)), 0)
                                 for a1, a2 in zip(t1.args, t2.args)
                                 if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])]
+
+
+def _kept_apart(row: lia.LinCon) -> bool:
+    """Whether a row is x - y != 0 over two variables, as `rne` makes it."""
+    if row.op != "ne" or row.const != 0 or len(row.coeffs) != 2:
+        return False
+    (_, a), (_, b) = row.coeffs
+    return a + b == 0 and abs(a) == 1
 
 
 # -- public solve ------------------------------------------------------------------------

@@ -7,17 +7,20 @@ apply a ctorId or selector function, read each pair's head symbol and children
 off those function graphs, then build terms bottom-up; remaining pairs receive
 fresh terms of minimal size never used before, which keeps the map injective
 so that disequalities stay satisfied.
+
+One walk over the reduct (`_read_reduct`) checks that the model satisfies
+it, fills in the function-graph entries that the model reads through a
+default value, and reads off the branch, each application evaluated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from .backend import IntModel, complete_model, eval_reduced, eval_rterm
+from .backend import IntModel, complete_model
 from .errors import InternalError, UnboundVariableError
 from .reduce import (
-    RAnd, RApp, REq, RFormula, ROr, RTerm, RTrueF, ReducedFormula, iter_literals,
+    RAnd, RApp, RConst, REq, RFormula, RLin, ROr, RTerm, RTrueF, RVar, ReducedFormula,
 )
 from .semantics import evaluate, print_formula
 from .signature import Signature, cardinality, ctor_at, fresh_terms
@@ -40,31 +43,26 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
     model of a simplified reduct is completed first."""
     base = reduct.base or reduct
     model = complete_model(reduct, int_model) if reduct.trace else int_model
-    if not eval_reduced(base.formula, model):
-        raise InternalError("completed model does not satisfy the unsimplified reduct")
-    # selector values are read off the graphs below, so the graphs must hold
-    # every application the evaluation above took at a default value
-    model = _with_default_apps(base.formula, model)
     table = base.table
     sig = table.sig
     flat = base.flat
     stats = stats if stats is not None else ReconstructionStats()
     enum_sorts = table.enum_sorts
 
-    # D: the argument values of the ctorId and selector applications in the
-    # branch of the reduct that the model satisfies
+    # D: the argument values of the ctorId and selector applications over
+    # sorts other than enumerations in the branch that the model satisfies
     arg_sort: dict[str, str] = {}
     for fname, (_, origin) in table.funs.items():
         if origin[0] == "ctorid":
-            arg_sort[fname] = origin[1]
+            sort = origin[1]
         elif origin[0] == "sel":
-            arg_sort[fname] = sig.ctor(origin[1]).sort
-    d_pairs: dict[tuple[int, str], None] = {}
-    for lit in _branch(base.formula, model):
-        for app in _lit_apps(lit):
-            sort = arg_sort.get(app.fn)
-            if sort is not None and sort not in enum_sorts:
-                d_pairs.setdefault((eval_rterm(app.args[0], model), sort))
+            sort = sig.ctor(origin[1]).sort
+        else:
+            continue
+        if sort not in enum_sorts:
+            arg_sort[fname] = sort
+    model, d_list = _read_reduct(base.formula, model, arg_sort)
+    d_pairs = dict.fromkeys(d_list)
 
     # dep: head symbol and children read off the totalized function graphs
     dep: dict[tuple[int, str], tuple[str, list[tuple[int, str]]]] = {}
@@ -187,45 +185,68 @@ def _build_terms(sig: Signature, pairs: dict[tuple[int, str], None],
     return gamma
 
 
-def _branch(f: RFormula, model: IntModel) -> Iterator[RFormula]:
-    """The literals of the branch of f that the model satisfies: every
-    conjunct, and the first disjunct that holds."""
-    if isinstance(f, RAnd):
-        for a in f.args:
-            yield from _branch(a, model)
-    elif isinstance(f, ROr):
-        arm = next((a for a in f.args if eval_reduced(a, model)), None)
-        if arm is None:
-            raise InternalError("no satisfied disjunct in a sat model")
-        yield from _branch(arm, model)
-    elif not isinstance(f, RTrueF):
-        yield f
-
-
-def _lit_apps(lit: RFormula) -> Iterator[RApp]:
-    """Every application in a literal, arguments before the application."""
-    terms = [lit.lhs, lit.rhs] if isinstance(lit, REq) else [t for _, t in lit.terms]
-    for t in terms:
-        yield from _apps(t)
-
-
-def _apps(t: RTerm) -> Iterator[RApp]:
-    if isinstance(t, RApp):
-        for a in t.args:
-            yield from _apps(a)
-        yield t
-
-
-def _with_default_apps(f: RFormula, model: IntModel) -> IntModel:
-    """A copy of the model whose function graphs also list every application
-    in f that the model evaluates through a default value."""
+def _read_reduct(f: RFormula, model: IntModel, arg_sort: dict[str, str]
+                 ) -> tuple[IntModel, list[tuple[int, str]]]:
+    """One walk over every literal of f, each application evaluated once.
+    Returns a copy of the model whose function graphs also list every
+    application that the model evaluates through a default value (selector
+    values are read off the graphs, so the graphs must hold them), listed in
+    the order of the literals, arguments before the application, and the
+    (argument value, sort) pairs at which the branch of f that the model
+    satisfies (every conjunct, and the first disjunct that holds) applies a
+    function of `arg_sort`, in the same order.  Raises InternalError when
+    the model does not satisfy f."""
     out = IntModel(model.values, {fn: dict(g) for fn, g in model.funcs.items()},
                    model.defaults)
-    for lit in iter_literals(f):
-        for app in _lit_apps(lit):
-            args = tuple(eval_rterm(a, out) for a in app.args)
-            out.funcs.setdefault(app.fn, {}).setdefault(args, out.app(app.fn, args))
-    return out
+    values, funcs, defaults = out.values, out.funcs, out.defaults
+    pairs: list[tuple[int, str]] = []
+    # application -> its value and the pairs of its subterms and itself
+    seen: dict[RApp, tuple[int, tuple[tuple[int, str], ...]]] = {}
+
+    def term(t: RTerm) -> int:
+        kind = type(t)
+        if kind is RVar:
+            return values.get(t.name, 0)
+        if kind is RConst:
+            return t.value
+        got = seen.get(t)
+        if got is None:
+            start = len(pairs)
+            args = tuple([term(a) for a in t.args])
+            value = funcs.setdefault(t.fn, {}).setdefault(args, defaults.get(t.fn, 0))
+            sort = arg_sort.get(t.fn)
+            if sort is not None:
+                pairs.append((args[0], sort))
+            got = seen[t] = (value, tuple(pairs[start:]))
+        else:
+            pairs.extend(got[1])
+        return got[0]
+
+    def holds(g: RFormula) -> bool:
+        kind = type(g)
+        if kind is REq:
+            return term(g.lhs) == term(g.rhs)
+        if kind is RLin:
+            total = g.const
+            for c, t in g.terms:
+                total += c * term(t)
+            return total <= 0 if g.op == "le" else total == 0 if g.op == "eq" else total != 0
+        if kind is RAnd:
+            return all([holds(a) for a in g.args])  # every conjunct walked
+        if kind is ROr:
+            result = False
+            for a in g.args:
+                start = len(pairs)
+                if holds(a) and not result:
+                    result = True
+                else:
+                    del pairs[start:]  # not the branch's arm
+            return result
+        return kind is RTrueF
+
+    if not holds(f):
+        raise InternalError("completed model does not satisfy the unsimplified reduct")
+    return out, pairs
 
 
 def _next_fresh(sig: Signature, sort: str, used: dict[str, set[Term]]) -> Term:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from sys import intern
 from typing import NamedTuple
 
 from .errors import InputError, TypeCheckError, UnknownSymbolError
@@ -73,7 +74,8 @@ _sexpr = tuple.__new__
 
 def read_sexprs(text: str) -> list[SExpr]:
     """The s-expressions of `text`.  Positions are 1-based lines and
-    columns; a tab or a carriage return is one column."""
+    columns; a tab or a carriage return is one column.  Every atom is
+    interned, so each name is one string however often it occurs."""
     out: list[SExpr] = []
     items = out                                 # the innermost open list
     open_lists: list[tuple[int, int, list]] = []  # (line, col, enclosing items)
@@ -93,7 +95,7 @@ def read_sexprs(text: str) -> list[SExpr]:
             line += 1
             line_start = m.end()
         elif tok[0] != ";":
-            items.append(_sexpr(SExpr, (line, m.start() - line_start + 1, tok, None)))
+            items.append(_sexpr(SExpr, (line, m.start() - line_start + 1, intern(tok), None)))
     if open_lists:
         raise InputError("unbalanced parenthesis", line, len(text) - line_start + 1)
     return out

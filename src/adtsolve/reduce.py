@@ -11,6 +11,10 @@ existentials are Skolemized with fresh constants.  Two optimizations are
 available: guarded selector literals drop their head-case disjunction, and
 enumeration sorts map constructors straight to their indices.
 
+Reduced nodes are frozen slotted dataclasses (an `RApp` also holds its
+cached hash), and a symbol table interns the variables and applications of
+its reducts, so a repeated term is one object.
+
 A `Reducer` memoises each literal's reduction, each top-level conjunct's
 reduction under the formula's guard set, and each variable's range rows, so
 one reducer kept across the rounds of the unfolding loop reduces only each
@@ -46,24 +50,25 @@ SIZE_MODE = "size"
 
 # -- reduced (EUF+LIA) AST -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RConst:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RApp:
     fn: str
     args: tuple["RTerm", ...]
+    # cached: these trees nest deeply and hash constantly in the solver
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
-        # cached: these trees nest deeply and hash constantly in the solver
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.fn, self.args))
             object.__setattr__(self, "_hash", h)
@@ -73,13 +78,13 @@ class RApp:
 RTerm = Union[RVar, RConst, RApp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class REq:
     lhs: RTerm
     rhs: RTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RLin:
     """sum(coeff * term) + const OP 0, with OP in {'le', 'eq', 'ne'}."""
 
@@ -88,22 +93,22 @@ class RLin:
     const: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RAnd:
     args: tuple["RFormula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ROr:
     args: tuple["RFormula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RTrueF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RFalseF:
     pass
 
@@ -342,7 +347,7 @@ class SymbolTable:
         return [n for n, o in self.int_vars.items() if o[0] == "skolem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReduceOptions:
     guarded_opt: bool = True
     enum_opt: bool = True
@@ -508,10 +513,9 @@ class Reducer:
     def reduce_literal(self, lit: Formula, guards: frozenset[str]) -> RFormula:
         guarded = self.opts.guarded(lit, guards)
         key = (lit, guarded)
-        if key in self.memo:
-            return self.memo[key]
-        out = self._reduce_literal(lit, guarded)
-        self.memo[key] = out
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self._reduce_literal(lit, guarded)
         return out
 
     def _reduce_literal(self, lit: Formula, guarded: bool) -> RFormula:
@@ -632,20 +636,22 @@ class Reducer:
         return ReducedFormula(rand([part for _, part in self.parts]), table, flat)
 
     def reduce_formula(self, phi: Formula, guards: frozenset[str] = frozenset()) -> RFormula:
+        """The reduct of `phi` under the variables its context guards.  A
+        literal gets `guards` itself (the variables a literal guards never
+        decide whether rule (2') applies to it), and a conjunction a new set
+        only when a conjunct guards a variable not in `guards` yet, so the
+        literals of one conjunction share one set."""
         if isinstance(phi, TrueF):
             return RTRUE
         if isinstance(phi, FalseF):
             return RFALSE
         if isinstance(phi, And):
-            local = set(guards)
-            for child in phi.args:
-                local.update(_guard_vars(child))
-            g = frozenset(local)
+            new = [v for child in phi.args for v in _guard_vars(child) if v not in guards]
+            g = guards.union(new) if new else guards
             return rand([self.reduce_formula(a, g) for a in phi.args])
         if isinstance(phi, Or):
             return ror([self.reduce_formula(a, guards) for a in phi.args])
-        extra = guards | frozenset(_guard_vars(phi))
-        return self.reduce_literal(phi, extra)
+        return self.reduce_literal(phi, guards)
 
 
 def _guard_vars(lit: Formula) -> list[str]:

@@ -20,7 +20,7 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventuallyPeriodicSet:
     """exceptions below `threshold`, then `n in S iff n % period in residues`."""
 

@@ -38,7 +38,7 @@ _IMAGE_WINDOW = 64
 _IMAGE_WINDOW_MAX = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CtorDecl:
     name: str
     sort: str
@@ -49,7 +49,7 @@ class CtorDecl:
         return len(self.args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     sorts: tuple[str, ...]
     ctors: tuple[CtorDecl, ...]
@@ -116,7 +116,7 @@ class Signature:
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigIssue:
     code: str  # 'empty-sort' | 'duplicate-name' | 'unknown-sort'
     symbol: str
@@ -126,7 +126,8 @@ class SigIssue:
 
 
 def validate(sig: Signature) -> list[SigIssue]:
-    """All well-definedness violations; empty means the signature is valid."""
+    """All well-definedness violations; empty means the signature is valid,
+    which is kept in the signature's cache for `ensure_valid`."""
     issues: list[SigIssue] = []
     seen_sorts: set[str] = set()
     for s in sig.sorts:
@@ -163,16 +164,18 @@ def validate(sig: Signature) -> list[SigIssue]:
     for s in sig.sorts:
         if s not in nonempty:
             issues.append(SigIssue("empty-sort", s))
+    if not issues:
+        sig._cache["validated"] = True
     return issues
 
 
 def ensure_valid(sig: Signature) -> Signature:
-    key = "validated"
-    if key not in sig._cache:
+    """`sig`, or InvalidSignatureError; a signature that `validate` passed
+    once is not validated again."""
+    if "validated" not in sig._cache:
         issues = validate(sig)
         if issues:
             raise InvalidSignatureError(issues)
-        sig._cache[key] = True
     return sig
 
 
@@ -201,7 +204,7 @@ def ctor_at(sig: Signature, sort: str, index: int) -> CtorDecl:
 
 # -- cardinality ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cardinality:
     count: int | None  # None means infinite
 
@@ -256,7 +259,7 @@ SORT_V = "sort"
 CTOR_V = "ctor"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyGraph:
     """Bipartite graph: sort -> constructor of that sort -> argument sorts."""
 
@@ -567,7 +570,7 @@ def minimal_term(sig: Signature, sort: str) -> Term:
 
 # -- expandingness -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpandingReport:
     """Per-sort verdicts; a non-expanding sort carries its witness cycle as an
     alternating sort/constructor name sequence starting and ending at the sort."""

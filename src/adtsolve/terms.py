@@ -3,7 +3,9 @@
 Terms are constructor terms over an ADT signature extended with variables
 and selector applications; formulas combine testers, equalities, Boolean
 structure, and Presburger atoms over term sizes.  All nodes are immutable
-and hashable.
+and hashable, and slotted: an instance holds its fields and no `__dict__`
+(a `Ctor` also its cached hash).  The parser interns the symbols it reads,
+so the names in a script's nodes are one string each.
 """
 
 from __future__ import annotations
@@ -14,27 +16,28 @@ from typing import Union
 
 # -- terms -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     sort: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ctor:
     ctor: str
     args: tuple["Term", ...] = ()
+    # cached: model terms nest as deep as the input's chains
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
-        # cached: model terms nest as deep as the input's chains
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.ctor, self.args))
             object.__setattr__(self, "_hash", h)
         return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sel:
     ctor: str
     index: int
@@ -46,33 +49,33 @@ Term = Union[Var, Ctor, Sel]
 
 # -- integer expressions -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntConst:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntVar:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SizeOf:
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntAdd:
     args: tuple["IntExpr", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMul:
     coeff: int
     arg: "IntExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntApp:
     """Uninterpreted integer function application."""
 
@@ -85,39 +88,39 @@ IntExpr = Union[IntConst, IntVar, SizeOf, IntAdd, IntMul, IntApp]
 
 # -- formulas ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tester:
     ctor: str
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     arg: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseF:
     pass
 
@@ -127,7 +130,7 @@ SIZE_OPS = ("eq", "ne", "le", "lt", "ge", "gt")
 NEGATED_OP = {"eq": "ne", "ne": "eq", "le": "gt", "gt": "le", "lt": "ge", "ge": "lt"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SizeAtom:
     """Comparison of two linear integer expressions (a Presburger atom)."""
 
@@ -191,7 +194,7 @@ def ground_size(t: Term) -> int:
     return 1 + sum(ground_size(a) for a in t.args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeVars:
     adt: frozenset[Var]
     ints: frozenset[str]

@@ -299,6 +299,32 @@ def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
     assert _spent(monkeypatch, wrap(f, lists_sig)) == ("sat", 6, 0)
 
 
+def test_loose_disequality_of_two_variables_needs_no_candidate(monkeypatch):
+    # x != y over two free classes is a loose row, added before the violated
+    # z != w (z = w = 0 at their upper bounds): the candidate gives x and y
+    # distinct values, so the probe splits z != w without building it
+    calls = []
+    candidate = backend._Search.candidate
+
+    def counted(self, model_map):
+        calls.append(model_map)
+        return candidate(self, model_map)
+
+    monkeypatch.setattr(backend._Search, "candidate", counted)
+    search = backend._Search(backend._Budget(100, 100))
+    x, y, z, w = (RVar(v) for v in "xyzw")
+    search.assert_lit(rne(x, y))
+    search.assert_lit(_le(0, (1, "z")))
+    search.assert_lit(_le(0, (1, "w")))
+    search.assert_lit(rne(z, w))
+    best, loose = search.lia.violated()
+    assert [sorted(a for _, a in row.coeffs) for row in loose] == [[-1, 1]]
+    arms = search.decide()
+    assert [arm.coeffs for arm in arms] == [
+        tuple((v, s * a) for v, a in best.coeffs) for s in (1, -1)]
+    assert calls == []
+
+
 # -- backtrackable congruence closure ---------------------------------------------
 
 def _cc_state(cc):

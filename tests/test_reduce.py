@@ -114,6 +114,26 @@ def test_guarded_selector_drops_disjunction(lists_sig, fml):
     assert set(r.table.skolem_names()) == {"_s1", "_s2"}
 
 
+def test_literals_of_one_conjunction_share_one_guard_set(monkeypatch):
+    # every literal of a 50-link chain is reduced under the one guard set of
+    # the top-level conjunction, not a copy per literal
+    from tests.test_models import _sat_chain
+
+    seen = []
+    reduce_literal = Reducer.reduce_literal
+
+    def recorded(self, lit, guards):
+        seen.append(guards)  # kept, so no set's id is reused
+        return reduce_literal(self, lit, guards)
+
+    monkeypatch.setattr(Reducer, "reduce_literal", recorded)
+    script = _sat_chain(50)
+    reduce(flatten(to_nnf(script.formula()), script.sig), script.sig)
+    assert len(seen) >= 150
+    assert all(g is seen[0] for g in seen)
+    assert len(seen[0]) == 50  # x0 .. x49 are tested to be a cons
+
+
 def test_unguarded_selector_keeps_full_rule(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(= (head x) y)")
     ors = [l for l in _subformulas(r.formula) if isinstance(l, ROr)]
@@ -235,6 +255,26 @@ def test_literal_memoization_shares_skolems(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(or (and ((_ is cons) x) (= y red)) "
                                 "(and ((_ is cons) x) (= y green)))")
     assert set(r.table.skolem_names()) == {"_s1", "_s2"}
+
+
+def test_literals_of_one_conjunction_share_one_guard_set(monkeypatch):
+    # every literal of a 50-link chain is reduced under the one guard set of
+    # the top-level conjunction, not a copy per literal
+    from tests.test_models import _sat_chain
+
+    seen = []
+    reduce_literal = Reducer.reduce_literal
+
+    def recorded(self, lit, guards):
+        seen.append(guards)  # kept, so no set's id is reused
+        return reduce_literal(self, lit, guards)
+
+    monkeypatch.setattr(Reducer, "reduce_literal", recorded)
+    script = _sat_chain(50)
+    reduce(flatten(to_nnf(script.formula()), script.sig), script.sig)
+    assert len(seen) >= 150
+    assert all(g is seen[0] for g in seen)
+    assert len(seen[0]) == 50  # x0 .. x49 are tested to be a cons
 
 
 # -- depth rows -------------------------------------------------------------------------
