@@ -38,8 +38,6 @@ backend; its model response is parsed back into the same IntModel shape.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -764,6 +762,10 @@ def run_solver(cmd: str, script: str, timeout: float, name: str) -> str | None:
     started (unbalanced quotes, a missing or non-executable binary) raises
     SpawnError and empty output ProtocolError; `name` labels the solver in
     both messages."""
+    # imported here: only an external solver needs them, and not at import time
+    import shlex
+    import subprocess
+
     try:
         proc = subprocess.run(shlex.split(cmd), input=script, text=True,
                               capture_output=True, timeout=timeout)

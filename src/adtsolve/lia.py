@@ -24,7 +24,6 @@ value changed (`violated`).
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import NamedTuple
@@ -128,6 +127,9 @@ def _simplex_feasible(cons: list[LinCon], extra: list[LinCon]):
     slack, negative right-hand sides are negated, and phase-1 artificials are
     driven to zero with Bland's rule.
     """
+    # imported here: only branch and bound needs it, and not at import time
+    from fractions import Fraction
+
     system = cons + extra
     vars_ = sorted({v for c in system for v, _ in c.coeffs})
     if not vars_:

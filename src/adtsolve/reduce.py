@@ -11,8 +11,10 @@ existentials are Skolemized with fresh constants.  Two optimizations are
 available: guarded selector literals drop their head-case disjunction, and
 enumeration sorts map constructors straight to their indices.
 
-Reduced nodes are frozen slotted dataclasses (an `RApp` also holds its
-cached hash), and a symbol table interns the variables and applications of
+Reduced nodes are `terms.Node`s, slotted value classes with the equality,
+hash and `repr` of frozen dataclasses but built without `dataclasses`, whose
+generated methods cost about 1 ms a class at import (an `RApp` also holds
+its cached hash).  A symbol table interns the variables and applications of
 its reducts, so a repeated term is one object.
 
 A `Reducer` memoises each literal's reduction, each top-level conjunct's
@@ -41,7 +43,7 @@ from .signature import (
 )
 from .terms import (
     And, Ctor, Eq, FalseF, Formula, IntAdd, IntApp, IntConst, IntExpr, IntMul,
-    IntVar, Not, Or, Sel, SizeAtom, SizeOf, Tester, TrueF, Var,
+    IntVar, Node, Not, Or, Sel, SizeAtom, SizeOf, Tester, TrueF, Var,
 )
 
 DEPTH_MODE = "depth"
@@ -50,23 +52,35 @@ SIZE_MODE = "size"
 
 # -- reduced (EUF+LIA) AST -----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RVar:
+class RVar(Node):
+    __slots__ = ("name",)
     name: str
 
+    # written out, as Node's closures take longer: the solver hashes these
+    # more than any other node
+    def __eq__(self, other):
+        if other.__class__ is RVar:
+            return (self.name,) == (other.name,)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
-class RConst:
+    def __hash__(self):
+        return hash((self.name,))
+
+
+class RConst(Node):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class RApp:
+class RApp(Node):
+    __slots__ = ("fn", "args", "_hash")
     fn: str
     args: tuple["RTerm", ...]
-    # cached: these trees nest deeply and hash constantly in the solver
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __init__(self, fn: str, args: tuple["RTerm", ...]):
+        self._init(fn, args, None)
+
+    # cached: these trees nest deeply and hash constantly in the solver
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -78,39 +92,37 @@ class RApp:
 RTerm = Union[RVar, RConst, RApp]
 
 
-@dataclass(frozen=True, slots=True)
-class REq:
+class REq(Node):
+    __slots__ = ("lhs", "rhs")
     lhs: RTerm
     rhs: RTerm
 
 
-@dataclass(frozen=True, slots=True)
-class RLin:
+class RLin(Node):
     """sum(coeff * term) + const OP 0, with OP in {'le', 'eq', 'ne'}."""
 
+    __slots__ = ("op", "terms", "const")
     op: str
     terms: tuple[tuple[int, RTerm], ...]
     const: int
 
 
-@dataclass(frozen=True, slots=True)
-class RAnd:
+class RAnd(Node):
+    __slots__ = ("args",)
     args: tuple["RFormula", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ROr:
+class ROr(Node):
+    __slots__ = ("args",)
     args: tuple["RFormula", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RTrueF:
-    pass
+class RTrueF(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RFalseF:
-    pass
+class RFalseF(Node):
+    __slots__ = ()
 
 
 RFormula = Union[REq, RLin, RAnd, ROr, RTrueF, RFalseF]
@@ -347,10 +359,13 @@ class SymbolTable:
         return [n for n, o in self.int_vars.items() if o[0] == "skolem"]
 
 
-@dataclass(frozen=True, slots=True)
-class ReduceOptions:
-    guarded_opt: bool = True
-    enum_opt: bool = True
+class ReduceOptions(Node):
+    __slots__ = ("guarded_opt", "enum_opt")
+    guarded_opt: bool
+    enum_opt: bool
+
+    def __init__(self, guarded_opt: bool = True, enum_opt: bool = True):
+        self._init(guarded_opt, enum_opt)
 
     @staticmethod
     def none() -> "ReduceOptions":

@@ -9,10 +9,10 @@ period, minimal threshold, so equal sets compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalError
+from .terms import Node
 
 
 def _divisors(n: int) -> list[int]:
@@ -20,22 +20,24 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class EventuallyPeriodicSet:
+class EventuallyPeriodicSet(Node):
     """exceptions below `threshold`, then `n in S iff n % period in residues`."""
 
+    __slots__ = ("exceptions", "threshold", "period", "residues")
     exceptions: frozenset[int]
     threshold: int
     period: int
     residues: frozenset[int]
 
-    def __post_init__(self):
-        if self.period < 1:
+    def __init__(self, exceptions: frozenset[int], threshold: int, period: int,
+                 residues: frozenset[int]):
+        if period < 1:
             raise InternalError("period must be positive")
-        if any(r < 0 or r >= self.period for r in self.residues):
+        if any(r < 0 or r >= period for r in residues):
             raise InternalError("residues must lie in [0, period)")
-        if any(e < 0 or e >= self.threshold for e in self.exceptions):
+        if any(e < 0 or e >= threshold for e in exceptions):
             raise InternalError("exceptions must lie in [0, threshold)")
+        self._init(exceptions, threshold, period, residues)
 
     @staticmethod
     def from_window(member: Callable[[int], bool], threshold: int,

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
 from .semilinear import EventuallyPeriodicSet
-from .terms import Ctor, Term, Var, ground_size
+from .terms import Ctor, Node, Term, Var, ground_size
 
 DEFAULT_COUNT_CAP = 2000
 DEFAULT_ENUM_CAP = 2_000_000
@@ -38,17 +38,22 @@ _IMAGE_WINDOW = 64
 _IMAGE_WINDOW_MAX = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class CtorDecl:
+class CtorDecl(Node):
+    __slots__ = ("name", "sort", "args")
     name: str
     sort: str
-    args: tuple[tuple[str, str], ...] = ()  # (selector name, argument sort)
+    args: tuple[tuple[str, str], ...]  # (selector name, argument sort)
+
+    def __init__(self, name: str, sort: str, args: tuple[tuple[str, str], ...] = ()):
+        self._init(name, sort, args)
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
 
+# a dataclass, unlike the `Node` classes: callers copy a signature with a
+# fresh cache through `dataclasses.replace`
 @dataclass(frozen=True, slots=True)
 class Signature:
     sorts: tuple[str, ...]
@@ -116,8 +121,8 @@ class Signature:
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SigIssue:
+class SigIssue(Node):
+    __slots__ = ("code", "symbol")
     code: str  # 'empty-sort' | 'duplicate-name' | 'unknown-sort'
     symbol: str
 
@@ -204,8 +209,8 @@ def ctor_at(sig: Signature, sort: str, index: int) -> CtorDecl:
 
 # -- cardinality ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Cardinality:
+class Cardinality(Node):
+    __slots__ = ("count",)
     count: int | None  # None means infinite
 
     @staticmethod
@@ -259,10 +264,10 @@ SORT_V = "sort"
 CTOR_V = "ctor"
 
 
-@dataclass(frozen=True, slots=True)
-class DependencyGraph:
+class DependencyGraph(Node):
     """Bipartite graph: sort -> constructor of that sort -> argument sorts."""
 
+    __slots__ = ("vertices", "edges")
     vertices: tuple[tuple[str, str], ...]
     edges: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
 
@@ -570,11 +575,11 @@ def minimal_term(sig: Signature, sort: str) -> Term:
 
 # -- expandingness -----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ExpandingReport:
+class ExpandingReport(Node):
     """Per-sort verdicts; a non-expanding sort carries its witness cycle as an
     alternating sort/constructor name sequence starting and ending at the sort."""
 
+    __slots__ = ("witnesses",)
     witnesses: tuple[tuple[str, tuple[str, ...] | None], ...]
 
     def witness(self, sort: str) -> tuple[str, ...] | None:

@@ -2,33 +2,115 @@
 
 Terms are constructor terms over an ADT signature extended with variables
 and selector applications; formulas combine testers, equalities, Boolean
-structure, and Presburger atoms over term sizes.  All nodes are immutable
-and hashable, and slotted: an instance holds its fields and no `__dict__`
-(a `Ctor` also its cached hash).  The parser interns the symbols it reads,
-so the names in a script's nodes are one string each.
+structure, and Presburger atoms over term sizes.  All nodes are `Node`s:
+immutable, hashable and slotted, so an instance holds its fields and no
+`__dict__` (a `Ctor` also its cached hash).  A `Node` compares, hashes and
+prints as a frozen dataclass of the same fields does, but is no dataclass:
+`dataclasses` compiles each class's methods with `exec`, which took about
+half of the time `import adtsolve` did.  The parser interns the symbols it
+reads, so the names in a script's nodes are one string each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from operator import attrgetter
 from typing import Union
+
+
+class Node:
+    """Base of the immutable value classes: terms, formulas, reduced terms
+    and the signature's declarations.  A subclass lists its fields in
+    `__slots__` (a slot whose name starts with `_`, such as a cached hash,
+    is no field), and `__init_subclass__` gives it what a frozen dataclass
+    of those fields has: `==` and `hash()` over the fields in order and the
+    same `repr`, so sets, dicts and printed output are the same, and an
+    `__init__` that takes the fields positionally.  A method the class body
+    defines is kept; `_init` sets every slot, for an `__init__` of its own.
+
+    Not a dataclass because `dataclasses` compiles each class's methods with
+    `exec`, about 1 ms a class when `adtsolve` is imported; these closures
+    take microseconds.  Hash-consing of terms would go here."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        init = cls._init = _SETTERS[len(cls.__slots__)](*(own[f].__set__ for f in cls.__slots__))
+        init.__qualname__ = f"{cls.__qualname__}._init"  # for argument errors
+        if "__init__" not in own:
+            cls.__init__ = init
+        if len(fields) == 1:
+            # a 1-tuple, so that `==` first tests the fields' identity
+            one = attrgetter(fields[0])
+            key = lambda self: (one(self),)
+        else:
+            key = attrgetter(*fields) if fields else lambda self: ()
+        if "__eq__" not in own:
+            def __eq__(self, other):
+                if other.__class__ is cls:
+                    return key(self) == key(other)
+                return NotImplemented
+            cls.__eq__ = __eq__
+        if "__hash__" not in own:
+            cls.__hash__ = lambda self: hash(key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+
+# `_init` by number of slots, made from the slots' descriptors' `__set__`:
+# a closure per arity takes half the time of a loop over the values, and as
+# each `__set__` returns None, `or` runs them all, in order, and gives None
+_SETTERS = (
+    lambda: lambda self: None,
+    lambda p: lambda self, a: p(self, a),
+    lambda p, q: lambda self, a, b: p(self, a) or q(self, b),
+    lambda p, q, r: lambda self, a, b, c: p(self, a) or q(self, b) or r(self, c),
+    lambda p, q, r, s: lambda self, a, b, c, d: (
+        p(self, a) or q(self, b) or r(self, c) or s(self, d)),
+)
 
 
 # -- terms -------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(Node):
+    __slots__ = ("name", "sort")
     name: str
     sort: str
 
+    # written out, as Node's closures take longer: flattening and the
+    # reducer's memos hash variables more than any other node
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return (self.name, self.sort) == (other.name, other.sort)
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
-class Ctor:
+    def __hash__(self):
+        return hash((self.name, self.sort))
+
+
+class Ctor(Node):
+    __slots__ = ("ctor", "args", "_hash")
     ctor: str
-    args: tuple["Term", ...] = ()
-    # cached: model terms nest as deep as the input's chains
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    args: tuple["Term", ...]
 
+    def __init__(self, ctor: str, args: tuple["Term", ...] = ()):
+        self._init(ctor, args, None)
+
+    # cached, and `==` on an explicit stack: model terms nest as deep as the
+    # input's chains
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -36,9 +118,27 @@ class Ctor:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __eq__(self, other):
+        if other.__class__ is not Ctor:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not Ctor or b.__class__ is not Ctor:
+                if not a == b:
+                    return False
+            elif (a.ctor != b.ctor or len(a.args) != len(b.args)
+                  or a._hash is not None and b._hash is not None and a._hash != b._hash):
+                return False
+            else:
+                stack.extend(zip(reversed(a.args), reversed(b.args)))
+        return True
 
-@dataclass(frozen=True, slots=True)
-class Sel:
+
+class Sel(Node):
+    __slots__ = ("ctor", "index", "arg")
     ctor: str
     index: int
     arg: "Term"
@@ -49,36 +149,36 @@ Term = Union[Var, Ctor, Sel]
 
 # -- integer expressions -------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class IntConst:
+class IntConst(Node):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class IntVar:
+class IntVar(Node):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class SizeOf:
+class SizeOf(Node):
+    __slots__ = ("arg",)
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
-class IntAdd:
+class IntAdd(Node):
+    __slots__ = ("args",)
     args: tuple["IntExpr", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class IntMul:
+class IntMul(Node):
+    __slots__ = ("coeff", "arg")
     coeff: int
     arg: "IntExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class IntApp:
+class IntApp(Node):
     """Uninterpreted integer function application."""
 
+    __slots__ = ("fn", "args")
     fn: str
     args: tuple["IntExpr", ...]
 
@@ -88,41 +188,39 @@ IntExpr = Union[IntConst, IntVar, SizeOf, IntAdd, IntMul, IntApp]
 
 # -- formulas ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Tester:
+class Tester(Node):
+    __slots__ = ("ctor", "arg")
     ctor: str
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
+class Eq(Node):
+    __slots__ = ("lhs", "rhs")
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+class Not(Node):
+    __slots__ = ("arg",)
     arg: "Formula"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+class And(Node):
+    __slots__ = ("args",)
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+class Or(Node):
+    __slots__ = ("args",)
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TrueF:
-    pass
+class TrueF(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FalseF:
-    pass
+class FalseF(Node):
+    __slots__ = ()
 
 
 SIZE_OPS = ("eq", "ne", "le", "lt", "ge", "gt")
@@ -130,16 +228,17 @@ SIZE_OPS = ("eq", "ne", "le", "lt", "ge", "gt")
 NEGATED_OP = {"eq": "ne", "ne": "eq", "le": "gt", "gt": "le", "lt": "ge", "ge": "lt"}
 
 
-@dataclass(frozen=True, slots=True)
-class SizeAtom:
+class SizeAtom(Node):
     """Comparison of two linear integer expressions (a Presburger atom)."""
 
+    __slots__ = ("op", "lhs", "rhs")
     op: str
     lhs: IntExpr
     rhs: IntExpr
 
-    def __post_init__(self):
-        assert self.op in SIZE_OPS
+    def __init__(self, op: str, lhs: IntExpr, rhs: IntExpr):
+        assert op in SIZE_OPS
+        self._init(op, lhs, rhs)
 
 
 Formula = Union[Tester, Eq, Not, And, Or, TrueF, FalseF, SizeAtom]
@@ -190,12 +289,17 @@ class AdtModel:
 
 def ground_size(t: Term) -> int:
     """Number of constructor occurrences in a ground constructor term."""
-    assert isinstance(t, Ctor)
-    return 1 + sum(ground_size(a) for a in t.args)
+    size, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        assert isinstance(t, Ctor)
+        size += 1
+        stack.extend(t.args)
+    return size
 
 
-@dataclass(frozen=True, slots=True)
-class FreeVars:
+class FreeVars(Node):
+    __slots__ = ("adt", "ints")
     adt: frozenset[Var]
     ints: frozenset[str]
 

@@ -43,6 +43,21 @@ def test_disequality_forces_distinct_terms(lists_sig, fml):
     assert check_model(lists_sig, model, phi)[0]
 
 
+def test_disequality_from_a_deep_numeral(nat_sig):
+    # the fresh term is looked up among equal deep terms that are distinct
+    # objects: `==` and `ground_size` on them run under the default
+    # recursion limit
+    from adtsolve.terms import Eq, Not
+    numeral = Ctor("one")
+    for _ in range(1000):
+        numeral = Ctor("succ", (numeral,))
+    x = Var("x", "Nat")
+    res = decide(Not(Eq(x, numeral)), nat_sig)
+    assert res.status == "sat"
+    assert res.model.adt["x"] != numeral
+    assert ground_size(res.model.adt["x"]) == 1002
+
+
 def test_three_distinct_colours_use_all_of_them(lists_sig):
     from adtsolve.terms import And, Eq, Not
     a, b, c = (Var(n, "Colour") for n in ("a", "b", "c"))

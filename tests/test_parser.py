@@ -147,7 +147,7 @@ def test_numeral_deeper_than_the_recursion_limit_parses():
     numeral = f"{'(s ' * depth}z{')' * depth}"
     script = parse_script(NAT + f"(assert (= x {numeral}))")
     (phi,) = script.asserts
-    # == and hash on so deep a term still recurse: walk it in a loop
+    # the first hash of so deep a term still recurses: walk it in a loop
     t, n = phi.rhs, 0
     while t.args:
         assert t.ctor == "s" and len(t.args) == 1
