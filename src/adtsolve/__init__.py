@@ -3,8 +3,8 @@ to uninterpreted functions plus linear integer arithmetic."""
 
 from .signature import (
     Cardinality, CtorDecl, Signature, cardinality, check_expanding, ctor_index,
-    count_terms_of_size, dependency_graph, enumerate_terms, num_ctors,
-    relativized_size_image, size_image, validate,
+    count_terms_of_size, enumerate_terms, num_ctors, relativized_size_image,
+    size_image, validate,
 )
 from .semilinear import EventuallyPeriodicSet
 from .terms import AdtModel, And, Ctor, Eq, Formula, Not, Or, Sel, Term, Tester, Var
@@ -26,8 +26,8 @@ __all__ = [
     "InterpolationProblem", "Not", "Or", "ReduceOptions", "Sel", "Signature",
     "SolverResult", "Term", "Tester", "Var", "back_translate", "cardinality",
     "check_expanding", "check_model", "completeness_report",
-    "count_terms_of_size", "ctor_index", "decide", "dependency_graph",
-    "emit_smtlib", "enumerate_terms", "evaluate", "flatten", "interpolate",
+    "count_terms_of_size", "ctor_index", "decide", "emit_smtlib",
+    "enumerate_terms", "evaluate", "flatten", "interpolate",
     "num_ctors", "parse_script", "print_formula", "print_model", "print_term",
     "reconstruct", "reduce", "relativized_size_image", "simplify", "size_image",
     "solve", "solve_external", "solve_with_size", "to_nnf", "unfold_step",

@@ -23,8 +23,9 @@ closure finds a term it holds by identity.
 An inner node of the search is settled without a decide when the model of
 the conjunction it extends satisfies its literals; leaves are always
 decided, so the models returned are the ones deciding every node gives.
-Every sat verdict is re-checked by an independent evaluator before being
-returned.
+A sat model is returned unchecked: the decision loop checks the model it
+accepts once, in `models.reconstruct`'s walk over the reduct.  An external
+solver's model, input from outside the program, is checked here.
 
 A `Session` keeps one search live across the solves of a growing formula,
 such as the rounds of the unfolding loop: a formula whose top-level
@@ -636,7 +637,8 @@ class Session:
     (`_Search.extend`).  Any other formula, and any formula after an unsat
     or unknown answer, starts a new search.  `top` lists the top-level
     conjuncts of the formula the search holds; it grows in place while the
-    search goes on, and is a new list when the search starts anew."""
+    search goes on, and is a new list when the search starts anew.  A solve
+    given no session runs in a fresh one."""
 
     def __init__(self):
         self.search: _Search | None = None
@@ -655,31 +657,29 @@ class Session:
 def solve(reduct: ReducedFormula, *, session: Session | None = None,
           branch_cap: int = DEFAULT_BRANCH_CAP,
           split_cap: int = DEFAULT_SPLIT_CAP) -> SolverResult:
-    """Decide a reduct.  With a `session`, the session's live search goes on
-    when the reduct extends the formula it holds, and a new search starts
-    in the session otherwise; the caps are per call.  The verdict is the
-    one a fresh search gives (see `_Search.extend`)."""
+    """Decide a reduct in `session`, or in a fresh one: the session's live
+    search goes on when the reduct extends the formula it holds, and a new
+    search starts otherwise; the caps are per call.  The verdict is the one
+    a fresh search gives (see `_Search.extend`).  A sat model is returned
+    unchecked (`models.reconstruct` checks it)."""
+    if session is None:
+        session = Session()
     budget = _Budget(branch_cap, split_cap)
     top = _top_conjuncts(reduct.formula)
-    added = session.added(top) if session else None
+    added = session.added(top)
     try:
         if added is None:
-            search = _Search(budget)
-            if session:
-                session.search, session.top = search, top
-            model = search.search(top)
+            session.search, session.top = _Search(budget), top
+            model = session.search.search(top)
         else:
-            search = session.search
-            search.budget = budget
+            session.search.budget = budget
             session.top.extend(added)
-            model = search.extend(added)
+            model = session.search.extend(added)
     except ResourceLimitError as e:
-        if session:
-            session.search = None
+        session.search = None
         return SolverResult("unknown", reason=str(e))
     if model is None:
-        if session:
-            session.search = None
+        session.search = None
         return SolverResult("unsat")
     # the search keeps its model as the witness of the node a later solve
     # adds below the leaf (`_Search.extend`); the caller's copy gets values
@@ -688,8 +688,6 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
     # values for declared variables that no literal mentioned
     for name in reduct.table.int_vars:
         model.values.setdefault(name, 0)
-    if not eval_reduced(reduct.formula, model):
-        raise InternalError("solver produced a model that fails re-evaluation")
     return SolverResult("sat", model)
 
 

@@ -15,9 +15,10 @@ an equality is eliminated as it arrives, and the difference graph is solved
 incrementally, one edge at a time; `pop` restores the system of the
 matching `push`.  Its model is kept as data across adds and pops, and only
 the variables whose distance or substitution changed since the last read
-are read again (`refresh`); the live `ne` rows are watched the same way, so
-a read of the violated ones re-evaluates only the rows over a variable whose
-value changed (`violated`).
+are read again (`refresh`); the `ne` rows are watched the same way from the
+start, so a read of the violated ones re-evaluates only the rows added or
+rewritten since the last read and the rows over a variable whose value
+changed (`violated`).
 `solve` is a system built and read once.
 """
 
@@ -265,10 +266,10 @@ class System:
 
     The model is kept as data in `values` (see `refresh`): the nodes whose
     distance the trail wrote or undid, and the substitutions added or
-    popped, since the last read are what it reads again.  Once `violated`
-    has been called, the violated `ne` rows are kept too, bucketed by their
-    number of variables, and re-evaluated only when a row is rewritten or
-    one of its variables changes value.
+    popped, since the last read are what it reads again.  The violated
+    `ne` rows are kept too, bucketed by their number of variables, and
+    re-evaluated only when a row is put or rewritten or one of its
+    variables changes value.
     """
 
     def __init__(self, cons: list[LinCon] = ()):
@@ -296,11 +297,10 @@ class System:
         self._subs_low = 0  # the substitutions from here on are new since the last read
         self._base: int | None = None  # the source's distance then; None: read all again
         self._spread = False  # whether that read gave free variables spread values
-        # the watch of the `ne` rows, from the first `violated` on: the rows
-        # to evaluate again, the changed variables not yet applied, and the
-        # rows filed as violated (by number of variables) or loose (a variable
-        # without a value), with where each position is filed (0 for loose)
-        self._watching = False
+        # the watch of the `ne` rows: the rows to evaluate again, the changed
+        # variables not yet applied, and the rows filed as violated (by
+        # number of variables) or loose (a variable without a value), with
+        # where each position is filed (0 for loose)
         self._touched: set[int] = set()
         self._pending: set[str] = set()
         self._filed: dict[int, int] = {}
@@ -400,16 +400,14 @@ class System:
             if old.op == "ne":
                 for v, _ in old.coeffs:
                     ne_uses[v].discard(i)
-                if self._watching:
-                    self._touched.add(i)
+                self._touched.add(i)
         if row is not None:
             for v, _ in row.coeffs:
                 uses.setdefault(v, set()).add(i)
             if row.op == "ne":
                 for v, _ in row.coeffs:
                     ne_uses.setdefault(v, set()).add(i)
-                if self._watching:
-                    self._touched.add(i)
+                self._touched.add(i)
         self.rows[i] = row
 
     def _add_row(self, c: LinCon) -> None:
@@ -604,8 +602,7 @@ class System:
         self.changed = changed
         self._stale = set()
         self._subs_low = len(self.subs)
-        if self._watching:
-            self._pending |= changed
+        self._pending |= changed
 
     def violated(self) -> tuple[LinCon | None, list[LinCon]] | None:
         """None when the system is infeasible (see `refresh`); else the `ne`
@@ -614,24 +611,18 @@ class System:
         would come before it: those over a variable without a value, which
         the caller must read under values of its own.
 
-        The first call files every live `ne` row (a scan of all rows); a
-        later one files again only the rows rewritten since and the rows
-        over a variable whose value changed since."""
+        It files again only the rows put or rewritten since the last call
+        and the rows over a variable whose value changed since."""
         if not self.refresh():
             return None
         rows, values, filed, bad, loose = self.rows, self.values, self._filed, self._bad, self._loose
-        if self._watching:
-            due = self._touched
-            ne_uses = self.ne_uses
-            for v in self._pending:
-                rows_of = ne_uses.get(v)
-                if rows_of:
-                    due |= rows_of
-            self._touched = set()
-            self._pending.clear()
-        else:
-            self._watching = True
-            due = range(len(rows))
+        due, ne_uses = self._touched, self.ne_uses
+        for v in self._pending:
+            rows_of = ne_uses.get(v)
+            if rows_of:
+                due |= rows_of
+        self._touched = set()
+        self._pending.clear()
         n_rows = len(rows)
         for i in due:
             k = filed.pop(i, None)

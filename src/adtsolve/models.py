@@ -11,6 +11,8 @@ so that disequalities stay satisfied.
 One walk over the reduct (`_read_reduct`) checks that the model satisfies
 it, fills in the function-graph entries that the model reads through a
 default value, and reads off the branch, each application evaluated once.
+Its check is the one whole-reduct check of the built-in backend's model,
+which `backend.solve` returns unchecked.
 """
 
 from __future__ import annotations

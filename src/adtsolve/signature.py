@@ -3,9 +3,9 @@
 A signature is an ordered list of sorts plus a global ordered list of
 constructors with named, typed selector slots.  On top of that this module
 computes: well-definedness, per-sort constructor indices, domain
-cardinalities, the bipartite sort/constructor dependency graph, size images
-(as eventually periodic sets), exact term counts and term enumeration used
-as test oracles, and the expandingness verdict that governs completeness of
+cardinalities, size images (as eventually periodic sets), exact term counts
+and term enumeration (test oracles, and the fresh terms of model
+reconstruction), and the expandingness verdict that governs completeness of
 the size-constraint decision loop.
 
 The size analyses read one grammar, `sort -> [(constructor, weight,
@@ -256,30 +256,6 @@ def cardinality(sig: Signature, sort: str) -> Cardinality:
         return counts[s]
 
     return Cardinality(count(sort))
-
-
-# -- dependency graph ---------------------------------------------------------------
-
-SORT_V = "sort"
-CTOR_V = "ctor"
-
-
-class DependencyGraph(Node):
-    """Bipartite graph: sort -> constructor of that sort -> argument sorts."""
-
-    __slots__ = ("vertices", "edges")
-    vertices: tuple[tuple[str, str], ...]
-    edges: tuple[tuple[tuple[str, str], tuple[str, str]], ...]
-
-
-def dependency_graph(sig: Signature) -> DependencyGraph:
-    vs = [(SORT_V, s) for s in sig.sorts] + [(CTOR_V, c.name) for c in sig.ctors]
-    es = []
-    for c in sig.ctors:
-        es.append(((SORT_V, c.sort), (CTOR_V, c.name)))
-        for _, a in c.args:
-            es.append(((CTOR_V, c.name), (SORT_V, a)))
-    return DependencyGraph(tuple(vs), tuple(es))
 
 
 def reachable_sorts(sig: Signature, sort: str) -> frozenset[str]:
@@ -545,13 +521,13 @@ def terms_of_size(sig: Signature, sort: str, b: int) -> list[Term]:
     return out
 
 
-def enumerate_terms(sig: Signature, sort: str, max_size: int, *,
+def enumerate_terms(sig: Signature, sort: str, max_size: int | None, *,
                     cap: int = DEFAULT_ENUM_CAP) -> Iterator[Term]:
-    """All terms of size <= max_size in nondecreasing size order; a finite
-    sort stops after its last term."""
+    """All terms of size <= max_size, or of every size when it is None, in
+    nondecreasing size order; a finite sort stops after its last term."""
     total = cardinality(sig, sort).count  # checks the signature and the sort
     produced = 0
-    for b in range(1, max_size + 1):
+    for b in itertools.count(1) if max_size is None else range(1, max_size + 1):
         if produced == total:
             return
         for t in terms_of_size(sig, sort, b):
@@ -562,8 +538,9 @@ def enumerate_terms(sig: Signature, sort: str, max_size: int, *,
 
 
 def fresh_terms(sig: Signature, sort: str) -> Iterator[Term]:
-    """Enumeration in nondecreasing size order up to the counting cap."""
-    return enumerate_terms(sig, sort, DEFAULT_COUNT_CAP)
+    """Every term of the sort, in nondecreasing size order: the first n + 1
+    always hold one outside any n terms."""
+    return enumerate_terms(sig, sort, None)
 
 
 def minimal_term(sig: Signature, sort: str) -> Term:

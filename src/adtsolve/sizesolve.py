@@ -9,8 +9,9 @@ backend session searches on from the previous round's model with only that
 suffix.  A clause that guards a variable can change an old conjunct's
 reduction; then the reduct does not begin with the last one, and the
 session starts a new search.
-The model check still evaluates the whole reduct each round; the acceptance
-test evaluates only the conjuncts that mention a variable it repoints.
+The acceptance test evaluates only the conjuncts that mention a variable
+it repoints; the model a round accepts is checked once on the whole reduct,
+by `reconstruct`, and once on the input formula, by `check_model`.
 Depth mode, used for size-free formulas, accepts the first model.
 Size mode tests the termination conditions: an unsat reduct settles the
 input, and a sat reduct is accepted once every ADT variable's integer value
@@ -232,8 +233,9 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
         if sort in enum_sorts or not candidates or model.value(v) in candidates:
             continue
         if mentions is None:
-            # the backend has checked the model on the whole reduct, and
-            # repointing a variable can only falsify the conjuncts that mention it
+            # the search's model satisfies the whole reduct (`reconstruct`
+            # checks the one accepted), and repointing a variable can only
+            # falsify the conjuncts that mention it
             mentions = index.of(reduct)
         old = model.value(v)
         for w in sorted(candidates):

@@ -58,6 +58,19 @@ def test_disequality_from_a_deep_numeral(nat_sig):
     assert ground_size(res.model.adt["x"]) == 1002
 
 
+def test_disequality_from_a_numeral_past_the_old_enumeration_cap(nat_sig):
+    # the range holds every numeral up to 2001 symbols, past the 2000 that
+    # fresh terms were once enumerated to; the fresh term is the next one
+    from adtsolve.terms import Eq, Not
+    numeral = Ctor("one")
+    for _ in range(2000):
+        numeral = Ctor("succ", (numeral,))
+    res = decide(Not(Eq(Var("x", "Nat"), numeral)), nat_sig)
+    assert res.status == "sat"
+    assert res.model.adt["x"] != numeral
+    assert ground_size(res.model.adt["x"]) == 2002
+
+
 def test_three_distinct_colours_use_all_of_them(lists_sig):
     from adtsolve.terms import And, Eq, Not
     a, b, c = (Var(n, "Colour") for n in ("a", "b", "c"))

@@ -13,7 +13,7 @@ from adtsolve.semilinear import EventuallyPeriodicSet as EPS
 from adtsolve.signature import (
     Cardinality, CtorDecl, Signature, _cycle_through, _eliminate_singletons, _grammar,
     _image_bits, _lap, _period, cardinality, check_expanding, ctor_index,
-    count_terms_of_size, dependency_graph, enumerate_terms, minimal_term, num_ctors,
+    count_terms_of_size, enumerate_terms, minimal_term, num_ctors,
     relativized_size_image, size_image, terms_of_size, validate,
 )
 from adtsolve.terms import Ctor, ground_size
@@ -393,22 +393,6 @@ def test_enumerate_finite_sort_stops_after_its_last_term():
     assert len(got) == cardinality(sig, "P3867_3").count == 9
     largest = max(ground_size(t) for t in got)
     assert max(b for _, b in sig._cache["terms"]) <= largest
-
-
-# -- dependency graph ---------------------------------------------------------------------
-
-def test_dependency_graph_lists(lists_sig):
-    g = dependency_graph(lists_sig)
-    assert (("sort", "CList"), ("ctor", "cons")) in g.edges
-    assert (("ctor", "cons"), ("sort", "Colour")) in g.edges
-    assert (("ctor", "cons"), ("sort", "CList")) in g.edges
-    assert (("sort", "Colour"), ("ctor", "red")) in g.edges
-    assert (("ctor", "red"), ("sort", "CList")) not in g.edges
-    # bipartite: edges alternate between sorts and constructors
-    assert all(a[0] != b[0] for a, b in g.edges)
-    # edge set exactly matches the declarations
-    expected = sum(1 + c.arity for c in lists_sig.ctors)
-    assert len(g.edges) == expected
 
 
 # -- expandingness --------------------------------------------------------------------------

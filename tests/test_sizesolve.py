@@ -1,5 +1,7 @@
 import pytest
 
+from adtsolve import backend
+from adtsolve.errors import InternalError
 from adtsolve.models import check_model
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_formula, parse_script
@@ -83,6 +85,26 @@ def test_enumeration_sort_variables_are_never_unfolded(lists_sig, fml):
     res = solve_with_size(phi, lists_sig, opts=ReduceOptions.none())
     assert res.status == "sat"
     assert "Colour" in {res.state.var_sorts[v] for v in res.state.unfolded}
+
+
+@pytest.mark.parametrize("text", [
+    "(not (= y c))",  # depth mode
+    "(and (not (= y c)) (= (adt.size y) 1))",  # size mode, accepted in round 0
+])
+def test_a_search_model_that_fails_the_reduct_is_caught(lists_sig, fml, monkeypatch, text):
+    # the backend returns the search's model unchecked: the one whole-reduct
+    # check of a returned model is `reconstruct`'s walk
+    search = backend._Search.search
+
+    def corrupted(self, *args):
+        model = search(self, *args)
+        values = dict(model.values)
+        values["c"] = values["y"]  # fails the reduct's row y - c != 0
+        return backend.IntModel(values, model.funcs, model.defaults)
+
+    monkeypatch.setattr(backend._Search, "search", corrupted)
+    with pytest.raises(InternalError, match="does not satisfy the unsimplified reduct"):
+        decide(fml(text), lists_sig)
 
 
 def test_even_size_unsat_without_unfolding(lists_sig, fml):
