@@ -15,17 +15,22 @@ into the weights.  Size images, relativized images and the expandingness
 cycles are all computed on that shape, and every image is read off exact
 membership bitsets of one grammar start (`_eps_from_bits`): a relativized
 image or a cycle's exits are the start of a `_lap` grammar added to it.
-The bitsets of all sorts come from one least fixpoint in semi-naive rounds
-(`_image_bits`), kept in the signature's cache per grammar and window, so
-the images of all its sorts share one fixpoint, and a lap's fixpoint starts
-from them and iterates only the lap sorts.
+The bitsets of all sorts come from one least fixpoint (`_image_bits`),
+solved one strongly connected component of the sort graph at a time by
+Newton's method, which reaches it in at most |C| + 1 steps on a component
+C, whatever the window; a signature keeps them per grammar and window, so
+the images of all its sorts share one fixpoint, and a lap's fixpoint
+starts from them and solves only the lap sorts.  An image is accepted only
+with a certificate: the candidates of the start and every sort it reaches,
+extended periodically, are a fixpoint of the grammar, and the only one
+(`_certified_bound`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
@@ -35,7 +40,7 @@ from .terms import Ctor, Node, Term, Var, ground_size
 DEFAULT_COUNT_CAP = 2000
 DEFAULT_ENUM_CAP = 2_000_000
 _IMAGE_WINDOW = 64
-_IMAGE_WINDOW_MAX = 4096
+_IMAGE_WINDOW_MAX = 1 << 15
 
 
 class CtorDecl(Node):
@@ -312,41 +317,109 @@ def _minkowski(a: int, b: int, limit: int) -> int:
 
 
 def _image_bits(grammar: Grammar, limit: int, known: dict[str, int] | None = None) -> dict[str, int]:
-    """Exact membership bitsets of every sort's size image below `limit`, the
-    least fixpoint in semi-naive rounds: after the nullary productions, a
-    round combines the sizes the previous round found first in one argument
-    position with the full bitsets in the others, until it finds nothing.
+    """Exact membership bitsets of every sort's size image below `limit`: the
+    least fixpoint of `f(X)[s] = OR over productions of w + X[a1] + ...`
+    over sets of sizes below `limit`, with union and truncated Minkowski sum.
     `known` holds the exact bitsets of sorts whose productions read only
-    each other (a base grammar's fixpoint): they count as found in the first
-    round, and only the other sorts iterate."""
-    known = known or {}
-    live = {s: prods for s, prods in grammar.items() if s not in known}
-    bits = {s: known.get(s, 0) for s in grammar}
-    # a sum of distinct powers of two is their union
-    new = {s: sum({1 << w for _, w, args in prods if not args and w < limit})
-           for s, prods in live.items()}
-    new.update(known)
-    while any(new.values()):
-        for s in live:
-            bits[s] |= new[s]
-        found = dict.fromkeys(grammar, 0)
-        for s, prods in live.items():
-            acc = 0
-            for _, w, args in prods:
-                if w >= limit:
-                    continue
-                for i, a in enumerate(args):
-                    if not new[a]:
-                        continue
-                    prod = 1 << w
-                    for j, b in enumerate(args):
-                        prod = _minkowski(prod, new[b] if j == i else bits[b], limit)
-                        if not prod:
-                            break
-                    acc |= prod
-            found[s] = acc & ~bits[s]
-        new = found
+    each other (a base grammar's fixpoint); they stay fixed.  The other
+    sorts are solved one strongly connected component C of the sort graph
+    at a time, after the components it reads, by Newton's method.  The
+    semiring is commutative and idempotent, so from 0 at most |C| + 1
+    Newton steps reach the least fixpoint (Hopkins and Kozen, LICS 1999;
+    Esparza, Kiefer and Luttenberger, JACM 2010); more raise InternalError.
+    A step is taken only while f(X) != X, and that check alone makes the
+    result exact: every weight is at least 1, so each size in a fixpoint
+    is made of smaller ones, and the fixpoint is unique.  That an image read
+    off these bits holds beyond `limit` is certified in `_eps_from_bits`."""
+    bits = dict(known or {})
+    live = [s for s in grammar if s not in bits]
+    reach = {s: _reach(grammar, s) for s in live}
+    # a sort's reach with itself holds the reach of every sort it leads to,
+    # strictly unless the two share a component, so sorting by its size
+    # puts every component after the ones it reads
+    for s in sorted(live, key=lambda s: len(reach[s] | {s})):
+        if s not in bits:
+            component = [t for t in live if t == s or t in reach[s] and s in reach[t]]
+            _solve_component(grammar, component, bits, limit)
     return bits
+
+
+def _solve_component(grammar: Grammar, component: list[str], bits: dict[str, int],
+                     limit: int) -> None:
+    """Add to `bits`, which holds every sort the component reads, the least
+    fixpoint on the component, by Newton steps `X <- J* . f(X)` until
+    f(X) = X.  J is the Jacobian of f at X: its entry (s, t) holds the
+    sizes that a production of s adds around one argument of sort t."""
+    index = {s: i for i, s in enumerate(component)}
+    bits.update(dict.fromkeys(component, 0))
+    # |C| + 1 steps, and one more look at f to see the fixpoint
+    for _ in range(len(component) + 2):
+        image = [0] * len(component)
+        for i, s in enumerate(component):
+            for _, w, args in grammar[s]:
+                if w < limit:
+                    image[i] |= _sum(w, [bits[a] for a in args], limit)
+        if image == [bits[s] for s in component]:
+            return
+        jacobian = [[0] * len(component) for _ in component]
+        for s, row in zip(component, jacobian):
+            for _, w, args in grammar[s]:
+                for k, a in enumerate(args):
+                    if a in index and w < limit:
+                        row[index[a]] |= _sum(w, [bits[b] for b in args[:k] + args[k + 1:]],
+                                              limit)
+        for s, row in zip(component, _matrix_star(jacobian, limit)):
+            bits[s] = 0
+            for a, x in zip(row, image):
+                bits[s] |= _minkowski(a, x, limit)
+    raise InternalError(f"Newton's method on {component} missed its step bound")
+
+
+def _sum(w: int, parts: list[int], limit: int) -> int:
+    """The bitset of w + x1 + ... + xk over xi in parts, below `limit`."""
+    acc = 1 << w
+    for x in parts:
+        acc = _minkowski(acc, x, limit)
+        if not acc:
+            break
+    return acc
+
+
+def _star(m: int, limit: int) -> int:
+    """The bitset of the sums of members of `m` (0 included), below `limit`:
+    each generator not yet in the result joins by doubling shifts, so the
+    work grows with the number of generators and the log of the window."""
+    mask = _mask(limit)
+    t = 1
+    gens = m & ~t
+    while gens:
+        g = (gens & -gens).bit_length() - 1
+        shift = g
+        while shift < limit:
+            t |= (t << shift) & mask
+            shift *= 2
+        gens &= ~t
+    return t
+
+
+def _matrix_star(a: list[list[int]], limit: int) -> list[list[int]]:
+    """The star I + A + A.A + ... of a matrix of bitsets, by Kleene
+    elimination in place: eliminating k turns every path through k into
+    one edge, with k's loops starred."""
+    n = len(a)
+    for k in range(n):
+        s = _star(a[k][k], limit)
+        col = [_minkowski(a[i][k], s, limit) if i != k else s for i in range(n)]
+        row = [_minkowski(s, a[k][j], limit) if j != k else s for j in range(n)]
+        for i in range(n):
+            if i != k and col[i]:
+                for j in range(n):
+                    if j != k:
+                        a[i][j] |= _minkowski(col[i], a[k][j], limit)
+        for i in range(n):
+            a[i][k] = col[i]
+        a[k] = row
+    return a
 
 
 def _period(x: int, window: int) -> tuple[int, int] | None:
@@ -361,19 +434,60 @@ def _period(x: int, window: int) -> tuple[int, int] | None:
     return None
 
 
-def _eps_from_bits(bits_at: Callable[[int], dict[str, int]], start: str) -> EventuallyPeriodicSet:
+def _eps_from_bits(grammar: Grammar, bits_at: Callable[[int], dict[str, int]],
+                   start: str) -> EventuallyPeriodicSet:
     """Extract the eventually periodic set for `start` from `bits_at(limit)`,
-    the bitsets of its grammar below `limit`, certifying the period by a
-    doubling check: the candidate found on window W must extrapolate the
-    exact bits on [W, 2W)."""
+    the exact bitsets of `grammar` below `limit`.  On window W, `start` and
+    then every sort it reaches take a candidate from their bits below 2W
+    (`_period`), and the candidates are accepted only when their
+    certificate (`_certified_bound`) needs no bits beyond 2W; otherwise the
+    window doubles.  A start's bits alone do not suffice: below a window
+    that ends before the first size of a long lap they pass for a finite
+    set.  Past the largest window the image is given up with a
+    ResourceLimitError: thresholds and periods, and so the bound, can grow
+    exponentially with the grammar."""
+    reach = _reach(grammar, start)
+    sorts = [start] + [t for t in grammar if t != start and t in reach]
     window = _IMAGE_WINDOW
     while window <= _IMAGE_WINDOW_MAX:
-        x = bits_at(2 * window)[start]
-        found = _period(x, window)
-        if found is not None:
-            return EventuallyPeriodicSet.from_window(lambda n: bool(x >> n & 1), *found)
+        bits = bits_at(2 * window)
+        found = {}
+        for t in sorts:
+            found[t] = _period(bits[t], window)
+            if found[t] is None:
+                break
+        else:
+            # the candidates agree with the bits below 2W
+            if _certified_bound(grammar, found, bits) <= 2 * window:
+                x = bits[start]
+                return EventuallyPeriodicSet.from_window(lambda n: bool(x >> n & 1),
+                                                         *found[start])
         window *= 2
-    raise InternalError(f"size image of {start} did not stabilize below {_IMAGE_WINDOW_MAX}")
+    raise ResourceLimitError(f"size image of {start} not certified below {2 * _IMAGE_WINDOW_MAX}")
+
+
+def _certified_bound(grammar: Grammar, found: dict[str, tuple[int, int]],
+                     bits: dict[str, int]) -> int:
+    """A bound B such that the candidates `found` (sort -> (threshold,
+    period), closed under the sorts productions read), where they agree
+    with the exact bits below B, are the least fixpoint P.  Let Pi be the
+    lcm of the periods and T the largest threshold.  A sum of k infinite
+    sets periodic with period Pi beyond t1, ..., tk is periodic beyond
+    t1 + ... + tk + (k - 1) * Pi, and a finite set lies below its threshold,
+    so f(P) is periodic with period Pi beyond T', the largest `w + the
+    argument thresholds + (k - 1) * Pi` over the productions with k > 0
+    infinite arguments (`w + the thresholds` for k = 0).  For B = max(T,
+    T') + Pi, f(P) = f(exact) = exact = P below B, as each size is made of
+    smaller ones, and from max(T, T') on both repeat with period Pi; so
+    P = f(P), the only fixpoint."""
+    period = lcm(*(p for _, p in found.values()))
+    infinite = {t for t, (thr, p) in found.items() if bits[t] >> thr & _mask(p)}
+    tail = max(thr for thr, _ in found.values())
+    for t in found:
+        for _, w, args in grammar[t]:
+            k = sum(a in infinite for a in args)
+            tail = max(tail, w + sum(found[a][0] for a in args) + max(k - 1, 0) * period)
+    return tail + period
 
 
 def _cached_grammar(sig: Signature, make: Callable[[Signature], Grammar]) -> Grammar:
@@ -399,7 +513,8 @@ def size_image(sig: Signature, sort: str) -> EventuallyPeriodicSet:
     if key not in sig._cache:
         if sort not in sig.sorts:
             raise UnknownSymbolError(sort, "not a declared sort")
-        sig._cache[key] = _eps_from_bits(lambda limit: _cached_bits(sig, _grammar, limit), sort)
+        sig._cache[key] = _eps_from_bits(_cached_grammar(sig, _grammar),
+                                        lambda limit: _cached_bits(sig, _grammar, limit), sort)
     return sig._cache[key]
 
 
@@ -433,10 +548,10 @@ def _lap_image(sig: Signature, make: Callable[[Signature], Grammar],
                steps: list[tuple[str, str]]) -> EventuallyPeriodicSet:
     """The image of the start of the lap of `steps` on grammar `make(sig)`.
     No base sort reads a lap sort, so the lap's fixpoint starts from the
-    cached bitsets of the base grammar and only the lap sorts iterate."""
+    cached bitsets of the base grammar and only the lap sorts are solved."""
     lap, start = _lap(_cached_grammar(sig, make), steps)
-    return _eps_from_bits(lambda limit: _image_bits(lap, limit, _cached_bits(sig, make, limit)),
-                          start)
+    return _eps_from_bits(
+        lap, lambda limit: _image_bits(lap, limit, _cached_bits(sig, make, limit)), start)
 
 
 # -- counting and enumeration oracles ---------------------------------------------------

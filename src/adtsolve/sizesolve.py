@@ -37,7 +37,7 @@ from .reduce import (
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
-    AdtModel, And, Ctor, Eq, Formula, SizeAtom, Var, conj, disj, free_vars,
+    AdtModel, And, Ctor, Eq, Formula, Not, Or, SizeAtom, Var, conj, disj, free_vars,
 )
 
 DEFAULT_FUEL = 100
@@ -333,12 +333,18 @@ def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(
 
 
 def _has_size_atoms(f: Formula) -> bool:
-    if isinstance(f, SizeAtom):
-        return True
-    if hasattr(f, "args"):
-        return any(_has_size_atoms(a) for a in f.args)
-    if hasattr(f, "arg"):
-        return _has_size_atoms(f.arg)
+    """Whether a size atom occurs in `f`.  A size atom is a literal, so only
+    the connectives are walked, on a stack: terms may nest deeper than the
+    recursion limit."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, SizeAtom):
+            return True
+        if isinstance(g, (And, Or)):
+            stack.extend(g.args)
+        elif isinstance(g, Not):
+            stack.append(g.arg)
     return False
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from adtsolve.errors import AdtSolveError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import reduce, rformula_nodes, simplify
+from adtsolve.semantics import evaluate
 from adtsolve.sizesolve import decide, reduction_mode
 from adtsolve.terms import formula_nodes
 
@@ -160,6 +162,35 @@ def test_analyze_lists(ex1_file):
     assert "Colour: size image {1}" in out
     assert "CList: expanding" in out
     assert "decision procedure complete" in out
+
+
+# s holds 126 copies of U's one term, so each lap of S -> s -> S adds 127
+WIDE_LAP = """
+(declare-datatypes ((U 0) (S 0))
+  (((one))
+   ((z) (s """ + " ".join(f"(u{i} U)" for i in range(126)) + """ (p S)))))
+(declare-const x S)
+(assert (= (adt.size x) 128))
+(check-sat)
+"""
+
+
+@pytest.mark.parametrize("text, image", [
+    (Path(INPUTS, "gap.smt2").read_text(), "{n >= 0 : n mod 128 in {1}}"),
+    (WIDE_LAP, "{n >= 0 : n mod 127 in {1}}"),
+], ids=["tree", "wide"])
+def test_lap_longer_than_the_first_window(tmp_path, text, image):
+    """S's sizes below the first window's bits are {1} alone; its image once
+    passed for that finite set, and a size one lap on answered unsat."""
+    p = tmp_path / "lap.smt2"
+    p.write_text(text)
+    code, out = run(["analyze", str(p)])
+    assert code == 0
+    assert f"S: size image {image}\n" in out
+    script = parse_script(text)
+    result = decide(script.formula(), script.sig)
+    assert result.status == "sat"
+    assert evaluate(script.sig, result.model, script.formula())
 
 
 def test_emit_contains_reduction_symbols(ex1_file):
@@ -583,6 +614,20 @@ def test_deep_numeral_solves_with_its_model(tmp_path):
     p.write_text("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))\n"
                  f"(declare-const x Nat)\n(assert (= x {numeral}))\n(check-sat)\n(get-model)\n")
     assert run(["solve", str(p)]) == (0, f"sat\n(define-fun x () Nat {numeral})\n")
+
+
+def test_deep_tester_decides(tmp_path):
+    """A tester over a term nested 1200 deep, and its negation, decide under
+    the default recursion limit."""
+    term = "x"
+    for _ in range(1200):
+        term = f"(s {term})"
+    p = tmp_path / "deep.smt2"
+    for literal, verdict in ((f"((_ is s) {term})", "sat"),
+                             (f"(not ((_ is s) {term}))", "unsat")):
+        p.write_text("(declare-datatypes ((Nat 0)) (((z) (s (p Nat)))))\n"
+                     f"(declare-const x Nat)\n(assert {literal})\n(check-sat)\n")
+        assert run(["solve", str(p)]) == (0, f"{verdict}\n")
 
 
 def _python(code: str):

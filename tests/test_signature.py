@@ -12,7 +12,7 @@ from adtsolve.errors import InvalidSignatureError, ResourceLimitError, UnknownSy
 from adtsolve.semilinear import EventuallyPeriodicSet as EPS
 from adtsolve.signature import (
     Cardinality, CtorDecl, Signature, _cycle_through, _eliminate_singletons, _grammar,
-    _image_bits, _lap, _period, cardinality, check_expanding, ctor_index,
+    _image_bits, _lap, _minkowski, _period, cardinality, check_expanding, ctor_index,
     count_terms_of_size, enumerate_terms, minimal_term, num_ctors,
     relativized_size_image, size_image, terms_of_size, validate,
 )
@@ -257,6 +257,49 @@ def test_lap_fixpoint_seeded_with_base_bits():
                     _image_bits(lap, limit)
 
 
+@st.composite
+def _random_grammars(draw, prefix, reads=()):
+    """1-5 sorts, each with 0-3 productions of weight 1-5 and arity 0-3 over
+    its own sorts and `reads`: mutual recursion, and sorts with an empty
+    image (no production, or only ones that read an empty sort)."""
+    sorts = [f"{prefix}{i}" for i in range(draw(st.integers(1, 5)))]
+    arg = st.sampled_from(sorts + list(reads))
+    return {s: [("c", draw(st.integers(1, 5)), tuple(draw(st.lists(arg, max_size=3))))
+                for _ in range(draw(st.integers(0, 3)))]
+            for s in sorts}
+
+
+@given(base=_random_grammars("B"), data=st.data(),
+       limit=st.one_of(st.integers(1, 300), st.just(1024)))
+# Tree and Forest: one two-sort component
+@example(base={"B0": [("leaf", 1, ()), ("node", 1, ("B1",))],
+               "B1": [("fnil", 1, ()), ("fcons", 1, ("B0", "B1"))]},
+         data=None, limit=1024)
+def test_image_bits_match_kleene_on_random_grammars(base, data, limit):
+    """Both on a base grammar, and on sorts added above it, with and without
+    the base's bitsets as `known`."""
+    extra = data.draw(_random_grammars("S", tuple(base))) if data else {}
+    grammar = {**base, **extra}
+    want = _kleene_bits(grammar, limit)
+    assert _image_bits(base, limit) == {s: want[s] for s in base}
+    assert _image_bits(grammar, limit) == want
+    assert _image_bits(grammar, limit, _kleene_bits(base, limit)) == want
+
+
+def test_minkowski_calls_do_not_grow_with_the_window(lists_sig, monkeypatch):
+    # Newton's method takes as many steps, whatever the window
+    calls = []
+
+    def counted(a, b, limit):
+        calls.append(limit)
+        return _minkowski(a, b, limit)
+
+    monkeypatch.setattr(signature, "_minkowski", counted)
+    for limit in (128, 8192):
+        _image_bits(_grammar(lists_sig), limit)
+    assert calls.count(128) == calls.count(8192)
+
+
 def _period_by_bits(x, window):
     """The period search bit by bit: the threshold of p is one past the last
     n < window - p with n and n + p differing, and [window, 2 * window) must
@@ -341,6 +384,55 @@ def test_long_period_needs_the_second_window(fixpoint_limits):
     assert report.witness("S") == ("S", "s", "S")
     assert [count_terms_of_size(sig, "S", 1 + 41 * k) for k in range(5)] == [1] * 5
     _recheck_witness(sig, report.witness("S"))
+
+
+def test_wide_lap_is_certified_beyond_the_first_window(fixpoint_limits):
+    # s holds 126 copies of U's one term, so each lap of S -> s -> S adds
+    # 127.  On the window of 64, S's sizes below 128 are {1}; that candidate
+    # needs the bits below B = 1 + 126 * 2 + 2 + 1 = 256 (U's {1} and S's {1}
+    # have threshold 2), past the 128 the window read.  The window of 128
+    # finds no period of at most 64, and on the window of 256 S repeats with
+    # period 127 from 0 on, certified below B = 1 + 126 * 2 + 0 + 127 = 380
+    sig = Signature(("U", "S"), (
+        CtorDecl("one", "U"), CtorDecl("z", "S"),
+        CtorDecl("s", "S", tuple((f"u{i}", "U") for i in range(126)) + (("p", "S"),)),
+    ))
+    assert size_image(sig, "S") == EPS(frozenset(), 0, 127, frozenset({1}))
+    assert fixpoint_limits == [128, 256, 512]
+
+
+PRIMES = (5, 7, 11, 13)
+
+
+def _prime_laps():
+    """S = s(A5, A7, A11, A13), where each lap of A_p adds p: the lcm of the
+    periods S reaches is 5005, though S's own image has period 1."""
+    decls = [CtorDecl("one", "U"), CtorDecl("s", "S", tuple((f"f{p}", f"A{p}") for p in PRIMES))]
+    for p in PRIMES:
+        us = tuple((f"u{p}_{i}", "U") for i in range(p - 1))
+        decls += [CtorDecl(f"a{p}", f"A{p}"),
+                  CtorDecl(f"b{p}", f"A{p}", us + ((f"p{p}", f"A{p}"),))]
+    return Signature(("U", *(f"A{p}" for p in PRIMES), "S"), tuple(decls))
+
+
+def test_a_long_lcm_is_certified_on_a_wide_window(fixpoint_limits):
+    # s has four infinite arguments, so the certificate needs the bits below
+    # B = 1 + 3 * 5005 + 5005 = 20021 (the A_p repeat from 0 on): the window
+    # of 16384, whose fixpoint runs to 32768
+    assert size_image(_prime_laps(), "S") == EPS(frozenset({5, 10, 12}), 15, 1, frozenset({0}))
+    assert fixpoint_limits[-1] == 32768
+
+
+def test_an_image_past_the_largest_window_is_a_resource_limit():
+    # A16 has one term, of size 2 ** 17 - 1, so every window shows S as {1},
+    # and that candidate's certificate needs bits beyond the largest window
+    sorts = tuple(f"A{i}" for i in range(17)) + ("S",)
+    decls = [CtorDecl("one", "A0"), CtorDecl("z", "S"),
+             CtorDecl("s", "S", (("h", "A16"), ("p", "S")))]
+    decls += [CtorDecl(f"a{i}", f"A{i}", ((f"l{i}", f"A{i - 1}"), (f"r{i}", f"A{i - 1}")))
+              for i in range(1, 17)]
+    with pytest.raises(ResourceLimitError, match="size image of S"):
+        size_image(Signature(sorts, tuple(decls)), "S")
 
 
 # -- counting and enumeration -----------------------------------------------------------
