@@ -40,8 +40,8 @@ def splits_spent(script) -> tuple[str, float, int, float]:
     reducing = []
 
     class Counted(backend._Budget):
-        def __init__(self, branches, splits):
-            super().__init__(branches, splits)
+        def __init__(self, splits):
+            super().__init__(splits)
             spent.append((self, splits))
 
     def timed_reduce(*args, **kwargs):

@@ -2,7 +2,7 @@
 to uninterpreted functions plus linear integer arithmetic."""
 
 from .signature import (
-    Cardinality, CtorDecl, Signature, cardinality, check_expanding, ctor_index,
+    CtorDecl, Signature, cardinality, check_expanding, ctor_index,
     count_terms_of_size, enumerate_terms, num_ctors, relativized_size_image,
     size_image, validate,
 )
@@ -21,7 +21,7 @@ from .interp import (
 )
 
 __all__ = [
-    "AdtModel", "And", "Cardinality", "Ctor", "CtorDecl", "Eq",
+    "AdtModel", "And", "Ctor", "CtorDecl", "Eq",
     "EventuallyPeriodicSet", "Formula", "InterpolatingBackend",
     "InterpolationProblem", "Not", "Or", "ReduceOptions", "Sel", "Signature",
     "SolverResult", "Term", "Tester", "Var", "back_translate", "cardinality",

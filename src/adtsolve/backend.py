@@ -51,7 +51,6 @@ from .reduce import (
 )
 from .semantics import _int_text
 
-DEFAULT_BRANCH_CAP = 200000
 DEFAULT_SPLIT_CAP = 20000
 
 
@@ -241,14 +240,12 @@ class _CC:
 # -- branch decision ------------------------------------------------------------------
 
 class _Budget:
-    def __init__(self, branches: int, splits: int):
-        self.branches = branches
-        self.splits = splits
+    """The splits left of a call's cap, and the branches taken so far: a
+    node splits before it branches, so the split cap bounds both."""
 
-    def spend_branch(self):
-        self.branches -= 1
-        if self.branches <= 0:
-            raise ResourceLimitError("branch cap exhausted")
+    def __init__(self, splits: int):
+        self.splits = splits
+        self.branches = 0
 
     def spend_split(self):
         self.splits -= 1
@@ -396,7 +393,7 @@ class _Search:
         below a leaf has the leaf's; a split arm has none.  A leaf is always
         decided, and `decide` reads only the asserted conjunction, so every
         model returned is the one a search that decides every node returns;
-        only the splits spent, and so the caps, can tell the two apart."""
+        only the splits spent, and so the split cap, can tell the two apart."""
         ors: list[ROr] = []
         while True:
             parts = _conjuncts(pending)
@@ -419,7 +416,7 @@ class _Search:
                     if not ors:
                         self.leaf_model = model
                         return model
-                    self.budget.spend_branch()
+                    self.budget.branches += 1
                     self.frames.append([ors, -1, model])
             step = self._next_arm()
             if step is None:
@@ -497,8 +494,8 @@ class _Search:
         scope; else it is re-entered and decided again, and pruned when a
         fresh search of F would prune it.  The model can differ from a fresh
         search's, because the new literals are asserted in another order,
-        and so can an unknown: a fresh search can spend its caps on the arms
-        skipped here."""
+        and so can an unknown: a fresh search can spend its split cap on the
+        arms skipped here."""
         parts = _conjuncts(added)
         if parts is None:
             return None
@@ -584,7 +581,8 @@ class _Search:
         bounds one side fails as soon as it is added, so the split costs one
         failed probe; the rows over several variables are then split under
         the tighter bounds.  Each split covers every integer point of the
-        row's scope, so the order changes no verdict; only the caps see it."""
+        row's scope, so the order changes no verdict; only the split cap
+        sees it."""
         pick = self.lia.violated()
         if pick is None:
             return None
@@ -655,16 +653,15 @@ class Session:
 
 
 def solve(reduct: ReducedFormula, *, session: Session | None = None,
-          branch_cap: int = DEFAULT_BRANCH_CAP,
           split_cap: int = DEFAULT_SPLIT_CAP) -> SolverResult:
     """Decide a reduct in `session`, or in a fresh one: the session's live
     search goes on when the reduct extends the formula it holds, and a new
-    search starts otherwise; the caps are per call.  The verdict is the one
-    a fresh search gives (see `_Search.extend`).  A sat model is returned
-    unchecked (`models.reconstruct` checks it)."""
+    search starts otherwise; the split cap is per call.  The verdict is the
+    one a fresh search gives (see `_Search.extend`).  A sat model is
+    returned unchecked (`models.reconstruct` checks it)."""
     if session is None:
         session = Session()
-    budget = _Budget(branch_cap, split_cap)
+    budget = _Budget(split_cap)
     top = _top_conjuncts(reduct.formula)
     added = session.added(top)
     try:

@@ -135,7 +135,7 @@ def cmd_analyze(args, out) -> int:
     for sort in sig.sorts:
         card = cardinality(sig, sort)
         image = size_image(sig, sort)
-        print(f"{sort}: cardinality {card}", file=out)
+        print(f"{sort}: cardinality {'infinite' if card is None else card}", file=out)
         print(f"{sort}: size image {image.describe()}", file=out)
         print(f"{sort}: expanding" if report.is_expanding(sort)
               else report.cycle_line(sort), file=out)
@@ -163,8 +163,7 @@ def cmd_interpolate(args, out) -> int:
     script_b = _load(args.file_b)
     sig = script_a.sig
     if script_b.sig.sorts and script_b.sig != sig:
-        if script_b.sig.sorts != sig.sorts or script_b.sig.ctors != sig.ctors:
-            raise InputError("the two scripts declare different datatypes")
+        raise InputError("the two scripts declare different datatypes")
     ext = _external(args)
     if not ext:
         print("no external interpolating backend configured "

@@ -79,10 +79,8 @@ def _tightened(c: LinCon) -> LinCon | None:
         if c.op == "eq":
             raise _Infeasible()
         return None
-    # sum a_i x_i <= -const  ->  divide and round the bound down
-    bound = -c.const
-    new_bound = bound // g if bound >= 0 else -((-bound + g - 1) // g)
-    return LinCon("le", coeffs, -new_bound)
+    # sum a_i x_i <= -const  ->  divide and round the bound down (`//` floors)
+    return LinCon("le", coeffs, -(-c.const // g))
 
 
 def _substitute(c: LinCon, var: str, expr: dict[str, int], const: int) -> LinCon | None:

@@ -127,7 +127,7 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
 
 
 def _enum_term(sig: Signature, value: int, sort: str) -> Term:
-    n = cardinality(sig, sort).count
+    n = cardinality(sig, sort)
     if n is None or not (0 <= value < n):
         raise InternalError(f"enum value {value} outside range of {sort}")
     return Ctor(ctor_at(sig, sort, value).name, ())

@@ -18,7 +18,7 @@ from .signature import Signature
 from .terms import (
     And, Ctor, Eq, FALSE, FalseF, Formula, IntAdd, IntApp, IntConst, IntExpr,
     IntMul, IntVar, NEGATED_OP, Not, Or, Sel, SizeAtom, SizeOf, TRUE, Term,
-    TrueF, Tester, Var, conj, free_vars,
+    TrueF, Tester, Var, conj, free_vars, splice,
 )
 
 
@@ -27,18 +27,18 @@ def to_nnf(phi: Formula) -> Formula:
 
     def pos(f: Formula) -> Formula:
         if isinstance(f, And):
-            return _splice(And, [pos(a) for a in f.args], TRUE, FALSE)
+            return splice(And, [pos(a) for a in f.args], TRUE, FALSE)
         if isinstance(f, Or):
-            return _splice(Or, [pos(a) for a in f.args], FALSE, TRUE)
+            return splice(Or, [pos(a) for a in f.args], FALSE, TRUE)
         if isinstance(f, Not):
             return neg(f.arg)
         return f
 
     def neg(f: Formula) -> Formula:
         if isinstance(f, And):
-            return _splice(Or, [neg(a) for a in f.args], FALSE, TRUE)
+            return splice(Or, [neg(a) for a in f.args], FALSE, TRUE)
         if isinstance(f, Or):
-            return _splice(And, [neg(a) for a in f.args], TRUE, FALSE)
+            return splice(And, [neg(a) for a in f.args], TRUE, FALSE)
         if isinstance(f, Not):
             return pos(f.arg)
         if isinstance(f, TrueF):
@@ -51,24 +51,6 @@ def to_nnf(phi: Formula) -> Formula:
         return Not(f)
 
     return pos(phi)
-
-
-def _splice(kind, parts, unit, absorber):
-    flat = []
-    for p in parts:
-        if p == unit:
-            continue
-        if p == absorber:
-            return absorber
-        if isinstance(p, kind):
-            flat.extend(p.args)
-        else:
-            flat.append(p)
-    if not flat:
-        return unit
-    if len(flat) == 1:
-        return flat[0]
-    return kind(tuple(flat))
 
 
 @dataclass
@@ -213,9 +195,9 @@ class _Flattener:
         if isinstance(phi, (TrueF, FalseF)):
             return phi
         if isinstance(phi, And):
-            return _splice(And, [self.flat(a) for a in phi.args], TRUE, FALSE)
+            return splice(And, [self.flat(a) for a in phi.args], TRUE, FALSE)
         if isinstance(phi, Or):
-            return _splice(Or, [self.flat(a) for a in phi.args], FALSE, TRUE)
+            return splice(Or, [self.flat(a) for a in phi.args], FALSE, TRUE)
         return self.flat_literal(phi)
 
 
@@ -227,8 +209,7 @@ def flatten(phi: Formula, sig: Signature, prefix: str = "_t") -> FlatFormula:
     fl.used_names.update(fv.ints)
     for v in sorted(fv.adt, key=lambda v: v.name):
         fl.var_sorts[v.name] = v.sort
-    for n in sorted(fv.ints):
-        fl.int_vars.add(n)
+    fl.int_vars.update(fv.ints)
     out = fl.flat(phi)
     return FlatFormula(
         formula=out,

@@ -43,7 +43,7 @@ from .signature import (
 )
 from .terms import (
     And, Ctor, Eq, FalseF, Formula, IntAdd, IntApp, IntConst, IntExpr, IntMul,
-    IntVar, Node, Not, Or, Sel, SizeAtom, SizeOf, Tester, TrueF, Var,
+    IntVar, Node, Not, Or, Sel, SizeAtom, SizeOf, Tester, TrueF, Var, splice,
 )
 
 DEPTH_MODE = "depth"
@@ -132,39 +132,11 @@ RFALSE = RFalseF()
 
 
 def rand(args) -> RFormula:
-    flat = []
-    for a in args:
-        if isinstance(a, RTrueF):
-            continue
-        if isinstance(a, RFalseF):
-            return RFALSE
-        if isinstance(a, RAnd):
-            flat.extend(a.args)
-        else:
-            flat.append(a)
-    if not flat:
-        return RTRUE
-    if len(flat) == 1:
-        return flat[0]
-    return RAnd(tuple(flat))
+    return splice(RAnd, args, RTRUE, RFALSE)
 
 
 def ror(args) -> RFormula:
-    flat = []
-    for a in args:
-        if isinstance(a, RFalseF):
-            continue
-        if isinstance(a, RTrueF):
-            return RTRUE
-        if isinstance(a, ROr):
-            flat.extend(a.args)
-        else:
-            flat.append(a)
-    if not flat:
-        return RFALSE
-    if len(flat) == 1:
-        return flat[0]
-    return ROr(tuple(flat))
+    return splice(ROr, args, RFALSE, RTRUE)
 
 
 def lin(op: str, pairs, const: int) -> RFormula:
@@ -315,14 +287,6 @@ class SymbolTable:
             self.int_vars[name] = ("int", name)
         return self.var(name)
 
-    def skolem(self, name: str, sort: str) -> RVar:
-        self.int_vars[name] = ("skolem", sort)
-        return self.var(name)
-
-    def aux(self, name: str) -> RVar:
-        self.int_vars[name] = ("aux",)
-        return self.var(name)
-
     def _fun(self, base: str, arity: int, origin: tuple) -> str:
         name = self.by_origin.get(origin)
         if name is None:
@@ -396,7 +360,11 @@ class Reducer:
     on formulas that each extend the last one by top-level conjuncts, as the
     unfolding loop's do, builds reducts that each extend the last one by a
     suffix: the old parts, Skolems included, then the reductions of the new
-    conjuncts and the range rows of the new variables (`reduce_flat`)."""
+    conjuncts and the range rows of the new variables (`reduce_flat`).
+
+    Its fresh constants, the Skolems `<prefix>N` and the multipliers
+    `<prefix>kN` of periodic size images, come from one allocator
+    (`_fresh`), count apart, and keep clear of every name in `used`."""
 
     def __init__(self, sig: Signature, mode: str, opts: ReduceOptions = ReduceOptions(),
                  table: SymbolTable | None = None, fresh_prefix: str = "_s"):
@@ -405,8 +373,7 @@ class Reducer:
         self.opts = opts
         self.table = table if table is not None else _new_table(sig, mode, opts)
         self.fresh_prefix = fresh_prefix
-        self.counter = 0
-        self.aux_counter = 0
+        self.counters = {"": 0, "k": 0}  # by infix: Skolems, aux variables
         self.memo: dict[tuple[Formula, bool], RFormula] = {}
         self.used: set[str] = set()
         # the last formula: its top-level conjuncts, its parts in order, each
@@ -417,21 +384,17 @@ class Reducer:
         self.ranged: set[str] = set()
         self.guards: frozenset[str] = frozenset()
 
-    def _fresh_skolem(self, sort: str) -> RVar:
+    def _fresh(self, infix: str, origin: tuple) -> RVar:
+        """A fresh constant `<prefix><infix>N`, the next free N of its
+        infix's counter, registered in the table with its origin."""
+        table = self.table
         while True:
-            self.counter += 1
-            name = f"{self.fresh_prefix}{self.counter}"
-            if name not in self.used and name not in self.table.int_vars:
+            self.counters[infix] += 1
+            name = f"{self.fresh_prefix}{infix}{self.counters[infix]}"
+            if name not in self.used and name not in table.int_vars:
                 self.used.add(name)
-                return self.table.skolem(name, sort)
-
-    def _fresh_aux(self) -> RVar:
-        while True:
-            self.aux_counter += 1
-            name = f"{self.fresh_prefix}k{self.aux_counter}"
-            if name not in self.used and name not in self.table.int_vars:
-                self.used.add(name)
-                return self.table.aux(name)
+                table.int_vars[name] = origin
+                return table.var(name)
 
     # -- symbol shorthands ----------------------------------------------------
 
@@ -442,12 +405,12 @@ class Reducer:
         return self.opts.enum_opt and self.sig.is_enum(sort)
 
     def in_range(self, x: RTerm, sort: str) -> RFormula:
-        card = cardinality(self.sig, sort)
-        if not card.is_finite:
+        n = cardinality(self.sig, sort)
+        if n is None:
             return RTRUE
         return rand([
             lin("le", [(-1, x)], 0),                       # 0 <= x
-            lin("le", [(1, x)], -(card.count - 1)),        # x <= |T|-1
+            lin("le", [(1, x)], -(n - 1)),                 # x <= |T|-1
         ])
 
     def member_of(self, y: RTerm, image: EventuallyPeriodicSet) -> RFormula:
@@ -459,7 +422,7 @@ class Reducer:
             cases.append(lin("le", [(-1, y)], image.threshold))
         else:
             for r in sorted(image.residues):
-                k = self._fresh_aux()
+                k = self._fresh("k", ("aux",))
                 cases.append(rand([
                     lin("le", [(-1, y)], image.threshold),          # y >= threshold
                     lin("eq", [(1, y), (-image.period, k)], -r),    # y = r + period*k
@@ -493,23 +456,20 @@ class Reducer:
             req(self.table.app(self.table.ctor_fun(f), tuple(args)), x0),
             req(self.table.app(self.table.ctorid_fun(sort0), (x0,)), RConst(ctor_index(self.sig, f))),
         ]
-        if self.mode == DEPTH_MODE:
-            for j, xj in enumerate(args):
-                sj = decl.args[j][1]
-                parts.append(req(self.table.app(self.table.sel_fun(f, j), (x0,)), xj))
-                if sort0 in reachable_sorts(self.sig, sj):
-                    d0 = self.table.app(self.table.depth_fun(sort0), (x0,))
-                    dj = self.table.app(self.table.depth_fun(sj), (xj,))
-                    parts.append(lin("le", [(-1, d0), (1, dj)], 1))  # depth0 > depthj
-        else:
-            s0 = self.table.app(self.table.size_fun(sort0), (x0,))
-            size_sum: list[tuple[int, RTerm]] = [(1, s0)]
-            for j, xj in enumerate(args):
-                sj = decl.args[j][1]
-                parts.append(req(self.table.app(self.table.sel_fun(f, j), (x0,)), xj))
+        size_sum: list[tuple[int, RTerm]] | None = None
+        if self.mode != DEPTH_MODE:
+            size_sum = [(1, self.table.app(self.table.size_fun(sort0), (x0,)))]
+        for j, ((_, sj), xj) in enumerate(zip(decl.args, args)):
+            parts.append(req(self.table.app(self.table.sel_fun(f, j), (x0,)), xj))
+            if size_sum is not None:
                 sz = self.table.app(self.table.size_fun(sj), (xj,))
                 parts.append(self.member_of(sz, size_image(self.sig, sj)))
                 size_sum.append((-1, sz))
+            elif sort0 in reachable_sorts(self.sig, sj):
+                d0 = self.table.app(self.table.depth_fun(sort0), (x0,))
+                dj = self.table.app(self.table.depth_fun(sj), (xj,))
+                parts.append(lin("le", [(-1, d0), (1, dj)], 1))  # depth0 > depthj
+        if size_sum is not None:
             parts.append(lin("eq", size_sum, -1))  # size0 = 1 + sum sizej
         return rand(parts)
 
@@ -517,7 +477,7 @@ class Reducer:
         decl = self.sig.ctor(g)
         if self.is_enum_opt(decl.sort):
             return req(x, RConst(ctor_index(self.sig, g)))
-        fresh = [self._fresh_skolem(arg_sort) for _, arg_sort in decl.args]
+        fresh = [self._fresh("", ("skolem", arg_sort)) for _, arg_sort in decl.args]
         parts = [self.in_range(v, arg_sort)
                  for v, (_, arg_sort) in zip(fresh, decl.args)]
         parts.append(self.ctor_spec(g, x, list(fresh)))
@@ -585,29 +545,21 @@ class Reducer:
                 req(sz, y),
                 self.member_of(y, size_image(self.sig, x.sort)),  # rule (7)
             ])
-        return linear_atom(atom, self._int_leaf)
-
-    def _int_leaf(self, e: IntExpr) -> RTerm:
-        if isinstance(e, IntVar):
-            return self.table.int_var(e.name)
-        if isinstance(e, IntApp):
-            args = tuple(self._int_term(a) for a in e.args)
-            return self.table.app(self.table.uf(e.fn, len(args)), args)
-        if isinstance(e, SizeOf):
-            if self.mode != SIZE_MODE:
-                raise ModeMismatchError("size atom in depth-mode reduction")
-            raise InternalError("size-of outside a definition literal; flatten first")
-        raise InternalError(f"unexpected int expr {e}")
+        return linear_atom(atom, self._int_term)
 
     def _int_term(self, e: IntExpr) -> RTerm:
+        """A flat integer operand: a constant, a variable, or an application
+        over such operands, whose arguments are reduced first."""
         if isinstance(e, IntConst):
             return RConst(e.value)
         if isinstance(e, IntVar):
             return self.table.int_var(e.name)
         if isinstance(e, IntApp):
-            return self.table.app(self.table.uf(e.fn, len(e.args)),
-                        tuple(self._int_term(a) for a in e.args))
-        raise InternalError("uninterpreted application argument must be flat")
+            args = tuple(self._int_term(a) for a in e.args)
+            return self.table.app(self.table.uf(e.fn, len(args)), args)
+        if isinstance(e, SizeOf) and self.mode != SIZE_MODE:
+            raise ModeMismatchError("size atom in depth-mode reduction")
+        raise InternalError(f"unexpected int expr {e}; flatten first")
 
     # -- formula walk ------------------------------------------------------------------
 

@@ -214,30 +214,11 @@ def ctor_at(sig: Signature, sort: str, index: int) -> CtorDecl:
 
 # -- cardinality ------------------------------------------------------------------
 
-class Cardinality(Node):
-    __slots__ = ("count",)
-    count: int | None  # None means infinite
-
-    @staticmethod
-    def finite(n: int) -> "Cardinality":
-        return Cardinality(n)
-
-    @staticmethod
-    def infinite() -> "Cardinality":
-        return Cardinality(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.count is not None
-
-    def __str__(self) -> str:
-        return "infinite" if self.count is None else str(self.count)
-
-
-def cardinality(sig: Signature, sort: str) -> Cardinality:
+def cardinality(sig: Signature, sort: str) -> int | None:
+    """The number of terms of `sort`, or None when it has infinitely many."""
     counts = sig._cache.get("card")
     if counts is not None and sort in counts:
-        return Cardinality(counts[sort])  # no count is in progress between calls
+        return counts[sort]  # no count is in progress between calls
     ensure_valid(sig)
     if sort not in sig.sorts:
         raise UnknownSymbolError(sort, "not a declared sort")
@@ -260,7 +241,7 @@ def cardinality(sig: Signature, sort: str) -> Cardinality:
             counts[s] = total
         return counts[s]
 
-    return Cardinality(count(sort))
+    return count(sort)
 
 
 def reachable_sorts(sig: Signature, sort: str) -> frozenset[str]:
@@ -640,7 +621,7 @@ def enumerate_terms(sig: Signature, sort: str, max_size: int | None, *,
                     cap: int = DEFAULT_ENUM_CAP) -> Iterator[Term]:
     """All terms of size <= max_size, or of every size when it is None, in
     nondecreasing size order; a finite sort stops after its last term."""
-    total = cardinality(sig, sort).count  # checks the signature and the sort
+    total = cardinality(sig, sort)  # checks the signature and the sort
     produced = 0
     for b in itertools.count(1) if max_size is None else range(1, max_size + 1):
         if produced == total:
@@ -700,7 +681,7 @@ def _eliminate_singletons(sig: Signature) -> Grammar:
     """The grammar without singleton-domain sorts: each argument of such a
     sort is dropped and its one term's size folds into the weight."""
     single = {s: ground_size(minimal_term(sig, s)) for s in sig.sorts
-              if cardinality(sig, s).count == 1}
+              if cardinality(sig, s) == 1}
     return {s: [(c, 1 + sum(single.get(a, 0) for a in args),
                  tuple(a for a in args if a not in single)) for c, _, args in prods]
             for s, prods in _grammar(sig).items() if s not in single}

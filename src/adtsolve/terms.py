@@ -247,6 +247,27 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
+def splice(kind, parts, unit, absorber):
+    """The n-ary `kind` node (`And`, `Or`, or a reduced connective) over
+    `parts`: units dropped, the absorber if a part is one, nested `kind`
+    nodes spliced in, and a single part or the unit without a node."""
+    unit_kind, absorber_kind = unit.__class__, absorber.__class__
+    flat = []
+    for p in parts:
+        k = p.__class__
+        if k is kind:
+            flat.extend(p.args)
+        elif k is absorber_kind:
+            return absorber
+        elif k is not unit_kind:
+            flat.append(p)
+    if not flat:
+        return unit
+    if len(flat) == 1:
+        return flat[0]
+    return kind(tuple(flat))
+
+
 def conj(args) -> Formula:
     args = tuple(args)
     if not args:

@@ -277,14 +277,14 @@ def _spent(monkeypatch, reduct):
     budgets = []
 
     class Recorded(backend._Budget):
-        def __init__(self, branches, splits):
-            super().__init__(branches, splits)
-            budgets.append((self, branches, splits))
+        def __init__(self, splits):
+            super().__init__(splits)
+            budgets.append((self, splits))
 
     monkeypatch.setattr(backend, "_Budget", Recorded)
     status = backend.solve(reduct).status
-    (budget, branches, splits), = budgets
-    return status, splits - budget.splits, branches - budget.branches
+    (budget, splits), = budgets
+    return status, splits - budget.splits, budget.branches
 
 
 def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
@@ -311,7 +311,7 @@ def test_loose_disequality_of_two_variables_needs_no_candidate(monkeypatch):
         return candidate(self, model_map)
 
     monkeypatch.setattr(backend._Search, "candidate", counted)
-    search = backend._Search(backend._Budget(100, 100))
+    search = backend._Search(backend._Budget(100))
     x, y, z, w = (RVar(v) for v in "xyzw")
     search.assert_lit(rne(x, y))
     search.assert_lit(_le(0, (1, "z")))
@@ -368,7 +368,7 @@ def test_cc_congruence_through_nested_applications():
 def has_model(lits):
     """Whether a fresh search finds a model of the conjunction of `lits`:
     a complete decision, where one `decide` may return a split instead."""
-    budget = backend._Budget(backend.DEFAULT_BRANCH_CAP, backend.DEFAULT_SPLIT_CAP)
+    budget = backend._Budget(backend.DEFAULT_SPLIT_CAP)
     return backend._Search(budget).search(list(lits)) is not None
 
 
@@ -376,7 +376,7 @@ def test_search_constant_clash_undone_by_pop():
     """Constants live in the LIA system only: x = 1 and y = 2 pin two class
     variables, so x = y and x != 1 are infeasible rows there, and a pop
     restores the consistent state below them."""
-    search = backend._Search(backend._Budget(100, 100))
+    search = backend._Search(backend._Budget(100))
     x, y = RVar("x"), RVar("y")
     search.assert_lit(REq(x, RConst(1)))
     search.assert_lit(REq(y, RConst(2)))
@@ -549,7 +549,6 @@ def test_two_colour_chain_splits_grow_linearly(monkeypatch):
 
 @pytest.mark.parametrize("caps, reason", [
     ({"split_cap": 20}, "split cap exhausted"),
-    ({"branch_cap": 3}, "branch cap exhausted"),
 ])
 def test_caps_give_unknown(caps, reason):
     res = backend.solve(two_colour_chain(6), **caps)

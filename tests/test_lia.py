@@ -67,6 +67,18 @@ def test_difference_cycle_infeasible():
     assert lia.solve(cons) is None
 
 
+def test_a_distance_that_falls_twice_settles_at_the_larger_fall():
+    # v - u <= -10 lowers v by 10; through v alone y2 falls 6, through y1 it
+    # falls 10, so y2's first heap entry is superseded when it is popped
+    rows = [lia.con("le", {"y2": 1, "v": -1}, -4), lia.con("le", {"y2": 1, "y1": -1}, 0),
+            lia.con("le", {"y1": 1, "v": -1}, 0), lia.con("le", {"v": 1, "u": -1}, 10)]
+    s = lia.System(rows[:3])
+    s.push()
+    s.add(rows[3])
+    model = s.model()
+    assert model is not None and all(_holds(c, model) for c in rows)
+
+
 @st.composite
 def systems(draw):
     nv = draw(st.integers(1, 3))

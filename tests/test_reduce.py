@@ -314,3 +314,20 @@ def test_depth_rows_exactly_inside_components(forest_sig):
             for sort in rows.values():
                 assert c.sort in reach[sort] and sort in reach[c.sort]
             assert rows == {j: a for j, (_, a) in enumerate(c.args) if c.sort in reach[a]}
+
+
+def test_reducer_starts_anew_on_a_formula_that_does_not_extend_the_last(lists_sig):
+    # the second formula's conjuncts do not begin with the first's, so the
+    # kept reducer drops its parts and reduces it as a fresh one does
+    from adtsolve.parser import parse_formula
+
+    def flat(text):
+        phi = parse_formula(text, lists_sig, {"x": "CList", "y": "CList"})
+        return flatten(to_nnf(phi), lists_sig)
+
+    kept = Reducer(lists_sig, DEPTH_MODE)
+    kept.reduce_flat(flat("((_ is cons) x)"))
+    again = kept.reduce_flat(flat("(= y (cons red nil))"))
+    fresh = Reducer(lists_sig, DEPTH_MODE).reduce_flat(flat("(= y (cons red nil))"))
+    assert backend.rformula_text(again.formula) == backend.rformula_text(fresh.formula)
+    assert backend.solve(again).status == backend.solve(fresh).status == "sat"

@@ -769,3 +769,40 @@ def test_size_mode_sound_on_random_signatures():
                 assert res.status == "sat"
     print(f"size-mode random signatures: {decided}")
     assert decided["sat"] and decided["unsat"]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_size_mode_differential(seed):
+    # size mode against itself without the reduction options, against the
+    # bounded oracle, and against depth mode on size-free formulas; an
+    # unknown verdict (a non-expanding sort, fuel out) is compared with nothing
+    import random
+    from adtsolve.corpus import (
+        GenConfig, oracle_sat_within_bound, random_formula, random_signature,
+    )
+
+    rng = random.Random(seed)
+    sigs = [random_signature(rng) for _ in range(5)]
+    compared = {"options": 0, "depth": 0}
+    for i in range(300):
+        sig = sigs[i % len(sigs)]
+        size_atoms = i % 2 == 0
+        phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3),
+                                                 size_atoms=size_atoms))
+        res = solve_with_size(phi, sig, fuel=30)
+        if size_atoms:
+            other = solve_with_size(phi, sig, fuel=30, opts=ReduceOptions.none())
+            kind = "options"
+        else:
+            other = decide(phi, sig)
+            kind = "depth"
+        for r in (res, other):
+            if r.status == "sat":
+                ok, diag = check_model(sig, r.model, phi)
+                assert ok, (i, diag)
+            elif r.status == "unsat":
+                assert oracle_sat_within_bound(sig, phi, bound=5) is None, i
+        if "unknown" not in (res.status, other.status):
+            assert res.status == other.status, (i, kind)
+            compared[kind] += 1
+    assert compared["options"] > 100 and compared["depth"] > 100, compared
