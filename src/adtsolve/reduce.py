@@ -368,6 +368,8 @@ class Reducer:
 
     def __init__(self, sig: Signature, mode: str, opts: ReduceOptions = ReduceOptions(),
                  table: SymbolTable | None = None, fresh_prefix: str = "_s"):
+        if mode not in (DEPTH_MODE, SIZE_MODE):
+            raise InternalError(f"unknown mode {mode!r}")
         self.sig = sig
         self.mode = mode
         self.opts = opts
@@ -636,8 +638,6 @@ def _guard_vars(lit: Formula) -> list[str]:
 def _new_table(sig: Signature, mode: str, opts: ReduceOptions) -> SymbolTable:
     """An empty symbol table for reducts of `sig` in `mode`."""
     ensure_valid(sig)
-    if mode not in (DEPTH_MODE, SIZE_MODE):
-        raise InternalError(f"unknown mode {mode!r}")
     enum_sorts = frozenset(s for s in sig.sorts if sig.is_enum(s)) if opts.enum_opt \
         else frozenset()
     return SymbolTable(sig, mode, enum_sorts=enum_sorts)

@@ -2,22 +2,31 @@
 
 These are the executable form of semilinear subsets of N: a finite set of
 exceptional members below a threshold, then membership decided by residue
-modulo a period.  `from_window` builds one from a membership oracle and
-normalizes it to the canonical form with minimal period and, for that
-period, minimal threshold, so equal sets compare equal.
+modulo a period.  The size analyses compute on them in the plain form
+`(threshold, period, bits)`, where `bits` holds membership below
+`threshold + period`, with the operations a grammar's least fixpoint
+needs: union, Minkowski sum, shift by a weight and star.  Each returns the
+canonical form (`normalize`): the least period and, for that period, the
+least threshold, so equal sets compare equal.  `from_bits` turns a form
+into an `EventuallyPeriodicSet`.
+
+No form or scratch bitset is wider than `MAX_BITS`: thresholds and periods
+can grow exponentially with a grammar, and past that width an operation
+raises ResourceLimitError.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from math import gcd, lcm
 
-from .errors import InternalError
+from .errors import InternalError, ResourceLimitError
 from .terms import Node
 
+MAX_BITS = 1 << 16
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+Form = tuple[int, int, int]  # (threshold, period, bits below threshold + period)
+EMPTY: Form = (0, 1, 0)
+ZERO: Form = (1, 1, 1)  # {0}
 
 
 class EventuallyPeriodicSet(Node):
@@ -40,12 +49,12 @@ class EventuallyPeriodicSet(Node):
         self._init(exceptions, threshold, period, residues)
 
     @staticmethod
-    def from_window(member: Callable[[int], bool], threshold: int,
-                    period: int) -> "EventuallyPeriodicSet":
-        """Build from a membership oracle known to be periodic beyond `threshold`."""
-        exc = {n for n in range(threshold) if member(n)}
-        res = {n % period for n in range(threshold, threshold + period) if member(n)}
-        return _normalize(exc, threshold, period, res)
+    def from_bits(threshold: int, period: int, bits: int) -> "EventuallyPeriodicSet":
+        """The set with members `bits` below `threshold + period` that
+        repeats with `period` from `threshold` on, in canonical form."""
+        t, p, b = normalize(threshold, period, bits)
+        return EventuallyPeriodicSet(frozenset(n for n in range(t) if b >> n & 1), t, p,
+                                     frozenset(n % p for n in range(t, t + p) if b >> n & 1))
 
     # -- queries -----------------------------------------------------------
 
@@ -83,26 +92,108 @@ class EventuallyPeriodicSet(Node):
         return tail
 
 
-def _normalize(exc: set[int], thr: int, per: int, res: set[int]) -> EventuallyPeriodicSet:
-    # minimal period: smallest divisor of per that the residue set is invariant under
-    for d in _divisors(per):
-        proj = {r % d for r in res}
-        if all(((r % d) in proj) == (r in res) for r in range(per)):
-            per = d
-            res = proj
-            break
-    # minimal threshold for that period
-    while thr > 0:
-        n = thr - 1
-        if (n in exc) == ((n % per) in res):
-            exc.discard(n)
-            thr -= 1
-        else:
-            break
-    exc = {e for e in exc if e < thr}
-    if not res and exc:
-        thr = max(exc) + 1
-    if not res and not exc:
-        thr = 0
-        per = 1
-    return EventuallyPeriodicSet(frozenset(exc), thr, per, frozenset(res))
+# -- arithmetic on forms ----------------------------------------------------
+
+def _ones(width: int) -> int:
+    if width > MAX_BITS:
+        raise ResourceLimitError(f"eventually periodic set wider than {MAX_BITS} bits")
+    return (1 << width) - 1
+
+
+def normalize(t: int, p: int, bits: int) -> Form:
+    """The canonical form of the set with members `bits` below t + p that
+    repeats with period p from t on.  The least period divides p, and d | p
+    is a period iff the block of p bits from t repeats after d; dividing p
+    by each of its prime factors while that holds finds it.  Then bit n of
+    `bits ^ bits >> p` is set iff n and n + p differ in membership, so the
+    least threshold is one past the highest such n."""
+    bits &= _ones(t + p)
+    block = bits >> t
+    n, q = p, 2
+    while n > 1:
+        if q * q > n:
+            q = n  # the prime left
+        if n % q:
+            q += 1
+            continue
+        while n % q == 0:
+            n //= q
+        while p % q == 0 and not (block ^ block >> p // q) & ((1 << p - p // q) - 1):
+            p //= q
+    t = ((bits ^ bits >> p) & ((1 << t) - 1)).bit_length()
+    return t, p, bits & ((1 << t + p) - 1)
+
+
+def _bits_below(a: Form, limit: int) -> int:
+    """The members of `a` below `limit`: its block repeated by doubling."""
+    t, p, bits = a
+    block, width = bits >> t, p
+    while t + width < limit:
+        block |= block << width
+        width *= 2
+    return (bits | block << t) & _ones(limit)
+
+
+def union(*sets: Form) -> Form:
+    """Repeats with the lcm of the periods from the largest threshold on."""
+    t = max((a[0] for a in sets), default=0)
+    p = lcm(*(a[1] for a in sets))
+    bits = 0
+    for a in sets:
+        bits |= _bits_below(a, t + p)
+    return normalize(t, p, bits)
+
+
+def plus(a: Form, b: Form) -> Form:
+    """The Minkowski sum {x + y : x in a, y in b}.  With L = lcm of the
+    periods, n >= ta + tb + L is in it iff n + L is: n = x + y has x >= ta
+    or y >= tb, which takes L more; n + L = x + y has x >= ta + L or
+    y >= tb + L, which gives L back."""
+    if not a[2] or not b[2]:
+        return EMPTY
+    p = lcm(a[1], b[1])
+    t = a[0] + b[0] + p
+    x, y = _bits_below(a, t + p), _bits_below(b, t + p)
+    if x.bit_count() > y.bit_count():
+        x, y = y, x
+    out = 0
+    while x:  # shift the denser operand by each member of the sparser
+        low = x & -x
+        out |= y << low.bit_length() - 1
+        x ^= low
+    return normalize(t, p, out)
+
+
+def shift(a: Form, w: int) -> Form:
+    """{x + w : x in a}."""
+    return normalize(a[0] + w, a[1], a[2] << w)
+
+
+def star(a: Form) -> Form:
+    """The sums of members of `a`, 0 included.  With g the gcd of the
+    members, they are multiples of g, and all of them from Schur's bound
+    g * (m/g - 1) * (M/g - 1) on, m the least member and M the largest of
+    the shortest prefix of the members whose gcd is g.  Below it, each
+    member not yet a sum joins by doubling shifts."""
+    t, p, bits = a
+    members = _bits_below(a, t + 2 * p) & ~1  # from t + p on they repeat
+    g = m = top = 0
+    while members and g != 1:
+        n = (members & -members).bit_length() - 1
+        if gcd(g, n) != g:
+            g, top = gcd(g, n), n
+        m = m or n
+        members &= members - 1
+    if not g:
+        return ZERO
+    t = g * (m // g - 1) * (top // g - 1)
+    mask = _ones(t + g)
+    out = 1
+    gens = _bits_below(a, t + g) & ~out
+    while gens:
+        n = (gens & -gens).bit_length() - 1
+        while n < t + g:
+            out |= (out << n) & mask
+            n *= 2
+        gens &= ~out
+    return normalize(t, g, out)

@@ -12,35 +12,29 @@ The size analyses read one grammar, `sort -> [(constructor, weight,
 argument sorts)]`: `_grammar` gives every constructor weight 1, and
 `_eliminate_singletons` drops singleton-domain sorts and folds their sizes
 into the weights.  Size images, relativized images and the expandingness
-cycles are all computed on that shape, and every image is read off exact
-membership bitsets of one grammar start (`_eps_from_bits`): a relativized
-image or a cycle's exits are the start of a `_lap` grammar added to it.
-The bitsets of all sorts come from one least fixpoint (`_image_bits`),
-solved one strongly connected component of the sort graph at a time by
-Newton's method, which reaches it in at most |C| + 1 steps on a component
-C, whatever the window; a signature keeps them per grammar and window, so
-the images of all its sorts share one fixpoint, and a lap's fixpoint
-starts from them and solves only the lap sorts.  An image is accepted only
-with a certificate: the candidates of the start and every sort it reaches,
-extended periodically, are a fixpoint of the grammar, and the only one
-(`_certified_bound`).
+cycles are all computed on that shape: a relativized image or a cycle's
+exits are the start of a `_lap` grammar added to it.  Every image is the
+start's entry in one least fixpoint (`_image_bits`) over exact eventually
+periodic sets (`semilinear`), solved one strongly connected component of
+the sort graph at a time by Newton's method, which reaches it in at most
+|C| + 1 steps on a component C.  A signature keeps the fixpoint per
+grammar, so the images of all its sorts share one, and a lap's fixpoint
+starts from it and solves only the lap sorts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterator
 
 from .errors import InternalError, InvalidSignatureError, ResourceLimitError, UnknownSymbolError
-from .semilinear import EventuallyPeriodicSet
+from .semilinear import EMPTY, MAX_BITS, ZERO, EventuallyPeriodicSet, Form, plus, shift, star, union
 from .terms import Ctor, Node, Term, Var, ground_size
 
 DEFAULT_COUNT_CAP = 2000
 DEFAULT_ENUM_CAP = 2_000_000
-_IMAGE_WINDOW = 64
-_IMAGE_WINDOW_MAX = 1 << 15
 
 
 class CtorDecl(Node):
@@ -279,196 +273,98 @@ def _grammar(sig: Signature) -> Grammar:
             for s in sig.sorts}
 
 
-def _mask(limit: int) -> int:
-    return (1 << limit) - 1
-
-
-def _minkowski(a: int, b: int, limit: int) -> int:
-    """Bitset Minkowski sum {x+y : x in a, y in b}, truncated below `limit`;
-    walks the set bits of the sparser operand."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    out = 0
-    m = _mask(limit)
-    while a:
-        low = a & -a
-        out |= (b << (low.bit_length() - 1)) & m
-        a ^= low
-    return out
-
-
-def _image_bits(grammar: Grammar, limit: int, known: dict[str, int] | None = None) -> dict[str, int]:
-    """Exact membership bitsets of every sort's size image below `limit`: the
-    least fixpoint of `f(X)[s] = OR over productions of w + X[a1] + ...`
-    over sets of sizes below `limit`, with union and truncated Minkowski sum.
-    `known` holds the exact bitsets of sorts whose productions read only
-    each other (a base grammar's fixpoint); they stay fixed.  The other
-    sorts are solved one strongly connected component C of the sort graph
-    at a time, after the components it reads, by Newton's method.  The
-    semiring is commutative and idempotent, so from 0 at most |C| + 1
-    Newton steps reach the least fixpoint (Hopkins and Kozen, LICS 1999;
-    Esparza, Kiefer and Luttenberger, JACM 2010); more raise InternalError.
-    A step is taken only while f(X) != X, and that check alone makes the
-    result exact: every weight is at least 1, so each size in a fixpoint
-    is made of smaller ones, and the fixpoint is unique.  That an image read
-    off these bits holds beyond `limit` is certified in `_eps_from_bits`."""
-    bits = dict(known or {})
-    live = [s for s in grammar if s not in bits]
+def _image_bits(grammar: Grammar, known: dict[str, Form | None] | None = None
+                ) -> dict[str, Form | None]:
+    """Every sort's size image as an exact eventually periodic form (see
+    `semilinear`): the least fixpoint of `f(X)[s] = union over productions
+    of w + X[a1] + ...` under union and Minkowski sum.  `known` holds the
+    sets of sorts whose productions read only each other (a base grammar's
+    fixpoint); they stay fixed.  The other sorts are solved one strongly
+    connected component C of the sort graph at a time, after the components
+    it reads, by Newton's method.  The semiring is commutative and
+    idempotent, so from the empty sets at most |C| + 1 Newton steps reach
+    the least fixpoint (Hopkins and Kozen, LICS 1999; Esparza, Kiefer and
+    Luttenberger, JACM 2010); more raise InternalError.  A step is taken only
+    while f(X) != X, and every step stays below the least fixpoint, so the
+    result is exact.  A component whose sets grow wider than
+    `semilinear.MAX_BITS`, and every sort that reads it, gets None."""
+    sets = dict(known or {})
+    live = [s for s in grammar if s not in sets]
     reach = {s: _reach(grammar, s) for s in live}
     # a sort's reach with itself holds the reach of every sort it leads to,
     # strictly unless the two share a component, so sorting by its size
     # puts every component after the ones it reads
     for s in sorted(live, key=lambda s: len(reach[s] | {s})):
-        if s not in bits:
+        if s not in sets:
             component = [t for t in live if t == s or t in reach[s] and s in reach[t]]
-            _solve_component(grammar, component, bits, limit)
-    return bits
+            try:
+                if any(sets[t] is None for t in reach[s] if t not in component):
+                    raise ResourceLimitError("reads a sort too wide to hold")
+                _solve_component(grammar, component, sets)
+            except ResourceLimitError:
+                sets.update(dict.fromkeys(component, None))
+    return sets
 
 
-def _solve_component(grammar: Grammar, component: list[str], bits: dict[str, int],
-                     limit: int) -> None:
-    """Add to `bits`, which holds every sort the component reads, the least
+def _solve_component(grammar: Grammar, component: list[str], sets: dict[str, Form]) -> None:
+    """Add to `sets`, which holds every sort the component reads, the least
     fixpoint on the component, by Newton steps `X <- J* . f(X)` until
     f(X) = X.  J is the Jacobian of f at X: its entry (s, t) holds the
     sizes that a production of s adds around one argument of sort t."""
     index = {s: i for i, s in enumerate(component)}
-    bits.update(dict.fromkeys(component, 0))
+    sets.update(dict.fromkeys(component, EMPTY))
     # |C| + 1 steps, and one more look at f to see the fixpoint
     for _ in range(len(component) + 2):
-        image = [0] * len(component)
-        for i, s in enumerate(component):
-            for _, w, args in grammar[s]:
-                if w < limit:
-                    image[i] |= _sum(w, [bits[a] for a in args], limit)
-        if image == [bits[s] for s in component]:
+        image = [union(*(_sum(w, [sets[a] for a in args]) for _, w, args in grammar[s]))
+                 for s in component]
+        if image == [sets[s] for s in component]:
             return
-        jacobian = [[0] * len(component) for _ in component]
+        jacobian = [[EMPTY] * len(component) for _ in component]
         for s, row in zip(component, jacobian):
             for _, w, args in grammar[s]:
                 for k, a in enumerate(args):
-                    if a in index and w < limit:
-                        row[index[a]] |= _sum(w, [bits[b] for b in args[:k] + args[k + 1:]],
-                                              limit)
-        for s, row in zip(component, _matrix_star(jacobian, limit)):
-            bits[s] = 0
-            for a, x in zip(row, image):
-                bits[s] |= _minkowski(a, x, limit)
+                    if a in index:
+                        row[index[a]] = union(row[index[a]],
+                                              _sum(w, [sets[b] for b in args[:k] + args[k + 1:]]))
+        for s, row in zip(component, _matrix_star(jacobian)):
+            sets[s] = union(*(plus(a, x) for a, x in zip(row, image)))
     raise InternalError(f"Newton's method on {component} missed its step bound")
 
 
-def _sum(w: int, parts: list[int], limit: int) -> int:
-    """The bitset of w + x1 + ... + xk over xi in parts, below `limit`."""
-    acc = 1 << w
+def _sum(w: int, parts: list[Form]) -> Form:
+    """w + x1 + ... + xk over xi in parts."""
+    acc = ZERO
     for x in parts:
-        acc = _minkowski(acc, x, limit)
-        if not acc:
-            break
-    return acc
+        acc = plus(acc, x)
+    return shift(acc, w)
 
 
-def _star(m: int, limit: int) -> int:
-    """The bitset of the sums of members of `m` (0 included), below `limit`:
-    each generator not yet in the result joins by doubling shifts, so the
-    work grows with the number of generators and the log of the window."""
-    mask = _mask(limit)
-    t = 1
-    gens = m & ~t
-    while gens:
-        g = (gens & -gens).bit_length() - 1
-        shift = g
-        while shift < limit:
-            t |= (t << shift) & mask
-            shift *= 2
-        gens &= ~t
-    return t
-
-
-def _matrix_star(a: list[list[int]], limit: int) -> list[list[int]]:
-    """The star I + A + A.A + ... of a matrix of bitsets, by Kleene
+def _matrix_star(a: list[list[Form]]) -> list[list[Form]]:
+    """The star I + A + A.A + ... of a matrix of sets, by Kleene
     elimination in place: eliminating k turns every path through k into
     one edge, with k's loops starred."""
     n = len(a)
     for k in range(n):
-        s = _star(a[k][k], limit)
-        col = [_minkowski(a[i][k], s, limit) if i != k else s for i in range(n)]
-        row = [_minkowski(s, a[k][j], limit) if j != k else s for j in range(n)]
+        s = star(a[k][k])
+        col = [plus(a[i][k], s) if i != k else s for i in range(n)]
+        row = [plus(s, a[k][j]) if j != k else s for j in range(n)]
         for i in range(n):
-            if i != k and col[i]:
+            if i != k and col[i][2]:
                 for j in range(n):
                     if j != k:
-                        a[i][j] |= _minkowski(col[i], a[k][j], limit)
+                        a[i][j] = union(a[i][j], plus(col[i], a[k][j]))
         for i in range(n):
             a[i][k] = col[i]
         a[k] = row
     return a
 
 
-def _period(x: int, window: int) -> tuple[int, int] | None:
-    """The least period p <= window/2 of the bitset `x` with its threshold:
-    x repeats with period p from the threshold on within the window, at
-    least twice, and the repetition carries on over [window, 2*window)."""
-    for p in range(1, window // 2 + 1):
-        d = x ^ x >> p  # bit n: whether n and n + p differ in membership
-        thr = (d & _mask(window - p)).bit_length()
-        if thr + 2 * p <= window and not d >> (window - p) & _mask(window):
-            return thr, p
-    return None
-
-
-def _eps_from_bits(grammar: Grammar, bits_at: Callable[[int], dict[str, int]],
-                   start: str) -> EventuallyPeriodicSet:
-    """Extract the eventually periodic set for `start` from `bits_at(limit)`,
-    the exact bitsets of `grammar` below `limit`.  On window W, `start` and
-    then every sort it reaches take a candidate from their bits below 2W
-    (`_period`), and the candidates are accepted only when their
-    certificate (`_certified_bound`) needs no bits beyond 2W; otherwise the
-    window doubles.  A start's bits alone do not suffice: below a window
-    that ends before the first size of a long lap they pass for a finite
-    set.  Past the largest window the image is given up with a
-    ResourceLimitError: thresholds and periods, and so the bound, can grow
-    exponentially with the grammar."""
-    reach = _reach(grammar, start)
-    sorts = [start] + [t for t in grammar if t != start and t in reach]
-    window = _IMAGE_WINDOW
-    while window <= _IMAGE_WINDOW_MAX:
-        bits = bits_at(2 * window)
-        found = {}
-        for t in sorts:
-            found[t] = _period(bits[t], window)
-            if found[t] is None:
-                break
-        else:
-            # the candidates agree with the bits below 2W
-            if _certified_bound(grammar, found, bits) <= 2 * window:
-                x = bits[start]
-                return EventuallyPeriodicSet.from_window(lambda n: bool(x >> n & 1),
-                                                         *found[start])
-        window *= 2
-    raise ResourceLimitError(f"size image of {start} not certified below {2 * _IMAGE_WINDOW_MAX}")
-
-
-def _certified_bound(grammar: Grammar, found: dict[str, tuple[int, int]],
-                     bits: dict[str, int]) -> int:
-    """A bound B such that the candidates `found` (sort -> (threshold,
-    period), closed under the sorts productions read), where they agree
-    with the exact bits below B, are the least fixpoint P.  Let Pi be the
-    lcm of the periods and T the largest threshold.  A sum of k infinite
-    sets periodic with period Pi beyond t1, ..., tk is periodic beyond
-    t1 + ... + tk + (k - 1) * Pi, and a finite set lies below its threshold,
-    so f(P) is periodic with period Pi beyond T', the largest `w + the
-    argument thresholds + (k - 1) * Pi` over the productions with k > 0
-    infinite arguments (`w + the thresholds` for k = 0).  For B = max(T,
-    T') + Pi, f(P) = f(exact) = exact = P below B, as each size is made of
-    smaller ones, and from max(T, T') on both repeat with period Pi; so
-    P = f(P), the only fixpoint."""
-    period = lcm(*(p for _, p in found.values()))
-    infinite = {t for t, (thr, p) in found.items() if bits[t] >> thr & _mask(p)}
-    tail = max(thr for thr, _ in found.values())
-    for t in found:
-        for _, w, args in grammar[t]:
-            k = sum(a in infinite for a in args)
-            tail = max(tail, w + sum(found[a][0] for a in args) + max(k - 1, 0) * period)
-    return tail + period
+def _image(sets: dict[str, Form | None], start: str) -> EventuallyPeriodicSet:
+    """The size image of `start` in a fixpoint of `_image_bits`."""
+    form = sets[start]
+    if form is None:
+        raise ResourceLimitError(f"size image of {start} wider than {MAX_BITS} bits")
+    return EventuallyPeriodicSet.from_bits(*form)
 
 
 def _cached_grammar(sig: Signature, make: Callable[[Signature], Grammar]) -> Grammar:
@@ -479,12 +375,12 @@ def _cached_grammar(sig: Signature, make: Callable[[Signature], Grammar]) -> Gra
     return sig._cache[key]
 
 
-def _cached_bits(sig: Signature, make: Callable[[Signature], Grammar], limit: int) -> dict[str, int]:
-    """The bitsets of every sort of grammar `make(sig)` below `limit`, kept in
-    the signature's cache, so the images of all its sorts share one fixpoint."""
-    key = ("image-bits", make, limit)
+def _cached_bits(sig: Signature, make: Callable[[Signature], Grammar]) -> dict[str, Form | None]:
+    """The sets of every sort of grammar `make(sig)`, kept in the
+    signature's cache, so the images of all its sorts share one fixpoint."""
+    key = ("image-bits", make)
     if key not in sig._cache:
-        sig._cache[key] = _image_bits(_cached_grammar(sig, make), limit)
+        sig._cache[key] = _image_bits(_cached_grammar(sig, make))
     return sig._cache[key]
 
 
@@ -494,8 +390,7 @@ def size_image(sig: Signature, sort: str) -> EventuallyPeriodicSet:
     if key not in sig._cache:
         if sort not in sig.sorts:
             raise UnknownSymbolError(sort, "not a declared sort")
-        sig._cache[key] = _eps_from_bits(_cached_grammar(sig, _grammar),
-                                        lambda limit: _cached_bits(sig, _grammar, limit), sort)
+        sig._cache[key] = _image(_cached_bits(sig, _grammar), sort)
     return sig._cache[key]
 
 
@@ -529,10 +424,9 @@ def _lap_image(sig: Signature, make: Callable[[Signature], Grammar],
                steps: list[tuple[str, str]]) -> EventuallyPeriodicSet:
     """The image of the start of the lap of `steps` on grammar `make(sig)`.
     No base sort reads a lap sort, so the lap's fixpoint starts from the
-    cached bitsets of the base grammar and only the lap sorts are solved."""
+    cached sets of the base grammar and only the lap sorts are solved."""
     lap, start = _lap(_cached_grammar(sig, make), steps)
-    return _eps_from_bits(
-        lap, lambda limit: _image_bits(lap, limit, _cached_bits(sig, make, limit)), start)
+    return _image(_image_bits(lap, _cached_bits(sig, make)), start)
 
 
 # -- counting and enumeration oracles ---------------------------------------------------

@@ -180,8 +180,9 @@ WIDE_LAP = """
     (WIDE_LAP, "{n >= 0 : n mod 127 in {1}}"),
 ], ids=["tree", "wide"])
 def test_lap_longer_than_the_first_window(tmp_path, text, image):
-    """S's sizes below the first window's bits are {1} alone; its image once
-    passed for that finite set, and a size one lap on answered unsat."""
+    """S's sizes below 128 are {1} alone; an image read off the bits below a
+    window of 64 once passed for that finite set, and a size one lap on
+    answered unsat."""
     p = tmp_path / "lap.smt2"
     p.write_text(text)
     code, out = run(["analyze", str(p)])

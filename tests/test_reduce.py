@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given
 
-from adtsolve.errors import ModeMismatchError
+from adtsolve.errors import InternalError, ModeMismatchError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.reduce import (
     DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, ROr, RVar, ReduceOptions,
@@ -96,6 +96,12 @@ def test_size_atom_in_depth_mode_rejected(lists_sig, fml):
         _reduce(lists_sig, fml, "(= (adt.size x) 3)", mode="depth")
 
 
+def test_unknown_mode_rejected_with_a_given_table(lists_sig):
+    # with a table of its own, the reducer still checks its mode
+    with pytest.raises(InternalError, match="unknown mode"):
+        Reducer(lists_sig, "dpeth", table=SymbolTable(lists_sig, "dpeth"))
+
+
 def test_rule7_membership_for_every_size_literal(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(and (= (adt.size x) n) (= (adt.size z) 5))",
                 mode="size")
@@ -112,26 +118,6 @@ def test_guarded_selector_drops_disjunction(lists_sig, fml):
     assert len(ors) == 1
     # Skolems only from the tester, not from the selector
     assert set(r.table.skolem_names()) == {"_s1", "_s2"}
-
-
-def test_literals_of_one_conjunction_share_one_guard_set(monkeypatch):
-    # every literal of a 50-link chain is reduced under the one guard set of
-    # the top-level conjunction, not a copy per literal
-    from tests.test_models import _sat_chain
-
-    seen = []
-    reduce_literal = Reducer.reduce_literal
-
-    def recorded(self, lit, guards):
-        seen.append(guards)  # kept, so no set's id is reused
-        return reduce_literal(self, lit, guards)
-
-    monkeypatch.setattr(Reducer, "reduce_literal", recorded)
-    script = _sat_chain(50)
-    reduce(flatten(to_nnf(script.formula()), script.sig), script.sig)
-    assert len(seen) >= 150
-    assert all(g is seen[0] for g in seen)
-    assert len(seen[0]) == 50  # x0 .. x49 are tested to be a cons
 
 
 def test_unguarded_selector_keeps_full_rule(lists_sig, fml):

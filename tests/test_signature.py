@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from adtsolve import signature
 from adtsolve.corpus import random_signature
 from adtsolve.errors import InvalidSignatureError, ResourceLimitError, UnknownSymbolError
-from adtsolve.semilinear import EventuallyPeriodicSet as EPS
+from adtsolve.semilinear import EventuallyPeriodicSet as EPS, _bits_below
 from adtsolve.signature import (
     CtorDecl, Signature, _cycle_through, _eliminate_singletons, _grammar,
-    _image_bits, _lap, _minkowski, _period, cardinality, check_expanding, ctor_index,
+    _image_bits, _lap, cardinality, check_expanding, ctor_index,
     count_terms_of_size, enumerate_terms, minimal_term, num_ctors,
     relativized_size_image, size_image, terms_of_size, validate,
 )
@@ -237,14 +237,15 @@ def test_image_bits_match_kleene_iteration():
     for k, sig in enumerate(KERNEL_SIGS + WEIGHTED_SIGS + [LONG_PERIOD]):
         for grammar in _kernel_grammars(sig, k):
             want = _kleene_bits(grammar, 256)
+            got = _image_bits(grammar)
             for limit in (16, 128, 256):
-                assert _image_bits(grammar, limit) == \
+                assert {s: _bits_below(a, limit) for s, a in got.items()} == \
                     {s: b & ((1 << limit) - 1) for s, b in want.items()}
 
 
 def test_lap_fixpoint_seeded_with_base_bits():
     # no base sort reads a lap sort, so the lap's fixpoint may start from
-    # the base grammar's bitsets and iterate the lap sorts only
+    # the base grammar's sets and solve the lap sorts only
     for k, sig in enumerate(KERNEL_SIGS + WEIGHTED_SIGS + [LONG_PERIOD]):
         plain, single = _grammar(sig), _eliminate_singletons(sig)
         c = sig.ctors[k % len(sig.ctors)]
@@ -252,21 +253,23 @@ def test_lap_fixpoint_seeded_with_base_bits():
         laps += [(single, cycle) for s in single if (cycle := _cycle_through(s, single))]
         for base, steps in laps:
             lap = _lap(base, steps)[0]
-            for limit in (16, 128):
-                assert _image_bits(lap, limit, _image_bits(base, limit)) == \
-                    _image_bits(lap, limit)
+            assert _image_bits(lap, _image_bits(base)) == _image_bits(lap)
 
 
 @st.composite
-def _random_grammars(draw, prefix, reads=()):
-    """1-5 sorts, each with 0-3 productions of weight 1-5 and arity 0-3 over
-    its own sorts and `reads`: mutual recursion, and sorts with an empty
-    image (no production, or only ones that read an empty sort)."""
+def _random_grammars(draw, prefix, reads=(), weights=5):
+    """1-5 sorts, each with 0-3 productions of weight 1-`weights` and arity
+    0-3 over its own sorts and `reads`: mutual recursion, and sorts with an
+    empty image (no production, or only ones that read an empty sort)."""
     sorts = [f"{prefix}{i}" for i in range(draw(st.integers(1, 5)))]
     arg = st.sampled_from(sorts + list(reads))
-    return {s: [("c", draw(st.integers(1, 5)), tuple(draw(st.lists(arg, max_size=3))))
+    return {s: [("c", draw(st.integers(1, weights)), tuple(draw(st.lists(arg, max_size=3))))
                 for _ in range(draw(st.integers(0, 3)))]
             for s in sorts}
+
+
+def _bits_of(sets, limit):
+    return {s: _bits_below(a, limit) for s, a in sets.items()}
 
 
 @given(base=_random_grammars("B"), data=st.data(),
@@ -277,102 +280,57 @@ def _random_grammars(draw, prefix, reads=()):
          data=None, limit=1024)
 def test_image_bits_match_kleene_on_random_grammars(base, data, limit):
     """Both on a base grammar, and on sorts added above it, with and without
-    the base's bitsets as `known`."""
+    the base's sets as `known`."""
     extra = data.draw(_random_grammars("S", tuple(base))) if data else {}
     grammar = {**base, **extra}
     want = _kleene_bits(grammar, limit)
-    assert _image_bits(base, limit) == {s: want[s] for s in base}
-    assert _image_bits(grammar, limit) == want
-    assert _image_bits(grammar, limit, _kleene_bits(base, limit)) == want
+    assert _bits_of(_image_bits(base), limit) == {s: want[s] for s in base}
+    assert _bits_of(_image_bits(grammar), limit) == want
+    assert _bits_of(_image_bits(grammar, _image_bits(base)), limit) == want
 
 
-def test_minkowski_calls_do_not_grow_with_the_window(lists_sig, monkeypatch):
-    # Newton's method takes as many steps, whatever the window
-    calls = []
-
-    def counted(a, b, limit):
-        calls.append(limit)
-        return _minkowski(a, b, limit)
-
-    monkeypatch.setattr(signature, "_minkowski", counted)
-    for limit in (128, 8192):
-        _image_bits(_grammar(lists_sig), limit)
-    assert calls.count(128) == calls.count(8192)
-
-
-def _period_by_bits(x, window):
-    """The period search bit by bit: the threshold of p is one past the last
-    n < window - p with n and n + p differing, and [window, 2 * window) must
-    follow the periodic extension."""
-
-    def bit(n):
-        return bool(x >> n & 1)
-
-    for p in range(1, window // 2 + 1):
-        thr = 0
-        for n in range(window - p):
-            if bit(n) != bit(n + p):
-                thr = n + 1
-        if thr + 2 * p > window:
-            continue
-        if all(bit(n) == bit(thr + ((n - thr) % p)) for n in range(window, 2 * window)):
-            return thr, p
-    return None
-
-
-@given(window=st.sampled_from([8, 16, 64]), thr=st.integers(0, 80), p=st.integers(1, 40),
-       head=st.integers(0, 2 ** 80), pattern=st.integers(0, 2 ** 40),
-       flips=st.lists(st.integers(0, 127), max_size=2))
-# only the last bit of the doubling window breaks the period 1
-@example(window=8, thr=0, p=1, head=0, pattern=0, flips=[15])
-# one member late in the first window: no period repeats twice after it
-@example(window=8, thr=0, p=1, head=0, pattern=0, flips=[6])
-def test_period_matches_bitwise_search(window, thr, p, head, pattern, flips):
-    """On eventually periodic bitsets below 2 * window, some with a bit or
-    two flipped so that the period or the doubling check fails."""
-    x = head & ((1 << thr) - 1)
-    for n in range(thr, 2 * window):
-        x |= (pattern >> ((n - thr) % p) & 1) << n
-    for n in flips:
-        x ^= 1 << n % (2 * window)
-    assert _period(x, window) == _period_by_bits(x, window)
+@given(grammar=_random_grammars("S", weights=4))
+def test_images_match_kleene_past_their_period(grammar):
+    """Each image agrees with plain iteration below four times its
+    threshold plus period, so past the first periods it repeats."""
+    sets = _image_bits(grammar)
+    limit = 4 * max(a[0] + a[1] for a in sets.values())
+    assert _bits_of(sets, limit) == _kleene_bits(grammar, limit)
 
 
 @pytest.fixture
-def fixpoint_limits(monkeypatch):
-    """The limit of every `_image_bits` call, in order."""
+def fixpoints(monkeypatch):
+    """The grammar of every `_image_bits` call, in order."""
     calls = []
 
-    def counted(grammar, limit, known=None):
-        calls.append(limit)
-        return _image_bits(grammar, limit, known)
+    def counted(grammar, known=None):
+        calls.append(grammar)
+        return _image_bits(grammar, known)
 
     monkeypatch.setattr(signature, "_image_bits", counted)
     return calls
 
 
-def test_size_images_of_all_sorts_share_one_fixpoint(fixpoint_limits):
+def test_size_images_of_all_sorts_share_one_fixpoint(fixpoints):
     sig = random_signature(random.Random(0))
     assert len(sig.sorts) == 4
     images = [size_image(sig, s) for s in sig.sorts]
-    assert fixpoint_limits == [128]
+    assert fixpoints == [_grammar(sig)]
     # each sort alone, on a fresh copy of the signature
     assert images == [size_image(random_signature(random.Random(0)), s) for s in sig.sorts]
 
 
-# s holds forty copies of U's one term, so each lap of S -> s -> S adds 41:
-# a period longer than half the first window of 64
+# s holds forty copies of U's one term, so each lap of S -> s -> S adds 41
 LONG_PERIOD = Signature(("U", "S"), (
     CtorDecl("one", "U"), CtorDecl("z", "S"),
     CtorDecl("s", "S", tuple((f"u{i}", "U") for i in range(40)) + (("p", "S"),)),
 ))
 
 
-def test_long_period_needs_the_second_window(fixpoint_limits):
+def test_long_period_image_and_laps():
     sig = Signature(LONG_PERIOD.sorts, LONG_PERIOD.ctors)  # with an empty cache
     image = size_image(sig, "S")
     assert image == EPS(frozenset(), 0, 41, frozenset({1}))
-    assert fixpoint_limits == [128, 256]
     rel_z, rel_s = (relativized_size_image(sig, "S", c) for c in ("z", "s"))
     for b in range(200):
         count = count_terms_of_size(sig, "S", b)
@@ -386,53 +344,57 @@ def test_long_period_needs_the_second_window(fixpoint_limits):
     _recheck_witness(sig, report.witness("S"))
 
 
-def test_wide_lap_is_certified_beyond_the_first_window(fixpoint_limits):
+def test_wide_lap_is_no_finite_image():
     # s holds 126 copies of U's one term, so each lap of S -> s -> S adds
-    # 127.  On the window of 64, S's sizes below 128 are {1}; that candidate
-    # needs the bits below B = 1 + 126 * 2 + 2 + 1 = 256 (U's {1} and S's {1}
-    # have threshold 2), past the 128 the window read.  The window of 128
-    # finds no period of at most 64, and on the window of 256 S repeats with
-    # period 127 from 0 on, certified below B = 1 + 126 * 2 + 0 + 127 = 380
+    # 127: S's sizes below 128 are {1}, which once passed for its image
     sig = Signature(("U", "S"), (
         CtorDecl("one", "U"), CtorDecl("z", "S"),
         CtorDecl("s", "S", tuple((f"u{i}", "U") for i in range(126)) + (("p", "S"),)),
     ))
     assert size_image(sig, "S") == EPS(frozenset(), 0, 127, frozenset({1}))
-    assert fixpoint_limits == [128, 256, 512]
 
 
 PRIMES = (5, 7, 11, 13)
 
 
-def _prime_laps():
+def _prime_laps(primes=PRIMES):
     """S = s(A5, A7, A11, A13), where each lap of A_p adds p: the lcm of the
     periods S reaches is 5005, though S's own image has period 1."""
-    decls = [CtorDecl("one", "U"), CtorDecl("s", "S", tuple((f"f{p}", f"A{p}") for p in PRIMES))]
-    for p in PRIMES:
+    decls = [CtorDecl("one", "U"), CtorDecl("s", "S", tuple((f"f{p}", f"A{p}") for p in primes))]
+    for p in primes:
         us = tuple((f"u{p}_{i}", "U") for i in range(p - 1))
         decls += [CtorDecl(f"a{p}", f"A{p}"),
                   CtorDecl(f"b{p}", f"A{p}", us + ((f"p{p}", f"A{p}"),))]
-    return Signature(("U", *(f"A{p}" for p in PRIMES), "S"), tuple(decls))
+    return Signature(("U", *(f"A{p}" for p in primes), "S"), tuple(decls))
 
 
-def test_a_long_lcm_is_certified_on_a_wide_window(fixpoint_limits):
-    # s has four infinite arguments, so the certificate needs the bits below
-    # B = 1 + 3 * 5005 + 5005 = 20021 (the A_p repeat from 0 on): the window
-    # of 16384, whose fixpoint runs to 32768
-    assert size_image(_prime_laps(), "S") == EPS(frozenset({5, 10, 12}), 15, 1, frozenset({0}))
-    assert fixpoint_limits[-1] == 32768
+@pytest.mark.parametrize("primes, exceptions, threshold", [
+    (PRIMES, {5, 10, 12}, 15),
+    # the lcm of the periods is 17017
+    ((7, 11, 13, 17), {5, 12, 16, 18, 19, 22, 23, 25, 26, 27}, 29),
+], ids=["5-13", "7-17"])
+def test_a_long_lcm_of_periods_leaves_the_image_small(primes, exceptions, threshold):
+    # a sum of sets has a period dividing the lcm of theirs, and here 1
+    sig = _prime_laps(primes)
+    image = size_image(sig, "S")
+    assert image == EPS(frozenset(exceptions), threshold, 1, frozenset({0}))
+    for b in range(threshold + 5):
+        assert (count_terms_of_size(sig, "S", b) > 0) == (b in image)
 
 
 def test_an_image_past_the_largest_window_is_a_resource_limit():
-    # A16 has one term, of size 2 ** 17 - 1, so every window shows S as {1},
-    # and that candidate's certificate needs bits beyond the largest window
+    # A16 has one term, of size 2 ** 17 - 1, so S's image has period 2 ** 17,
+    # past the widest set `semilinear.MAX_BITS` holds
     sorts = tuple(f"A{i}" for i in range(17)) + ("S",)
     decls = [CtorDecl("one", "A0"), CtorDecl("z", "S"),
              CtorDecl("s", "S", (("h", "A16"), ("p", "S")))]
     decls += [CtorDecl(f"a{i}", f"A{i}", ((f"l{i}", f"A{i - 1}"), (f"r{i}", f"A{i - 1}")))
               for i in range(1, 17)]
+    sig = Signature(sorts, tuple(decls))
     with pytest.raises(ResourceLimitError, match="size image of S"):
-        size_image(Signature(sorts, tuple(decls)), "S")
+        size_image(sig, "S")
+    # a sort that reads no set that wide keeps its image
+    assert size_image(sig, "A3") == EPS(frozenset({15}), 16, 1, frozenset())
 
 
 # -- counting and enumeration -----------------------------------------------------------
