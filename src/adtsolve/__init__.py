@@ -11,10 +11,10 @@ from .terms import AdtModel, And, Ctor, Eq, Formula, Not, Or, Sel, Term, Tester,
 from .semantics import evaluate, print_formula, print_model, print_term
 from .parser import parse_script
 from .normalize import flatten, to_nnf
-from .reduce import ReduceOptions, reduce, simplify
+from .reduce import reduce, simplify
 from .backend import SolverResult, emit_smtlib, solve, solve_external
 from .models import check_model, reconstruct
-from .sizesolve import completeness_report, decide, solve_with_size, unfold_step
+from .sizesolve import completeness_report, decide, unfold_step
 from .interp import (
     InterpolatingBackend, InterpolationProblem, back_translate, interpolate,
     validate_interpolant,
@@ -23,13 +23,13 @@ from .interp import (
 __all__ = [
     "AdtModel", "And", "Ctor", "CtorDecl", "Eq",
     "EventuallyPeriodicSet", "Formula", "InterpolatingBackend",
-    "InterpolationProblem", "Not", "Or", "ReduceOptions", "Sel", "Signature",
+    "InterpolationProblem", "Not", "Or", "Sel", "Signature",
     "SolverResult", "Term", "Tester", "Var", "back_translate", "cardinality",
     "check_expanding", "check_model", "completeness_report",
     "count_terms_of_size", "ctor_index", "decide", "emit_smtlib",
     "enumerate_terms", "evaluate", "flatten", "interpolate",
     "num_ctors", "parse_script", "print_formula", "print_model", "print_term",
     "reconstruct", "reduce", "relativized_size_image", "simplify", "size_image",
-    "solve", "solve_external", "solve_with_size", "to_nnf", "unfold_step",
+    "solve", "solve_external", "to_nnf", "unfold_step",
     "validate", "validate_interpolant",
 ]

@@ -664,14 +664,12 @@ def solve(reduct: ReducedFormula, *, session: Session | None = None,
     budget = _Budget(split_cap)
     top = _top_conjuncts(reduct.formula)
     added = session.added(top)
+    if added is None:  # a new search, as an extension of the empty formula
+        session.search, session.top, added = _Search(budget), [], top
     try:
-        if added is None:
-            session.search, session.top = _Search(budget), top
-            model = session.search.search(top)
-        else:
-            session.search.budget = budget
-            session.top.extend(added)
-            model = session.search.extend(added)
+        session.search.budget = budget
+        session.top.extend(added)
+        model = session.search.extend(added)
     except ResourceLimitError as e:
         session.search = None
         return SolverResult("unknown", reason=str(e))

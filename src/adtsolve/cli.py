@@ -24,7 +24,7 @@ from .errors import (
 from .interp import InterpolatingBackend, InterpolationProblem, interpolate
 from .normalize import flatten, to_nnf
 from .parser import parse_script
-from .reduce import ReduceOptions, reduce, rformula_nodes, simplify
+from .reduce import reduce, rformula_nodes, simplify
 from .semantics import print_formula, print_model
 from .signature import cardinality, check_expanding, size_image
 from .sizesolve import completeness_report, decide, reduction_mode
@@ -89,10 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _opts(args) -> ReduceOptions:
-    return ReduceOptions.none() if args.no_opt else ReduceOptions()
-
-
 def _external(args) -> str | None:
     """The external solver's command line: --external-cmd, else the
     environment variable; None selects the built-in backend."""
@@ -115,7 +111,7 @@ def cmd_solve(args, out) -> int:
     script = _load(args.file)
     ext = _external(args)
     for phi, shown in zip(script.queries(), script.shown_models()):
-        result = decide(phi, script.sig, fuel=args.fuel, opts=_opts(args),
+        result = decide(phi, script.sig, fuel=args.fuel, opt=not args.no_opt,
                         external_cmd=ext)
         print(result.status, file=out)
         if result.status == "sat" and shown is not None:
@@ -147,7 +143,7 @@ def cmd_emit(args, out) -> int:
     script = _load(args.file)
     phi = script.formula()
     flat = flatten(to_nnf(phi), script.sig)
-    reduct = reduce(flat, script.sig, reduction_mode(phi), _opts(args))
+    reduct = reduce(flat, script.sig, reduction_mode(phi), not args.no_opt)
     nodes = f"; nodes: input={formula_nodes(phi)} reduced={rformula_nodes(reduct.formula)}"
     if not args.no_simplify:
         reduct = simplify(reduct)
@@ -171,7 +167,7 @@ def cmd_interpolate(args, out) -> int:
         return 3
     prob = InterpolationProblem(script_a.formula(), script_b.formula(), sig)
     backend = InterpolatingBackend(ext, dialect=args.dialect)
-    outcome = interpolate(prob, backend, fuel=args.fuel, opts=_opts(args))
+    outcome = interpolate(prob, backend, fuel=args.fuel, opt=not args.no_opt)
     if outcome.kind == "interpolant":
         print(print_formula(sig, outcome.interpolant), file=out)
         return 0

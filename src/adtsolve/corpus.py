@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .models import check_model
-from .reduce import ReduceOptions, is_utvpi, rformula_nodes
+from .reduce import is_utvpi, rformula_nodes
 from .semantics import evaluate
 from .signature import (
     CtorDecl, Signature, enumerate_terms, ensure_valid, minimal_term, validate,
@@ -243,7 +243,7 @@ def run_agreement(seed: int, count: int = 500, n_sigs: int = 5) -> CorpusStats:
         prefix = f"[{i}] "
         try:
             res = decide(phi, sig)
-            plain = decide(phi, sig, opts=ReduceOptions.none())
+            plain = decide(phi, sig, opt=False)
             reduct = res.reduct
             stats.nodes_input.append(formula_nodes(phi))
             stats.nodes_reduced.append(rformula_nodes(reduct.formula))

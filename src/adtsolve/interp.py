@@ -29,7 +29,7 @@ from .normalize import flatten, to_nnf
 from .parser import INT_SORT, parse_formula, read_sexprs
 from .reduce import (
     RAnd, RApp, RConst, REq, RFormula, RLin, ROr, RTRUE, RFALSE, RTerm,
-    RTrueF, RFalseF, RVar, ReduceOptions, ReducedFormula, SymbolTable, SIZE_MODE,
+    RTrueF, RFalseF, RVar, ReducedFormula, SymbolTable, SIZE_MODE,
     linear_atom, ne_sides, reduce_partitions, req, rand, ror,
 )
 from .signature import Signature, ensure_valid
@@ -69,8 +69,7 @@ class InterpolationOutcome:
 
 
 def interpolate(prob: InterpolationProblem, backend: InterpolatingBackend,
-                fuel: int = DEFAULT_FUEL,
-                opts: ReduceOptions = ReduceOptions()) -> InterpolationOutcome:
+                fuel: int = DEFAULT_FUEL, opt: bool = True) -> InterpolationOutcome:
     """Full pipeline: joint satisfiability check, partitioned reduction,
     external interpolant, back-translation, self-verification."""
     sig = prob.sig
@@ -78,7 +77,7 @@ def interpolate(prob: InterpolationProblem, backend: InterpolatingBackend,
     state = make_state([("A", flatten(to_nnf(prob.a), sig, prefix="_ta")),
                         ("B", flatten(to_nnf(prob.b), sig, prefix="_tb"))],
                        sig, fuel=fuel)
-    joint = run_loop(state, SIZE_MODE, opts=opts)
+    joint = run_loop(state, SIZE_MODE, opt=opt)
     if joint.status == "sat":
         return InterpolationOutcome("not-unsat", model=joint.model)
     if joint.status == "unknown":
@@ -86,7 +85,7 @@ def interpolate(prob: InterpolationProblem, backend: InterpolatingBackend,
 
     part_a, part_b = reduce_partitions([("A", state.part("A")),
                                         ("B", state.part("B"))],
-                                       sig, SIZE_MODE, opts)
+                                       sig, opt)
     raw = _query_interpolant(part_a, part_b, backend)
     try:
         reduced_i = parse_reduced(raw, part_a.table)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backend import IntModel, complete_model
+from .backend import IntModel
 from .errors import InternalError, UnboundVariableError
 from .reduce import (
     RAnd, RApp, RConst, REq, RFormula, RLin, ROr, RTerm, RTrueF, RVar, ReducedFormula,
@@ -41,13 +41,12 @@ class ReconstructionStats:
 
 def reconstruct(reduct: ReducedFormula, int_model: IntModel,
                 stats: ReconstructionStats | None = None) -> AdtModel:
-    """Build an ADT model from a satisfying integer model of the reduct; a
-    model of a simplified reduct is completed first."""
-    base = reduct.base or reduct
-    model = complete_model(reduct, int_model) if reduct.trace else int_model
-    table = base.table
+    """Build an ADT model from a satisfying integer model of the reduct (of
+    an unsimplified one: `backend.complete_model` completes a model of a
+    simplified reduct to one of the reduct it came from)."""
+    table = reduct.table
     sig = table.sig
-    flat = base.flat
+    flat = reduct.flat
     stats = stats if stats is not None else ReconstructionStats()
     enum_sorts = table.enum_sorts
 
@@ -63,7 +62,7 @@ def reconstruct(reduct: ReducedFormula, int_model: IntModel,
             continue
         if sort not in enum_sorts:
             arg_sort[fname] = sort
-    model, d_list = _read_reduct(base.formula, model, arg_sort)
+    model, d_list = _read_reduct(reduct.formula, int_model, arg_sort)
     d_pairs = dict.fromkeys(d_list)
 
     # dep: head symbol and children read off the totalized function graphs

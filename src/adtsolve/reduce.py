@@ -7,9 +7,10 @@ depth function (depth mode) or a size function (size mode).  Depth rows
 `depth(x0) > depth(xj)` are emitted only for constructor arguments inside the
 result sort's strongly connected component of the sort graph, the only place
 a cyclic term can close (see `Reducer.ctor_spec`).  Internal
-existentials are Skolemized with fresh constants.  Two optimizations are
-available: guarded selector literals drop their head-case disjunction, and
-enumeration sorts map constructors straight to their indices.
+existentials are Skolemized with fresh constants.  One switch, `opt`, turns
+on two optimizations together: guarded selector literals drop their
+head-case disjunction (rule 2'), and enumeration sorts map constructors
+straight to their indices (`SymbolTable.enum_sorts`).
 
 Reduced nodes are `terms.Node`s, slotted value classes with the equality,
 hash and `repr` of frozen dataclasses but built without `dataclasses`, whose
@@ -248,7 +249,6 @@ class SymbolTable:
     loop), and go with it."""
 
     sig: Signature
-    mode: str
     int_vars: dict[str, tuple] = field(default_factory=dict)  # name -> origin
     funs: dict[str, tuple[int, tuple]] = field(default_factory=dict)  # name -> (arity, origin)
     enum_sorts: frozenset[str] = frozenset()
@@ -323,33 +323,12 @@ class SymbolTable:
         return [n for n, o in self.int_vars.items() if o[0] == "skolem"]
 
 
-class ReduceOptions(Node):
-    __slots__ = ("guarded_opt", "enum_opt")
-    guarded_opt: bool
-    enum_opt: bool
-
-    def __init__(self, guarded_opt: bool = True, enum_opt: bool = True):
-        self._init(guarded_opt, enum_opt)
-
-    @staticmethod
-    def none() -> "ReduceOptions":
-        return ReduceOptions(False, False)
-
-    def guarded(self, lit: Formula, guards: frozenset[str]) -> bool:
-        """Whether rule (2') applies to this literal in this context: a
-        selector equation over a variable in `guards`."""
-        return (self.guarded_opt and isinstance(lit, Eq)
-                and isinstance(lit.lhs, Sel) and isinstance(lit.lhs.arg, Var)
-                and lit.lhs.arg.name in guards)
-
-
 @dataclass
 class ReducedFormula:
     formula: RFormula
     table: SymbolTable
     flat: FlatFormula
     trace: tuple = ()
-    base: "ReducedFormula | None" = None
 
 
 # -- the reducer ---------------------------------------------------------------------
@@ -366,14 +345,14 @@ class Reducer:
     `<prefix>kN` of periodic size images, come from one allocator
     (`_fresh`), count apart, and keep clear of every name in `used`."""
 
-    def __init__(self, sig: Signature, mode: str, opts: ReduceOptions = ReduceOptions(),
+    def __init__(self, sig: Signature, mode: str, opt: bool = True,
                  table: SymbolTable | None = None, fresh_prefix: str = "_s"):
         if mode not in (DEPTH_MODE, SIZE_MODE):
             raise InternalError(f"unknown mode {mode!r}")
         self.sig = sig
         self.mode = mode
-        self.opts = opts
-        self.table = table if table is not None else _new_table(sig, mode, opts)
+        self.opt = opt
+        self.table = table if table is not None else _new_table(sig, opt)
         self.fresh_prefix = fresh_prefix
         self.counters = {"": 0, "k": 0}  # by infix: Skolems, aux variables
         self.memo: dict[tuple[Formula, bool], RFormula] = {}
@@ -402,9 +381,6 @@ class Reducer:
 
     def xvar(self, v: Var) -> RVar:
         return self.table.adt_var(v.name, v.sort)
-
-    def is_enum_opt(self, sort: str) -> bool:
-        return self.opts.enum_opt and self.sig.is_enum(sort)
 
     def in_range(self, x: RTerm, sort: str) -> RFormula:
         n = cardinality(self.sig, sort)
@@ -452,7 +428,7 @@ class Reducer:
         - and `check_model` re-checks every sat verdict regardless."""
         decl = self.sig.ctor(f)
         sort0 = decl.sort
-        if self.is_enum_opt(sort0):
+        if sort0 in self.table.enum_sorts:
             return req(x0, RConst(ctor_index(self.sig, f)))
         parts: list[RFormula] = [
             req(self.table.app(self.table.ctor_fun(f), tuple(args)), x0),
@@ -477,7 +453,7 @@ class Reducer:
 
     def ex_ctor_spec(self, g: str, x: RTerm) -> RFormula:
         decl = self.sig.ctor(g)
-        if self.is_enum_opt(decl.sort):
+        if decl.sort in self.table.enum_sorts:
             return req(x, RConst(ctor_index(self.sig, g)))
         fresh = [self._fresh("", ("skolem", arg_sort)) for _, arg_sort in decl.args]
         parts = [self.in_range(v, arg_sort)
@@ -488,7 +464,9 @@ class Reducer:
     # -- literal reduction ----------------------------------------------------------
 
     def reduce_literal(self, lit: Formula, guards: frozenset[str]) -> RFormula:
-        guarded = self.opts.guarded(lit, guards)
+        # rule (2') applies to a selector equation over a guarded variable
+        guarded = (self.opt and isinstance(lit, Eq) and isinstance(lit.lhs, Sel)
+                   and isinstance(lit.lhs.arg, Var) and lit.lhs.arg.name in guards)
         key = (lit, guarded)
         out = self.memo.get(key)
         if out is None:
@@ -525,7 +503,7 @@ class Reducer:
             assert isinstance(tester.arg, Var)
             x = self.xvar(tester.arg)
             sort = self.sig.ctor(tester.ctor).sort
-            if self.is_enum_opt(sort):
+            if sort in self.table.enum_sorts:
                 return lin("ne", [(1, x)], -ctor_index(self.sig, tester.ctor))
             cases = [self.ex_ctor_spec(g.name, x)
                      for g in self.sig.ctors_of(sort) if g.name != tester.ctor]
@@ -635,38 +613,36 @@ def _guard_vars(lit: Formula) -> list[str]:
     return []
 
 
-def _new_table(sig: Signature, mode: str, opts: ReduceOptions) -> SymbolTable:
-    """An empty symbol table for reducts of `sig` in `mode`."""
+def _new_table(sig: Signature, opt: bool) -> SymbolTable:
+    """An empty symbol table for reducts of `sig`; with `opt`, its
+    enumeration sorts map to constructor indices."""
     ensure_valid(sig)
-    enum_sorts = frozenset(s for s in sig.sorts if sig.is_enum(s)) if opts.enum_opt \
-        else frozenset()
-    return SymbolTable(sig, mode, enum_sorts=enum_sorts)
+    return SymbolTable(sig, enum_sorts=frozenset(
+        s for s in sig.sorts if opt and sig.is_enum(s)))
 
 
 def reduce(flat: FlatFormula, sig: Signature, mode: str = DEPTH_MODE,
-           opts: ReduceOptions = ReduceOptions(),
-           reducer: Reducer | None = None) -> ReducedFormula:
+           opt: bool = True, reducer: Reducer | None = None) -> ReducedFormula:
     """Rewrite a flat NNF formula to an equisatisfiable EUF+LIA formula and
     close it under the per-variable range constraints.  A `reducer` made for
-    the same signature, mode and options is reused with its memo and symbol
+    the same signature, mode and `opt` is reused with its memo and symbol
     table; without one, a fresh reducer is made."""
-    return (reducer or Reducer(sig, mode, opts)).reduce_flat(flat)
+    return (reducer or Reducer(sig, mode, opt)).reduce_flat(flat)
 
 
 def reduce_partitions(parts: list[tuple[str, FlatFormula]], sig: Signature,
-                      mode: str = SIZE_MODE,
-                      opts: ReduceOptions = ReduceOptions()) -> list[ReducedFormula]:
-    """Reduce tagged formulas against one shared symbol table; the fresh and
-    Skolem symbols of part `tag` are named `_s<tag>N`, so they stay local to
-    it (interpolation reduces its two partitions this way)."""
-    table = _new_table(sig, mode, opts)
+                      opt: bool = True) -> list[ReducedFormula]:
+    """Reduce tagged formulas in size mode against one shared symbol table;
+    the fresh and Skolem symbols of part `tag` are named `_s<tag>N`, so they
+    stay local to it (interpolation reduces its two partitions this way)."""
+    table = _new_table(sig, opt)
     all_names = set()
     for _, flat in parts:
         all_names.update(flat.var_sorts)
         all_names.update(flat.int_vars)
     out = []
     for tag, flat in parts:
-        red = Reducer(sig, mode, opts, table, f"_s{tag.lower()}")
+        red = Reducer(sig, SIZE_MODE, opt, table, f"_s{tag.lower()}")
         red.used.update(all_names)
         out.append(red.reduce_flat(flat))
     return out
@@ -856,5 +832,4 @@ def simplify(reduct: ReducedFormula) -> ReducedFormula:
                 changed = True
         if not changed:
             break
-    return ReducedFormula(f, reduct.table, reduct.flat, trace=tuple(trace),
-                          base=reduct.base or reduct)
+    return ReducedFormula(f, reduct.table, reduct.flat, trace=tuple(trace))

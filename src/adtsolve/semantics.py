@@ -18,14 +18,39 @@ from .terms import (
 
 
 def eval_term(sig: Signature, model: AdtModel, t: Term) -> Ctor:
+    """The value of `t` under `model`: a variable's is looked up, and any
+    other term is evaluated in post-order on an explicit stack, since terms
+    may nest deeper than the recursion limit."""
     if isinstance(t, Var):
-        if t.name not in model.adt:
-            raise UnboundVariableError(t.name)
-        return model.adt[t.name]
-    if isinstance(t, Ctor):
-        return Ctor(t.ctor, tuple(eval_term(sig, model, a) for a in t.args))
-    assert isinstance(t, Sel)
-    arg = eval_term(sig, model, t.arg)
+        return _value(model, t)
+    out: list[Ctor] = []  # the values of the terms done, in order
+    todo: list[tuple[Term, bool]] = [(t, False)]  # (term, its arguments done)
+    while todo:
+        t, done = todo.pop()
+        if isinstance(t, Var):
+            out.append(_value(model, t))
+        elif not done:
+            todo.append((t, True))
+            args = t.args if isinstance(t, Ctor) else (t.arg,)
+            todo += [(a, False) for a in reversed(args)]
+        elif isinstance(t, Ctor):
+            n = len(out) - len(t.args)
+            args = tuple(out[n:])
+            del out[n:]
+            out.append(Ctor(t.ctor, args))
+        else:
+            out.append(_select(sig, model, t, out.pop()))
+    return out[0]
+
+
+def _value(model: AdtModel, v: Var) -> Ctor:
+    if v.name not in model.adt:
+        raise UnboundVariableError(v.name)
+    return model.adt[v.name]
+
+
+def _select(sig: Signature, model: AdtModel, t: Sel, arg: Ctor) -> Ctor:
+    """The value of selector `t` on the value `arg`."""
     if arg.ctor == t.ctor:
         return arg.args[t.index]
     override = model.selector_overrides.get((t.ctor, t.index, arg))

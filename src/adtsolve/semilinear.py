@@ -171,29 +171,40 @@ def shift(a: Form, w: int) -> Form:
 
 def star(a: Form) -> Form:
     """The sums of members of `a`, 0 included.  With g the gcd of the
-    members, they are multiples of g, and all of them from Schur's bound
-    g * (m/g - 1) * (M/g - 1) on, m the least member and M the largest of
-    the shortest prefix of the members whose gcd is g.  Below it, each
-    member not yet a sum joins by doubling shifts."""
+    members and m the least member, the sums are multiples of g, and once
+    they hold m/g consecutive multiples of g, adding m covers every later
+    one; the first such run starts the periodic part.  The sums below a
+    width W are built by doubling shifts, each member not yet a sum joining
+    in turn; W starts at 2(t + p + m) and doubles, up to `MAX_BITS`, until a
+    run lies below it."""
     t, p, bits = a
     members = _bits_below(a, t + 2 * p) & ~1  # from t + p on they repeat
-    g = m = top = 0
-    while members and g != 1:
-        n = (members & -members).bit_length() - 1
-        if gcd(g, n) != g:
-            g, top = gcd(g, n), n
-        m = m or n
-        members &= members - 1
-    if not g:
+    if not members:
         return ZERO
-    t = g * (m // g - 1) * (top // g - 1)
-    mask = _ones(t + g)
-    out = 1
-    gens = _bits_below(a, t + g) & ~out
-    while gens:
-        n = (gens & -gens).bit_length() - 1
-        while n < t + g:
-            out |= (out << n) & mask
-            n *= 2
-        gens &= ~out
-    return normalize(t, g, out)
+    m = (members & -members).bit_length() - 1
+    g = 0
+    while members and g != 1:
+        g = gcd(g, (members & -members).bit_length() - 1)
+        members &= members - 1
+    width = 2 * (t + p + m)
+    while True:
+        width = min(width, MAX_BITS)
+        mask = _ones(width)
+        out = 1
+        gens = _bits_below(a, width) & ~out
+        while gens:
+            n = (gens & -gens).bit_length() - 1
+            while n < width:
+                out |= (out << n) & mask
+                n *= 2
+            gens &= ~out
+        run, length = out, 1  # bit i: the multiples i, i + g, ... of length
+        while length < m // g:
+            step = min(length, m // g - length)
+            run &= run >> step * g
+            length += step
+        if run:
+            return normalize((run & -run).bit_length() - 1, g, out)
+        if width == MAX_BITS:
+            raise ResourceLimitError(f"eventually periodic set wider than {MAX_BITS} bits")
+        width *= 2

@@ -4,9 +4,8 @@
 model or unfolds one more variable and repeats.  A round's formula is the
 last one's top-level conjuncts followed by a case clause, so with one
 reducer for every round its reduct is the last reduct followed by the
-clause's reduction and the new variables' range rows, and in size mode one
-backend session searches on from the previous round's model with only that
-suffix.  A clause that guards a variable can change an old conjunct's
+clause's reduction and the new variables' range rows, and one backend
+session searches on from the previous round's model with only that suffix.  A clause that guards a variable can change an old conjunct's
 reduction; then the reduct does not begin with the last one, and the
 session starts a new search.
 The acceptance test evaluates only the conjuncts that mention a variable
@@ -32,7 +31,7 @@ from .models import ReconstructionStats, check_model, reconstruct
 from .normalize import FlatFormula, flatten, to_nnf
 # the benchmark's tracer wraps `simplify` under this module's name, so it stays
 from .reduce import (
-    DEPTH_MODE, SIZE_MODE, ReduceOptions, ReducedFormula, Reducer, RFormula,
+    DEPTH_MODE, SIZE_MODE, ReducedFormula, Reducer, RFormula,
     _top_conjuncts, _var_occurrences, reduce, simplify,  # noqa: F401
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
@@ -254,45 +253,34 @@ def reduction_mode(phi: Formula) -> str:
 
 
 def decide(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
-           opts: ReduceOptions = ReduceOptions(),
-           external_cmd: str | None = None) -> SizeSolveResult:
+           opt: bool = True, external_cmd: str | None = None) -> SizeSolveResult:
     """Decide a well-typed formula: size-free formulas in depth mode, where
-    the first model is accepted, formulas with size atoms in size mode."""
-    return _solve(phi, sig, reduction_mode(phi), fuel, opts, external_cmd)
-
-
-def solve_with_size(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,
-                    opts: ReduceOptions = ReduceOptions(),
-                    external_cmd: str | None = None) -> SizeSolveResult:
-    """Decide a well-typed formula that may contain size constraints."""
-    return _solve(phi, sig, SIZE_MODE, fuel, opts, external_cmd)
-
-
-def _solve(phi: Formula, sig: Signature, mode: str, fuel: int,
-           opts: ReduceOptions, external_cmd: str | None) -> SizeSolveResult:
+    the first model is accepted, formulas with size atoms in size mode, with
+    at most `fuel` unfoldings.  `opt` turns the reducer's two optimizations
+    on or off together (`reduce.Reducer`), and `external_cmd`, when given,
+    solves each reduct in that external SMT solver."""
     ensure_valid(sig)
     state = make_state([("A", flatten(to_nnf(phi), sig))], sig, fuel=fuel)
-    return run_loop(state, mode, opts=opts, external_cmd=external_cmd)
+    return run_loop(state, reduction_mode(phi), opt=opt, external_cmd=external_cmd)
 
 
-def run_loop(state: UnfoldState, mode: str, opts: ReduceOptions = ReduceOptions(),
+def run_loop(state: UnfoldState, mode: str, opt: bool = True,
              external_cmd: str | None = None) -> SizeSolveResult:
     """The one solve pipeline: reduce, solve, and either reconstruct and
     check a model or unfold one more variable and repeat.  Depth mode
     accepts the first model; size mode accepts a model once it passes the
     acceptance test.  One reducer serves every round, so a round reduces
     only its new case clause and its reduct extends the last one by a
-    suffix, and in size mode one `backend.Session` keeps the built-in search
-    live across the rounds, so a round searches on from the previous round's
-    model with only that suffix; the session starts a new search when a
-    reduct does not begin with the last one.  Depth mode accepts the first
-    model, so it solves once, without one."""
+    suffix, and one `backend.Session` keeps the built-in search live across
+    the rounds, so a round searches on from the previous round's model with
+    only that suffix; the session starts a new search when a reduct does
+    not begin with the last one."""
     sig = state.sig
-    reducer = Reducer(sig, mode, opts)
-    session = backend.Session() if mode == SIZE_MODE and not external_cmd else None
+    reducer = Reducer(sig, mode, opt)
+    session = None if external_cmd else backend.Session()
     index = _Mentions(session)
     while True:
-        reduct = reduce(state.flat(), sig, mode, opts, reducer)
+        reduct = reduce(state.flat(), sig, mode, opt, reducer)
         if external_cmd:
             result = backend.solve_external(reduct, external_cmd)
         else:

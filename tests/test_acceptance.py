@@ -18,10 +18,10 @@ from adtsolve.interp import (
 from adtsolve.models import check_model
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_formula
-from adtsolve.reduce import ReduceOptions, reduce
+from adtsolve.reduce import reduce
 from adtsolve.semilinear import EventuallyPeriodicSet as EPS
 from adtsolve.signature import check_expanding, count_terms_of_size, size_image
-from adtsolve.sizesolve import decide, solve_with_size
+from adtsolve.sizesolve import decide
 from adtsolve.terms import And, Ctor, free_vars
 
 
@@ -64,8 +64,8 @@ def test_criterion_1_list_example_exact(lists_sig):
 def test_criterion_2_optimization_behavior(lists_sig):
     phi = parse_formula(EX1_TEXT, lists_sig, LIST_VARS)
     flat = flatten(to_nnf(phi), lists_sig)
-    with_opts = reduce(flat, lists_sig, "depth", ReduceOptions())
-    without = reduce(flat, lists_sig, "depth", ReduceOptions.none())
+    with_opts = reduce(flat, lists_sig, "depth", True)
+    without = reduce(flat, lists_sig, "depth", False)
 
     def count_ors(f):
         from adtsolve.reduce import RAnd, ROr
@@ -121,7 +121,7 @@ def test_criterion_4_size_images(lists_sig, nat_sig, two_cycle_sig, three_cycle_
     assert size_image(lists_sig, "CList") == EPS(frozenset(), 0, 2, frozenset({1}))
     assert size_image(lists_sig, "Colour") == EPS(frozenset({1}), 2, 1, frozenset())
     phi = parse_formula("(= (adt.size x) (* 2 k))", lists_sig, LIST_VARS)
-    res = solve_with_size(phi, lists_sig)
+    res = decide(phi, lists_sig)
     assert res.status == "unsat" and res.rounds == 0
     checked = 0
     for sig in (lists_sig, nat_sig, two_cycle_sig, three_cycle_sig):
@@ -147,7 +147,7 @@ def test_criterion_6_unfolding_loop(nat_sig):
     vars_ = {"x": "Nat", "y": "Nat"}
     bounded = parse_formula("(and (not (= x y)) (= (adt.size x) (adt.size y)) "
                             "(<= (adt.size x) 3))", nat_sig, vars_)
-    res = solve_with_size(bounded, nat_sig)
+    res = decide(bounded, nat_sig)
     assert res.status == "unsat"
     per_root = {}
     for v in res.state.unfolded:
@@ -156,7 +156,7 @@ def test_criterion_6_unfolding_loop(nat_sig):
     assert all(n <= 3 for n in per_root.values()), per_root
     unbounded = parse_formula("(and (not (= x y)) (= (adt.size x) (adt.size y)))",
                               nat_sig, vars_)
-    res2 = solve_with_size(unbounded, nat_sig, fuel=20)
+    res2 = decide(unbounded, nat_sig, fuel=20)
     assert res2.status == "unknown"
     assert "Nat: non-expanding (cycle: Nat -> succ -> Nat)" in res2.diagnosis.text
     report(6, f"bounded unsat with {per_root} unfoldings; fuel-20 unknown diagnosed")

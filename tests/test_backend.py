@@ -24,7 +24,7 @@ def wrap(formula, lists_sig):
     flat = flatten(to_nnf(__import__("adtsolve.terms", fromlist=["TRUE"]).TRUE),
                    lists_sig)
     from adtsolve.reduce import SymbolTable, ReducedFormula
-    table = SymbolTable(lists_sig, "depth")
+    table = SymbolTable(lists_sig)
     return ReducedFormula(formula, table, flat)
 
 

@@ -68,7 +68,7 @@ def test_false_is_not_an_interpolant_of_satisfiable_a(lists_sig):
 # -- back-translation --------------------------------------------------------------
 
 def make_table(sig):
-    table = SymbolTable(sig, "size", enum_sorts=frozenset({"Colour"}))
+    table = SymbolTable(sig, enum_sorts=frozenset({"Colour"}))
     table.adt_var("x", "CList")
     table.adt_var("y", "Colour")
     return table
@@ -495,7 +495,7 @@ def test_back_translate_index_atoms(subject, form):
                     COLOUR_CTORS + CLIST_CTORS + BIT_SIG_CTORS)
     head_index = subject.startswith("ctorId_")
     # enumeration sorts map to indices only when the table says so
-    table = SymbolTable(sig, "size", enum_sorts=frozenset()
+    table = SymbolTable(sig, enum_sorts=frozenset()
                         if head_index else frozenset({"Colour", "Bit"}))
     names = {"CList": "x", "Colour": "y", "Bit": "b"}
     for sort, name in names.items():

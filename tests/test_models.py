@@ -8,18 +8,24 @@ from adtsolve.errors import InternalError, UnboundVariableError
 from adtsolve.models import ReconstructionStats, check_model, reconstruct
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
-from adtsolve.reduce import ReduceOptions, reduce, simplify
+from adtsolve.reduce import reduce, simplify
 from adtsolve.terms import ground_size
 from adtsolve.sizesolve import decide
 from adtsolve.terms import AdtModel, Ctor, Tester, Var
 from tests.test_semantics import formulas
 
 
-def pipeline(sig, phi, opts=ReduceOptions(), use_simplify=False):
-    r = reduce(flatten(to_nnf(phi), sig), sig, "depth", opts)
-    q = simplify(r) if use_simplify else r
+def pipeline(sig, phi, opt=True, use_simplify=False):
+    """The reduct of `phi` and the solver's result on it, or on its
+    simplification, whose model is then completed to one of the reduct."""
+    r = reduce(flatten(to_nnf(phi), sig), sig, "depth", opt)
+    if not use_simplify:
+        return r, backend.solve(r)
+    q = simplify(r)
     res = backend.solve(q)
-    return q, res
+    if res.status == "sat":
+        res.model = backend.complete_model(q, res.model)
+    return r, res
 
 
 def test_example_model_checks(lists_sig, fml):
@@ -134,7 +140,7 @@ def test_roundtrip_with_simplification(lists_sig, phi):
 
 @given(formulas(allow_size=False))
 def test_roundtrip_without_optimizations(lists_sig, phi):
-    q, res = pipeline(lists_sig, phi, opts=ReduceOptions.none(), use_simplify=True)
+    q, res = pipeline(lists_sig, phi, opt=False, use_simplify=True)
     if res.status != "sat":
         return
     model = reconstruct(q, res.model)

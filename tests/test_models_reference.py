@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 
 from adtsolve import sizesolve
-from adtsolve.backend import IntModel, complete_model, eval_reduced, eval_rterm
+from adtsolve.backend import IntModel, eval_reduced, eval_rterm
 from adtsolve.errors import InternalError
 from adtsolve.models import ReconstructionStats, _build_terms, _enum_term, reconstruct
 from adtsolve.parser import parse_script
@@ -43,14 +43,12 @@ INPUTS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(
 
 def ref_reconstruct(reduct: ReducedFormula, int_model: IntModel,
                     stats: ReconstructionStats | None = None) -> AdtModel:
-    base = reduct.base or reduct
-    model = complete_model(reduct, int_model) if reduct.trace else int_model
-    if not eval_reduced(base.formula, model):
+    if not eval_reduced(reduct.formula, int_model):
         raise InternalError("completed model does not satisfy the unsimplified reduct")
-    model = _with_default_apps(base.formula, model)
-    table = base.table
+    model = _with_default_apps(reduct.formula, int_model)
+    table = reduct.table
     sig = table.sig
-    flat = base.flat
+    flat = reduct.flat
     stats = stats if stats is not None else ReconstructionStats()
     enum_sorts = table.enum_sorts
 
@@ -61,7 +59,7 @@ def ref_reconstruct(reduct: ReducedFormula, int_model: IntModel,
         elif origin[0] == "sel":
             arg_sort[fname] = sig.ctor(origin[1]).sort
     d_pairs: dict[tuple[int, str], None] = {}
-    for lit in _branch(base.formula, model):
+    for lit in _branch(reduct.formula, model):
         for app in _lit_apps(lit):
             sort = arg_sort.get(app.fn)
             if sort is not None and sort not in enum_sorts:
@@ -199,7 +197,7 @@ def test_lists_match_the_reference(lists_sig, paired, phi):
 
 @given(formulas(allow_size=False))
 def test_simplified_lists_match_the_reference(lists_sig, phi):
-    # a model of a simplified reduct is completed first (the trace)
+    # a model of a simplified reduct, completed by its trace
     reduct, res = pipeline(lists_sig, phi, use_simplify=True)
     if res.status == "sat":
         _assert_same(reduct, res.model)

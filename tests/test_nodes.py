@@ -46,8 +46,8 @@ def test_the_walk_finds_every_node_module():
     modules = {cls.__module__ for cls in FROZEN}
     assert {"adtsolve.terms", "adtsolve.reduce", "adtsolve.signature",
             "adtsolve.semilinear"} <= modules
-    assert len(FROZEN) >= 33
-    assert len([cls for cls in FROZEN if issubclass(cls, Node)]) >= 32
+    assert len(FROZEN) >= 32
+    assert len([cls for cls in FROZEN if issubclass(cls, Node)]) >= 31
 
 
 def test_signature_is_the_only_frozen_dataclass_left():

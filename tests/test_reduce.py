@@ -6,8 +6,7 @@ from hypothesis import given
 from adtsolve.errors import InternalError, ModeMismatchError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.reduce import (
-    DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, ROr, RVar, ReduceOptions,
-    Reducer, SymbolTable, is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
+    DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, ROr, RVar, Reducer, SymbolTable, is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
 )
 from adtsolve import backend
 from adtsolve.corpus import random_signature, signature_size
@@ -18,8 +17,8 @@ EX1 = ("(and ((_ is cons) x) (not (= y blue)) "
        "(or (= (head x) red) (= x (cons y nil))))")
 
 
-def _reduce(sig, fml, text, mode="depth", opts=ReduceOptions()):
-    return reduce(flatten(to_nnf(fml(text)), sig), sig, mode, opts)
+def _reduce(sig, fml, text, mode="depth", opt=True):
+    return reduce(flatten(to_nnf(fml(text)), sig), sig, mode, opt)
 
 
 def lits(reduct):
@@ -99,7 +98,7 @@ def test_size_atom_in_depth_mode_rejected(lists_sig, fml):
 def test_unknown_mode_rejected_with_a_given_table(lists_sig):
     # with a table of its own, the reducer still checks its mode
     with pytest.raises(InternalError, match="unknown mode"):
-        Reducer(lists_sig, "dpeth", table=SymbolTable(lists_sig, "dpeth"))
+        Reducer(lists_sig, "dpeth", table=SymbolTable(lists_sig))
 
 
 def test_rule7_membership_for_every_size_literal(lists_sig, fml):
@@ -132,7 +131,7 @@ def test_tester_guards_selector(lists_sig, fml):
     skolems = set(r.table.skolem_names())
     assert len(skolems) == 2  # only the tester's ExCtorSpec
     r2 = _reduce(lists_sig, fml, "(and ((_ is cons) x) (= (head x) y))",
-                 opts=ReduceOptions.none())
+                 opt=False)
     assert len(set(r2.table.skolem_names())) > 2
 
 
@@ -168,7 +167,7 @@ def test_enum_tester(lists_sig, fml):
 
 
 def test_enum_opt_off_uses_ctorid(lists_sig, fml):
-    r = _reduce(lists_sig, fml, "(= y red)", opts=ReduceOptions(enum_opt=False))
+    r = _reduce(lists_sig, fml, "(= y red)", opt=False)
     assert apps(r, "ctorId_Colour")
 
 
@@ -225,13 +224,13 @@ def test_simplify_preserves_verdict(lists_sig, phi):
 def test_depth_mode_utvpi(lists_sig, phi):
     r = reduce(flatten(to_nnf(phi), lists_sig), lists_sig, "depth")
     assert is_utvpi(r)
-    assert is_utvpi(reduce(r.flat, lists_sig, "depth", ReduceOptions.none()))
+    assert is_utvpi(reduce(r.flat, lists_sig, "depth", False))
 
 
 @given(formulas(allow_size=False))
 def test_blowup_linear_in_signature(lists_sig, phi):
     flat = flatten(to_nnf(phi), lists_sig)
-    r = reduce(flat, lists_sig, "depth", ReduceOptions.none())
+    r = reduce(flat, lists_sig, "depth", False)
     bound = 4.0 * signature_size(lists_sig) * max(1, formula_nodes(flat.formula))
     assert rformula_nodes(r.formula) <= bound
 
@@ -286,8 +285,8 @@ def test_depth_rows_exactly_inside_components(forest_sig):
     one."""
     for sig in [forest_sig] + [random_signature(random.Random(seed)) for seed in range(200)]:
         reach = _closure(sig)
-        table = SymbolTable(sig, DEPTH_MODE)
-        red = Reducer(sig, DEPTH_MODE, ReduceOptions(), table, "_s")
+        table = SymbolTable(sig)
+        red = Reducer(sig, DEPTH_MODE, True, table, "_s")
         for c in sig.ctors:
             args = [RVar(f"a{j}") for j in range(c.arity)]
             rows = {}  # argument position -> its sort, read off the row

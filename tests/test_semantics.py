@@ -106,6 +106,33 @@ def test_print_model_of_a_deep_chain(lists_sig):
     assert lines[1000] == "(define-fun x1000 () CList (cons green nil))"
 
 
+def test_terms_nested_10_000_deep_evaluate(nat_sig):
+    # a numeral, a selector chain and a numeral over a selector, each nested
+    # 10 000 deep, evaluate under Python's default recursion limit
+    from adtsolve.models import check_model
+
+    def succ(t, n):
+        for _ in range(n):
+            t = Ctor("succ", (t,))
+        return t
+
+    def pred(t, n):
+        for _ in range(n):
+            t = Sel("succ", 0, t)
+        return t
+
+    n = 10_000
+    x = Var("x", "Nat")
+    model = AdtModel({"x": succ(Ctor("one"), n)})
+    phi = And((Eq(x, succ(Ctor("one"), n)),
+               Eq(pred(x, n), Ctor("one")),
+               Eq(succ(pred(x, 1), n), succ(Ctor("one"), 2 * n - 1)),
+               Not(Eq(pred(x, n), x)),
+               SizeAtom("eq", SizeOf(pred(succ(x, n), n)), IntConst(n + 1))))
+    assert check_model(nat_sig, model, phi) == (True, None)
+    assert eval_term(nat_sig, model, pred(x, n + 1)) == Ctor("one")  # default witness
+
+
 def test_print_parse_golden(lists_sig, fml):
     for text in [
         "(and ((_ is cons) x) (not (= y blue)))",

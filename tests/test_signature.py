@@ -382,6 +382,24 @@ def test_a_long_lcm_of_periods_leaves_the_image_small(primes, exceptions, thresh
         assert (count_terms_of_size(sig, "S", b) > 0) == (b in image)
 
 
+def test_an_image_past_schurs_bound_is_exact():
+    # laps of 300, 301 and 302 give S the sizes 1 + the sums of those, every
+    # size from 45 001 on (the Frobenius number of {300, 301, 302} is
+    # 44 999); Schur's bound for the star, 89 700, lies past the widest set
+    # `semilinear.MAX_BITS` holds
+    laps = (300, 301, 302)
+    decls = [CtorDecl("u", "U"), CtorDecl("z", "S")]
+    decls += [CtorDecl(f"s{k}", "S", tuple((f"u{k}_{i}", "U") for i in range(k - 1))
+                       + ((f"p{k}", "S"),)) for k in laps]
+    sig = Signature(("U", "S"), tuple(decls))
+    sums = [True] + [False] * 45_299
+    for n in range(1, len(sums)):
+        sums[n] = any(n >= k and sums[n - k] for k in laps)
+    assert not sums[44_999] and all(sums[45_000:])
+    exceptions = frozenset(1 + n for n in range(45_000) if sums[n])
+    assert size_image(sig, "S") == EPS(exceptions, 45_001, 1, frozenset({0}))
+
+
 def test_an_image_past_the_largest_window_is_a_resource_limit():
     # A16 has one term, of size 2 ** 17 - 1, so S's image has period 2 ** 17,
     # past the widest set `semilinear.MAX_BITS` holds

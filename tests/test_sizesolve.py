@@ -5,10 +5,10 @@ from adtsolve.errors import InternalError
 from adtsolve.models import check_model
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_formula, parse_script
-from adtsolve.reduce import RTRUE, ReduceOptions, RVar, _top_conjuncts
+from adtsolve.reduce import RTRUE, SIZE_MODE, RVar, _top_conjuncts
 from adtsolve.sizesolve import (
     AlreadyUnfoldedError, UnknownVariableError, completeness_report, decide,
-    make_state, solve_with_size, unfold_step,
+    make_state, run_loop, unfold_step,
 )
 from adtsolve.semantics import evaluate
 from adtsolve.signature import enumerate_terms
@@ -17,6 +17,12 @@ from adtsolve.terms import AdtModel, Ctor, Eq, Or, Var
 
 def nat_formula(nat_sig, text):
     return parse_formula(text, nat_sig, {"x": "Nat", "y": "Nat", "k": "Int"})
+
+
+def size_mode(phi, sig, fuel, opt=True):
+    """Decide `phi` in size mode, also when it has no size atom."""
+    return run_loop(make_state([("A", flatten(to_nnf(phi), sig))], sig, fuel=fuel),
+                    SIZE_MODE, opt=opt)
 
 
 # -- unfold_step ---------------------------------------------------------------
@@ -55,7 +61,7 @@ def test_unfold_twice_rejected(nat_sig):
         unfold_step(state, "w")
 
 
-# -- solve_with_size ------------------------------------------------------------
+# -- the size loop ----------------------------------------------------------------
 
 def test_unique_model_of_size_three(lists_sig, fml):
     phi = fml("(and (= (adt.size x) 3) (not (= (head x) red)) "
@@ -64,7 +70,7 @@ def test_unique_model_of_size_three(lists_sig, fml):
     witnesses = [t for t in enumerate_terms(lists_sig, "CList", 3)
                  if evaluate(lists_sig, AdtModel({"x": t}), phi)]
     assert witnesses == [Ctor("cons", (Ctor("blue"), Ctor("nil")))]
-    res = solve_with_size(phi, lists_sig)
+    res = decide(phi, lists_sig)
     assert res.status == "sat"
     assert res.model.adt["x"] == witnesses[0]
     ok, diag = check_model(lists_sig, res.model, phi)
@@ -77,12 +83,12 @@ def test_enumeration_sort_variables_are_never_unfolded(lists_sig, fml):
     # for the heads too, and took 5 rounds)
     phi = fml("(and (= (adt.size x) 3) (not (= (head x) red)) "
               "(not (= (head x) green)))")
-    res = solve_with_size(phi, lists_sig)
+    res = decide(phi, lists_sig)
     assert (res.status, res.rounds) == ("sat", 2)
     assert {res.state.var_sorts[v] for v in res.state.unfolded} == {"CList"}
     assert res.model.adt["x"] == Ctor("cons", (Ctor("blue"), Ctor("nil")))
     # without the enumeration rule a head is an ADT value like any other
-    res = solve_with_size(phi, lists_sig, opts=ReduceOptions.none())
+    res = decide(phi, lists_sig, opt=False)
     assert res.status == "sat"
     assert "Colour" in {res.state.var_sorts[v] for v in res.state.unfolded}
 
@@ -109,7 +115,7 @@ def test_a_search_model_that_fails_the_reduct_is_caught(lists_sig, fml, monkeypa
 
 def test_even_size_unsat_without_unfolding(lists_sig, fml):
     phi = fml("(= (adt.size x) (* 2 k))")
-    res = solve_with_size(phi, lists_sig)
+    res = decide(phi, lists_sig)
     assert res.status == "unsat"
     assert res.rounds == 0
 
@@ -122,7 +128,7 @@ def test_nat_disequal_same_size_bounded(nat_sig):
     terms = list(enumerate_terms(nat_sig, "Nat", 3))
     from adtsolve.terms import ground_size
     assert len({ground_size(t) for t in terms}) == len(terms)
-    res = solve_with_size(phi, nat_sig)
+    res = decide(phi, nat_sig)
     assert res.status == "unsat"
     per_root = {}
     for v in res.state.unfolded:
@@ -135,7 +141,7 @@ def test_nat_disequal_same_size_bounded(nat_sig):
 def test_nat_disequal_same_size_unbounded_unknown(nat_sig):
     phi = nat_formula(nat_sig, "(and (not (= x y)) "
                                "(= (adt.size x) (adt.size y)))")
-    res = solve_with_size(phi, nat_sig, fuel=20)
+    res = decide(phi, nat_sig, fuel=20)
     assert res.status == "unknown"
     assert res.rounds == 20
     assert "non-expanding" in res.diagnosis.text
@@ -167,7 +173,7 @@ def test_weighted_cycle_unknown_names_the_cycle():
 def test_sat_models_are_validated(lists_sig, fml):
     phi = fml("(and (>= (adt.size x) 5) ((_ is cons) x) (not (= z x)) "
               "(= (adt.size z) (adt.size x)))")
-    res = solve_with_size(phi, lists_sig)
+    res = decide(phi, lists_sig)
     assert res.status == "sat"
     ok, diag = check_model(lists_sig, res.model, phi)
     assert ok, diag
@@ -181,7 +187,7 @@ def test_unfolding_terminates_on_expanding_signature(lists_sig, fml):
     phi = fml("(and (not (= x z)) (not (= x l)) (not (= z l)) "
               "(= (adt.size x) (adt.size z)) (= (adt.size z) (adt.size l)) "
               "(>= (adt.size x) 3))")
-    res = solve_with_size(phi, lists_sig, fuel=10_000)
+    res = decide(phi, lists_sig, fuel=10_000)
     assert res.status == "sat"
     ok, diag = check_model(lists_sig, res.model, phi)
     assert ok, diag
@@ -207,10 +213,10 @@ def test_counting_completeness(lists_sig):
 
     four = parse_formula(f"(and {distinct('xyzw')} {sized('xyzw')})",
                          lists_sig, vars_)
-    assert solve_with_size(four, lists_sig, fuel=60).status == "unsat"
+    assert decide(four, lists_sig, fuel=60).status == "unsat"
     three = parse_formula(f"(and {distinct('xyz')} {sized('xyz')})",
                           lists_sig, vars_)
-    res = solve_with_size(three, lists_sig, fuel=60)
+    res = decide(three, lists_sig, fuel=60)
     assert res.status == "sat"
     assert {res.model.adt[v] for v in "xyz"} == set(enumerate_terms(lists_sig, "CList", 3)) - {Ctor("nil")}
 
@@ -224,7 +230,7 @@ def test_random_size_corpus_sound_both_ways(lists_sig):
     for _ in range(60):
         phi = random_formula(rng, lists_sig,
                              GenConfig(n_vars=2, size_atoms=True, size_const_max=5))
-        res = solve_with_size(phi, lists_sig, fuel=40)
+        res = size_mode(phi, lists_sig, fuel=40)
         assert res.status in ("sat", "unsat")  # lists signature is expanding
         decided[res.status] += 1
         oracle = oracle_sat_within_bound(lists_sig, phi, bound=5)
@@ -296,7 +302,7 @@ def test_tree_size_corpus_decides(lists_sig):
     for _ in range(30):
         phi = random_formula(rng, tree, GenConfig(n_vars=2, depth=2,
                                                   size_atoms=True, size_const_max=7))
-        res = solve_with_size(phi, tree, fuel=60)
+        res = size_mode(phi, tree, fuel=60)
         assert res.status in decided
         decided[res.status] += 1
         if res.status == "sat":
@@ -344,7 +350,7 @@ def test_depth_and_size_mode_agree():
         sig = sigs[i % len(sigs)]
         phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3)))
         depth = decide(phi, sig)
-        size = solve_with_size(phi, sig, fuel=30)
+        size = size_mode(phi, sig, fuel=30)
         assert depth.status in ("sat", "unsat"), i
         assert size.status in (depth.status, "unknown"), i
 
@@ -537,8 +543,8 @@ def _reduct_log(monkeypatch):
     reduce = sizesolve.reduce
     log = []
 
-    def checked(flat, sig, mode, opts, reducer):
-        got = reduce(flat, sig, mode, opts, reducer)
+    def checked(flat, sig, mode, opt, reducer):
+        got = reduce(flat, sig, mode, opt, reducer)
         guards = _top_guards(flat.formula)
         ranges = [reducer.in_range(RVar(name), sort) for name, sort in flat.var_sorts.items()]
         walk = rand([reducer.reduce_formula(flat.formula, guards)] + ranges)
@@ -720,7 +726,8 @@ def test_repointing_leaves_the_next_witness_alone(monkeypatch):
     script = parse_script(REPOINTS_A_PATH_VARIABLE)
     res = decide(script.formula(), script.sig)
     assert res.status == "sat" and res.rounds > 2
-    assert "v0" in repointed and len(extended) == res.rounds
+    # the first round's search is an extension of the empty formula too
+    assert "v0" in repointed and len(extended) == res.rounds + 1
 
 
 def test_resource_limit_leaves_no_session(lists_sig):
@@ -755,7 +762,7 @@ def test_size_mode_sound_on_random_signatures():
         for _ in range(20):
             phi = random_formula(rng, sig, GenConfig(n_vars=2, size_atoms=True,
                                                      size_const_max=5))
-            res = solve_with_size(phi, sig, fuel=30)
+            res = size_mode(phi, sig, fuel=30)
             decided[res.status] += 1
             if res.status == "unknown":
                 continue
@@ -789,9 +796,9 @@ def test_size_mode_differential(seed):
         size_atoms = i % 2 == 0
         phi = random_formula(rng, sig, GenConfig(n_vars=rng.randint(1, 3),
                                                  size_atoms=size_atoms))
-        res = solve_with_size(phi, sig, fuel=30)
+        res = size_mode(phi, sig, fuel=30)
         if size_atoms:
-            other = solve_with_size(phi, sig, fuel=30, opts=ReduceOptions.none())
+            other = size_mode(phi, sig, fuel=30, opt=False)
             kind = "options"
         else:
             other = decide(phi, sig)
