@@ -11,7 +11,7 @@ from .terms import AdtModel, And, Ctor, Eq, Formula, Not, Or, Sel, Term, Tester,
 from .semantics import evaluate, print_formula, print_model, print_term
 from .parser import parse_script
 from .normalize import flatten, to_nnf
-from .reduce import reduce, simplify
+from .reduce import reduce
 from .backend import SolverResult, emit_smtlib, solve, solve_external
 from .models import check_model, reconstruct
 from .sizesolve import completeness_report, decide, unfold_step
@@ -29,7 +29,7 @@ __all__ = [
     "count_terms_of_size", "ctor_index", "decide", "emit_smtlib",
     "enumerate_terms", "evaluate", "flatten", "interpolate",
     "num_ctors", "parse_script", "print_formula", "print_model", "print_term",
-    "reconstruct", "reduce", "relativized_size_image", "simplify", "size_image",
+    "reconstruct", "reduce", "relativized_size_image", "size_image",
     "solve", "solve_external", "to_nnf", "unfold_step",
     "validate", "validate_interpolant",
 ]

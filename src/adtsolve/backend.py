@@ -39,7 +39,6 @@ backend; its model response is parsed back into the same IntModel shape.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import lia
@@ -876,45 +875,7 @@ def _parse_cond(e: SExpr, arg_names: list[str], raw: str) -> tuple[int, ...]:
         raise ProtocolError(f"incomplete model condition {e}", raw=raw) from err
 
 
-# -- simplification-trace replay ---------------------------------------------------------------
-
 def complete_model(reduct: ReducedFormula, model: IntModel) -> IntModel:
-    """Extend a model of a simplified reduct to one of the original reduct by
-    replaying the simplification trace newest-first."""
-    out = IntModel(dict(model.values), {k: dict(v) for k, v in model.funcs.items()},
-                   dict(model.defaults))
-    for step in reversed(reduct.trace):
-        kind, var, payload = step
-        if kind == "subst":
-            out.values[var] = eval_rterm(payload, out)
-        else:  # dropped literal: choose any value satisfying it
-            out.values[var] = _solve_dropped(payload, var, out)
-    return out
-
-
-def _solve_dropped(lit: RFormula, var: str, model: IntModel) -> int:
-    def value_of(t: RTerm) -> int:
-        return eval_rterm(t, model)
-
-    if isinstance(lit, REq):
-        other = lit.rhs if isinstance(lit.lhs, RVar) and lit.lhs.name == var else lit.lhs
-        return value_of(other)
-    if isinstance(lit, RLin):
-        coeff = 0
-        rest = lit.const
-        for c, t in lit.terms:
-            if isinstance(t, RVar) and t.name == var:
-                coeff += c
-            else:
-                rest += c * value_of(t)
-        if coeff == 0:
-            return 0
-        if lit.op == "eq":
-            return -rest // coeff
-        if lit.op == "ne":
-            return 0 if rest != 0 else 1
-        # le: coeff*v + rest <= 0; pick the bound value
-        if coeff > 0:
-            return (-rest) // coeff          # floor(-rest/coeff)
-        return -((-rest) // (-coeff))        # ceil(rest/(-coeff))
-    raise InternalError(f"cannot solve dropped literal {lit}")
+    """The identity, which nothing calls: `perfbench/tracing.py` wraps this
+    name, and ROADMAP item 1's benchmark change deletes it."""
+    return model

@@ -24,7 +24,7 @@ from .errors import (
 from .interp import InterpolatingBackend, InterpolationProblem, interpolate
 from .normalize import flatten, to_nnf
 from .parser import parse_script
-from .reduce import reduce, rformula_nodes, simplify
+from .reduce import reduce, rformula_nodes
 from .semantics import print_formula, print_model
 from .signature import cardinality, check_expanding, size_image
 from .sizesolve import completeness_report, decide, reduction_mode
@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("emit", help="print the EUF+LIA reduct as SMT-LIB")
     sp.add_argument("file")
-    sp.add_argument("--no-simplify", action="store_true")
     add(sp, "--no-opt", "--stats")
 
     sp = sub.add_parser("interpolate", help="interpolate two scripts")
@@ -144,13 +143,10 @@ def cmd_emit(args, out) -> int:
     phi = script.formula()
     flat = flatten(to_nnf(phi), script.sig)
     reduct = reduce(flat, script.sig, reduction_mode(phi), not args.no_opt)
-    nodes = f"; nodes: input={formula_nodes(phi)} reduced={rformula_nodes(reduct.formula)}"
-    if not args.no_simplify:
-        reduct = simplify(reduct)
-        nodes += f" simplified={rformula_nodes(reduct.formula)}"
     print(backend_mod.emit_smtlib(reduct), end="", file=out)
     if args.stats:
-        print(nodes, file=out)
+        print(f"; nodes: input={formula_nodes(phi)} "
+              f"reduced={rformula_nodes(reduct.formula)}", file=out)
     return 0
 
 

@@ -41,9 +41,7 @@ class ReconstructionStats:
 
 def reconstruct(reduct: ReducedFormula, int_model: IntModel,
                 stats: ReconstructionStats | None = None) -> AdtModel:
-    """Build an ADT model from a satisfying integer model of the reduct (of
-    an unsimplified one: `backend.complete_model` completes a model of a
-    simplified reduct to one of the reduct it came from)."""
+    """Build an ADT model from a satisfying integer model of the reduct."""
     table = reduct.table
     sig = table.sig
     flat = reduct.flat
@@ -246,7 +244,7 @@ def _read_reduct(f: RFormula, model: IntModel, arg_sort: dict[str, str]
         return kind is RTrueF
 
     if not holds(f):
-        raise InternalError("completed model does not satisfy the unsimplified reduct")
+        raise InternalError("model does not satisfy the reduct")
     return out, pairs
 
 

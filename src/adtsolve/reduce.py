@@ -24,11 +24,6 @@ one reducer kept across the rounds of the unfolding loop reduces only each
 round's new case clause and the range rows of its new variables (and the
 whole formula again, through the literal memo, in a round whose clause
 guards a variable).
-
-A lightweight equisatisfiability-preserving simplifier (constant propagation,
-ground folding, single-use fresh-variable elimination) serves `emit`; its
-trace allows models of the simplified formula to be completed back to models
-of the original reduct.
 """
 
 from __future__ import annotations
@@ -328,7 +323,6 @@ class ReducedFormula:
     formula: RFormula
     table: SymbolTable
     flat: FlatFormula
-    trace: tuple = ()
 
 
 # -- the reducer ---------------------------------------------------------------------
@@ -659,27 +653,7 @@ def is_utvpi(reduct: ReducedFormula) -> bool:
     return True
 
 
-# -- simplification ----------------------------------------------------------------------
-
-def _subst_rterm(t: RTerm, env: dict[str, RTerm]) -> RTerm:
-    if isinstance(t, RVar):
-        return env.get(t.name, t)
-    if isinstance(t, RApp):
-        return RApp(t.fn, tuple(_subst_rterm(a, env) for a in t.args))
-    return t
-
-
-def _subst(f: RFormula, env: dict[str, RTerm]) -> RFormula:
-    if isinstance(f, (RTrueF, RFalseF)):
-        return f
-    if isinstance(f, REq):
-        return req(_subst_rterm(f.lhs, env), _subst_rterm(f.rhs, env))
-    if isinstance(f, RLin):
-        return lin(f.op, [(c, _subst_rterm(t, env)) for c, t in f.terms], f.const)
-    if isinstance(f, RAnd):
-        return rand([_subst(a, env) for a in f.args])
-    return ror([_subst(a, env) for a in f.args])
-
+# -- walks the solver shares ------------------------------------------------------------
 
 def _var_occurrences(f: RFormula, counts: dict[str, int]):
     def term(t: RTerm):
@@ -706,130 +680,3 @@ def _top_conjuncts(f: RFormula) -> list[RFormula]:
     if isinstance(f, RTrueF):
         return []
     return [f]
-
-
-def _dedup(f: RFormula) -> RFormula:
-    if isinstance(f, (RAnd, ROr)):
-        seen, out = set(), []
-        for a in f.args:
-            a = _dedup(a)
-            # a child that collapsed to the parent's connective is spliced in
-            # (as rand/ror would), so its duplicates are caught here too
-            for b in a.args if type(a) is type(f) else (a,):
-                if b not in seen:
-                    seen.add(b)
-                    out.append(b)
-        return rand(out) if isinstance(f, RAnd) else ror(out)
-    return f
-
-
-def _vars_of_rterm(t: RTerm) -> set[str]:
-    if isinstance(t, RVar):
-        return {t.name}
-    if isinstance(t, RApp):
-        out: set[str] = set()
-        for a in t.args:
-            out |= _vars_of_rterm(a)
-        return out
-    return set()
-
-
-def _droppable_for(lit: RFormula, v: str) -> bool:
-    """Can `exists v. lit` be discharged to true regardless of the other vars?"""
-    if isinstance(lit, REq):
-        for side, other in ((lit.lhs, lit.rhs), (lit.rhs, lit.lhs)):
-            if isinstance(side, RVar) and side.name == v and v not in _vars_of_rterm(other):
-                return True
-        return False
-    if isinstance(lit, RLin):
-        coeff = None
-        for c, t in lit.terms:
-            if isinstance(t, RVar) and t.name == v:
-                coeff = c
-            elif v in _vars_of_rterm(t):
-                return False
-        if coeff is None:
-            return False
-        if lit.op == "eq":
-            return abs(coeff) == 1
-        return True  # le / ne always have an integer solution for v
-    return False
-
-
-def simplify(reduct: ReducedFormula) -> ReducedFormula:
-    """Equisatisfiable simplification; idempotent.  The trace records variable
-    substitutions and dropped single-use definitions so that models of the
-    simplified reduct can be completed to models of the original."""
-    fresh = {name for name, origin in reduct.table.int_vars.items()
-             if origin[0] in ("skolem", "aux")}
-    fresh.update(reduct.flat.registry.keys())
-    trace = list(reduct.trace)
-    f = _dedup(reduct.formula)
-    for _ in range(100):
-        changed = False
-        # constant / representative propagation from top-level equalities
-        env: dict[str, RTerm] = {}
-
-        def resolve(t: RTerm) -> RTerm:
-            while isinstance(t, RVar) and t.name in env:
-                t = env[t.name]
-            return t
-
-        for c in _top_conjuncts(f):
-            a = b = None
-            if isinstance(c, REq):
-                a, b = resolve(c.lhs), resolve(c.rhs)
-            elif isinstance(c, RLin) and c.op == "eq" and len(c.terms) == 1 \
-                    and abs(c.terms[0][0]) == 1:
-                coeff, t = c.terms[0]
-                a, b = resolve(t), RConst(-c.const // coeff)
-            if a is None or a == b:
-                continue
-            if isinstance(a, RVar) and isinstance(b, RConst):
-                env[a.name] = b
-            elif isinstance(b, RVar) and isinstance(a, RConst):
-                env[b.name] = a
-            elif isinstance(a, RVar) and isinstance(b, RVar):
-                if a.name in fresh:
-                    env[a.name] = b
-                elif b.name in fresh:
-                    env[b.name] = a
-        if env:
-            f2 = _dedup(_subst(f, env))
-            if f2 != f:
-                f = f2
-                for name, val in env.items():
-                    trace.append(("subst", name, val))
-                changed = True
-        # single-use fresh-variable elimination
-        counts: dict[str, int] = {}
-        _var_occurrences(f, counts)
-        single = {v for v, n in counts.items() if n == 1 and v in fresh}
-        if single:
-            def drop(g: RFormula) -> RFormula:
-                if isinstance(g, RAnd):
-                    out = []
-                    for a in g.args:
-                        a2 = drop(a)
-                        if isinstance(a2, RTrueF):
-                            continue
-                        out.append(a2)
-                    return rand(out)
-                if isinstance(g, ROr):
-                    return ror([drop(a) for a in g.args])
-                for v in list(single):
-                    if _droppable_for(g, v):
-                        trace.append(("dropped", v, g))
-                        single.discard(v)
-                        return RTRUE
-                return g
-
-            f2 = drop(f)
-            if f2 != f:
-                # a conjunction that lost its definitions may collapse into
-                # its parent's connective and duplicate a sibling there
-                f = _dedup(f2)
-                changed = True
-        if not changed:
-            break
-    return ReducedFormula(f, reduct.table, reduct.flat, trace=tuple(trace))

@@ -5,7 +5,8 @@ model or unfolds one more variable and repeats.  A round's formula is the
 last one's top-level conjuncts followed by a case clause, so with one
 reducer for every round its reduct is the last reduct followed by the
 clause's reduction and the new variables' range rows, and one backend
-session searches on from the previous round's model with only that suffix.  A clause that guards a variable can change an old conjunct's
+session searches on from the previous round's model with only that
+suffix.  A clause that guards a variable can change an old conjunct's
 reduction; then the reduct does not begin with the last one, and the
 session starts a new search.
 The acceptance test evaluates only the conjuncts that mention a variable
@@ -29,10 +30,9 @@ from .backend import eval_reduced
 from .errors import AdtSolveError, InternalError
 from .models import ReconstructionStats, check_model, reconstruct
 from .normalize import FlatFormula, flatten, to_nnf
-# the benchmark's tracer wraps `simplify` under this module's name, so it stays
 from .reduce import (
     DEPTH_MODE, SIZE_MODE, ReducedFormula, Reducer, RFormula,
-    _top_conjuncts, _var_occurrences, reduce, simplify,  # noqa: F401
+    _top_conjuncts, _var_occurrences, reduce,
 )
 from .signature import ExpandingReport, Signature, check_expanding, ensure_valid
 from .terms import (
@@ -59,7 +59,6 @@ class UnfoldState:
     conjuncts: list[tuple[str, Formula]] = field(default_factory=list)
     var_sorts: dict[str, str] = field(default_factory=dict)
     int_vars: set[str] = field(default_factory=set)
-    registry: dict[str, object] = field(default_factory=dict)
     var_partition: dict[str, str] = field(default_factory=dict)
     unfolded: set[str] = field(default_factory=set)
     rounds: int = 0
@@ -71,7 +70,6 @@ class UnfoldState:
     def flat(self) -> FlatFormula:
         return FlatFormula(
             formula=conj([f for _, f in self.conjuncts]),
-            registry=self.registry,
             var_sorts=self.var_sorts,
             int_vars=self.int_vars,
         )
@@ -83,7 +81,6 @@ class UnfoldState:
         names = {v.name for v in fv.adt}
         return FlatFormula(
             formula=formula,
-            registry=self.registry,
             var_sorts={n: s for n, s in self.var_sorts.items() if n in names},
             int_vars=set(fv.ints),
         )
@@ -111,7 +108,6 @@ def make_state(parts: list[tuple[str, FlatFormula]], sig: Signature,
                 state.var_sorts[name] = sort
                 state.var_partition[name] = tag
         state.int_vars.update(flat.int_vars)
-        state.registry.update(flat.registry)
     return state
 
 
@@ -250,6 +246,12 @@ def _mismatched(state: UnfoldState, model: backend.IntModel,
 def reduction_mode(phi: Formula) -> str:
     """Size mode for formulas with size atoms, depth mode for the rest."""
     return SIZE_MODE if _has_size_atoms(phi) else DEPTH_MODE
+
+
+def simplify(reduct: ReducedFormula) -> ReducedFormula:
+    """The identity, which nothing calls: `perfbench/tracing.py` wraps this
+    name, and ROADMAP item 1's benchmark change deletes it."""
+    return reduct
 
 
 def decide(phi: Formula, sig: Signature, fuel: int = DEFAULT_FUEL,

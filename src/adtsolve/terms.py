@@ -4,11 +4,11 @@ Terms are constructor terms over an ADT signature extended with variables
 and selector applications; formulas combine testers, equalities, Boolean
 structure, and Presburger atoms over term sizes.  All nodes are `Node`s:
 immutable, hashable and slotted, so an instance holds its fields and no
-`__dict__` (a `Ctor` also its cached hash).  A `Node` compares, hashes and
-prints as a frozen dataclass of the same fields does, but is no dataclass:
-`dataclasses` compiles each class's methods with `exec`, which took about
-half of the time `import adtsolve` did.  The parser interns the symbols it
-reads, so the names in a script's nodes are one string each.
+`__dict__` (a `Ctor` and a `Sel` also their hash).  A `Node` compares,
+hashes and prints as a frozen dataclass of the same fields does, but is no
+dataclass: `dataclasses` compiles each class's methods with `exec`, which
+took about half of the time `import adtsolve` did.  The parser interns the
+symbols it reads, so the names in a script's nodes are one string each.
 """
 
 from __future__ import annotations
@@ -106,17 +106,14 @@ class Ctor(Node):
     ctor: str
     args: tuple["Term", ...]
 
+    # the hash is taken when the term is built, from its arguments' hashes,
+    # which are already taken, and `==` runs on an explicit stack: model
+    # terms nest as deep as the input's chains
     def __init__(self, ctor: str, args: tuple["Term", ...] = ()):
-        self._init(ctor, args, None)
+        self._init(ctor, args, hash((ctor, args)))
 
-    # cached, and `==` on an explicit stack: model terms nest as deep as the
-    # input's chains
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ctor, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __eq__(self, other):
         if other.__class__ is not Ctor:
@@ -129,8 +126,7 @@ class Ctor(Node):
             if a.__class__ is not Ctor or b.__class__ is not Ctor:
                 if not a == b:
                     return False
-            elif (a.ctor != b.ctor or len(a.args) != len(b.args)
-                  or a._hash is not None and b._hash is not None and a._hash != b._hash):
+            elif a._hash != b._hash or a.ctor != b.ctor or len(a.args) != len(b.args):
                 return False
             else:
                 stack.extend(zip(reversed(a.args), reversed(b.args)))
@@ -138,10 +134,18 @@ class Ctor(Node):
 
 
 class Sel(Node):
-    __slots__ = ("ctor", "index", "arg")
+    __slots__ = ("ctor", "index", "arg", "_hash")
     ctor: str
     index: int
     arg: "Term"
+
+    # taken when built, as `Ctor`'s is: a selector chain nests as deep as
+    # the input writes it
+    def __init__(self, ctor: str, index: int, arg: "Term"):
+        self._init(ctor, index, arg, hash((ctor, index, arg)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Union[Var, Ctor, Sel]

@@ -12,7 +12,7 @@ from adtsolve.errors import ProtocolError, SpawnError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import (
-    RApp, RConst, REq, RLin, RVar, rand, reduce, rne, ror, simplify,
+    RApp, RConst, REq, RLin, RVar, rand, reduce, rne, ror,
 )
 from tests.test_semantics import formulas
 
@@ -501,8 +501,7 @@ def chain_text(n, two=True):
 def two_colour_chain(n):
     """The reduct of the two-colour chain of `chain_text`."""
     script = parse_script(chain_text(n))
-    return simplify(reduce(flatten(to_nnf(script.formula()), script.sig), script.sig,
-                           "depth"))
+    return reduce(flatten(to_nnf(script.formula()), script.sig), script.sig, "depth")
 
 
 def test_two_colour_chain_unsat_within_default_caps():

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adtsolve.backend import parse_model_response
+from adtsolve.backend import emit_smtlib, parse_model_response
 from adtsolve.cli import main
 from adtsolve.errors import AdtSolveError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
-from adtsolve.reduce import reduce, rformula_nodes, simplify
+from adtsolve.reduce import reduce, rformula_nodes
 from adtsolve.semantics import evaluate
 from adtsolve.sizesolve import decide, reduction_mode
 from adtsolve.terms import formula_nodes
@@ -195,7 +195,7 @@ def test_lap_longer_than_the_first_window(tmp_path, text, image):
 
 
 def test_emit_contains_reduction_symbols(ex1_file):
-    code, out = run(["emit", ex1_file, "--no-simplify"])
+    code, out = run(["emit", ex1_file])
     assert code == 0
     assert "ctorId_CList" in out
     assert "depth_CList" in out
@@ -204,8 +204,8 @@ def test_emit_contains_reduction_symbols(ex1_file):
 
 
 def test_emit_no_opt_differs(ex1_file):
-    _, with_opt = run(["emit", ex1_file, "--no-simplify"])
-    _, without = run(["emit", ex1_file, "--no-simplify", "--no-opt"])
+    _, with_opt = run(["emit", ex1_file])
+    _, without = run(["emit", ex1_file, "--no-opt"])
     assert with_opt != without
     assert "ctorId_Colour" in without
     assert "ctorId_Colour" not in with_opt
@@ -230,31 +230,53 @@ def test_stats_report_the_solved_round():
             f"reduced={rformula_nodes(res.reduct.formula)}\n") in out
 
 
-@pytest.mark.parametrize("flags, simplified", [([], True), (["--no-simplify"], False)])
-def test_emit_stats_name_each_figure(flags, simplified):
-    # reduced= is the round-0 reduct before simplification, as in solve
-    # --stats; simplified= is printed only when simplify ran
+@pytest.mark.parametrize("flags, opt", [([], True), (["--no-opt"], False)])
+def test_emit_stats_name_each_figure(flags, opt):
+    # reduced= is the round-0 reduct, as in solve --stats
     path = os.path.join(INPUTS, "list_size.smt2")
     code, out = run(["emit", path, "--stats"] + flags)
     assert code == 0
     with open(path) as f:
         script = parse_script(f.read())
     phi = script.formula()
-    reduct = reduce(flatten(to_nnf(phi), script.sig), script.sig, reduction_mode(phi))
+    reduct = reduce(flatten(to_nnf(phi), script.sig), script.sig, reduction_mode(phi), opt)
     line = f"; nodes: input={formula_nodes(phi)} reduced={rformula_nodes(reduct.formula)}"
-    if simplified:
-        line += f" simplified={rformula_nodes(simplify(reduct).formula)}"
     assert out.splitlines()[-1] == line
-    assert ("simplified=" in out) == simplified
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-simplify"]])
+@pytest.mark.parametrize("flags", [[], ["--no-opt"]])
+def test_emit_prints_the_reduct_decide_solves(flags):
+    # where decide settles an input in round 0, emit prints its reduct
+    settled = 0
+    for name in sorted(os.listdir(INPUTS)):
+        with open(os.path.join(INPUTS, name)) as f:
+            script = parse_script(f.read())
+        result = decide(script.formula(), script.sig, opt=not flags)
+        if result.rounds == 0:
+            settled += 1
+            code, out = run(["emit", os.path.join(INPUTS, name)] + flags)
+            assert (code, out) == (0, emit_smtlib(result.reduct)), name
+    assert settled >= 10  # of the 19 bundled inputs
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-opt"]])
 def test_emit_writes_negative_numerals_as_smtlib(flags):
     # -1 is a symbol in SMT-LIB 2.6; a negative integer is written (- 1)
     for name in sorted(os.listdir(INPUTS)):
         code, out = run(["emit", os.path.join(INPUTS, name)] + flags)
         assert code == 0
         assert not re.search(r"[ (]-[0-9]", out), name
+
+
+def test_solve_a_selector_chain_10_000_deep(tmp_path):
+    # each selector's hash is taken when it is built, so the constructor over
+    # the chain hashes it without recursing
+    n = 10_000
+    p = tmp_path / "deep.smt2"
+    p.write_text("(declare-datatypes ((L 0)) (((nil) (cons (hd L) (tl L)))))\n"
+                 "(declare-const x L)\n(declare-const y L)\n"
+                 f"(assert (= y (cons {'(tl ' * n}x{')' * n} nil)))\n(check-sat)\n")
+    assert run(["solve", str(p)]) == (0, "sat\n")
 
 
 def test_deterministic_output(ex1_file):

@@ -415,7 +415,6 @@ def test_joint_state_attributes_shared_variables_to_a(lists_sig, monkeypatch):
     assert isinstance(flat_a, And) and isinstance(flat_b, And)
     assert state.conjuncts == ([("A", c) for c in flat_a.args]
                                + [("B", c) for c in flat_b.args])
-    assert set(state.registry) == {"_ta1", "_ta2", "_tb1"}
 
 
 BIT_SIG_CTORS = (CtorDecl("lo", "Bit"), CtorDecl("hi", "Bit"))

@@ -6,7 +6,7 @@ from hypothesis import given
 from adtsolve.errors import InternalError, ModeMismatchError
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.reduce import (
-    DEPTH_MODE, RAnd, RApp, RConst, REq, RFALSE, RLin, ROr, RVar, Reducer, SymbolTable, is_utvpi, iter_literals, reduce, rformula_nodes, simplify,
+    DEPTH_MODE, RAnd, RApp, RConst, REq, RLin, ROr, RVar, Reducer, SymbolTable, is_utvpi, iter_literals, reduce, rformula_nodes,
 )
 from adtsolve import backend
 from adtsolve.corpus import random_signature, signature_size
@@ -174,48 +174,6 @@ def test_enum_opt_off_uses_ctorid(lists_sig, fml):
 def test_non_enum_sort_unchanged(lists_sig, fml):
     r = _reduce(lists_sig, fml, "(= x nil)")
     assert apps(r, "ctorId_CList")
-
-
-# -- simplify ---------------------------------------------------------------------------
-
-def test_simplify_constant_conflict(lists_sig, fml):
-    r = _reduce(lists_sig, fml, "(and (= y red) (= y z2) (not (= z2 red)))"
-                .replace("z2", "c"))
-    s = simplify(r)
-    assert s.formula == RFALSE
-
-
-def test_simplify_removes_dead_fresh_definitions(lists_sig, fml):
-    # nil = _t names a subterm never used elsewhere after propagation
-    r = _reduce(lists_sig, fml, "(and (= x z) (= z nil))")
-    s = simplify(r)
-    assert rformula_nodes(s.formula) <= rformula_nodes(r.formula)
-
-
-def test_simplify_idempotent(lists_sig, fml):
-    # the fourth: both arms of the or dedup to the conjunction already
-    # present; the last: dropping the definition of (tail x) collapses a
-    # conjunction into an or that repeats a sibling disjunct
-    for text in [EX1, "(= x z)", "(or (= y red) (= y green))",
-                 "(and (and ((_ is nil) nil) ((_ is nil) nil)) "
-                 "(or ((_ is nil) nil) ((_ is nil) nil)))",
-                 "(not (and (not (= (tail x) (tail x))) (not (= nil x)) "
-                 "((_ is nil) nil)))"]:
-        s = simplify(_reduce(lists_sig, fml, text))
-        assert simplify(s).formula == s.formula
-
-
-@given(formulas(allow_size=False))
-def test_simplify_idempotent_random(lists_sig, phi):
-    r = reduce(flatten(to_nnf(phi), lists_sig), lists_sig, "depth")
-    s = simplify(r)
-    assert simplify(s).formula == s.formula
-
-
-@given(formulas(allow_size=False))
-def test_simplify_preserves_verdict(lists_sig, phi):
-    r = reduce(flatten(to_nnf(phi), lists_sig), lists_sig, "depth")
-    assert backend.solve(r).status == backend.solve(simplify(r)).status
 
 
 # -- structural properties ------------------------------------------------------------------

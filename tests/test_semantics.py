@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from adtsolve.errors import UnboundVariableError
 from adtsolve.parser import parse_formula
 from adtsolve.semantics import evaluate, eval_term, print_formula, print_model
+from adtsolve.signature import CtorDecl, Signature
 from adtsolve.terms import (
     AdtModel, And, Ctor, Eq, IntConst, Not, Or, Sel, SizeAtom, SizeOf, Tester,
     Var, free_vars, ground_size,
@@ -131,6 +132,26 @@ def test_terms_nested_10_000_deep_evaluate(nat_sig):
                SizeAtom("eq", SizeOf(pred(succ(x, n), n)), IntConst(n + 1))))
     assert check_model(nat_sig, model, phi) == (True, None)
     assert eval_term(nat_sig, model, pred(x, n + 1)) == Ctor("one")  # default witness
+
+
+def test_deep_terms_hash_under_the_recursion_limit():
+    # a term's hash is taken when it is built, from its arguments' hashes,
+    # so the first hash of a term nested 10 000 deep does not recurse
+    n = 10_000
+    t = Ctor("z")
+    for _ in range(n):
+        t = Ctor("b", (t,))
+    assert hash(Ctor("a", (t,))) == hash(("a", (t,)))
+    chain = Var("x", "T")
+    for _ in range(n):
+        chain = Sel("b", 0, chain)
+    assert hash(chain) == hash(("b", 0, chain.arg))
+    # a wrong-headed selector looks its argument's value up among the
+    # model's selector overrides, which hashes it
+    sig = Signature(("T",), (CtorDecl("z", "T"), CtorDecl("a", "T", (("pa", "T"),)),
+                             CtorDecl("b", "T", (("pb", "T"),))))
+    model = AdtModel({"x": Ctor("a", (t,))})
+    assert eval_term(sig, model, Sel("b", 0, Var("x", "T"))) == Ctor("z")
 
 
 def test_print_parse_golden(lists_sig, fml):

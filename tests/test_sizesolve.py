@@ -109,7 +109,7 @@ def test_a_search_model_that_fails_the_reduct_is_caught(lists_sig, fml, monkeypa
         return backend.IntModel(values, model.funcs, model.defaults)
 
     monkeypatch.setattr(backend._Search, "search", corrupted)
-    with pytest.raises(InternalError, match="does not satisfy the unsimplified reduct"):
+    with pytest.raises(InternalError, match="model does not satisfy the reduct"):
         decide(fml(text), lists_sig)
 
 
