@@ -13,9 +13,10 @@ integer feasibility over the classes; a violated `ne` row and a functional
 inconsistency of the candidate model are repaired by case splits, choice
 points on the search's one stack like its disjunctions: the two strict sides
 of the row, as `le` rows, or the two applications being equal or one of
-their argument pairs differing.  Of the violated `ne` rows, the one with the
-fewest variables is split first, the earliest added among equals (fail
-first); functional inconsistencies only when no `ne` row is violated.
+their argument pairs differing.  One order picks the split: the system's
+violated `ne` row with the fewest variables, the earliest added among equals
+(fail first), and only when there is none a row over a class the system
+leaves free that the candidate violates, or else a functional inconsistency.
 A probe reads only what changed since the last one: the LIA system keeps
 its model as data and watches the `ne` rows (see `lia.System`), and the
 terms of a reduct are interned by its symbol table, so the congruence
@@ -46,7 +47,7 @@ from .errors import InternalError, ProtocolError, ResourceLimitError, SpawnError
 from .parser import SExpr, read_sexprs
 from .reduce import (
     RAnd, RApp, RConst, REq, RFalseF, RFormula, RLin, ROr, RTerm, RTrueF,
-    RVar, ReducedFormula, SymbolTable, _top_conjuncts, ne_sides,
+    RVar, ReducedFormula, SymbolTable, _top_conjuncts, ne_sides, rne,
 )
 from .semantics import _int_text
 
@@ -557,68 +558,45 @@ class _Search:
 
     def decide(self) -> IntModel | list[RFormula | lia.LinCon] | None:
         """One probe of the asserted conjunction: None when its system is
-        infeasible, the candidate model when that satisfies every `ne` row
-        and is functionally consistent, and else the arms of a case split
-        that repairs it, which together cover every model: the two strict
-        sides of a violated `ne` row, as `le` rows, or the two clashing
-        applications being equal or one of their argument pairs differing.
+        infeasible, else the arms of a case split, which together cover every
+        model, or the candidate model when no split is due.  One order picks
+        the split: the violated `ne` row of the system, the one with the
+        fewest variables, the earliest added among equals (fail first); when
+        there is none, the first loose row (over a class the system leaves
+        free), in the same order, that the candidate's values violate; else
+        the candidate's first functional clash.  A row splits into its two
+        strict sides, as `le` rows, and a clash into the two applications
+        being equal or one of their argument pairs differing.
 
-        The system keeps its model and the violated `ne` rows from probe to
-        probe, and reads again only what changed since the last one
-        (`lia.System.violated`).  A row over a class the system leaves free
-        (a loose row) is read against the candidate model's values, so the
-        candidate (`candidate`, one pass over the terms) is built before the
-        split only when such a row could come first.  A loose row x - y != 0
-        in the shape `rne` makes is left out of that test: the candidate gives
-        a free class a value above every value of the system's model, and
-        distinct from every other free class's, so x and y never get one
-        value and the row is never the one picked.
-
-        Of the violated `ne` rows, the one with the fewest variables is split
-        first, the one added first among equals (fail first).  A one-variable
-        row x != k splits into two bounds on x, and when k is one of x's
-        bounds one side fails as soon as it is added, so the split costs one
-        failed probe; the rows over several variables are then split under
-        the tighter bounds.  Each split covers every integer point of the
-        row's scope, so the order changes no verdict; only the split cap
-        sees it."""
+        The system keeps its model and the violated rows from probe to probe
+        and reads again only what changed since the last one
+        (`lia.System.violated`), so the candidate (`candidate`, one pass over
+        the terms) is built only when the system violates no row.  A
+        one-variable row x != k splits into two bounds on x, and when k is
+        one of x's bounds one side fails as soon as it is added, so the split
+        costs one failed probe; the rows over several variables are then
+        split under the tighter bounds.  Each split covers every integer
+        point of its scope, so the order changes no verdict; only the split
+        cap sees it."""
         pick = self.lia.violated()
         if pick is None:
             return None
         best, loose = pick
-        model_map = self.lia.values
-        found = None
-        loose = [row for row in loose if not _kept_apart(row)]
-        if loose:
-            found = self.candidate(model_map)
-            free = found[2]
-            for row in loose:
-                if row.const + sum(a * (free[v] if v in free else model_map[v])
-                                   for v, a in row.coeffs) == 0:
-                    best = row
-                    break
+        if best is None:
+            model_map = self.lia.values
+            model, clash, free = self.candidate(model_map)
+            best = next((row for row in loose
+                         if row.const + sum(a * (free[v] if v in free else model_map[v])
+                                            for v, a in row.coeffs) == 0), None)
         if best is not None:
             return [lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs), s * best.const + 1)
                     for s in (1, -1)]
-        model, clash, _ = found or self.candidate(model_map)
         if clash is None:
             return model
-        # two apps of one function agree on their arguments but not on their
-        # values: split on the apps being equal or one argument pair differing,
-        # a row over the arguments as they are (`rne` would fold constants)
         cc = self.cc
         t1, t2 = cc.terms[clash[0]], cc.terms[clash[1]]
-        return [REq(t1, t2)] + [RLin("ne", ((1, a1), (-1, a2)), 0)
-                                for a1, a2 in zip(t1.args, t2.args)
+        return [REq(t1, t2)] + [rne(a1, a2) for a1, a2 in zip(t1.args, t2.args)
                                 if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])]
-
-
-def _kept_apart(row: lia.LinCon) -> bool:
-    """Whether a row is x - y != 0 over two variables, as `rne` makes it."""
-    if row.op != "ne" or row.const != 0 or len(row.coeffs) != 2:
-        return False
-    (_, a), (_, b) = row.coeffs
-    return a + b == 0 and abs(a) == 1
 
 
 # -- public solve ------------------------------------------------------------------------

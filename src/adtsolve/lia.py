@@ -605,9 +605,9 @@ class System:
     def violated(self) -> tuple[LinCon | None, list[LinCon]] | None:
         """None when the system is infeasible (see `refresh`); else the `ne`
         row that `values` violates with the fewest variables, the earliest
-        added among equals, or None, and, in that order, the loose rows that
-        would come before it: those over a variable without a value, which
-        the caller must read under values of its own.
+        added among equals, or None, and, in that order, every loose row:
+        those over a variable without a value, which the caller must read
+        under values of its own.
 
         It files again only the rows put or rewritten since the last call
         and the rows over a variable whose value changed since."""
@@ -653,13 +653,8 @@ class System:
         best = None
         if bad:
             k = min(bad)
-            best = (k, min(bad[k]))
-        before = []
-        if loose:
-            before = sorted((len(rows[i].coeffs), i) for i in loose)
-            if best is not None:
-                before = [key for key in before if key < best]
-        return rows[best[1]] if best else None, [rows[i] for _, i in before]
+            best = rows[min(bad[k])]
+        return best, [rows[i] for _, i in sorted((len(rows[i].coeffs), i) for i in loose)]
 
 
 def solve(cons: list[LinCon]) -> dict[str, int] | None:

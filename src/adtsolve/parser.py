@@ -145,7 +145,6 @@ class _ScriptBuilder:
         self.ctors: list[CtorDecl] = []
         self.var_sorts: dict[str, str] = {}
         self.ufuns: dict[str, tuple[tuple[str, ...], str]] = {}
-        self.asserts: list[tuple[SExpr, None]] = []
         self.commands: list[str] = []
 
     # -- declarations ------------------------------------------------------

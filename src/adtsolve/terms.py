@@ -107,8 +107,8 @@ class Ctor(Node):
     args: tuple["Term", ...]
 
     # the hash is taken when the term is built, from its arguments' hashes,
-    # which are already taken, and `==` runs on an explicit stack: model
-    # terms nest as deep as the input's chains
+    # which are already taken, and `==` runs on an explicit stack
+    # (`_terms_equal`): model terms nest as deep as the input's chains
     def __init__(self, ctor: str, args: tuple["Term", ...] = ()):
         self._init(ctor, args, hash((ctor, args)))
 
@@ -116,21 +116,7 @@ class Ctor(Node):
         return self._hash
 
     def __eq__(self, other):
-        if other.__class__ is not Ctor:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not Ctor or b.__class__ is not Ctor:
-                if not a == b:
-                    return False
-            elif a._hash != b._hash or a.ctor != b.ctor or len(a.args) != len(b.args):
-                return False
-            else:
-                stack.extend(zip(reversed(a.args), reversed(b.args)))
-        return True
+        return _terms_equal(self, other) if other.__class__ is Ctor else NotImplemented
 
 
 class Sel(Node):
@@ -139,13 +125,41 @@ class Sel(Node):
     index: int
     arg: "Term"
 
-    # taken when built, as `Ctor`'s is: a selector chain nests as deep as
+    # hashed and compared as `Ctor` is: a selector chain nests as deep as
     # the input writes it
     def __init__(self, ctor: str, index: int, arg: "Term"):
         self._init(ctor, index, arg, hash((ctor, index, arg)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        return _terms_equal(self, other) if other.__class__ is Sel else NotImplemented
+
+
+def _terms_equal(a: Term, b: Term) -> bool:
+    """`==` of two `Ctor`s or two `Sel`s on an explicit stack: a pair
+    compares its hashes and its other fields before its argument pairs are
+    pushed, and identical objects are skipped."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = a.__class__
+        if kind is not b.__class__:
+            return False
+        if kind is Ctor:
+            if a._hash != b._hash or a.ctor != b.ctor or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+        elif kind is Sel:
+            if a._hash != b._hash or a.ctor != b.ctor or a.index != b.index:
+                return False
+            stack.append((a.arg, b.arg))
+        elif not a == b:
+            return False
+    return True
 
 
 Term = Union[Var, Ctor, Sel]

@@ -299,10 +299,8 @@ def test_search_tree_size_is_pinned(lists_sig, monkeypatch):
     assert _spent(monkeypatch, wrap(f, lists_sig)) == ("sat", 6, 0)
 
 
-def test_loose_disequality_of_two_variables_needs_no_candidate(monkeypatch):
-    # x != y over two free classes is a loose row, added before the violated
-    # z != w (z = w = 0 at their upper bounds): the candidate gives x and y
-    # distinct values, so the probe splits z != w without building it
+def _count_candidates(monkeypatch):
+    """Record the map of every `candidate` call, and return the record."""
     calls = []
     candidate = backend._Search.candidate
 
@@ -311,18 +309,46 @@ def test_loose_disequality_of_two_variables_needs_no_candidate(monkeypatch):
         return candidate(self, model_map)
 
     monkeypatch.setattr(backend._Search, "candidate", counted)
+    return calls
+
+
+def test_a_violated_system_row_is_split_before_any_loose_row(monkeypatch):
+    # v != 1 and x != y are loose rows, over classes the system leaves free,
+    # and v != 1 sorts before the violated z != w (z = w = 0 at their upper
+    # bounds); the candidate gives v its first spread value, 1, which
+    # violates v != 1, but the probe splits z != w without building it
+    calls = _count_candidates(monkeypatch)
     search = backend._Search(backend._Budget(100))
-    x, y, z, w = (RVar(v) for v in "xyzw")
+    v, x, y, z, w = (RVar(n) for n in "vxyzw")
+    search.assert_lit(rne(v, RConst(1)))
     search.assert_lit(rne(x, y))
     search.assert_lit(_le(0, (1, "z")))
     search.assert_lit(_le(0, (1, "w")))
     search.assert_lit(rne(z, w))
     best, loose = search.lia.violated()
-    assert [sorted(a for _, a in row.coeffs) for row in loose] == [[-1, 1]]
+    assert len(best.coeffs) == 2 and [len(row.coeffs) for row in loose] == [1, 2]
     arms = search.decide()
     assert [arm.coeffs for arm in arms] == [
-        tuple((v, s * a) for v, a in best.coeffs) for s in (1, -1)]
+        tuple((n, s * a) for n, a in best.coeffs) for s in (1, -1)]
     assert calls == []
+    free = search.candidate(search.lia.values)[2]
+    assert free[search.names[search.cc.ids[v]]] == 1
+
+
+def test_a_loose_row_the_candidate_violates_is_split(monkeypatch):
+    # the system violates no row; the candidate gives the free x its first
+    # spread value, 1, which violates x != 1, so the probe splits that row
+    # into x <= 0 and x >= 2 instead of returning the candidate
+    calls = _count_candidates(monkeypatch)
+    search = backend._Search(backend._Budget(100))
+    search.assert_lit(rne(RVar("x"), RConst(1)))
+    best, loose = search.lia.violated()
+    assert best is None
+    (name, _), = loose[0].coeffs
+    arms = search.decide()
+    assert [(arm.op, arm.coeffs, arm.const) for arm in arms] == [
+        ("le", ((name, 1),), 0), ("le", ((name, -1),), 2)]
+    assert len(calls) == 1
 
 
 # -- backtrackable congruence closure ---------------------------------------------

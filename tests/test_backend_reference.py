@@ -16,7 +16,7 @@ import pytest
 
 from adtsolve import backend, lia
 from adtsolve.backend import IntModel, _Search
-from adtsolve.reduce import REq, RLin, RApp, RVar
+from adtsolve.reduce import REq, RApp, RVar, rne
 from tests.test_backend import SESSION_FIXTURES, _session_fixture, _stateless_reducts
 
 
@@ -93,30 +93,30 @@ def reference_candidate(search, model_map):
 def reference_decide(search):
     """The probe that rebuilds the model, scans every `ne` row for the
     violated one with the fewest variables, the earliest among equals, and
-    walks every CC term."""
+    only when there is none walks every CC term and scans the loose rows,
+    in the same order, for the first one the candidate violates."""
     model_map = reference_model(search.lia)
     if model_map is None:
         return None
-    found, best = None, None
-    for row in reference_nes(search.lia):
-        if best is not None and len(row.coeffs) >= len(best.coeffs):
-            continue
-        if found is None and any(v not in model_map for v, _ in row.coeffs):
-            found = reference_candidate(search, model_map)
-        if row.const + sum(a * model_map[v] for v, a in row.coeffs) == 0:
-            best = row
-            if len(row.coeffs) == 1:
-                break
+
+    def first_violated(rows):
+        return next((row for row in rows
+                     if row.const + sum(a * model_map[v] for v, a in row.coeffs) == 0), None)
+
+    nes = sorted(reference_nes(search.lia), key=lambda row: len(row.coeffs))
+    loose = [row for row in nes if any(v not in model_map for v, _ in row.coeffs)]
+    best = first_violated([row for row in nes if row not in loose])
+    if best is None:
+        model, clash = reference_candidate(search, model_map)  # fills in model_map
+        best = first_violated(loose)
     if best is not None:
         return [lia.LinCon("le", tuple((v, s * a) for v, a in best.coeffs), s * best.const + 1)
                 for s in (1, -1)]
-    model, clash = found or reference_candidate(search, model_map)
     if clash is None:
         return model
     cc = search.cc
     t1, t2 = cc.terms[clash[0]], cc.terms[clash[1]]
-    return [REq(t1, t2)] + [RLin("ne", ((1, a1), (-1, a2)), 0)
-                            for a1, a2 in zip(t1.args, t2.args)
+    return [REq(t1, t2)] + [rne(a1, a2) for a1, a2 in zip(t1.args, t2.args)
                             if cc.find(cc.ids[a1]) != cc.find(cc.ids[a2])]
 
 

@@ -437,6 +437,10 @@ def _scan(s, model):
 # v0 over it needs a spread value again after the pop
 @example([lia.con("eq", {"v0": 1, "v1": -1}, 0)],
          [(lia.con("le", {"v1": 1}, -2), True), (None, True)])
+# a loose row over the free w sorts after the violated v0 != 0 and is read
+@example([lia.con("le", {"v0": 1}, 0)],
+         [(lia.con("ne", {"v0": 1}, 0), False),
+          (lia.con("ne", {"w": 1, "v0": -1}, 0), True)])
 # a pop frees the position of a watched `ne` row, and an `le` row takes it
 @example([], [(lia.con("ne", {"v0": 1}, 0), True), (None, False),
               (lia.con("le", {"v0": 1}, 0), True)])
@@ -473,6 +477,5 @@ def test_watched_ne_rows_and_changed_values_match_a_full_scan(base, steps):
         assert not s.changed  # nothing changed since the read above
         assert sorted((k, i) for i, k in s._filed.items() if k) == bad
         assert sorted((len(s.rows[i].coeffs), i) for i in s._loose) == loose
-        best = bad[0] if bad else None
-        assert got[0] == (s.rows[best[1]] if bad else None)
-        assert got[1] == [s.rows[i] for k, i in loose if best is None or (k, i) < best]
+        assert got[0] == (s.rows[bad[0][1]] if bad else None)
+        assert got[1] == [s.rows[i] for _, i in loose]

@@ -17,7 +17,7 @@ import adtsolve
 from adtsolve.normalize import flatten, to_nnf
 from adtsolve.parser import parse_script
 from adtsolve.reduce import reduce
-from adtsolve.terms import Node, Var
+from adtsolve.terms import Ctor, Node, Sel, Var
 
 
 def _frozen_dataclasses():
@@ -119,6 +119,28 @@ def test_each_name_of_a_script_is_one_string():
     assert len(occurrences["CList"]) > 5
     for name, strings in occurrences.items():
         assert all(s is strings[0] for s in strings), name
+
+
+def _chain(n, base):
+    """tl(tl(...tl(base)...)) n selectors deep, built bottom-up."""
+    t = base
+    for _ in range(n):
+        t = Sel("cons", 1, t)
+    return t
+
+
+def test_deep_selector_chains_compare_without_recursion():
+    # equal chains and constructors over them, built apart, compare on an
+    # explicit stack under the default recursion limit
+    assert sys.getrecursionlimit() < 10_000
+    x, y = Var("x", "L"), Var("y", "L")
+    a, b, c = _chain(10_000, x), _chain(10_000, x), _chain(10_000, y)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c
+    head = Var("h", "Colour")
+    assert Ctor("cons", (head, a)) == Ctor("cons", (head, b))
+    assert Ctor("cons", (head, a)) != Ctor("cons", (head, c))
+    assert Ctor("cons", (head, a)) != a
 
 
 def _nodes(root):
